@@ -134,6 +134,9 @@ def _standard_valuation(a: int) -> MonomialValuation:
 def cmd_value(args) -> Report:
     _require(args, "a", "matrix")
     flat = [x for row in parse_matrix(args.matrix) for x in row]
+    if len(flat) % 2:
+        raise UsageError(f"--matrix: value needs an even number of entries to form "
+                         f"(i, j) support pairs, got {len(flat)}")
     support = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
     val = _standard_valuation(args.a)
     res_val = val.value_of(support)
@@ -221,6 +224,10 @@ def cmd_counterexample(args) -> Report:
     charts = cx.validate_surface(config)
     inject = None
     if args.corrupt_step is not None:
+        if not 0 <= args.corrupt_step <= config.steps:
+            raise cx.ConfigError("0 <= corrupt-step <= steps",
+                                 f"--corrupt-step {args.corrupt_step} is outside the "
+                                 f"swept steps 0..{config.steps}")
         inject = {("nu1", args.corrupt_step): ((1, 0), (0, 1))}
     sweep = cx.singularity_sweep(instance, config.steps, inject=inject)
     results: dict[str, Any] = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .toric import semigroup_contains
+from .toric import hilbert_basis_2d
 
 
 class QuotientError(ValueError):
@@ -65,27 +65,20 @@ def invariant_generators(action: DiagonalAction) -> tuple[list[Monomial], list[M
     With both weights nonzero the full set is
     {x^p, y^p} with x^{p-i} y^{j_i} for 1 <= i <= p-1; with one weight
     zero the invariant ring is regular with two generators.  The minimal
-    set drops elements that are sums of others.
+    set is the Hilbert basis of the invariant lattice {(i, j) : j = r*i
+    mod p}, r = -a/b mod p, in the first quadrant (Riemenschneider 1974):
+    in the lattice basis (1, r), (0, p) that quadrant is the cyclic
+    quotient cone spanned by (0, 1) and (p, -r).
     """
-    p = action.order
-    if action.a == 0:
-        full = [(1, 0), (0, p)]
-    elif action.b == 0:
-        full = [(p, 0), (0, 1)]
-    else:
-        jmap = action.weight_map()
-        full = [(p, 0)] + [(p - i, jmap[i]) for i in range(1, p)] + [(0, p)]
-    full = sorted(set(full))
-    minimal = list(full)
-    changed = True
-    while changed:
-        changed = False
-        for g in list(minimal):
-            rest = tuple(h for h in minimal if h != g)
-            if len(rest) >= 1 and semigroup_contains(rest, g):
-                minimal.remove(g)
-                changed = True
-    return full, sorted(minimal)
+    p, a, b = action.order, action.a, action.b
+    if a == 0 or b == 0:
+        full = sorted([(1, 0), (0, p)] if a == 0 else [(p, 0), (0, 1)])
+        return full, list(full)
+    jmap = action.weight_map()
+    full = sorted([(p, 0)] + [(p - i, jmap[i]) for i in range(1, p)] + [(0, p)])
+    r = (-a * pow(b, -1, p)) % p
+    basis = hilbert_basis_2d(((0, 1), (p, -r)))
+    return full, sorted((c1, r * c1 + p * c2) for c1, c2 in basis.generators)
 
 
 def brute_force_invariants(action: DiagonalAction, max_degree: int) -> list[Monomial]:

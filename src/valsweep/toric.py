@@ -8,7 +8,6 @@ matrices are numpy object arrays holding Python ints.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -169,48 +168,14 @@ def dual_cone_2d(rows: tuple[Vec2, Vec2]) -> tuple[Vec2, Vec2]:
     return (perp_ray(r2, r1), perp_ray(r1, r2))
 
 
-def _in_cone(point: Vec2, u1: Vec2, u2: Vec2) -> bool:
-    """Membership in cone(u1, u2), decided by two cross-product signs."""
-    d = u1[0] * u2[1] - u1[1] * u2[0]
-    alpha = point[0] * u2[1] - point[1] * u2[0]
-    beta = u1[0] * point[1] - u1[1] * point[0]
-    if d < 0:
-        alpha, beta = -alpha, -beta
-    return alpha >= 0 and beta >= 0
-
-
 def hirzebruch_jung_digits(a: int, b: int) -> list[int]:
-    """Digits c_i of a/b = c_1 - 1/(c_2 - 1/(...)), for 0 < b <= a."""
+    """Digits c_i of a/b = c_1 - 1/(c_2 - 1/(...)), for 0 <= b <= a (none if b = 0)."""
     digits = []
     while b > 0:
         c = -(-a // b)  # ceil
         digits.append(c)
         a, b = b, c * b - a
     return digits
-
-
-def _hj_generator_count(u1: Vec2, u2: Vec2) -> int:
-    """Hilbert-basis size of cone(u1, u2) via the Hirzebruch-Jung expansion.
-
-    Normalizes the cone to the form cone((0,1), (d,-k)) by a unimodular
-    map; the basis is then the two rays plus the rays of the minimal
-    resolution, one per digit of the HJ expansion of d/k.
-    """
-    d = abs(u1[0] * u2[1] - u1[1] * u2[0])
-    if d == 1:
-        return 2
-    # unimodular M with M @ u1 = (0, 1): first row kills u1, second pairs to 1
-    x, y = u1
-    s, t = _bezout(x, y)
-    m = ((-y, x), (s, t))
-    w = (m[0][0] * u2[0] + m[0][1] * u2[1], m[1][0] * u2[0] + m[1][1] * u2[1])
-    if w[0] < 0:
-        # compose with (x, y) -> (-x, y), which fixes (0, 1)
-        w = (-w[0], w[1])
-    assert w[0] == d
-    k = (-w[1]) % d
-    assert gcd(d, k) == 1
-    return len(hirzebruch_jung_digits(d, k)) + 2
 
 
 def _bezout(x: int, y: int) -> tuple[int, int]:
@@ -238,108 +203,43 @@ class SemigroupBasis:
         return len(self.generators)
 
 
-@functools.lru_cache(maxsize=None)
 def hilbert_basis_2d(rays: tuple[Vec2, Vec2]) -> SemigroupBasis:
-    """Minimal generating set of cone(rays) ∩ Z^2.
+    """Minimal generating set of cone(rays) ∩ Z^2, by Hirzebruch-Jung.
 
-    Brute-force enumeration of lattice points in the fundamental
-    parallelogram followed by irreducibility filtering, cross-checked
-    against the Hirzebruch-Jung generator count.
+    With u1, u2 the primitive rays, D = |det(u1, u2)| and (s, t) a Bezout
+    pair of u1, the unimodular map u1 -> (0, 1) sends u2 to (D, -k) up to
+    a shear fixing (0, 1), where k = -(s, t).u2 mod D.  The basis is then
+    the chain v_0 = u1, v_1 = (k*u1 + u2)/D, v_{i+1} = c_i*v_i - v_{i-1}
+    over the digits c_i of D/k (Fulton, Introduction to Toric Varieties,
+    2.6), so it costs time linear in its size.
+
+    The chain is certified rather than trusted: every digit must be at
+    least 2 (no generator is the sum of its neighbours), every
+    consecutive pair must be a lattice basis oriented like (u1, u2), and
+    the chain must end exactly at u2.  Together these make the v_i the
+    lattice points on the boundary of the convex hull of the nonzero
+    cone points, which is the Hilbert basis.
     """
     u1, u2 = primitive(rays[0]), primitive(rays[1])
     d = u1[0] * u2[1] - u1[1] * u2[0]
     if d == 0:
         raise ToricError("cone is not strictly convex (parallel rays)")
-    dd = abs(d)
-    candidates = {u1, u2}
-    for a in range(dd + 1):
-        for b in range(dd + 1):
-            px = a * u1[0] + b * u2[0]
-            py = a * u1[1] + b * u2[1]
-            if px % dd == 0 and py % dd == 0 and (a, b) != (0, 0):
-                candidates.add((px // dd, py // dd))
-    basis = []
-    for p in candidates:
-        reducible = False
-        for q in candidates:
-            if q == p:
-                continue
-            diff = (p[0] - q[0], p[1] - q[1])
-            if diff != (0, 0) and _in_cone(diff, u1, u2):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(p)
-    basis.sort()
-    expected = _hj_generator_count(u1, u2)
-    if len(basis) != expected:  # pragma: no cover - guards the enumeration
-        raise AssertionError(
-            f"Hilbert basis size {len(basis)} disagrees with HJ count {expected}")
-    return SemigroupBasis(tuple(basis), (u1, u2))
-
-
-def _extreme_rays(gens: tuple[Vec2, ...]) -> tuple[Vec2, Vec2]:
-    """The pair of generators spanning the cone containing all the others."""
-    for u1 in gens:
-        for u2 in gens:
-            if u1[0] * u2[1] - u1[1] * u2[0] == 0:
-                continue
-            if all(_in_cone(g, u1, u2) for g in gens):
-                return u1, u2
-    raise ToricError("generators do not span a strictly convex 2D cone")
-
-
-def _ray_semigroup_contains(gens: tuple[Vec2, ...], point: Vec2) -> bool:
-    prim = primitive(gens[0])
-    if point[0] * prim[1] - point[1] * prim[0] != 0:
-        return False
-    scale = point[0] // prim[0] if prim[0] != 0 else point[1] // prim[1]
-    if scale <= 0 or (prim[0] * scale, prim[1] * scale) != point:
-        return False
-    lengths = sorted({g[0] // prim[0] if prim[0] != 0 else g[1] // prim[1] for g in gens})
-    if any(l <= 0 for l in lengths):
-        return False
-    reachable = {0}
-    for n in range(1, scale + 1):
-        if any(n - l in reachable for l in lengths):
-            reachable.add(n)
-    return scale in reachable
-
-
-def semigroup_contains(gens: tuple[Vec2, ...], point: Vec2) -> bool:
-    """Bounded search: is point a nonnegative integer combination of gens?
-
-    The search is confined to the cone spanned by the generators and
-    graded by a functional strictly positive there, so it terminates.
-    """
-    if point == (0, 0):
-        return True
-    if all(g[0] * gens[0][1] - g[1] * gens[0][0] == 0 for g in gens):
-        # degenerate rank-1 case: combinations live on a half-line
-        return _ray_semigroup_contains(gens, point)
-    u1, u2 = _extreme_rays(gens)
-    d1, d2 = dual_cone_2d((u1, u2))
-    phi = (d1[0] + d2[0], d1[1] + d2[1])
-    memo: dict[Vec2, bool] = {}
-
-    def rec(p: Vec2) -> bool:
-        if p == (0, 0):
-            return True
-        if p in memo:
-            return memo[p]
-        memo[p] = False
-        for g in gens:
-            diff = (p[0] - g[0], p[1] - g[1])
-            if not _in_cone(diff, u1, u2):
-                continue
-            if phi[0] * diff[0] + phi[1] * diff[1] >= phi[0] * p[0] + phi[1] * p[1]:
-                continue
-            if rec(diff):
-                memo[p] = True
-                return True
-        return memo[p]
-
-    return rec(point)
+    dd, orientation = abs(d), (1 if d > 0 else -1)
+    s, t = _bezout(*u1)
+    k = -(s * u2[0] + t * u2[1]) % dd
+    chain = [u1, ((k * u1[0] + u2[0]) // dd, (k * u1[1] + u2[1]) // dd)]
+    for c in hirzebruch_jung_digits(dd, k):
+        if c < 2:
+            raise AssertionError(f"Hirzebruch-Jung digit {c} < 2 for D={dd}, k={k}")
+        (x0, y0), (x1, y1) = chain[-2], chain[-1]
+        chain.append((c * x1 - x0, c * y1 - y0))
+    if chain[-1] != u2:
+        raise AssertionError(f"Hirzebruch-Jung chain ends at {chain[-1]}, not at {u2}")
+    for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
+        if x0 * y1 - y0 * x1 != orientation:
+            raise AssertionError(f"generators {(x0, y0)}, {(x1, y1)} are not a "
+                                 f"lattice basis oriented like the rays")
+    return SemigroupBasis(tuple(sorted(chain)), (u1, u2))
 
 
 @dataclass(frozen=True)

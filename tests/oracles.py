@@ -1,0 +1,133 @@
+"""Brute-force oracles for the 2D semigroup computations.
+
+These are the enumeration and search routines that production code
+replaced with the Hirzebruch-Jung recursion.  They share no logic with
+it, so tests compare the two: `enumerated_hilbert_basis` against
+`toric.hilbert_basis_2d`, and `filtered_minimal_generators` (a
+`semigroup_contains` filtering of the full invariant list) against the
+minimal set of `quotient.invariant_generators`.
+"""
+
+from __future__ import annotations
+
+from valsweep.toric import SemigroupBasis, ToricError, dual_cone_2d, primitive
+
+Vec2 = tuple[int, int]
+
+
+def in_cone(point: Vec2, u1: Vec2, u2: Vec2) -> bool:
+    """Membership in cone(u1, u2), decided by two cross-product signs."""
+    d = u1[0] * u2[1] - u1[1] * u2[0]
+    alpha = point[0] * u2[1] - point[1] * u2[0]
+    beta = u1[0] * point[1] - u1[1] * point[0]
+    if d < 0:
+        alpha, beta = -alpha, -beta
+    return alpha >= 0 and beta >= 0
+
+
+def enumerated_hilbert_basis(rays: tuple[Vec2, Vec2]) -> SemigroupBasis:
+    """Hilbert basis of cone(rays) from the (|det| + 1)^2 points of the
+    fundamental parallelogram, filtered pairwise for irreducibility."""
+    u1, u2 = primitive(rays[0]), primitive(rays[1])
+    d = u1[0] * u2[1] - u1[1] * u2[0]
+    if d == 0:
+        raise ToricError("cone is not strictly convex (parallel rays)")
+    dd = abs(d)
+    candidates = {u1, u2}
+    for a in range(dd + 1):
+        for b in range(dd + 1):
+            px = a * u1[0] + b * u2[0]
+            py = a * u1[1] + b * u2[1]
+            if px % dd == 0 and py % dd == 0 and (a, b) != (0, 0):
+                candidates.add((px // dd, py // dd))
+    basis = []
+    for p in candidates:
+        reducible = False
+        for q in candidates:
+            if q == p:
+                continue
+            diff = (p[0] - q[0], p[1] - q[1])
+            if diff != (0, 0) and in_cone(diff, u1, u2):
+                reducible = True
+                break
+        if not reducible:
+            basis.append(p)
+    return SemigroupBasis(tuple(sorted(basis)), (u1, u2))
+
+
+def _extreme_rays(gens: tuple[Vec2, ...]) -> tuple[Vec2, Vec2]:
+    """The pair of generators spanning the cone containing all the others."""
+    for u1 in gens:
+        for u2 in gens:
+            if u1[0] * u2[1] - u1[1] * u2[0] == 0:
+                continue
+            if all(in_cone(g, u1, u2) for g in gens):
+                return u1, u2
+    raise ToricError("generators do not span a strictly convex 2D cone")
+
+
+def _ray_semigroup_contains(gens: tuple[Vec2, ...], point: Vec2) -> bool:
+    prim = primitive(gens[0])
+    if point[0] * prim[1] - point[1] * prim[0] != 0:
+        return False
+    scale = point[0] // prim[0] if prim[0] != 0 else point[1] // prim[1]
+    if scale <= 0 or (prim[0] * scale, prim[1] * scale) != point:
+        return False
+    lengths = sorted({g[0] // prim[0] if prim[0] != 0 else g[1] // prim[1] for g in gens})
+    if any(l <= 0 for l in lengths):
+        return False
+    reachable = {0}
+    for n in range(1, scale + 1):
+        if any(n - l in reachable for l in lengths):
+            reachable.add(n)
+    return scale in reachable
+
+
+def semigroup_contains(gens: tuple[Vec2, ...], point: Vec2) -> bool:
+    """Bounded search: is point a nonnegative integer combination of gens?
+
+    The search is confined to the cone spanned by the generators and
+    graded by a functional strictly positive there, so it terminates.
+    """
+    if point == (0, 0):
+        return True
+    if all(g[0] * gens[0][1] - g[1] * gens[0][0] == 0 for g in gens):
+        # degenerate rank-1 case: combinations live on a half-line
+        return _ray_semigroup_contains(gens, point)
+    u1, u2 = _extreme_rays(gens)
+    d1, d2 = dual_cone_2d((u1, u2))
+    phi = (d1[0] + d2[0], d1[1] + d2[1])
+    memo: dict[Vec2, bool] = {}
+
+    def rec(p: Vec2) -> bool:
+        if p == (0, 0):
+            return True
+        if p in memo:
+            return memo[p]
+        memo[p] = False
+        for g in gens:
+            diff = (p[0] - g[0], p[1] - g[1])
+            if not in_cone(diff, u1, u2):
+                continue
+            if phi[0] * diff[0] + phi[1] * diff[1] >= phi[0] * p[0] + phi[1] * p[1]:
+                continue
+            if rec(diff):
+                memo[p] = True
+                return True
+        return memo[p]
+
+    return rec(point)
+
+
+def filtered_minimal_generators(full: list[Vec2]) -> list[Vec2]:
+    """Drop from `full` every element that is a sum of the others."""
+    minimal = list(full)
+    changed = True
+    while changed:
+        changed = False
+        for g in list(minimal):
+            rest = tuple(h for h in minimal if h != g)
+            if len(rest) >= 1 and semigroup_contains(rest, g):
+                minimal.remove(g)
+                changed = True
+    return sorted(minimal)

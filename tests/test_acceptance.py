@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from oracles import enumerated_hilbert_basis, semigroup_contains
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import (InstanceConfig, Verdict, build,
                                      singularity_sweep)
@@ -20,7 +21,7 @@ from valsweep.quotient import (DiagonalAction, brute_force_invariants,
                                invariant_generators, is_prime, pi1_order,
                                ramification_minors)
 from valsweep.toric import (adjugate_power_identity, below_ring_regularity,
-                            det_int, semigroup_contains, smith_normal_form)
+                            det_int, dual_cone_2d, primitive, smith_normal_form)
 from valsweep.transform import (TransformState, branch_run_lengths,
                                 convergent_parameters, det2, run_sequence)
 from valsweep.valuation import ValueElement, group_index
@@ -145,17 +146,23 @@ def test_criterion_7_oracle_equivalence(capsys):
     start = time.monotonic()
     ok = True
     count = 0
+    oracle_sizes: dict[tuple, int] = {}
     for a, b, c, d in itertools.product(range(11), repeat=4):
         if a * d - b * c == 0:
             continue
         verdict = below_ring_regularity([[a, b], [c, d]])
+        rays = dual_cone_2d((primitive((a, b)), primitive((c, d))))
+        if rays not in oracle_sizes:
+            oracle_sizes[rays] = len(enumerated_hilbert_basis(rays))
+        ok = ok and verdict.embedding_dim == oracle_sizes[rays]
         ok = ok and verdict.regular == (verdict.embedding_dim == 2)
         count += 1
     elapsed = time.monotonic() - start
-    ok = ok and elapsed < 30.0
+    ok = ok and count == 13922 and elapsed < 30.0
     with capsys.disabled():
-        report(7, ok, f"determinant vs Hilbert-basis criteria agree on "
-                      f"{count} matrices, {elapsed:.2f}s < 30s")
+        report(7, ok, f"Hirzebruch-Jung embedding dimension matches the enumeration "
+                      f"oracle and the determinant criterion on {count} matrices, "
+                      f"{elapsed:.2f}s < 30s")
 
 
 def test_criterion_8_continued_fraction_crosscheck(capsys):

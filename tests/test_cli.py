@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -116,6 +117,27 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--a" in err
 
+    def test_value_odd_entry_count_rejected(self, capsys):
+        code, out, err = run(capsys, "value", "--a", "7",
+                             "--matrix", "1,2,3,4,5,6,7,8,9")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "even number of entries" in err and "got 9" in err
+
+    @pytest.mark.parametrize("step", ["6", "99", "-1"])
+    def test_corrupt_step_outside_sweep_rejected(self, capsys, step):
+        code, out, err = run(capsys, "counterexample", "--q", "11", "--p", "13",
+                             "--steps", "5", "--corrupt-step", step)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "[0 <= corrupt-step <= steps]" in err
+
+    def test_corrupt_step_at_last_step_falsifies(self, capsys):
+        code, out, _ = run(capsys, "counterexample", "--q", "11", "--p", "13",
+                           "--steps", "5", "--corrupt-step", "5")
+        assert code == EXIT_FALSIFIED
+        assert "nu1 step 5" in json.loads(out)["results"]["falsification"]
+
     def test_falsification_channel(self, capsys):
         code, out, err = run(capsys, "counterexample", "--q", "11", "--p", "13",
                              "--steps", "5", "--corrupt-step", "2")
@@ -123,6 +145,37 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["verdict"] == "Falsified"
         assert "regular" in payload["results"]["falsification"]
+
+
+class TestHostileSizes:
+    """Inputs whose cost used to grow with |det|^2 or p^3."""
+
+    def timed(self, capsys, *argv):
+        start = time.monotonic()
+        code, payload, _ = run_json(capsys, *argv)
+        assert time.monotonic() - start < 2.0
+        assert code == EXIT_OK
+        return payload["results"]
+
+    def test_hilbert_huge_determinant(self, capsys):
+        res = self.timed(capsys, "hilbert", "--matrix=1,0,-1,1000003")
+        assert res["count"] == 3
+        assert res["generators"] == [[-1, 1000003], [0, 1], [1, 0]]
+
+    def test_lemma5_order_401(self, capsys):
+        res = self.timed(capsys, "lemma5", "--order", "401", "--a", "1", "--b", "2")
+        assert len(res["full_generators"]) == 402
+        # i + 2j = 0 mod 401: each odd i < 401 pairs with j = (401 - i) / 2
+        odd = [[2 * k + 1, 200 - k] for k in range(200)]
+        assert res["minimal_generators"] == [[0, 401]] + odd + [[401, 0]]
+        assert res["pi1"] == 401
+
+    def test_counterexample_q1009_p1013(self, capsys):
+        res = self.timed(capsys, "counterexample", "--q", "1009", "--p", "1013",
+                         "--m", "5", "--n", "5", "--steps", "25")
+        assert len(res["steps"]) == 52
+        assert all(s["regularity"] == "Singular" for s in res["steps"])
+        assert res["pi1_orders"] == {"nu1": 1009, "nu2": 1013}
 
 
 class TestDeterminism:

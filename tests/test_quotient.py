@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
+from oracles import filtered_minimal_generators, semigroup_contains
 from valsweep.quotient import (DiagonalAction, QuotientError,
                                brute_force_invariants, invariant_generators,
                                is_prime, is_regular, pi1_order,
                                ramification_minors)
-from valsweep.toric import semigroup_contains
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -58,6 +58,20 @@ class TestInvariantGenerators:
             # conversely every generator is invariant
             for g in full:
                 assert action.is_invariant(*g)
+
+    def test_minimal_matches_filtering_oracle(self):
+        # the full list depends on the weights only through a/b mod p,
+        # so the oracle runs once per distinct list
+        oracle: dict[tuple, list] = {}
+        for p in [n for n in range(2, 32) if is_prime(n)]:
+            for a, b in itertools.product(range(p), repeat=2):
+                if (a, b) == (0, 0):
+                    continue
+                full, minimal = invariant_generators(DiagonalAction(p, a, b))
+                key = tuple(full)
+                if key not in oracle:
+                    oracle[key] = filtered_minimal_generators(full)
+                assert minimal == oracle[key], (p, a, b)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_regular_iff_weight_zero_iff_two_generators(self, p):

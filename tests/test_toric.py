@@ -1,20 +1,27 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import enumerated_hilbert_basis, in_cone, semigroup_contains
+from valsweep import toric
 from valsweep.toric import (SemigroupBasis, ToricError, adjugate,
                             adjugate_power_identity, below_ring_regularity,
                             det_int, dual_cone_2d, hilbert_basis_2d,
                             hirzebruch_jung_digits, primitive,
-                            semigroup_contains, smith_normal_form, _in_cone)
+                            smith_normal_form)
 
 
 def brute_force_hilbert_basis(u1, u2, box=40):
     """Independent oracle: irreducible cone lattice points in a box."""
     pts = {(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
-           if (x, y) != (0, 0) and _in_cone((x, y), u1, u2)}
+           if (x, y) != (0, 0) and in_cone((x, y), u1, u2)}
     return sorted(p for p in pts
                   if not any((p[0] - q[0], p[1] - q[1]) in pts for q in pts))
 
@@ -138,6 +145,50 @@ class TestHilbertBasis:
     def test_half_plane_rejected(self):
         with pytest.raises(ToricError):
             hilbert_basis_2d(((1, 0), (-2, 0)))
+
+    def test_exhaustive_against_enumeration(self):
+        box = range(-6, 7)
+        prims = [v for v in itertools.product(box, repeat=2) if gcd(*v) == 1]
+        count = 0
+        for u1, u2 in itertools.product(prims, repeat=2):
+            if u1[0] * u2[1] - u1[1] * u2[0] == 0:
+                continue
+            assert hilbert_basis_2d((u1, u2)) == enumerated_hilbert_basis((u1, u2)), (u1, u2)
+            count += 1
+        assert count == 9024
+
+
+# The true digits of cone((1,0),(2,5)) are those of 5/3: [2, 3].  [3, 1, 4]
+# reaches (2, 5) too, through the reducible generator (1, 1) + (1, 2).
+CORRUPTED_DIGITS = [[2, 2, 2, 2], [3], [3, 1, 4], []]
+
+CORRUPTED_DIGITS_SCRIPT = f"""
+from valsweep import toric
+for digits in {CORRUPTED_DIGITS!r}:
+    toric.hirzebruch_jung_digits = lambda a, b: digits
+    try:
+        toric.hilbert_basis_2d(((1, 0), (2, 5)))
+    except AssertionError as exc:
+        print("rejected:", exc)
+    else:
+        raise SystemExit(f"corrupted digits {{digits}} were accepted")
+"""
+
+
+class TestHilbertCertificate:
+    @pytest.mark.parametrize("digits", CORRUPTED_DIGITS)
+    def test_corrupted_digits_rejected(self, monkeypatch, digits):
+        monkeypatch.setattr(toric, "hirzebruch_jung_digits", lambda a, b: digits)
+        with pytest.raises(AssertionError):
+            hilbert_basis_2d(((1, 0), (2, 5)))
+
+    def test_certificate_survives_optimize_flag(self):
+        src = Path(toric.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_DIGITS_SCRIPT],
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.count("rejected:") == len(CORRUPTED_DIGITS)
 
 
 class TestHirzebruchJung:
