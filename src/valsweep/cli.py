@@ -158,7 +158,7 @@ def cmd_transform(args) -> Report:
         records.append({"step_index": k,
                         "A": [list(st.a[0]), list(st.a[1])],
                         "det": st.det,
-                        "branch": st.step_log[-1].value if st.step_log else None})
+                        "branch": st.branch.value if st.branch is not None else None})
     ok = all(st.det == det0 for st in states)
     return Report("transform", {"a": args.a, "steps": steps},
                   {"states": records, "det_constant": ok},
@@ -170,7 +170,8 @@ def cmd_snf(args) -> Report:
     a = parse_matrix(args.matrix)
     form = smith_normal_form(a)
     quotient = " + ".join(f"Z/{d}" for d in form.quotient_invariants()) or "0"
-    res = {"U": form.u.tolist(), "D": form.d.tolist(), "V": form.v.tolist(),
+    res = {"U": [list(r) for r in form.u], "D": [list(r) for r in form.d],
+           "V": [list(r) for r in form.v],
            "diagonal": form.diagonal(), "quotient": quotient}
     return Report("snf", {"matrix": args.matrix}, res, "Verified")
 

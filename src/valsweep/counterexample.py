@@ -14,8 +14,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .qfield import QuadExt, tau_from_a
 from .valuation import MonomialValuation, ValueElement, group_index
 from .transform import Matrix2, TransformState, quadratic_step
@@ -30,11 +28,6 @@ class ConfigError(ValueError):
         self.constraint = constraint
 
 
-class CharConstraint(enum.Enum):
-    ZERO = "Zero"
-    ODD_PRIME_NOT_DIVIDING = "OddPrimeNotDividing"
-
-
 @dataclass(frozen=True)
 class InstanceConfig:
     q: int
@@ -42,7 +35,6 @@ class InstanceConfig:
     m: int = 3
     n: int = 3
     steps: int = 25
-    char_constraint: CharConstraint = CharConstraint.ZERO
 
     def chart_exponents(self) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
         """(a, b, c, d) exponent quadruples for the two charts."""
@@ -124,11 +116,14 @@ def build(config: InstanceConfig) -> Instance:
         a = ((order - 4, order - 2), (2, 1))
         # the defining relations x1 = v/z, y1 = z^2/v at value level
         root = ValueElement.make(2, 1, order, tau)
-        assert x1 + root == val_v
-        assert root.scale(2) - val_v == y1
         # row i of A expresses u resp. v in the chart parameters
-        assert x1.scale(a[0][0]) + y1.scale(a[0][1]) == val_u
-        assert x1.scale(a[1][0]) + y1.scale(a[1][1]) == val_v
+        relations = {"x1 + root = v": x1 + root == val_v,
+                     "2 root - v = y1": root.scale(2) - val_v == y1,
+                     "row 1 of A gives u": x1.scale(a[0][0]) + y1.scale(a[0][1]) == val_u,
+                     "row 2 of A gives v": x1.scale(a[1][0]) + y1.scale(a[1][1]) == val_v}
+        for relation, holds in relations.items():
+            if not holds:
+                raise AssertionError(f"chart relation {relation} fails on {name}")
         d = det_int(a)
         if abs(d) != order:
             raise ConfigError("matrix determinant", f"|det|={abs(d)} != {order}")
@@ -235,19 +230,19 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     """The cyclic action on the chart parameters induced by the lattice
     quotient Z^2 / A Z^2, with weights read off the adjugate rows at a
     generator of the quotient (prime order only)."""
-    a = np.array(matrix, dtype=object)
-    d = abs(det_int(a))
-    form = smith_normal_form(a)
+    d = abs(det_int(matrix))
+    form = smith_normal_form(matrix)
     invariants = form.quotient_invariants()
     if invariants != [d]:
         raise ConfigError("cyclic quotient", f"quotient invariants {invariants} not cyclic")
-    # generator of the quotient: preimage under U of the last unit vector
-    u_inv = adjugate(form.u) * det_int(form.u)
-    gen = (u_inv[0, 1], u_inv[1, 1])
-    adj = adjugate(a)
-    w1 = (adj[0, 0] * gen[0] + adj[0, 1] * gen[1]) % d
-    w2 = (adj[1, 0] * gen[0] + adj[1, 1] * gen[1]) % d
-    return DiagonalAction(d, int(w1), int(w2))
+    # generator of the quotient: preimage under U of the last unit vector,
+    # column 1 of U^-1 = adj(U) det(U)
+    u_adj, u_det = adjugate(form.u), det_int(form.u)
+    gen = (u_adj[0][1] * u_det, u_adj[1][1] * u_det)
+    adj = adjugate(matrix)
+    w1 = (adj[0][0] * gen[0] + adj[0][1] * gen[1]) % d
+    w2 = (adj[1][0] * gen[0] + adj[1][1] * gen[1]) % d
+    return DiagonalAction(d, w1, w2)
 
 
 @dataclass(frozen=True)

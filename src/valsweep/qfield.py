@@ -47,16 +47,20 @@ class QuadExt:
 
     @staticmethod
     def make(s: int, t: int, r: int, d: int) -> "QuadExt":
+        """Validating entry point for outside input: d becomes its squarefree part."""
         if r == 0:
             raise QFieldError("zero denominator")
         if d <= 1 or isqrt(d) ** 2 == d:
             raise QFieldError("d must be a positive nonsquare")
         td, dd = squarefree_decompose(d)
-        if dd != d:
-            t, d = t * td, dd
+        return QuadExt._reduce(s, t * td, r, dd)
+
+    @staticmethod
+    def _reduce(s: int, t: int, r: int, d: int) -> "QuadExt":
+        """Canonical form in a field whose radicand d is already squarefree."""
         if r < 0:
             s, t, r = -s, -t, -r
-        g = gcd(gcd(s, t), r)
+        g = gcd(r, s, t)  # the small denominator first keeps this linear in bits
         return QuadExt(s // g, t // g, r // g, d)
 
     @staticmethod
@@ -69,7 +73,7 @@ class QuadExt:
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, int):
-            return QuadExt.integer(other, self.d)
+            return QuadExt._reduce(other, 0, 1, self.d)
         if not isinstance(other, QuadExt):
             raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
         if other.d != self.d and other.t != 0 and self.t != 0:
@@ -82,9 +86,9 @@ class QuadExt:
     def __add__(self, other) -> "QuadExt":
         o = self._coerce(other)
         d = self._common_d(o)
-        return QuadExt.make(self.s * o.r + o.s * self.r,
-                            self.t * o.r + o.t * self.r,
-                            self.r * o.r, d)
+        return QuadExt._reduce(self.s * o.r + o.s * self.r,
+                               self.t * o.r + o.t * self.r,
+                               self.r * o.r, d)
 
     __radd__ = __add__
 
@@ -100,9 +104,9 @@ class QuadExt:
     def __mul__(self, other) -> "QuadExt":
         o = self._coerce(other)
         d = self._common_d(o)
-        return QuadExt.make(self.s * o.s + self.t * o.t * d,
-                            self.s * o.t + self.t * o.s,
-                            self.r * o.r, d)
+        return QuadExt._reduce(self.s * o.s + self.t * o.t * d,
+                               self.s * o.t + self.t * o.s,
+                               self.r * o.r, d)
 
     __rmul__ = __mul__
 
@@ -111,7 +115,7 @@ class QuadExt:
         norm = self.s * self.s - self.t * self.t * self.d
         if norm == 0 and self.s == 0 and self.t == 0:
             raise ZeroDivisionError("inverse of zero")
-        return QuadExt.make(self.r * self.s, -self.r * self.t, norm, self.d)
+        return QuadExt._reduce(self.r * self.s, -self.r * self.t, norm, self.d)
 
     def __truediv__(self, other) -> "QuadExt":
         o = self._coerce(other)
@@ -188,8 +192,9 @@ def tau_from_a(a: int) -> QuadExt:
         raise QFieldError("a must be a positive integer")
     disc = a * a + 4 * a
     t, d = squarefree_decompose(disc)
-    tau = QuadExt.make(a, t, 2, d)
-    assert (tau * tau - a * tau - a).is_zero()
+    tau = QuadExt._reduce(a, t, 2, d)
+    if not (tau * tau - a * tau - a).is_zero():
+        raise AssertionError(f"tau = {tau!r} does not satisfy t^2 = {a}*t + {a}")
     return tau
 
 

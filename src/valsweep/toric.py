@@ -3,7 +3,7 @@
 Determinants, adjugates and Smith normal forms of integer matrices, plus
 2D dual cones, Hilbert bases and the regularity test for the invariant
 (semigroup) ring attached to a 2x2 exponent matrix.  Everything is exact;
-matrices are numpy object arrays holding Python ints.
+matrices are tuples of integer rows.
 """
 
 from __future__ import annotations
@@ -11,130 +11,130 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 
 class ToricError(ValueError):
     pass
 
 
-def as_int_matrix(a) -> np.ndarray:
-    m = np.array(a, dtype=object)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ToricError(f"expected a square matrix, got shape {m.shape}")
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def as_int_matrix(a) -> Matrix:
+    try:
+        m = tuple(tuple(row) for row in a)
+    except TypeError:
+        raise ToricError("expected a square matrix given as a sequence of rows") from None
+    if not m or any(len(row) != len(m) for row in m):
+        raise ToricError(f"expected a square matrix, got row lengths {[len(r) for r in m]}")
     return m
+
+
+def _minor(m: Matrix, i: int, j: int) -> Matrix:
+    """m without row i and column j."""
+    return tuple(row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i)
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def det_int(a) -> int:
     """Exact determinant by cofactor expansion (small n only)."""
     m = as_int_matrix(a)
-    n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
-    total = 0
-    sign = 1
-    for k in range(n):
-        minor = np.delete(np.delete(m, 0, axis=0), k, axis=1)
-        total += sign * m[0, k] * det_int(minor)
-        sign = -sign
-    return total
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** k * m[0][k] * det_int(_minor(m, 0, k)) for k in range(len(m)))
 
 
-def adjugate(a) -> np.ndarray:
-    """adj(A) with A @ adj(A) = det(A) * I."""
+def adjugate(a) -> Matrix:
+    """adj(A) with A adj(A) = det(A) I."""
     m = as_int_matrix(a)
-    n = m.shape[0]
+    n = len(m)
     if n == 1:
-        return np.array([[1]], dtype=object)
-    adj = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * det_int(minor)
-    return adj
+        return ((1,),)
+    return tuple(tuple((-1) ** (i + j) * det_int(_minor(m, j, i)) for j in range(n))
+                 for i in range(n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmithForm:
-    """U @ A @ V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)."""
+    """U A V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)."""
 
-    u: np.ndarray
-    d: np.ndarray
-    v: np.ndarray
+    u: Matrix
+    d: Matrix
+    v: Matrix
 
     def diagonal(self) -> list[int]:
-        return [self.d[i, i] for i in range(self.d.shape[0])]
+        return [self.d[i][i] for i in range(len(self.d))]
 
     def quotient_invariants(self) -> list[int]:
         """Cyclic factors of Z^n / A Z^n, dropping trivial ones."""
         return [x for x in self.diagonal() if x != 1]
 
 
-def smith_normal_form(a) -> SmithForm:
-    m = as_int_matrix(a).copy()
-    n = m.shape[0]
-    u = np.eye(n, dtype=object)
-    v = np.eye(n, dtype=object)
-
-    def swap_rows(i, j):
-        m[[i, j]] = m[[j, i]]
-        u[[i, j]] = u[[j, i]]
-
-    def swap_cols(i, j):
-        m[:, [i, j]] = m[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-
+def _smith_reduce(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """(U, D, V) by elementary row and column operations (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4); smith_normal_form checks them."""
+    n = len(a)
+    m = [list(row) for row in a]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(n):
         while True:
             # move a nonzero pivot of least magnitude to (k, k)
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    if m[i, j] != 0 and (best is None or abs(m[i, j]) < abs(m[best[0], best[1]])):
-                        best = (i, j)
-            if best is None:
+            nonzero = [(abs(m[i][j]), i, j) for i in range(k, n) for j in range(k, n) if m[i][j]]
+            if not nonzero:
                 break
-            swap_rows(k, best[0])
-            swap_cols(k, best[1])
+            _, i, j = min(nonzero)  # the first least entry in row-major order
+            m[k], m[i] = m[i], m[k]
+            u[k], u[i] = u[i], u[k]
+            for row in m + v:
+                row[k], row[j] = row[j], row[k]
             done = True
             for i in range(k + 1, n):
-                q = m[i, k] // m[k, k]
+                q = m[i][k] // m[k][k]
                 if q != 0:
-                    m[i] -= q * m[k]
-                    u[i] -= q * u[k]
-                if m[i, k] != 0:
+                    m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+                if m[i][k] != 0:
                     done = False
             for j in range(k + 1, n):
-                q = m[k, j] // m[k, k]
+                q = m[k][j] // m[k][k]
                 if q != 0:
-                    m[:, j] -= q * m[:, k]
-                    v[:, j] -= q * v[:, k]
-                if m[k, j] != 0:
+                    for row in m + v:  # column j -= q * column k
+                        row[j] -= q * row[k]
+                if m[k][j] != 0:
                     done = False
             if not done:
                 continue
             # enforce divisibility: fold any non-multiple into column k
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if m[i, j] % m[k, k] != 0:
-                        offender = j
-                        break
-                if offender is not None:
-                    break
+            offender = next((j for i in range(k + 1, n) for j in range(k + 1, n)
+                             if m[i][j] % m[k][k] != 0), None)
             if offender is None:
                 break
-            m[:, k] += m[:, offender]
-            v[:, k] += v[:, offender]
-        if m[k, k] < 0:
-            m[k] = -m[k]
-            u[k] = -u[k]
-    form = SmithForm(u, m, v)
-    assert np.array_equal(u @ as_int_matrix(a) @ v, m)
-    assert abs(det_int(u)) == 1 and abs(det_int(v)) == 1
+            for row in m + v:
+                row[k] += row[offender]
+        if m[k][k] < 0:
+            m[k] = [-x for x in m[k]]
+            u[k] = [-x for x in u[k]]
+    return tuple(map(tuple, u)), tuple(map(tuple, m)), tuple(map(tuple, v))
+
+
+def smith_normal_form(a) -> SmithForm:
+    """Smith normal form with its certificate: U A V = D for unimodular U
+    and V, and D diagonal with each entry dividing the next."""
+    a = as_int_matrix(a)
+    u, d, v = _smith_reduce(a)
+    n = len(a)
+    if _matmul(_matmul(u, a), v) != d or any(d[i][j] for i in range(n) for j in range(n) if i != j):
+        raise AssertionError(f"Smith certificate fails: U A V != D = {d}")
+    if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
+        raise AssertionError("Smith certificate fails: U or V is not unimodular")
+    form = SmithForm(u, d, v)
     diag = form.diagonal()
     for x, y in zip(diag, diag[1:]):
-        assert y == 0 or (x != 0 and y % x == 0)
+        if not (y == 0 or (x != 0 and y % x == 0)):
+            raise AssertionError(f"Smith certificate fails: {x} does not divide {y}")
     return form
 
 
@@ -261,12 +261,12 @@ def below_ring_regularity(a) -> RegularityVerdict:
     The two criteria must agree (r = 2 iff regular).
     """
     m = as_int_matrix(a)
-    if m.shape != (2, 2):
+    if len(m) != 2:
         raise ToricError("expected a 2x2 matrix")
     d = det_int(m)
     if d == 0:
         raise ToricError("matrix is singular")
-    rows = (primitive((m[0, 0], m[0, 1])), primitive((m[1, 0], m[1, 1])))
+    rows = (primitive(m[0]), primitive(m[1]))
     prim_det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     rays = dual_cone_2d(rows)
     r = len(hilbert_basis_2d(rays))
@@ -286,7 +286,7 @@ class PowerIdentityCertificate:
 
 
 def adjugate_power_identity(a) -> PowerIdentityCertificate:
-    """Certify adj(A) @ A = det(A) * I at the exponent level.
+    """Certify adj(A) A = det(A) I at the exponent level.
 
     Row i of the product is det(A) times the i-th unit vector: the
     monomial with exponents row_i(adj A) in the parameters below equals
@@ -297,13 +297,8 @@ def adjugate_power_identity(a) -> PowerIdentityCertificate:
     if d == 0:
         raise ToricError("matrix is singular")
     adj = adjugate(m)
-    prod = adj @ m
-    n = m.shape[0]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            expected = d if i == j else 0
-            if prod[i, j] != expected:  # pragma: no cover - self-check path
-                raise AssertionError(f"row {i} fails: entry {j} is {prod[i, j]}")
-        rows.append(tuple(int(x) for x in adj[i]))
-    return PowerIdentityCertificate(int(d), tuple(rows))
+    for i, row in enumerate(_matmul(adj, m)):
+        for j, x in enumerate(row):
+            if x != (d if i == j else 0):  # pragma: no cover - self-check path
+                raise AssertionError(f"row {i} fails: entry {j} is {x}")
+    return PowerIdentityCertificate(d, adj)

@@ -34,7 +34,7 @@ def det2(a: Matrix2) -> int:
 class TransformState:
     a: Matrix2
     param_values: tuple[ValueElement, ValueElement]
-    step_log: tuple[Branch, ...] = ()
+    branch: Branch | None = None  # the step that produced this state
 
     def __post_init__(self):
         vx, vy = self.param_values
@@ -67,19 +67,20 @@ def quadratic_step(state: TransformState) -> TransformState:
     cannot occur for rationally independent values.
     """
     vx, vy = state.param_values
-    s = (vx - vy).sign()
+    diff = vx - vy
+    s = diff.sign()
     if s == 0:  # pragma: no cover - excluded by rational independence
         raise AssertionError("equal parameter values: rational independence violated")
     (a, b), (c, d) = state.a
     if s > 0:
         branch = Branch.DIVIDE_SECOND_INTO_FIRST
         new_a = ((a, a + b), (c, c + d))
-        new_vals = (vx - vy, vy)
+        new_vals = (diff, vy)
     else:
         branch = Branch.DIVIDE_FIRST_INTO_SECOND
         new_a = ((a + b, b), (c + d, d))
-        new_vals = (vx, vy - vx)
-    return TransformState(new_a, new_vals, state.step_log + (branch,))
+        new_vals = (vx, -diff)
+    return TransformState(new_a, new_vals, branch)
 
 
 def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
@@ -93,16 +94,15 @@ def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
 
 
 def branch_run_lengths(states: list[TransformState]) -> list[int]:
-    """Run-length encoding of the branch tags of the final state's log."""
-    log = states[-1].step_log
+    """Run-length encoding of the branch tags of the steps in the sequence."""
     runs: list[int] = []
     prev = None
-    for tag in log:
-        if tag is prev:
+    for state in states[1:]:
+        if state.branch is prev:
             runs[-1] += 1
         else:
             runs.append(1)
-            prev = tag
+            prev = state.branch
     return runs
 
 
@@ -120,10 +120,11 @@ def convergent_parameters(tau: QuadExt, p: int) -> Matrix2:
     f0, g0 = cs[p - 1].f, cs[p - 1].g
     f1, g1 = cs[p].f, cs[p].g
     eps = f0 * g1 - f1 * g0
-    assert eps in (-1, 1)
+    if eps not in (-1, 1):
+        raise AssertionError(f"consecutive convergents have determinant {eps}, not +-1")
     # values of u_1, v_1 obtained by inverting M against (value u, value v) = (1, tau)
-    u1 = (QuadExt.integer(f0, tau.d) - g0 * tau) * QuadExt.integer(eps, tau.d)
-    v1 = (g1 * tau - QuadExt.integer(f1, tau.d)) * QuadExt.integer(eps, tau.d)
+    u1 = (f0 - g0 * tau) * eps
+    v1 = (g1 * tau - f1) * eps
     if u1.sign() <= 0 or v1.sign() <= 0:
         raise AssertionError("convergent parameters produced a nonpositive value")
     return ((g1, g0), (f1, f0))

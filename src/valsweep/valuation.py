@@ -40,13 +40,13 @@ class ValueElement:
             raise ValuationError("tau must be irrational")
         if n < 0:
             i, j, n = -i, -j, -n
-        g = gcd(gcd(i, j), n)
+        g = gcd(n, i, j)  # the small denominator first keeps this linear in bits
         return ValueElement(i // g, j // g, n // g, tau)
 
     def as_quadext(self) -> QuadExt:
         t = self.tau
-        return QuadExt.make(self.i * t.r + self.j * t.s, self.j * t.t,
-                            self.n * t.r, t.d)
+        return QuadExt._reduce(self.i * t.r + self.j * t.s, self.j * t.t,
+                               self.n * t.r, t.d)
 
     def is_zero(self) -> bool:
         return self.i == 0 and self.j == 0

@@ -5,7 +5,8 @@ replaced with the Hirzebruch-Jung recursion.  They share no logic with
 it, so tests compare the two: `enumerated_hilbert_basis` against
 `toric.hilbert_basis_2d`, and `filtered_minimal_generators` (a
 `semigroup_contains` filtering of the full invariant list) against the
-minimal set of `quotient.invariant_generators`.
+minimal set of `quotient.invariant_generators`.  `matmul` checks the
+Smith and adjugate certificates without the production `toric._matmul`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,17 @@ from __future__ import annotations
 from valsweep.toric import SemigroupBasis, ToricError, dual_cone_2d, primitive
 
 Vec2 = tuple[int, int]
+
+
+def matmul(a, b) -> list[list[int]]:
+    """Product of two integer matrices given as row lists, by index loops."""
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(inner):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
 
 
 def in_cone(point: Vec2, u1: Vec2, u2: Vec2) -> bool:

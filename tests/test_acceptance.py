@@ -10,8 +10,6 @@ import json
 import random
 import time
 
-import numpy as np
-
 from oracles import enumerated_hilbert_basis, semigroup_contains
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import (InstanceConfig, Verdict, build,
@@ -187,8 +185,7 @@ def test_criterion_9_power_identity_random(capsys):
     count = 0
     while count < 200:
         n = rng.randint(1, 3)
-        m = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
-                     dtype=object)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if det_int(m) == 0:
             continue
         cert = adjugate_power_identity(m)

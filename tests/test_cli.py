@@ -1,7 +1,14 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import valsweep
 
 from valsweep.cli import (EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, UsageError, main,
                           parse_matrix)
@@ -65,6 +72,22 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert payload["results"]["diagonal"] == [1, 11]
         assert payload["results"]["quotient"] == "Z/11"
+
+    # U, D and V exactly as the array-based implementation printed them
+    @pytest.mark.parametrize("matrix, expected", [
+        ("7,9,2,1", {"U": [[0, 1], [-1, 9]], "D": [[1, 0], [0, 11]],
+                     "V": [[0, 1], [1, -2]]}),
+        ("2,1,0,0,3,1,1,0,1", {"U": [[1, 0, 0], [-3, 1, 0], [3, -1, 1]],
+                               "D": [[1, 0, 0], [0, 1, 0], [0, 0, 7]],
+                               "V": [[0, 0, 1], [1, 0, -2], [0, 1, 6]]}),
+        ("1,2,2,4", {"U": [[1, 0], [-2, 1]], "D": [[1, 0], [0, 0]],
+                     "V": [[1, -2], [0, 1]]}),
+    ])
+    def test_snf_certificate_pinned(self, capsys, matrix, expected):
+        code, payload, _ = run_json(capsys, "snf", "--matrix", matrix)
+        assert code == EXIT_OK
+        res = payload["results"]
+        assert {k: res[k] for k in ("U", "D", "V")} == expected
 
     def test_hilbert(self, capsys):
         code, payload, _ = run_json(capsys, "hilbert", "--matrix", "1,0,2,5")
@@ -193,3 +216,27 @@ class TestDeterminism:
         _, out, err = run(capsys, "tau", "--a", "7")
         assert "timing_ms" not in out
         assert "timing_ms" in err
+
+
+SRC = Path(valsweep.__file__).resolve().parents[1]
+
+
+class TestPackage:
+    def test_cli_import_loads_only_stdlib(self):
+        # the package has no runtime dependency, so importing the CLI may add
+        # only standard-library modules and valsweep's own
+        script = ("import sys; before = set(sys.modules); import valsweep.cli; "
+                  "print(sorted(m for m in set(sys.modules) - before "
+                  "if m.split('.')[0] not in sys.stdlib_module_names | {'valsweep'}))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_no_assert_statements(self):
+        # python -O strips assert statements, so no certificate may be one
+        for path in sorted((SRC / "valsweep").glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert lines == [], f"{path.name}: assert statements at lines {lines}"

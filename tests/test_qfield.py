@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valsweep import qfield
 from valsweep.qfield import (Convergent, QFieldError, QuadExt, convergents,
                              partial_quotients, sign, squarefree_decompose,
                              tau_from_a)
@@ -125,6 +126,14 @@ class TestArithmetic:
         assert (x.s, x.t, x.r) == (2, 1, 3)
         y = QuadExt.make(1, 1, 1, 12)  # radicand reduced to squarefree
         assert (y.s, y.t, y.d) == (1, 2, 3)
+
+    def test_field_operations_skip_squarefree_decomposition(self, monkeypatch):
+        # the radicand is reduced once, when the element enters through make
+        x, y = QuadExt.make(3, -1, 2, 77), QuadExt.make(1, 2, 5, 77)
+        monkeypatch.setattr(qfield, "squarefree_decompose", None)
+        assert x * y == QuadExt(-151, 5, 10, 77)
+        assert (x + y, x - 3, 1 / x) == (QuadExt(17, -1, 10, 77), QuadExt(-3, -1, 2, 77),
+                                         QuadExt(-3, -1, 34, 77))
 
 
 class TestFloor:

@@ -6,10 +6,9 @@ import sys
 from math import gcd
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from oracles import enumerated_hilbert_basis, in_cone, semigroup_contains
+from oracles import enumerated_hilbert_basis, in_cone, matmul, semigroup_contains
 from valsweep import toric
 from valsweep.toric import (SemigroupBasis, ToricError, adjugate,
                             adjugate_power_identity, below_ring_regularity,
@@ -26,17 +25,25 @@ def brute_force_hilbert_basis(u1, u2, box=40):
                   if not any((p[0] - q[0], p[1] - q[1]) in pts for q in pts))
 
 
+def eye(n, scale=1):
+    return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def as_lists(m):
+    return [list(row) for row in m]
+
+
 class TestAdjugate:
     def test_2x2(self):
-        assert adjugate([[7, 9], [2, 1]]).tolist() == [[1, -9], [-2, 7]]
+        assert adjugate([[7, 9], [2, 1]]) == ((1, -9), (-2, 7))
 
     def test_identity(self):
-        assert adjugate(np.eye(3, dtype=object)).tolist() == np.eye(3, dtype=object).tolist()
+        assert as_lists(adjugate(eye(3))) == eye(3)
 
     def test_3x3_product(self):
-        a = np.array([[2, 1, 0], [0, 3, 1], [1, 0, 1]], dtype=object)
+        a = [[2, 1, 0], [0, 3, 1], [1, 0, 1]]
         assert det_int(a) == 7
-        assert (a @ adjugate(a)).tolist() == (7 * np.eye(3, dtype=object)).tolist()
+        assert matmul(a, adjugate(a)) == eye(3, 7)
 
 
 class TestSmithNormalForm:
@@ -62,14 +69,24 @@ class TestSmithNormalForm:
         form = smith_normal_form([[1, 2], [2, 4]])
         assert form.diagonal() == [1, 0]
 
+    def test_tuples_of_int_rows(self):
+        form = smith_normal_form([[2, 1, 0], [0, 3, 1], [1, 0, 1]])
+        for m in (form.u, form.d, form.v, adjugate([[2, 1], [0, 3]])):
+            assert type(m) is tuple
+            assert all(type(row) is tuple and all(type(x) is int for x in row) for row in m)
+
+    @pytest.mark.parametrize("a", [[[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [], [1, 2, 3, 4]])
+    def test_non_square_rejected(self, a):
+        with pytest.raises(ToricError):
+            smith_normal_form(a)
+
     def test_random_matrices(self):
         rng = random.Random(123)
         for _ in range(200):
             n = rng.randint(1, 4)
-            a = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
-                         dtype=object)
+            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             form = smith_normal_form(a)
-            assert np.array_equal(form.u @ a @ form.v, form.d)
+            assert matmul(matmul(form.u, a), form.v) == as_lists(form.d)
             assert abs(det_int(form.u)) == 1
             assert abs(det_int(form.v)) == 1
             diag = form.diagonal()
@@ -162,7 +179,15 @@ class TestHilbertBasis:
 # reaches (2, 5) too, through the reducible generator (1, 1) + (1, 2).
 CORRUPTED_DIGITS = [[2, 2, 2, 2], [3], [3, 1, 4], []]
 
-CORRUPTED_DIGITS_SCRIPT = f"""
+# (A, corrupted (U, D, V)), one per Smith certificate check: U A V != D,
+# U not unimodular, and a diagonal entry that does not divide the next.
+CORRUPTED_SMITH = [
+    ([[7, 9], [2, 1]], (((1, 0), (0, 1)), ((1, 0), (0, 11)), ((1, 0), (0, 1)))),
+    ([[1, 0], [0, 1]], (((2, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (0, 1)))),
+    ([[2, 0], [0, 3]], (((1, 0), (0, 1)), ((2, 0), (0, 3)), ((1, 0), (0, 1)))),
+]
+
+CORRUPTED_CERTIFICATES_SCRIPT = f"""
 from valsweep import toric
 for digits in {CORRUPTED_DIGITS!r}:
     toric.hirzebruch_jung_digits = lambda a, b: digits
@@ -172,6 +197,14 @@ for digits in {CORRUPTED_DIGITS!r}:
         print("rejected:", exc)
     else:
         raise SystemExit(f"corrupted digits {{digits}} were accepted")
+for a, reduced in {CORRUPTED_SMITH!r}:
+    toric._smith_reduce = lambda m: reduced
+    try:
+        toric.smith_normal_form(a)
+    except AssertionError as exc:
+        print("rejected:", exc)
+    else:
+        raise SystemExit(f"corrupted Smith form {{reduced}} was accepted")
 """
 
 
@@ -182,13 +215,21 @@ class TestHilbertCertificate:
         with pytest.raises(AssertionError):
             hilbert_basis_2d(((1, 0), (2, 5)))
 
+    @pytest.mark.parametrize("case, broken", zip(
+        CORRUPTED_SMITH, ["U A V != D", "not unimodular", "does not divide"]))
+    def test_corrupted_smith_form_rejected(self, monkeypatch, case, broken):
+        a, reduced = case
+        monkeypatch.setattr(toric, "_smith_reduce", lambda m: reduced)
+        with pytest.raises(AssertionError, match=f"Smith certificate fails: .*{broken}"):
+            smith_normal_form(a)
+
     def test_certificate_survives_optimize_flag(self):
         src = Path(toric.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_DIGITS_SCRIPT],
+        proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_CERTIFICATES_SCRIPT],
                               env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr + proc.stdout
-        assert proc.stdout.count("rejected:") == len(CORRUPTED_DIGITS)
+        assert proc.stdout.count("rejected:") == len(CORRUPTED_DIGITS) + len(CORRUPTED_SMITH)
 
 
 class TestHirzebruchJung:
@@ -247,15 +288,14 @@ class TestPowerIdentity:
         assert (1 * 7 + -9 * 2, 1 * 9 + -9 * 1) == (-11, 0)
 
     def test_identity(self):
-        cert = adjugate_power_identity(np.eye(3, dtype=object))
+        cert = adjugate_power_identity(eye(3))
         assert cert.det == 1
 
     def test_random_3x3(self):
         rng = random.Random(99)
         count = 0
         while count < 50:
-            a = np.array([[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)],
-                         dtype=object)
+            a = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
             if det_int(a) == 0:
                 continue
             cert = adjugate_power_identity(a)

@@ -35,16 +35,18 @@ class TestQuadraticStep:
     def test_identity_first_larger(self):
         state = quadratic_step(identity_state())
         assert state.a == ((1, 1), (0, 1))
-        assert state.step_log == (Branch.DIVIDE_SECOND_INTO_FIRST,)
+        assert state.branch is Branch.DIVIDE_SECOND_INTO_FIRST
 
     def test_branch_flip_after_seven_steps(self):
         state = chart_state_q11()
+        assert state.branch is None
+        first = quadratic_step(state).branch
         for _ in range(7):
             state = quadratic_step(state)
-            assert state.step_log[-1] is state.step_log[0]
+            assert state.branch is first
         assert state.a == ((70, 9), (9, 1))
         flipped = quadratic_step(state)
-        assert flipped.step_log[-1] is not state.step_log[0]
+        assert flipped.branch is not first
 
     def test_values_stay_positive(self):
         state = chart_state_q11()
