@@ -9,8 +9,8 @@ actions give local fundamental groups of conflicting prime orders.  No
 single normal local ring can dominate both sequences.
 """
 
-from valsweep.counterexample import (InstanceConfig, build,
-                                     contradiction_report, singularity_sweep)
+from valsweep.counterexample import (InstanceConfig, build, certify_conflict,
+                                     singularity_sweep)
 
 config = InstanceConfig(q=11, p=13, m=3, n=3, steps=25)
 instance = build(config)
@@ -27,6 +27,6 @@ print("regular below-rings found:", regular_count)
 dets = sorted({r.det for r in report.records})
 print("determinants seen:", dets)
 
-contra = contradiction_report(instance, 25)
+contra = certify_conflict(instance, report)
 print("\nlocal fundamental group orders:", contra.orders)
 print("conflict certified:", contra.conflict)

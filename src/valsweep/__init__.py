@@ -10,7 +10,8 @@ from .toric import (SemigroupBasis, SmithForm, adjugate, adjugate_power_identity
                     smith_normal_form)
 from .quotient import (DiagonalAction, invariant_generators, pi1_order,
                        ramification_minors)
-from .counterexample import (InstanceConfig, build, contradiction_report,
-                             singularity_sweep, validate_surface)
+from .counterexample import (InstanceConfig, build, certify_conflict,
+                             contradiction_report, singularity_sweep,
+                             validate_surface)
 
 __version__ = "0.1.0"

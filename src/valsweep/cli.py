@@ -4,7 +4,8 @@ Every subcommand validates its flags, runs the computation, and prints a
 single report on stdout (JSON is the canonical form; text is a projection
 of the same payload).  Timing goes to stderr so identical invocations
 produce byte-identical stdout.  Exit codes: 0 success, 1 usage or config
-error, 2 falsified (the sweep found a regular ring below).
+error, 2 falsified (the sweep found a regular ring below), 3 a certificate
+failed its own check (a defect in valsweep, not in the input).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import isqrt
 from typing import Any
 
 from . import counterexample as cx
+from .errors import CertificationError
 from .qfield import QFieldError, convergents, tau_from_a
 from .quotient import (DiagonalAction, QuotientError, invariant_generators,
                        pi1_order, ramification_minors)
@@ -30,6 +32,7 @@ SCHEMA_VERSION = "1.0"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FALSIFIED = 2
+EXIT_CERTIFICATE = 3
 
 
 class UsageError(ValueError):
@@ -242,7 +245,7 @@ def cmd_counterexample(args) -> Report:
                    "embedding_dim": r.embedding_dim} for r in sweep.records],
     }
     if sweep.verdict is cx.Verdict.VERIFIED:
-        contradiction = cx.contradiction_report(instance, config.steps)
+        contradiction = cx.certify_conflict(instance, sweep)
         results["pi1_orders"] = dict(sorted(contradiction.orders.items()))
         results["conflict"] = contradiction.conflict
         return Report("counterexample", _cx_inputs(config), results, "Verified")
@@ -306,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except cx.ConfigError as exc:
         print(f"error: violated constraint [{exc.constraint}]: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CertificationError as exc:
+        print(f"error: certificate failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     elapsed_ms = (time.monotonic() - start) * 1000.0
     print(report.render(args.format))
     print(f"timing_ms: {elapsed_ms:.1f}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import CertificationError
 from .qfield import QuadExt, tau_from_a
 from .valuation import MonomialValuation, ValueElement, group_index
 from .transform import Matrix2, TransformState, quadratic_step
@@ -123,7 +124,7 @@ def build(config: InstanceConfig) -> Instance:
                      "row 2 of A gives v": x1.scale(a[1][0]) + y1.scale(a[1][1]) == val_v}
         for relation, holds in relations.items():
             if not holds:
-                raise AssertionError(f"chart relation {relation} fails on {name}")
+                raise CertificationError(f"chart relation {relation} fails on {name}")
         d = det_int(a)
         if abs(d) != order:
             raise ConfigError("matrix determinant", f"|det|={abs(d)} != {order}")
@@ -257,13 +258,18 @@ class ContradictionReport:
 
 
 def contradiction_report(instance: Instance, steps: int) -> ContradictionReport:
-    """Run the sweep and certify the conflicting fundamental-group orders.
+    """Run the sweep and certify the conflicting fundamental-group orders."""
+    return certify_conflict(instance, singularity_sweep(instance, steps))
 
-    Both branches must stay singular; the induced cyclic actions then give
-    local fundamental groups of order q and p respectively, and q != p is
-    checked by machine: no single normal local ring lies below both.
+
+def certify_conflict(instance: Instance, sweep: SweepReport) -> ContradictionReport:
+    """Certify the conflicting fundamental-group orders on a finished sweep.
+
+    Both branches must have stayed singular; the induced cyclic actions
+    then give local fundamental groups of order q and p respectively, and
+    q != p is checked by machine: no single normal local ring lies below
+    both.
     """
-    sweep = singularity_sweep(instance, steps)
     if sweep.verdict is not Verdict.VERIFIED:
         raise ConfigError("sweep verified", f"sweep falsified: {sweep.falsification}")
     orders = {}

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .errors import CertificationError
+
 
 class QFieldError(ValueError):
     pass
@@ -182,19 +184,26 @@ def sign(x: QuadExt) -> int:
     return x.sign()
 
 
+TAU_A_MAX = 1_000_000
+
+
 def tau_from_a(a: int) -> QuadExt:
     """Positive fixed point of the periodic continued fraction [a; 1, a, 1, ...].
 
     It is the positive root of t^2 = a*t + a, namely (a + sqrt(a^2+4a))/2,
-    and satisfies tau > a.
+    and satisfies tau > a.  a is capped at TAU_A_MAX: the squarefree part
+    of a(a+4) comes from trial division, which takes time linear in a
+    when a and a+4 are both prime.
     """
     if a <= 0:
         raise QFieldError("a must be a positive integer")
+    if a > TAU_A_MAX:
+        raise QFieldError(f"a <= {TAU_A_MAX} required (trial division of a(a+4)), got {a}")
     disc = a * a + 4 * a
     t, d = squarefree_decompose(disc)
     tau = QuadExt._reduce(a, t, 2, d)
     if not (tau * tau - a * tau - a).is_zero():
-        raise AssertionError(f"tau = {tau!r} does not satisfy t^2 = {a}*t + {a}")
+        raise CertificationError(f"tau = {tau!r} does not satisfy t^2 = {a}*t + {a}")
     return tau
 
 

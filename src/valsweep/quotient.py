@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CertificationError
 from .toric import hilbert_basis_2d
 
 
@@ -115,7 +116,7 @@ def ramification_minors(action: DiagonalAction) -> RamificationWitness:
     j_last = jmap[p - 1]
     i_1 = next((i for i, j in jmap.items() if j == 1), None)
     if i_1 is None:  # pragma: no cover - impossible for prime order, b invertible
-        raise AssertionError("no invariant of the form x^(p-i) y")
+        raise CertificationError("no invariant of the form x^(p-i) y")
     return RamificationWitness(coefficient=p,
                                y_witness=(0, p - 1 + j_last),
                                x_witness=(2 * p - 1 - i_1, 0))

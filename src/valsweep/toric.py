@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import CertificationError
+
 
 class ToricError(ValueError):
     pass
@@ -127,14 +129,14 @@ def smith_normal_form(a) -> SmithForm:
     u, d, v = _smith_reduce(a)
     n = len(a)
     if _matmul(_matmul(u, a), v) != d or any(d[i][j] for i in range(n) for j in range(n) if i != j):
-        raise AssertionError(f"Smith certificate fails: U A V != D = {d}")
+        raise CertificationError(f"Smith certificate fails: U A V != D = {d}")
     if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
-        raise AssertionError("Smith certificate fails: U or V is not unimodular")
+        raise CertificationError("Smith certificate fails: U or V is not unimodular")
     form = SmithForm(u, d, v)
     diag = form.diagonal()
     for x, y in zip(diag, diag[1:]):
         if not (y == 0 or (x != 0 and y % x == 0)):
-            raise AssertionError(f"Smith certificate fails: {x} does not divide {y}")
+            raise CertificationError(f"Smith certificate fails: {x} does not divide {y}")
     return form
 
 
@@ -192,6 +194,20 @@ def _bezout(x: int, y: int) -> tuple[int, int]:
     return old_s, old_t
 
 
+def _hj_offset(u1: Vec2, u2: Vec2, dd: int) -> int:
+    """k = -(s, t).u2 mod D for any (s, t) with s*u1[0] + t*u1[1] = 1 mod D.
+
+    Two such pairs differ by a multiple of (-u1[1], u1[0]), which pairs
+    with u2 to +-D, plus a vector in D*Z^2, so they give the same k.  The
+    extended gcd therefore runs on u1 mod D, in O(log D) steps whatever
+    the size of the entries (Cohen, A Course in Computational Algebraic
+    Number Theory, 1.3); its gcd g is a unit mod D because u1 is primitive.
+    """
+    a, b = u1[0] % dd, u1[1] % dd
+    s, t = _bezout(a, b)
+    return -(s * u2[0] + t * u2[1]) * pow(s * a + t * b, -1, dd) % dd
+
+
 @dataclass(frozen=True)
 class SemigroupBasis:
     """Minimal generators of the lattice-point semigroup of a 2D cone."""
@@ -206,12 +222,12 @@ class SemigroupBasis:
 def hilbert_basis_2d(rays: tuple[Vec2, Vec2]) -> SemigroupBasis:
     """Minimal generating set of cone(rays) ∩ Z^2, by Hirzebruch-Jung.
 
-    With u1, u2 the primitive rays, D = |det(u1, u2)| and (s, t) a Bezout
-    pair of u1, the unimodular map u1 -> (0, 1) sends u2 to (D, -k) up to
-    a shear fixing (0, 1), where k = -(s, t).u2 mod D.  The basis is then
-    the chain v_0 = u1, v_1 = (k*u1 + u2)/D, v_{i+1} = c_i*v_i - v_{i-1}
-    over the digits c_i of D/k (Fulton, Introduction to Toric Varieties,
-    2.6), so it costs time linear in its size.
+    With u1, u2 the primitive rays and D = |det(u1, u2)|, a unimodular
+    map u1 -> (0, 1) sends u2 to (D, -k) up to a shear fixing (0, 1),
+    with k from `_hj_offset`.  The basis is then the chain v_0 = u1,
+    v_1 = (k*u1 + u2)/D, v_{i+1} = c_i*v_i - v_{i-1} over the digits c_i
+    of D/k (Fulton, Introduction to Toric Varieties, 2.6), so it costs
+    time linear in its size.
 
     The chain is certified rather than trusted: every digit must be at
     least 2 (no generator is the sum of its neighbours), every
@@ -225,20 +241,19 @@ def hilbert_basis_2d(rays: tuple[Vec2, Vec2]) -> SemigroupBasis:
     if d == 0:
         raise ToricError("cone is not strictly convex (parallel rays)")
     dd, orientation = abs(d), (1 if d > 0 else -1)
-    s, t = _bezout(*u1)
-    k = -(s * u2[0] + t * u2[1]) % dd
+    k = _hj_offset(u1, u2, dd)
     chain = [u1, ((k * u1[0] + u2[0]) // dd, (k * u1[1] + u2[1]) // dd)]
     for c in hirzebruch_jung_digits(dd, k):
         if c < 2:
-            raise AssertionError(f"Hirzebruch-Jung digit {c} < 2 for D={dd}, k={k}")
+            raise CertificationError(f"Hirzebruch-Jung digit {c} < 2 for D={dd}, k={k}")
         (x0, y0), (x1, y1) = chain[-2], chain[-1]
         chain.append((c * x1 - x0, c * y1 - y0))
     if chain[-1] != u2:
-        raise AssertionError(f"Hirzebruch-Jung chain ends at {chain[-1]}, not at {u2}")
+        raise CertificationError(f"Hirzebruch-Jung chain ends at {chain[-1]}, not at {u2}")
     for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
         if x0 * y1 - y0 * x1 != orientation:
-            raise AssertionError(f"generators {(x0, y0)}, {(x1, y1)} are not a "
-                                 f"lattice basis oriented like the rays")
+            raise CertificationError(f"generators {(x0, y0)}, {(x1, y1)} are not a "
+                                     f"lattice basis oriented like the rays")
     return SemigroupBasis(tuple(sorted(chain)), (u1, u2))
 
 
@@ -272,7 +287,7 @@ def below_ring_regularity(a) -> RegularityVerdict:
     r = len(hilbert_basis_2d(rays))
     regular = abs(prim_det) == 1
     if regular != (r == 2):  # pragma: no cover - the two criteria are equivalent
-        raise AssertionError("determinant and Hilbert-basis criteria disagree")
+        raise CertificationError("determinant and Hilbert-basis criteria disagree")
     return RegularityVerdict(regular, r, d)
 
 
@@ -300,5 +315,5 @@ def adjugate_power_identity(a) -> PowerIdentityCertificate:
     for i, row in enumerate(_matmul(adj, m)):
         for j, x in enumerate(row):
             if x != (d if i == j else 0):  # pragma: no cover - self-check path
-                raise AssertionError(f"row {i} fails: entry {j} is {x}")
+                raise CertificationError(f"row {i} fails: entry {j} is {x}")
     return PowerIdentityCertificate(d, adj)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import CertificationError
 from .qfield import QuadExt, convergents
 from .valuation import ValueElement, ValuationError
 
@@ -70,7 +71,7 @@ def quadratic_step(state: TransformState) -> TransformState:
     diff = vx - vy
     s = diff.sign()
     if s == 0:  # pragma: no cover - excluded by rational independence
-        raise AssertionError("equal parameter values: rational independence violated")
+        raise CertificationError("equal parameter values: rational independence violated")
     (a, b), (c, d) = state.a
     if s > 0:
         branch = Branch.DIVIDE_SECOND_INTO_FIRST
@@ -121,10 +122,10 @@ def convergent_parameters(tau: QuadExt, p: int) -> Matrix2:
     f1, g1 = cs[p].f, cs[p].g
     eps = f0 * g1 - f1 * g0
     if eps not in (-1, 1):
-        raise AssertionError(f"consecutive convergents have determinant {eps}, not +-1")
+        raise CertificationError(f"consecutive convergents have determinant {eps}, not +-1")
     # values of u_1, v_1 obtained by inverting M against (value u, value v) = (1, tau)
     u1 = (f0 - g0 * tau) * eps
     v1 = (g1 * tau - f1) * eps
     if u1.sign() <= 0 or v1.sign() <= 0:
-        raise AssertionError("convergent parameters produced a nonpositive value")
+        raise CertificationError("convergent parameters produced a nonpositive value")
     return ((g1, g0), (f1, f0))

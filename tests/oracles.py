@@ -7,11 +7,14 @@ it, so tests compare the two: `enumerated_hilbert_basis` against
 `semigroup_contains` filtering of the full invariant list) against the
 minimal set of `quotient.invariant_generators`.  `matmul` checks the
 Smith and adjugate certificates without the production `toric._matmul`.
+`full_size_offset` derives the Hirzebruch-Jung offset k from a Bezout
+pair of the full-size ray, against which `toric._hj_offset`, which works
+on residues mod D, is compared.
 """
 
 from __future__ import annotations
 
-from valsweep.toric import SemigroupBasis, ToricError, dual_cone_2d, primitive
+from valsweep.toric import SemigroupBasis, ToricError, _bezout, dual_cone_2d, primitive
 
 Vec2 = tuple[int, int]
 
@@ -25,6 +28,15 @@ def matmul(a, b) -> list[list[int]]:
             for k in range(inner):
                 out[i][j] += a[i][k] * b[k][j]
     return out
+
+
+def full_size_offset(u1: Vec2, u2: Vec2) -> int:
+    """k = -(s, t).u2 mod D for the exact Bezout pair s*u1[0] + t*u1[1] = 1
+    of a primitive u1, with D = |det(u1, u2)|."""
+    s, t = _bezout(*u1)
+    if s * u1[0] + t * u1[1] != 1:
+        raise ToricError(f"{u1} is not primitive")
+    return -(s * u2[0] + t * u2[1]) % abs(u1[0] * u2[1] - u1[1] * u2[0])
 
 
 def in_cone(point: Vec2, u1: Vec2, u2: Vec2) -> bool:

@@ -10,8 +10,9 @@ import pytest
 
 import valsweep
 
-from valsweep.cli import (EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, UsageError, main,
-                          parse_matrix)
+from valsweep import counterexample, toric
+from valsweep.cli import (EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
+                          UsageError, main, parse_matrix)
 
 
 def run(capsys, *argv):
@@ -161,6 +162,16 @@ class TestExitCodes:
         assert code == EXIT_FALSIFIED
         assert "nu1 step 5" in json.loads(out)["results"]["falsification"]
 
+    def test_failed_certificate_has_its_own_exit_code(self, capsys, monkeypatch):
+        # U A V != D for A = [[7, 9], [2, 1]]
+        broken = (((1, 0), (0, 1)), ((1, 0), (0, 11)), ((1, 0), (0, 1)))
+        monkeypatch.setattr(toric, "_smith_reduce", lambda m: broken)
+        code, out, err = run(capsys, "snf", "--matrix", "7,9,2,1")
+        assert code == EXIT_CERTIFICATE == 3
+        assert out == ""
+        assert err.startswith("error: certificate failed: Smith certificate fails")
+        assert "Traceback" not in err
+
     def test_falsification_channel(self, capsys):
         code, out, err = run(capsys, "counterexample", "--q", "11", "--p", "13",
                              "--steps", "5", "--corrupt-step", "2")
@@ -200,6 +211,43 @@ class TestHostileSizes:
         assert all(s["regularity"] == "Singular" for s in res["steps"])
         assert res["pi1_orders"] == {"nu1": 1009, "nu2": 1013}
 
+    @pytest.mark.parametrize("argv", [("tau",), ("convergents",), ("transform",),
+                                      ("value", "--matrix", "1,0,0,1")])
+    def test_tau_beyond_cap_rejected_at_once(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv, "--a", "999999999989")
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "a <= 1000000" in err
+
+    def test_tau_at_worst_case_below_cap(self, capsys):
+        # 999979 and 999983 are both prime: the slowest trial division under the cap
+        res = self.timed(capsys, "tau", "--a", "999979")
+        assert res["tau"] == {"s": 999979, "t": 1, "r": 2, "d": 999979 * 999983}
+
+
+class TestSweepOnce:
+    @pytest.mark.parametrize("steps", [0, 7])
+    def test_counterexample_sweeps_once(self, capsys, monkeypatch, steps):
+        calls = {"regularity": 0, "sweep": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(counterexample, "below_ring_regularity",
+                            counted("regularity", counterexample.below_ring_regularity))
+        monkeypatch.setattr(counterexample, "singularity_sweep",
+                            counted("sweep", counterexample.singularity_sweep))
+        code, _, _ = run(capsys, "counterexample", "--q", "11", "--p", "13",
+                         "--steps", str(steps))
+        assert code == EXIT_OK
+        # one check per swept step of each branch, then one per branch matrix
+        assert calls == {"regularity": 2 * (steps + 1) + 2, "sweep": 1}
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -235,8 +283,12 @@ class TestPackage:
         assert proc.stdout.strip() == "[]"
 
     def test_no_assert_statements(self):
-        # python -O strips assert statements, so no certificate may be one
+        # python -O strips assert statements, so no certificate may be one;
+        # a failed certificate raises CertificationError, which the CLI reports
         for path in sorted((SRC / "valsweep").glob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
             lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert lines == [], f"{path.name}: assert statements at lines {lines}"
+            bare = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                    and "AssertionError" in ast.unparse(node)]
+            assert bare == [], f"{path.name}: AssertionError raised at lines {bare}"

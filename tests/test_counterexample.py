@@ -1,8 +1,9 @@
 import pytest
 
 from valsweep.counterexample import (ConfigError, InstanceConfig, Verdict, build,
-                                     contradiction_report, derive_diagonal_action,
-                                     singularity_sweep, validate_surface)
+                                     certify_conflict, contradiction_report,
+                                     derive_diagonal_action, singularity_sweep,
+                                     validate_surface)
 from valsweep.qfield import QuadExt
 from valsweep.quotient import is_prime
 
@@ -125,6 +126,21 @@ class TestContradiction:
         report = contradiction_report(inst, 10)
         assert report.orders == {"nu1": 17, "nu2": 23}
         assert report.conflict
+
+    def test_certify_conflict_keeps_the_sweep(self):
+        inst = build(InstanceConfig(q=11, p=13))
+        sweep = singularity_sweep(inst, 5)
+        report = certify_conflict(inst, sweep)
+        assert report.sweep is sweep
+        assert report == contradiction_report(inst, 5)
+
+    def test_certify_conflict_rejects_falsified_sweep(self):
+        inst = build(InstanceConfig(q=11, p=13))
+        sweep = singularity_sweep(inst, 5, inject={("nu1", 3): ((1, 0), (0, 1))})
+        with pytest.raises(ConfigError) as exc:
+            certify_conflict(inst, sweep)
+        assert exc.value.constraint == "sweep verified"
+        assert "nu1 step 3" in str(exc.value)
 
 
 class TestDerivedAction:

@@ -7,9 +7,13 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerated_hilbert_basis, in_cone, matmul, semigroup_contains
+from oracles import (enumerated_hilbert_basis, full_size_offset, in_cone, matmul,
+                     semigroup_contains)
 from valsweep import toric
+from valsweep.errors import CertificationError
 from valsweep.toric import (SemigroupBasis, ToricError, adjugate,
                             adjugate_power_identity, below_ring_regularity,
                             det_int, dual_cone_2d, hilbert_basis_2d,
@@ -175,6 +179,54 @@ class TestHilbertBasis:
         assert count == 9024
 
 
+BIG = 2 ** 512
+big_ints = st.integers(-BIG, BIG)
+small_primitive = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: gcd(*v) == 1)
+shear = st.integers(-2 ** 170, 2 ** 170)
+
+
+def apply(g, v):
+    return (g[0][0] * v[0] + g[0][1] * v[1], g[1][0] * v[0] + g[1][1] * v[1])
+
+
+@st.composite
+def gl2_big(draw):
+    """A product of three shears and possibly a reflection: det +-1, entries up to 2^512."""
+    g = ((1, 0), (0, draw(st.sampled_from([1, -1]))))
+    for k, m in enumerate(draw(st.tuples(shear, shear, shear))):
+        e = ((1, m), (0, 1)) if k % 2 == 0 else ((1, 0), (m, 1))
+        g = tuple(tuple(sum(g[i][j] * e[j][l] for j in range(2)) for l in range(2))
+                  for i in range(2))
+    return g
+
+
+class TestLargeEntries:
+    """k depends only on residues mod D, so the basis does not care how big the rays are."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(big_ints, big_ints), st.tuples(big_ints, big_ints))
+    @example((1, 0), (0, 1))
+    @example((BIG, 1 - BIG), (BIG - 1, 2 - BIG))  # D = 1 with 512-bit entries
+    @example((0, -1), (-BIG + 1, 3))
+    def test_offset_matches_full_size_bezout(self, v1, v2):
+        assume(v1 != (0, 0) and v2 != (0, 0))
+        u1, u2 = primitive(v1), primitive(v2)
+        d = u1[0] * u2[1] - u1[1] * u2[0]
+        assume(d != 0)
+        assert toric._hj_offset(u1, u2, abs(d)) == full_size_offset(u1, u2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_primitive, small_primitive, gl2_big())
+    def test_basis_moves_with_the_rays(self, u1, u2, g):
+        assume(u1[0] * u2[1] - u1[1] * u2[0] != 0)
+        small = enumerated_hilbert_basis((u1, u2))
+        w1, w2 = apply(g, u1), apply(g, u2)
+        moved = hilbert_basis_2d((w1, w2))
+        assert moved.rays == (w1, w2)
+        assert moved.generators == tuple(sorted(apply(g, v) for v in small.generators))
+        assert toric._hj_offset(w1, w2, abs(det_int((w1, w2)))) == full_size_offset(w1, w2)
+
+
 # The true digits of cone((1,0),(2,5)) are those of 5/3: [2, 3].  [3, 1, 4]
 # reaches (2, 5) too, through the reducible generator (1, 1) + (1, 2).
 CORRUPTED_DIGITS = [[2, 2, 2, 2], [3], [3, 1, 4], []]
@@ -189,11 +241,12 @@ CORRUPTED_SMITH = [
 
 CORRUPTED_CERTIFICATES_SCRIPT = f"""
 from valsweep import toric
+from valsweep.errors import CertificationError
 for digits in {CORRUPTED_DIGITS!r}:
     toric.hirzebruch_jung_digits = lambda a, b: digits
     try:
         toric.hilbert_basis_2d(((1, 0), (2, 5)))
-    except AssertionError as exc:
+    except CertificationError as exc:
         print("rejected:", exc)
     else:
         raise SystemExit(f"corrupted digits {{digits}} were accepted")
@@ -201,7 +254,7 @@ for a, reduced in {CORRUPTED_SMITH!r}:
     toric._smith_reduce = lambda m: reduced
     try:
         toric.smith_normal_form(a)
-    except AssertionError as exc:
+    except CertificationError as exc:
         print("rejected:", exc)
     else:
         raise SystemExit(f"corrupted Smith form {{reduced}} was accepted")
@@ -212,7 +265,7 @@ class TestHilbertCertificate:
     @pytest.mark.parametrize("digits", CORRUPTED_DIGITS)
     def test_corrupted_digits_rejected(self, monkeypatch, digits):
         monkeypatch.setattr(toric, "hirzebruch_jung_digits", lambda a, b: digits)
-        with pytest.raises(AssertionError):
+        with pytest.raises(CertificationError):
             hilbert_basis_2d(((1, 0), (2, 5)))
 
     @pytest.mark.parametrize("case, broken", zip(
@@ -220,7 +273,7 @@ class TestHilbertCertificate:
     def test_corrupted_smith_form_rejected(self, monkeypatch, case, broken):
         a, reduced = case
         monkeypatch.setattr(toric, "_smith_reduce", lambda m: reduced)
-        with pytest.raises(AssertionError, match=f"Smith certificate fails: .*{broken}"):
+        with pytest.raises(CertificationError, match=f"Smith certificate fails: .*{broken}"):
             smith_normal_form(a)
 
     def test_certificate_survives_optimize_flag(self):
