@@ -14,9 +14,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from math import isqrt
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import counterexample as cx
 from .errors import CertificationError
@@ -39,8 +38,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     inputs: dict[str, Any]
     results: dict[str, Any]
@@ -187,7 +185,7 @@ def cmd_hilbert(args) -> Report:
     basis = hilbert_basis_2d(((a[0][0], a[0][1]), (a[1][0], a[1][1])))
     res = {"rays": [list(r) for r in basis.rays],
            "generators": sorted(map(list, basis.generators)),
-           "count": len(basis)}
+           "count": len(basis.generators)}
     return Report("hilbert", {"matrix": args.matrix}, res, "Verified")
 
 
@@ -294,10 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_matrix_value(argv: list[str]) -> list[str]:
+    """`--matrix -1,0,0,1` as `--matrix=-1,0,0,1`: argparse reads a separate
+    value that starts with '-' and is not a single number as an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--matrix" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--matrix={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_matrix_value(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     start = time.monotonic()

@@ -12,7 +12,7 @@ orders q and p, which cannot both hold for one ring since q != p.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificationError
 from .qfield import QuadExt, tau_from_a
@@ -20,7 +20,7 @@ from .valuation import MonomialValuation, ValueElement, group_index
 from .transform import Matrix2, TransformState, quadratic_step
 from .toric import (adjugate, below_ring_regularity, det_int,
                     smith_normal_form)
-from .quotient import DiagonalAction, is_prime, pi1_order
+from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
 
 class ConfigError(ValueError):
@@ -29,8 +29,7 @@ class ConfigError(ValueError):
         self.constraint = constraint
 
 
-@dataclass(frozen=True)
-class InstanceConfig:
+class InstanceConfig(NamedTuple):
     q: int
     p: int
     m: int = 3
@@ -43,6 +42,10 @@ class InstanceConfig:
 
     def validate(self) -> None:
         q, p, m, n = self.q, self.p, self.m, self.n
+        for name, order in (("q", q), ("p", p)):  # before any trial division
+            if order > ORDER_MAX:
+                raise ConfigError(f"{name} <= {ORDER_MAX}",
+                                  f"{name}={order} exceeds the cyclic-action order cap")
         if not is_prime(q) or q <= 3:
             raise ConfigError("q prime > 3", f"q={q} must be a prime greater than 3")
         if not is_prime(p):
@@ -68,8 +71,7 @@ class InstanceConfig:
             raise ConfigError("steps >= 0", "steps must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(NamedTuple):
     """One root cover: exponent matrix and exact chart parameter values."""
 
     name: str
@@ -78,8 +80,7 @@ class BranchData:
     chart_values: tuple[ValueElement, ValueElement]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     config: InstanceConfig
     tau: QuadExt
     epsilon: QuadExt
@@ -138,8 +139,7 @@ def build(config: InstanceConfig) -> Instance:
     return Instance(config, tau, epsilon, (val_u, val_v), tuple(branches))
 
 
-@dataclass(frozen=True)
-class ChartCorrections:
+class ChartCorrections(NamedTuple):
     """Unit-correction exponents certifying the chart relations.
 
     In each chart, u and v are monomials in the local parameters times
@@ -173,8 +173,7 @@ def validate_surface(config: InstanceConfig) -> tuple[ChartCorrections, ChartCor
     return tuple(charts)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     branch: str
     step: int
     matrix: Matrix2
@@ -188,8 +187,7 @@ class Verdict(enum.Enum):
     FALSIFIED = "Falsified"
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     verdict: Verdict
     records: tuple[StepRecord, ...]
     falsification: str | None = None
@@ -246,8 +244,7 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     return DiagonalAction(d, w1, w2)
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
+class ContradictionReport(NamedTuple):
     sweep: SweepReport
     orders: dict[str, int]
     conflict: bool

@@ -7,8 +7,8 @@ exact integer sign tests; no floating point enters the certified path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import CertificationError
 
@@ -38,8 +38,19 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return t, d
 
 
-@dataclass(frozen=True)
-class QuadExt:
+def sign_of(s: int, t: int, d: int) -> int:
+    """Exact sign of s + t*sqrt(d) for d > 0, decided on integers."""
+    if t == 0:
+        return (s > 0) - (s < 0)
+    if s == 0 or (s > 0) == (t > 0):
+        return 1 if t > 0 else -1
+    # opposite signs: compare s^2 against t^2 d
+    if s * s > t * t * d:
+        return 1 if s > 0 else -1
+    return 1 if t > 0 else -1
+
+
+class QuadExt(NamedTuple):
     """(s + t*sqrt(d))/r in canonical form: gcd(s,t,r)=1, r>0, d squarefree."""
 
     s: int
@@ -133,20 +144,8 @@ class QuadExt:
         return self.t == 0
 
     def sign(self) -> int:
-        """Exact sign of s + t*sqrt(d) (r > 0 does not affect it)."""
-        s, t, d = self.s, self.t, self.d
-        if t == 0:
-            return (s > 0) - (s < 0)
-        if s == 0:
-            return 1 if t > 0 else -1
-        if s > 0 and t > 0:
-            return 1
-        if s < 0 and t < 0:
-            return -1
-        # opposite signs: compare s^2 against t^2 d
-        if s * s > t * t * d:
-            return 1 if s > 0 else -1
-        return 1 if t > 0 else -1
+        """Exact sign (r > 0 does not affect it)."""
+        return sign_of(self.s, self.t, self.d)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -207,8 +206,7 @@ def tau_from_a(a: int) -> QuadExt:
     return tau
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Continued-fraction convergent f/g with its index."""
 
     f: int

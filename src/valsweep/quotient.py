@@ -8,7 +8,7 @@ fundamental group of the invariant ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificationError
 from .toric import hilbert_basis_2d
@@ -29,21 +29,36 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DiagonalAction:
-    """Z_order acting by x -> w^a x, y -> w^b y, with prime order."""
+ORDER_MAX = 100_000
 
+
+class _ActionFields(NamedTuple):
     order: int
     a: int
     b: int
 
-    def __post_init__(self):
-        if not is_prime(self.order):
-            raise QuotientError(f"order {self.order} is not prime")
-        if not (0 <= self.a < self.order and 0 <= self.b < self.order):
+
+class DiagonalAction(_ActionFields):
+    """Z_order acting by x -> w^a x, y -> w^b y, with prime order.
+
+    The order is capped at ORDER_MAX, checked first: primality comes from
+    trial division, and the weight map and the full invariant list hold
+    order entries.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, a: int, b: int) -> "DiagonalAction":
+        if order > ORDER_MAX:
+            raise QuotientError(f"order <= {ORDER_MAX} required (trial division, and "
+                                f"lists of order entries), got {order}")
+        if not is_prime(order):
+            raise QuotientError(f"order {order} is not prime")
+        if not (0 <= a < order and 0 <= b < order):
             raise QuotientError("weights must lie in [0, order)")
-        if self.a == 0 and self.b == 0:
+        if a == 0 and b == 0:
             raise QuotientError("trivial action is not faithful")
+        return super().__new__(cls, order, a, b)
 
     def is_invariant(self, e_x: int, e_y: int) -> bool:
         return (self.a * e_x + self.b * e_y) % self.order == 0
@@ -92,8 +107,7 @@ def brute_force_invariants(action: DiagonalAction, max_degree: int) -> list[Mono
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class RamificationWitness:
+class RamificationWitness(NamedTuple):
     """The two Jacobian 2x2 minors that are pure powers: coefficient p
     times y^(p-1+j_{p-1}) and p times x^(2p-1-i_1)."""
 

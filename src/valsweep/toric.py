@@ -8,8 +8,8 @@ matrices are tuples of integer rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import CertificationError
 
@@ -58,8 +58,7 @@ def adjugate(a) -> Matrix:
                  for i in range(n))
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """U A V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)."""
 
     u: Matrix
@@ -122,10 +121,20 @@ def _smith_reduce(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return tuple(map(tuple, u)), tuple(map(tuple, m)), tuple(map(tuple, v))
 
 
+SNF_N_MAX = 6
+
+
 def smith_normal_form(a) -> SmithForm:
     """Smith normal form with its certificate: U A V = D for unimodular U
-    and V, and D diagonal with each entry dividing the next."""
+    and V, and D diagonal with each entry dividing the next.
+
+    n is capped at SNF_N_MAX: the unimodularity check takes cofactor
+    determinants, whose cost grows as n!.
+    """
     a = as_int_matrix(a)
+    if len(a) > SNF_N_MAX:
+        raise ToricError(f"n <= {SNF_N_MAX} required (cofactor determinants), "
+                         f"got a {len(a)}x{len(a)} matrix")
     u, d, v = _smith_reduce(a)
     n = len(a)
     if _matmul(_matmul(u, a), v) != d or any(d[i][j] for i in range(n) for j in range(n) if i != j):
@@ -208,35 +217,29 @@ def _hj_offset(u1: Vec2, u2: Vec2, dd: int) -> int:
     return -(s * u2[0] + t * u2[1]) * pow(s * a + t * b, -1, dd) % dd
 
 
-@dataclass(frozen=True)
-class SemigroupBasis:
+class SemigroupBasis(NamedTuple):
     """Minimal generators of the lattice-point semigroup of a 2D cone."""
 
     generators: tuple[Vec2, ...]
     rays: tuple[Vec2, Vec2]
 
-    def __len__(self) -> int:
-        return len(self.generators)
 
+def _hj_chain(u1: Vec2, u2: Vec2) -> list[Vec2]:
+    """The certified Hirzebruch-Jung chain from primitive u1 to primitive u2.
 
-def hilbert_basis_2d(rays: tuple[Vec2, Vec2]) -> SemigroupBasis:
-    """Minimal generating set of cone(rays) ∩ Z^2, by Hirzebruch-Jung.
-
-    With u1, u2 the primitive rays and D = |det(u1, u2)|, a unimodular
-    map u1 -> (0, 1) sends u2 to (D, -k) up to a shear fixing (0, 1),
-    with k from `_hj_offset`.  The basis is then the chain v_0 = u1,
-    v_1 = (k*u1 + u2)/D, v_{i+1} = c_i*v_i - v_{i-1} over the digits c_i
-    of D/k (Fulton, Introduction to Toric Varieties, 2.6), so it costs
-    time linear in its size.
+    With D = |det(u1, u2)|, a unimodular map u1 -> (0, 1) sends u2 to
+    (D, -k) up to a shear fixing (0, 1), with k from `_hj_offset`.  The
+    chain is v_0 = u1, v_1 = (k*u1 + u2)/D, v_{i+1} = c_i*v_i - v_{i-1}
+    over the digits c_i of D/k (Fulton, Introduction to Toric Varieties,
+    2.6), so it costs time linear in its length.
 
     The chain is certified rather than trusted: every digit must be at
     least 2 (no generator is the sum of its neighbours), every
     consecutive pair must be a lattice basis oriented like (u1, u2), and
     the chain must end exactly at u2.  Together these make the v_i the
     lattice points on the boundary of the convex hull of the nonzero
-    cone points, which is the Hilbert basis.
+    cone points, which is the Hilbert basis of cone(u1, u2).
     """
-    u1, u2 = primitive(rays[0]), primitive(rays[1])
     d = u1[0] * u2[1] - u1[1] * u2[0]
     if d == 0:
         raise ToricError("cone is not strictly convex (parallel rays)")
@@ -254,11 +257,17 @@ def hilbert_basis_2d(rays: tuple[Vec2, Vec2]) -> SemigroupBasis:
         if x0 * y1 - y0 * x1 != orientation:
             raise CertificationError(f"generators {(x0, y0)}, {(x1, y1)} are not a "
                                      f"lattice basis oriented like the rays")
-    return SemigroupBasis(tuple(sorted(chain)), (u1, u2))
+    return chain
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+def hilbert_basis_2d(rays: tuple[Vec2, Vec2]) -> SemigroupBasis:
+    """Minimal generating set of cone(rays) ∩ Z^2: the certified
+    Hirzebruch-Jung chain between the primitive rays, sorted."""
+    u1, u2 = primitive(rays[0]), primitive(rays[1])
+    return SemigroupBasis(tuple(sorted(_hj_chain(u1, u2))), (u1, u2))
+
+
+class RegularityVerdict(NamedTuple):
     regular: bool
     embedding_dim: int
     det: int
@@ -272,27 +281,31 @@ def below_ring_regularity(a) -> RegularityVerdict:
     """Regularity of the ring attached to the dual cone of A's rows.
 
     Regular iff the primitive-row matrix has determinant +-1; the
-    embedding dimension is the Hilbert-basis size of the dual semigroup.
-    The two criteria must agree (r = 2 iff regular).
+    embedding dimension is the Hilbert-basis size of the dual semigroup,
+    the length of the Hirzebruch-Jung chain between the dual rays.  The
+    two criteria must agree (r = 2 iff regular).
     """
-    m = as_int_matrix(a)
-    if len(m) != 2:
-        raise ToricError("expected a 2x2 matrix")
-    d = det_int(m)
+    try:
+        (a11, a12), (a21, a22) = a
+    except (TypeError, ValueError):
+        raise ToricError("expected a 2x2 matrix") from None
+    d = a11 * a22 - a12 * a21
     if d == 0:
         raise ToricError("matrix is singular")
-    rows = (primitive(m[0]), primitive(m[1]))
-    prim_det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    rays = dual_cone_2d(rows)
-    r = len(hilbert_basis_2d(rays))
+    g1, g2 = gcd(a11, a12), gcd(a21, a22)
+    (x1, y1), (x2, y2) = (a11 // g1, a12 // g1), (a21 // g2, a22 // g2)
+    prim_det = d // (g1 * g2)
+    # the dual rays: each primitive row turned a quarter, signed to pair
+    # positively with the other row; det(u1, u2) = prim_det
+    s = 1 if prim_det > 0 else -1
+    r = len(_hj_chain((s * y2, -s * x2), (-s * y1, s * x1)))
     regular = abs(prim_det) == 1
     if regular != (r == 2):  # pragma: no cover - the two criteria are equivalent
         raise CertificationError("determinant and Hilbert-basis criteria disagree")
     return RegularityVerdict(regular, r, d)
 
 
-@dataclass(frozen=True)
-class PowerIdentityCertificate:
+class PowerIdentityCertificate(NamedTuple):
     """Witness that each adjugate row sends the parameters below onto a
     pure d-th power of a single parameter above."""
 

@@ -10,7 +10,7 @@ det(A) is constant along the sequence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificationError
 from .qfield import QuadExt, convergents
@@ -31,23 +31,27 @@ def det2(a: Matrix2) -> int:
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
-@dataclass(frozen=True)
-class TransformState:
+class _TransformFields(NamedTuple):
     a: Matrix2
     param_values: tuple[ValueElement, ValueElement]
     branch: Branch | None = None  # the step that produced this state
 
-    def __post_init__(self):
-        vx, vy = self.param_values
+
+class TransformState(_TransformFields):
+    __slots__ = ()
+
+    def __new__(cls, a, param_values, branch=None) -> "TransformState":
+        vx, vy = param_values
         if vx.sign() <= 0 or vy.sign() <= 0:
             raise ValuationError("parameter values must be positive")
         if vx.i * vy.j - vx.j * vy.i == 0:
             raise ValuationError("parameter values are rationally dependent")
-        for row in self.a:
+        for row in a:
             if row[0] < 0 or row[1] < 0:
                 raise ValuationError("exponent matrix must be nonnegative")
             if row == (0, 0):
                 raise ValuationError("exponent matrix has a zero row")
+        return super().__new__(cls, a, param_values, branch)
 
     @property
     def det(self) -> int:

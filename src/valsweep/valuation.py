@@ -7,12 +7,10 @@ which is attained at a unique monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .qfield import QuadExt
+from .qfield import QuadExt, sign_of
 
 
 class ValuationError(ValueError):
@@ -23,8 +21,7 @@ class NotASubgroupError(ValuationError):
     """Raised when the alleged subgroup generators do not lie in the supergroup."""
 
 
-@dataclass(frozen=True)
-class ValueElement:
+class ValueElement(NamedTuple):
     """(i + j*tau)/n, an element of the divisible hull of Z + Z*tau."""
 
     i: int
@@ -52,11 +49,8 @@ class ValueElement:
         return self.i == 0 and self.j == 0
 
     def sign(self) -> int:
-        return self.as_quadext().sign()
-
-    def coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates with respect to the basis (1, tau)."""
-        return Fraction(self.i, self.n), Fraction(self.j, self.n)
+        t = self.tau  # n > 0 and t.r > 0 leave the sign of the numerator
+        return sign_of(self.i * t.r + self.j * t.s, self.j * t.t, t.d)
 
     def _check(self, other: "ValueElement") -> None:
         if not isinstance(other, ValueElement):
@@ -185,26 +179,25 @@ def group_index(sub_gens: tuple[ValueElement, ValueElement],
     """Index of the group generated by sub_gens inside the one from super_gens.
 
     Solves each sub generator as an integer combination of the super
-    generators in (1, tau)-coordinates; the index is |det| of the integer
-    coefficient matrix.
+    generators in (1, tau)-coordinates, by integer cross-multiplication;
+    the index is |det| of the integer coefficient matrix.
     """
     s1, s2 = super_gens
     s1._check(s2)
-    a1, b1 = s1.coords()
-    a2, b2 = s2.coords()
-    det = a1 * b2 - b1 * a2
+    det = s1.i * s2.j - s1.j * s2.i  # det of the coordinates, times n1*n2
     if det == 0:
         raise ValuationError("supergroup generators are rationally dependent")
     rows = []
     for g in sub_gens:
         s1._check(g)
-        x, y = g.coords()
-        c1 = (x * b2 - y * a2) / det
-        c2 = (a1 * y - b1 * x) / det
-        if c1.denominator != 1 or c2.denominator != 1:
+        # Cramer's rule on g = c1*s1 + c2*s2 with the denominators cleared
+        num1 = s1.n * (g.i * s2.j - g.j * s2.i)
+        num2 = s2.n * (s1.i * g.j - s1.j * g.i)
+        den = g.n * det
+        if num1 % den or num2 % den:
             raise NotASubgroupError(
                 f"{g!r} is not an integer combination of the supergroup generators")
-        rows.append((int(c1), int(c2)))
+        rows.append((num1 // den, num2 // den))
     d = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if d == 0:
         raise ValuationError("subgroup generators are rationally dependent")

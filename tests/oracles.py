@@ -7,7 +7,8 @@ it, so tests compare the two: `enumerated_hilbert_basis` against
 `semigroup_contains` filtering of the full invariant list) against the
 minimal set of `quotient.invariant_generators`.  `matmul` checks the
 Smith and adjugate certificates without the production `toric._matmul`.
-`full_size_offset` derives the Hirzebruch-Jung offset k from a Bezout
+`cofactor_det` checks the closed-form 2x2 determinant of
+`toric.below_ring_regularity`.  `full_size_offset` derives the Hirzebruch-Jung offset k from a Bezout
 pair of the full-size ray, against which `toric._hj_offset`, which works
 on residues mod D, is compared.
 """
@@ -28,6 +29,14 @@ def matmul(a, b) -> list[list[int]]:
             for k in range(inner):
                 out[i][j] += a[i][k] * b[k][j]
     return out
+
+
+def cofactor_det(a) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** k * a[0][k] * cofactor_det([row[:k] + row[k + 1:] for row in a[1:]])
+               for k in range(len(a)))
 
 
 def full_size_offset(u1: Vec2, u2: Vec2) -> int:

@@ -151,7 +151,7 @@ def test_criterion_7_oracle_equivalence(capsys):
         verdict = below_ring_regularity([[a, b], [c, d]])
         rays = dual_cone_2d((primitive((a, b)), primitive((c, d))))
         if rays not in oracle_sizes:
-            oracle_sizes[rays] = len(enumerated_hilbert_basis(rays))
+            oracle_sizes[rays] = len(enumerated_hilbert_basis(rays).generators)
         ok = ok and verdict.embedding_dim == oracle_sizes[rays]
         ok = ok and verdict.regular == (verdict.embedding_dim == 2)
         count += 1

@@ -221,10 +221,46 @@ class TestHostileSizes:
         assert out == ""
         assert "a <= 1000000" in err
 
+    @pytest.mark.parametrize("argv, constraint", [
+        (("lemma5", "--order", "100000000000031", "--a", "1", "--b", "2"), "order <= 100000"),
+        (("counterexample", "--q", "1000000000000000003", "--p", "1000000000000000009"),
+         "[q <= 100000]"),
+        (("counterexample", "--q", "99991", "--p", "100003"), "[p <= 100000]"),
+        (("snf", "--matrix", ",".join(["1"] * 49)), "n <= 6"),
+        (("snf", "--matrix", ",".join(map(str, range(144)))), "n <= 6"),
+    ])
+    def test_beyond_named_cap_rejected_at_once(self, capsys, argv, constraint):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert constraint in err
+
     def test_tau_at_worst_case_below_cap(self, capsys):
         # 999979 and 999983 are both prime: the slowest trial division under the cap
         res = self.timed(capsys, "tau", "--a", "999979")
         assert res["tau"] == {"s": 999979, "t": 1, "r": 2, "d": 999979 * 999983}
+
+
+class TestNegativeMatrixEntries:
+    @pytest.mark.parametrize("argv", [("snf", "-1,0,0,1"), ("snf", "-3,2,5,-7"),
+                                      ("hilbert", "-1,2,3,-7"), ("regularity", "-7,9,2,1"),
+                                      ("regularity", "-2"), ("value", "-1,2,3,4", "--a", "3"),
+                                      ("snf", "-1,0,0,1", "--format", "text")])
+    def test_separate_value_same_as_attached(self, capsys, argv):
+        command, matrix, *rest = argv
+        separate = run(capsys, command, "--matrix", matrix, *rest)
+        attached = run(capsys, command, f"--matrix={matrix}", *rest)
+        assert separate[0] in (EXIT_OK, EXIT_USAGE)
+        assert "expected one argument" not in separate[2]
+        assert separate[:2] == attached[:2]
+        assert separate[2].split("timing_ms")[0] == attached[2].split("timing_ms")[0]
+
+    def test_value_of_another_option_left_alone(self, capsys):
+        code, _, err = run(capsys, "snf", "--matrix", "--format", "-1,0,0,1")
+        assert code == EXIT_USAGE
+        assert "expected one argument" in err
 
 
 class TestSweepOnce:
@@ -272,15 +308,19 @@ SRC = Path(valsweep.__file__).resolve().parents[1]
 class TestPackage:
     def test_cli_import_loads_only_stdlib(self):
         # the package has no runtime dependency, so importing the CLI may add
-        # only standard-library modules and valsweep's own
+        # only standard-library modules and valsweep's own; and the value types
+        # are NamedTuples, so not dataclasses (nor the inspect it pulls in) or
+        # fractions, which would cost every process tens of ms
         script = ("import sys; before = set(sys.modules); import valsweep.cli; "
-                  "print(sorted(m for m in set(sys.modules) - before "
-                  "if m.split('.')[0] not in sys.stdlib_module_names | {'valsweep'}))")
+                  "added = set(sys.modules) - before; "
+                  "print(sorted(m for m in added "
+                  "if m.split('.')[0] not in sys.stdlib_module_names | {'valsweep'})); "
+                  "print(sorted(added & {'dataclasses', 'fractions', 'inspect'}))")
         proc = subprocess.run([sys.executable, "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
 
     def test_no_assert_statements(self):
         # python -O strips assert statements, so no certificate may be one;

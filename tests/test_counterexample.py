@@ -32,6 +32,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             InstanceConfig(q=11, p=11, m=3, n=3).validate()
 
+    @pytest.mark.parametrize("q, p, constraint", [(99991, 100003, "p <= 100000"),
+                                                  (10 ** 30 + 57, 10 ** 30 + 63, "q <= 100000")])
+    def test_order_cap_before_trial_division(self, q, p, constraint):
+        # the induced cyclic actions have orders q and p, capped in quotient
+        with pytest.raises(ConfigError) as exc:
+            InstanceConfig(q=q, p=p, m=13, n=13).validate()
+        assert exc.value.constraint == constraint
+
 
 class TestBuild:
     def test_q11_p13(self):

@@ -135,6 +135,20 @@ class TestArithmetic:
         assert (x + y, x - 3, 1 / x) == (QuadExt(17, -1, 10, 77), QuadExt(-3, -1, 2, 77),
                                          QuadExt(-3, -1, 34, 77))
 
+    def test_int_operands_give_field_elements(self):
+        # QuadExt is a tuple: these must not fall back to repetition or concatenation
+        tau = tau_from_a(7)  # (7 + sqrt 77)/2
+        cases = [(2 * tau, QuadExt(7, 1, 1, 77)), (tau * 2, QuadExt(7, 1, 1, 77)),
+                 (1 + tau, QuadExt(9, 1, 2, 77)), (tau + 1, QuadExt(9, 1, 2, 77)),
+                 (tau - 1, QuadExt(5, 1, 2, 77)), (1 - tau, QuadExt(-5, -1, 2, 77)),
+                 (-tau, QuadExt(-7, -1, 2, 77)), (2 / tau, QuadExt(-7, 1, 7, 77))]
+        for got, expected in cases:
+            assert type(got) is QuadExt and got == expected
+
+    def test_tuple_operand_rejected(self):
+        with pytest.raises(TypeError):
+            tau_from_a(7) + (1, 0, 1, 77)
+
 
 class TestFloor:
     @pytest.mark.parametrize("a", [1, 2, 7, 13])

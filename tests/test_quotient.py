@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from oracles import filtered_minimal_generators, semigroup_contains
+from valsweep import quotient
 from valsweep.quotient import (DiagonalAction, QuotientError,
                                brute_force_invariants, invariant_generators,
                                is_prime, is_regular, pi1_order,
@@ -23,6 +24,13 @@ class TestDiagonalAction:
     def test_out_of_range_rejected(self):
         with pytest.raises(QuotientError):
             DiagonalAction(5, 5, 1)
+
+    def test_order_cap_checked_before_primality(self, monkeypatch):
+        assert DiagonalAction(99991, 1, 2).order == 99991  # the largest prime under the cap
+        monkeypatch.setattr(quotient, "is_prime", None)  # a call would raise TypeError
+        for order in (100003, 10 ** 30):
+            with pytest.raises(QuotientError, match="order <= 100000 required"):
+                DiagonalAction(order, 1, 2)
 
     def test_weight_map_bijective(self):
         for p in PRIMES:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (enumerated_hilbert_basis, full_size_offset, in_cone, matmul,
-                     semigroup_contains)
+from oracles import (cofactor_det, enumerated_hilbert_basis, full_size_offset, in_cone,
+                     matmul, semigroup_contains)
 from valsweep import toric
 from valsweep.errors import CertificationError
 from valsweep.toric import (SemigroupBasis, ToricError, adjugate,
@@ -84,6 +84,12 @@ class TestSmithNormalForm:
         with pytest.raises(ToricError):
             smith_normal_form(a)
 
+    def test_size_cap(self):
+        assert toric.SNF_N_MAX == 6
+        assert smith_normal_form(eye(6, 2)).diagonal() == [2] * 6
+        with pytest.raises(ToricError, match="n <= 6 required"):
+            smith_normal_form(eye(7))
+
     def test_random_matrices(self):
         rng = random.Random(123)
         for _ in range(200):
@@ -139,7 +145,7 @@ class TestHilbertBasis:
 
     def test_dual_of_q11_matrix(self):
         basis = hilbert_basis_2d(dual_cone_2d(((7, 9), (2, 1))))
-        assert len(basis) >= 3
+        assert len(basis.generators) >= 3
         assert list(basis.generators) == brute_force_hilbert_basis(*basis.rays)
 
     @pytest.mark.parametrize("rays", [
@@ -226,6 +232,23 @@ class TestLargeEntries:
         assert moved.generators == tuple(sorted(apply(g, v) for v in small.generators))
         assert toric._hj_offset(w1, w2, abs(det_int((w1, w2)))) == full_size_offset(w1, w2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.integers(-6, 6)] * 4), gl2_big())
+    @example((2, 0, 0, 2), ((1, 0), (0, 1)))
+    @example((3, -6, 1, 5), ((1, 0), (0, 1)))
+    def test_regularity_matches_cofactor_det_and_hilbert_basis(self, entries, g):
+        # A = M g as the sweep builds it by column operations: entries up to
+        # 2^512, |det| that of the small M, so the chain stays short
+        a, b, c, d = entries
+        matrix = tuple(apply(tuple(zip(*g)), row) for row in ((a, b), (c, d)))
+        det = cofactor_det([list(row) for row in matrix])
+        assume(det != 0)
+        verdict = below_ring_regularity(matrix)
+        assert verdict.det == det
+        assert verdict.embedding_dim == len(hilbert_basis_2d(dual_cone_2d(matrix)).generators)
+        assert verdict.regular == (verdict.embedding_dim == 2)
+        assert verdict == below_ring_regularity(((a, b), (c, d)))._replace(det=det)
+
 
 # The true digits of cone((1,0),(2,5)) are those of 5/3: [2, 3].  [3, 1, 4]
 # reaches (2, 5) too, through the reducible generator (1, 1) + (1, 2).
@@ -267,6 +290,13 @@ class TestHilbertCertificate:
         monkeypatch.setattr(toric, "hirzebruch_jung_digits", lambda a, b: digits)
         with pytest.raises(CertificationError):
             hilbert_basis_2d(((1, 0), (2, 5)))
+
+    @pytest.mark.parametrize("digits", CORRUPTED_DIGITS)
+    def test_corrupted_digits_rejected_by_regularity(self, monkeypatch, digits):
+        # the dual cone of these rows is cone((1, 0), (2, 5))
+        monkeypatch.setattr(toric, "hirzebruch_jung_digits", lambda a, b: digits)
+        with pytest.raises(CertificationError):
+            below_ring_regularity(((5, -2), (0, 1)))
 
     @pytest.mark.parametrize("case, broken", zip(
         CORRUPTED_SMITH, ["U A V != D", "not unimodular", "does not divide"]))
@@ -312,6 +342,12 @@ class TestRegularity:
     def test_singular_matrix_rejected(self):
         with pytest.raises(ToricError):
             below_ring_regularity([[1, 2], [2, 4]])
+
+    @pytest.mark.parametrize("a", [[[1, 2, 3], [4, 5, 6], [7, 8, 10]], [[1, 2], [3]], [1, 2],
+                                   None])
+    def test_not_2x2_rejected(self, a):
+        with pytest.raises(ToricError, match="expected a 2x2 matrix"):
+            below_ring_regularity(a)
 
     def test_criteria_agree_small_sample(self):
         rng = random.Random(5)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,19 @@ class TestValueElement:
     def test_mixed_tau_rejected(self):
         with pytest.raises(ValuationError):
             ve(1, 0, 1) + ve(1, 0, 1, tau_from_a(1))
+
+    def test_operations_give_value_elements(self):
+        # ValueElement is a tuple: + and - must not concatenate
+        x, y = ve(1, 2, 3), ve(0, 1, 1)
+        cases = [(x + y, ve(1, 5, 3)), (x - y, ve(1, -1, 3)), (x.scale(3), ve(1, 2, 1)),
+                 (-x, ve(-1, -2, 3))]
+        for got, expected in cases:
+            assert type(got) is ValueElement and got == expected
+
+    def test_sign_matches_quadext(self):
+        for i, j, n in itertools.product(range(-9, 10), range(-9, 10), (1, 2, 7)):
+            x = ve(i, j, n)
+            assert x.sign() == x.as_quadext().sign()
 
 
 class TestMakeValuation:
@@ -149,6 +163,43 @@ class TestGroupIndex:
         sup = (ve(1, 0, 1), ve(0, 1, 1))
         with pytest.raises(NotASubgroupError):
             group_index(sub, sup)
+
+    def test_matches_rational_solution(self):
+        # the integer cross-multiplication against Cramer's rule over Q, on
+        # integer combinations of the supergroup generators, some of them nudged
+        # off the lattice
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(500):
+            sup = tuple(ve(rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(1, 12))
+                        for _ in range(2))
+            a1, b1, a2, b2 = (Fraction(x, s.n) for s in sup for x in (s.i, s.j))
+            det = a1 * b2 - b1 * a2
+            if det == 0:
+                continue
+            sub = []
+            for _ in range(2):
+                g = sup[0].scale(rng.randint(-4, 4)) + sup[1].scale(rng.randint(-4, 4))
+                if rng.random() < 0.3:
+                    g = g + ve(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(1, 5))
+                sub.append(g)
+            coeffs = []
+            for g in sub:
+                x, y = Fraction(g.i, g.n), Fraction(g.j, g.n)
+                coeffs += [(x * b2 - y * a2) / det, (a1 * y - b1 * x) / det]
+            index = abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2])
+            if any(c.denominator != 1 for c in coeffs):
+                outcomes.add("not a subgroup")
+                with pytest.raises(NotASubgroupError):
+                    group_index(tuple(sub), sup)
+            elif index == 0:
+                outcomes.add("dependent")
+                with pytest.raises(ValuationError, match="subgroup generators"):
+                    group_index(tuple(sub), sup)
+            else:
+                outcomes.add("index")
+                assert group_index(tuple(sub), sup) == index
+        assert outcomes == {"not a subgroup", "dependent", "index"}
 
 
 class TestInvariants:
