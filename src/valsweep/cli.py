@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 from typing import Any, NamedTuple
 
@@ -38,6 +39,32 @@ class UsageError(ValueError):
     pass
 
 
+# Matrix entries grow linearly in the step count, so time and stdout grow
+# about quadratically: `counterexample --q 11 --p 13` at the cap takes
+# about 10 s and 580 MB peak RSS end to end (2-CPU x86-64, CPython 3.11)
+# and prints 205 MB.
+STEPS_MAX = 20_000
+
+
+def _steps(args, default: int) -> int:
+    """--steps, or its default, checked against STEPS_MAX before any work."""
+    steps = default if args.steps is None else args.steps
+    if steps > STEPS_MAX:
+        raise cx.ConfigError(f"steps <= {STEPS_MAX}",
+                             f"--steps {steps} exceeds the step cap")
+    return steps
+
+
+def _digit_limit_error() -> cx.ConfigError:
+    """A report integer has more decimal digits than the interpreter
+    converts to a string (sys.get_int_max_str_digits), so no report of
+    it can be printed."""
+    limit = sys.get_int_max_str_digits()
+    return cx.ConfigError(f"integers of at most {limit} digits",
+                          "a report integer exceeds the interpreter's "
+                          "int-to-str conversion limit")
+
+
 class Report(NamedTuple):
     command: str
     inputs: dict[str, Any]
@@ -51,13 +78,63 @@ class Report(NamedTuple):
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.payload(), sort_keys=True, indent=2)
+            out: list[str] = []
+            _write_json(self.payload(), "\n", out)
+            return "".join(out)
         lines = [f"command: {self.command}", f"verdict: {self.verdict}", "inputs:"]
         for k in sorted(self.inputs):
             lines.append(f"  {k}: {self.inputs[k]}")
         lines.append("results:")
         lines.extend(_render_text(self.results, "  "))
         return "\n".join(lines)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the chunks of json.dumps(value, sort_keys=True, indent=2) to out.
+
+    The standard library drops to its pure-Python encoder whenever an
+    indent is set; this writer covers the report's value types (dicts
+    with str keys, lists, tuples, str, int, bool and None) and joins
+    once.  `newline` is a newline followed by the current indent.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(value):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write_json(value[k], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render_text(value: Any, indent: str) -> list[str]:
@@ -114,9 +191,15 @@ def cmd_tau(args) -> Report:
 
 def cmd_convergents(args) -> Report:
     _require(args, "a")
-    count = args.steps if args.steps is not None else 10
+    count = _steps(args, 10)
     tau = tau_from_a(args.a)
     cs = convergents(tau, count)
+    # the last numerator is the largest entry: a report that cannot print
+    # it fails here, before the unimodularity check, whose cost grows with it
+    try:
+        int.__repr__(cs[-1].f)
+    except ValueError:
+        raise _digit_limit_error() from None
     unimodular = all(cs[k - 1].f * cs[k].g - cs[k].f * cs[k - 1].g in (-1, 1)
                      for k in range(1, len(cs)))
     res = {"tau": _quad_json(tau),
@@ -147,7 +230,7 @@ def cmd_value(args) -> Report:
 
 def cmd_transform(args) -> Report:
     _require(args, "a")
-    steps = args.steps if args.steps is not None else 10
+    steps = _steps(args, 10)
     tau = tau_from_a(args.a)
     initial = TransformState(((1, 0), (0, 1)),
                              (ValueElement.make(0, 1, 1, tau),
@@ -221,7 +304,7 @@ def cmd_counterexample(args) -> Report:
     config = cx.InstanceConfig(q=args.q, p=args.p,
                                m=args.m if args.m is not None else 3,
                                n=args.n if args.n is not None else 3,
-                               steps=args.steps if args.steps is not None else 25)
+                               steps=_steps(args, 25))
     instance = cx.build(config)
     charts = cx.validate_surface(config)
     inject = None
@@ -313,6 +396,11 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         report = COMMANDS[args.command](args)
+        elapsed_ms = (time.monotonic() - start) * 1000.0
+        try:
+            text = report.render(args.format)
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            raise _digit_limit_error() from None
     except (UsageError, QFieldError, ValuationError, ToricError, QuotientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -322,8 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"error: certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    elapsed_ms = (time.monotonic() - start) * 1000.0
-    print(report.render(args.format))
+    print(text)
     print(f"timing_ms: {elapsed_ms:.1f}", file=sys.stderr)
     return EXIT_FALSIFIED if report.verdict == "Falsified" else EXIT_OK
 

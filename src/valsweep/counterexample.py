@@ -7,6 +7,11 @@ the chart parameters.  Sweeps quadratic transforms along both branches,
 certifying at every step that the ring lying below is singular, and emits
 the final report: the two branches force local fundamental groups of
 orders q and p, which cannot both hold for one ring since q != p.
+
+The singularity certificate is inductive: step 0 of each branch is
+checked directly, and every later exponent matrix is checked to be its
+predecessor times an elementary matrix of determinant 1, which leaves
+the ring below unchanged up to isomorphism (see `singularity_sweep`).
 """
 
 from __future__ import annotations
@@ -193,9 +198,30 @@ class SweepReport(NamedTuple):
     falsification: str | None = None
 
 
+def _elementary_successor(prev: Matrix2, matrix: Matrix2) -> bool:
+    """Whether matrix = prev*E for E = [[1,1],[0,1]] or [[1,0],[1,1]]: one
+    column of prev kept and the other replaced by the sum of both."""
+    (a, b), (c, d) = prev
+    (a2, b2), (c2, d2) = matrix
+    return ((a2 == a and c2 == c and b2 == a + b and d2 == c + d)
+            or (b2 == b and d2 == d and a2 == a + b and c2 == c + d))
+
+
 def singularity_sweep(instance: Instance, steps: int,
                       inject: dict[tuple[str, int], Matrix2] | None = None) -> SweepReport:
-    """Transform sweep with a regularity check at every step of each branch.
+    """Transform sweep certifying that the ring below is singular at every
+    step of each branch.
+
+    The certificate is inductive.  Step 0 of each branch is checked
+    directly by `below_ring_regularity`.  A later matrix that is exactly
+    prev*E, with prev the previous record's matrix and E = [[1,1],[0,1]]
+    or [[1,0],[1,1]], carries the previous verdict (det, regular,
+    embedding dimension).  E has determinant 1, so det is unchanged; each
+    row r goes to r*E with the same content, so the primitive determinant
+    is unchanged; and the dual cone of the new rows is the image of the
+    old one under the lattice automorphism E^-1, so its Hilbert basis has
+    the same size.  Any other matrix, such as an injected one or the step
+    after it, is checked directly.
 
     A Regular verdict or a determinant drift at any step falsifies the
     construction; that outcome is reported, not raised.  `inject`
@@ -207,18 +233,21 @@ def singularity_sweep(instance: Instance, steps: int,
     falsification = None
     for branch in instance.branches:
         state = TransformState(branch.matrix, branch.chart_values)
+        prev = reg = None
         for step in range(steps + 1):
             matrix = inject.get((branch.name, step), state.a)
-            verdict = below_ring_regularity(matrix)
-            records.append(StepRecord(branch.name, step, matrix, verdict.det,
-                                      verdict.regular, verdict.embedding_dim))
+            if prev is None or not _elementary_successor(prev, matrix):
+                reg = below_ring_regularity(matrix)
+            records.append(StepRecord(branch.name, step, matrix, reg.det,
+                                      reg.regular, reg.embedding_dim))
             if falsification is None:
-                if verdict.regular:
+                if reg.regular:
                     falsification = (f"branch {branch.name} step {step}: "
                                      f"ring below is regular")
-                elif abs(verdict.det) != branch.order:
+                elif abs(reg.det) != branch.order:
                     falsification = (f"branch {branch.name} step {step}: "
-                                     f"|det|={abs(verdict.det)} != {branch.order}")
+                                     f"|det|={abs(reg.det)} != {branch.order}")
+            prev = matrix
             if step < steps:
                 state = quadratic_step(state)
     verdict = Verdict.FALSIFIED if falsification else Verdict.VERIFIED

@@ -38,6 +38,14 @@ class _TransformFields(NamedTuple):
 
 
 class TransformState(_TransformFields):
+    """A validated transform state.
+
+    The constructor checks outside input in full: both values positive,
+    rationally independent, and A nonnegative with no zero row.
+    `quadratic_step` builds its successor without re-running the checks,
+    which its own exact sign test and the unimodular step carry over.
+    """
+
     __slots__ = ()
 
     def __new__(cls, a, param_values, branch=None) -> "TransformState":
@@ -70,6 +78,12 @@ def quadratic_step(state: TransformState) -> TransformState:
     If the first parameter has the larger value it becomes (first/second),
     which adds column 1 of A into column 2; symmetrically otherwise.  Ties
     cannot occur for rationally independent values.
+
+    The new state skips the constructor's checks, which hold by
+    induction: the exact sign of vx - vy certifies the new value, the
+    other value is unchanged, and the step maps (vx, vy) and the columns
+    of A by a unimodular column operation, which keeps the values
+    rationally independent and A nonnegative with no zero row.
     """
     vx, vy = state.param_values
     diff = vx - vy
@@ -85,7 +99,7 @@ def quadratic_step(state: TransformState) -> TransformState:
         branch = Branch.DIVIDE_FIRST_INTO_SECOND
         new_a = ((a + b, b), (c + d, d))
         new_vals = (vx, -diff)
-    return TransformState(new_a, new_vals, branch)
+    return tuple.__new__(TransformState, (new_a, new_vals, branch))
 
 
 def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:

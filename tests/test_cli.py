@@ -6,13 +6,16 @@ import sys
 import time
 from pathlib import Path
 
+import hashlib
+
 import pytest
+from hypothesis import given, strategies as st
 
 import valsweep
 
 from valsweep import counterexample, toric
 from valsweep.cli import (EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
-                          UsageError, main, parse_matrix)
+                          STEPS_MAX, Report, UsageError, _write_json, main, parse_matrix)
 
 
 def run(capsys, *argv):
@@ -237,6 +240,45 @@ class TestHostileSizes:
         assert out == ""
         assert constraint in err
 
+    @pytest.mark.parametrize("command", ["counterexample", "transform", "convergents"])
+    def test_steps_beyond_cap_rejected_at_once(self, capsys, command):
+        start = time.monotonic()
+        code, out, err = run(capsys, command, "--q", "11", "--p", "13", "--a", "999979",
+                             "--steps", str(STEPS_MAX + 1))
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"error: violated constraint [steps <= {STEPS_MAX}]: "
+                       f"--steps {STEPS_MAX + 1} exceeds the step cap\n")
+
+    def test_steps_cap_admits_the_deep_sweep(self):
+        assert STEPS_MAX >= 10_000
+
+    def test_transform_at_steps_cap(self, capsys):
+        # tau lies between a and a + 1, so the first a steps all divide the
+        # second parameter into the first: A = [[1, k], [0, 1]] after k steps
+        res = self.timed(capsys, "transform", "--a", "999979", "--steps", str(STEPS_MAX))
+        assert len(res["states"]) == STEPS_MAX + 1
+        assert res["states"][-1]["A"] == [[1, STEPS_MAX], [0, 1]]
+
+    @pytest.mark.parametrize("argv", [
+        ("convergents", "--a", "999979", "--steps", "1500"),
+        ("convergents", "--a", "7", "--steps", str(STEPS_MAX)),
+        ("regularity", "--matrix=1" + "0" * 4000 + ",0,0,1" + "0" * 4000),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_past_int_digit_limit(self, capsys, argv, fmt):
+        # Python converts ints of at most sys.get_int_max_str_digits() digits
+        # (4300 by default) to str; a larger one cannot be printed
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert time.monotonic() - start < 2.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err.startswith(f"error: violated constraint [integers of at most {limit} digits]")
+        assert "Traceback" not in err
+
     def test_tau_at_worst_case_below_cap(self, capsys):
         # 999979 and 999983 are both prime: the slowest trial division under the cap
         res = self.timed(capsys, "tau", "--a", "999979")
@@ -281,8 +323,72 @@ class TestSweepOnce:
         code, _, _ = run(capsys, "counterexample", "--q", "11", "--p", "13",
                          "--steps", str(steps))
         assert code == EXIT_OK
-        # one check per swept step of each branch, then one per branch matrix
-        assert calls == {"regularity": 2 * (steps + 1) + 2, "sweep": 1}
+        # one direct check at step 0 of each branch (every later step is an
+        # elementary column operation on its predecessor and carries its
+        # verdict), then one per branch matrix in certify_conflict
+        assert calls == {"regularity": 2 + 2, "sweep": 1}
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+class TestRecordedDigests:
+    """Every invocation the benchmark checks keeps its recorded stdout bytes."""
+
+    @pytest.mark.parametrize("key", sorted(json.loads(DIGESTS.read_text())))
+    def test_stdout_sha256(self, capsys, key):
+        code, out, _ = run(capsys, *key.split())
+        assert code == (EXIT_FALSIFIED if "--corrupt-step" in key else EXIT_OK)
+        expected = json.loads(DIGESTS.read_text())[key]
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def write_json(value) -> str:
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+JSON_KEYS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 4000, 2 ** 4000) | JSON_KEYS,
+    lambda children: st.lists(children) | st.dictionaries(JSON_KEYS, children),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    """The report writer against json.dumps(..., sort_keys=True, indent=2)."""
+
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert write_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        {"é": "ü\n\t\"\\", "\u2028": "\x00", "": "", "z\ud83d\ude00": "\U0001f600"},
+        [True, 1, False, 0, None, -1], {"t": True, "one": 1, "n": None},
+        [2 ** 4000, -2 ** 4000, [2 ** 4000]], ((1, 2), (3, (4, "x"))),
+        {"b": 1, "a": 2, "B": 3, "_": 4, "aa": [1, {"y": 2, "x": [3]}]},
+    ])
+    def test_edge_cases(self, value):
+        assert write_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_rejects_what_json_dumps_rejects(self):
+        for value in ([object()], {"x": {1.5}}):
+            with pytest.raises(TypeError):
+                write_json(value)
+            with pytest.raises(TypeError):
+                json.dumps(value, sort_keys=True, indent=2)
+
+    def test_keys_are_str(self):
+        # report keys are str; json.dumps would coerce an int key instead
+        with pytest.raises(TypeError):
+            write_json({1: 2})
+
+    def test_report_render(self):
+        report = Report("x", {"q": 11}, {"steps": [{"A": [[1, 2], [3, 4]], "ok": True}]},
+                        "Verified")
+        assert report.render("json") == json.dumps(report.payload(), sort_keys=True, indent=2)
 
 
 class TestDeterminism:

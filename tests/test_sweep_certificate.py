@@ -1,0 +1,132 @@
+"""The inductive sweep certificate against the direct per-step oracle.
+
+`singularity_sweep` checks step 0 of each branch with
+`below_ring_regularity` and carries that verdict along every step that is
+an elementary column operation on its predecessor.  These tests rerun the
+direct check on every record, break the step on purpose, and rebuild each
+stepped state through the validating constructor.  No check here is an
+assert that python -O could drop from src; run this module under -O too.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import valsweep
+from valsweep import counterexample
+from valsweep.counterexample import (InstanceConfig, Verdict, build, certify_conflict,
+                                     singularity_sweep)
+from valsweep.qfield import tau_from_a
+from valsweep.quotient import is_prime
+from valsweep.toric import below_ring_regularity
+from valsweep.transform import TransformState, quadratic_step, run_sequence
+from valsweep.valuation import ValueElement
+
+SRC = Path(valsweep.__file__).resolve().parents[1]
+
+# every admissible prime pair with q <= 37, with m = n the least odd integer above p - q
+PAIRS = [(q, p) for q in range(5, 38) if is_prime(q)
+         for p in range(q + 1, 2 * q - 4) if is_prime(p)]
+
+
+def sweep(q, p, steps, m=None):
+    m = m or p - q + 1
+    return singularity_sweep(build(InstanceConfig(q, p, m, m, steps)), steps)
+
+
+def assert_records_match_oracle(report):
+    for rec in report.records:
+        direct = below_ring_regularity(rec.matrix)
+        assert (rec.det, rec.regular, rec.embedding_dim) == \
+            (direct.det, direct.regular, direct.embedding_dim), (rec.branch, rec.step)
+
+
+class TestAgainstDirectOracle:
+    def test_batch_pairs(self):
+        assert len(PAIRS) == 32
+        for q, p in PAIRS:
+            report = sweep(q, p, 60)
+            assert report.verdict is Verdict.VERIFIED, (q, p)
+            assert len(report.records) == 2 * 61
+            assert_records_match_oracle(report)
+
+    def test_long_sweep(self):
+        report = sweep(11, 13, 1000, m=3)
+        assert report.verdict is Verdict.VERIFIED
+        assert_records_match_oracle(report)
+
+    def test_corrupted_steps_keep_the_oracle(self):
+        inst = build(InstanceConfig(11, 13, 3, 3, 30))
+        for step in (0, 1, 7, 29, 30):
+            report = singularity_sweep(inst, 30, inject={("nu1", step): ((1, 0), (0, 1))})
+            assert report.falsification == f"branch nu1 step {step}: ring below is regular"
+            assert_records_match_oracle(report)
+
+    def test_direct_checks_are_one_per_branch(self, monkeypatch):
+        calls = []
+        real = counterexample.below_ring_regularity
+        monkeypatch.setattr(counterexample, "below_ring_regularity",
+                            lambda a: calls.append(a) or real(a))
+        inst = build(InstanceConfig(11, 13, 3, 3, 40))
+        singularity_sweep(inst, 40)
+        assert calls == [b.matrix for b in inst.branches]
+        calls.clear()
+        # an injected matrix and the step after it are checked directly
+        singularity_sweep(inst, 40, inject={("nu2", 5): ((1, 0), (0, 1))})
+        assert len(calls) == 2 + 2
+
+
+def doubling_step(state):
+    """A broken step: the elementary column operation, then column 1 doubled,
+    which is not unimodular and doubles |det|."""
+    (a, b), (c, d) = state.a
+    return state._replace(a=((2 * a, b), (2 * c, d)))
+
+
+class TestMutation:
+    def test_non_unimodular_step_is_checked_directly(self, monkeypatch):
+        monkeypatch.setattr(counterexample, "quadratic_step",
+                            lambda state: doubling_step(quadratic_step(state)))
+        report = sweep(11, 13, 10, m=3)
+        assert report.verdict is Verdict.FALSIFIED
+        assert report.falsification == "branch nu1 step 1: |det|=22 != 11"
+        assert_records_match_oracle(report)
+        with pytest.raises(counterexample.ConfigError):
+            certify_conflict(build(InstanceConfig(11, 13, 3, 3, 10)), report)
+
+    def test_non_unimodular_step_under_optimize(self):
+        script = (
+            "from valsweep import counterexample as cx\n"
+            "from valsweep.transform import quadratic_step\n"
+            "def broken(state):\n"
+            "    new = quadratic_step(state)\n"
+            "    (a, b), (c, d) = new.a\n"
+            "    return new._replace(a=((2 * a, b), (2 * c, d)))\n"
+            "cx.quadratic_step = broken\n"
+            "inst = cx.build(cx.InstanceConfig(11, 13, 3, 3, 10))\n"
+            "report = cx.singularity_sweep(inst, 10)\n"
+            "print(__debug__, report.verdict.value, report.falsification)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False Falsified branch nu1 step 1: |det|=22 != 11"
+
+
+class TestSteppedStatesValidate:
+    @pytest.mark.parametrize("a", [1, 2, 7, 30, 999979])
+    def test_standard_valuation(self, a):
+        tau = tau_from_a(a)
+        initial = TransformState(((1, 0), (0, 1)), (ValueElement.make(0, 1, 1, tau),
+                                                    ValueElement.make(1, 0, 1, tau)))
+        for state in run_sequence(initial, 1000):
+            assert TransformState(*state) == state
+
+    @pytest.mark.parametrize("q, p", [(11, 13), (17, 23), (37, 67)])
+    def test_instance_branches(self, q, p):
+        for branch in build(InstanceConfig(q, p, p - q + 1, p - q + 1)).branches:
+            for state in run_sequence(TransformState(branch.matrix, branch.chart_values), 300):
+                assert TransformState(*state) == state
