@@ -23,8 +23,7 @@ from .errors import CertificationError
 from .qfield import QuadExt, tau_from_a
 from .valuation import MonomialValuation, ValueElement, group_index
 from .transform import Matrix2, TransformState, quadratic_step
-from .toric import (adjugate, below_ring_regularity, det_int,
-                    smith_normal_form)
+from .toric import below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
 
@@ -256,21 +255,17 @@ def singularity_sweep(instance: Instance, steps: int,
 
 def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     """The cyclic action on the chart parameters induced by the lattice
-    quotient Z^2 / A Z^2, with weights read off the adjugate rows at a
-    generator of the quotient (prime order only)."""
-    d = abs(det_int(matrix))
+    quotient Z^2 / A Z^2 (prime order only).  The certified Smith form
+    U A V = diag(1, d) holds the quotient's generator U^-1 e_2, and
+    adj(A) U^-1 e_2 = sign(det A) V e_2: the weights are sign(det A) times
+    column 2 of V, mod d."""
+    det = det_int(matrix)
     form = smith_normal_form(matrix)
     invariants = form.quotient_invariants()
-    if invariants != [d]:
+    if det == 0 or invariants != [abs(det)]:
         raise ConfigError("cyclic quotient", f"quotient invariants {invariants} not cyclic")
-    # generator of the quotient: preimage under U of the last unit vector,
-    # column 1 of U^-1 = adj(U) det(U)
-    u_adj, u_det = adjugate(form.u), det_int(form.u)
-    gen = (u_adj[0][1] * u_det, u_adj[1][1] * u_det)
-    adj = adjugate(matrix)
-    w1 = (adj[0][0] * gen[0] + adj[0][1] * gen[1]) % d
-    w2 = (adj[1][0] * gen[0] + adj[1][1] * gen[1]) % d
-    return DiagonalAction(d, w1, w2)
+    d, sign = abs(det), (1 if det > 0 else -1)
+    return DiagonalAction(d, sign * form.v[0][1] % d, sign * form.v[1][1] % d)
 
 
 class ContradictionReport(NamedTuple):

@@ -76,14 +76,6 @@ class QuadExt(NamedTuple):
         g = gcd(r, s, t)  # the small denominator first keeps this linear in bits
         return QuadExt(s // g, t // g, r // g, d)
 
-    @staticmethod
-    def rational(num: int, den: int, d: int) -> "QuadExt":
-        return QuadExt.make(num, 0, den, d)
-
-    @staticmethod
-    def integer(n: int, d: int) -> "QuadExt":
-        return QuadExt.make(n, 0, 1, d)
-
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, int):
             return QuadExt._reduce(other, 0, 1, self.d)

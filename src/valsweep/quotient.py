@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CertificationError
 from .toric import hilbert_basis_2d
 
 
@@ -97,16 +96,6 @@ def invariant_generators(action: DiagonalAction) -> tuple[list[Monomial], list[M
     return full, sorted((c1, r * c1 + p * c2) for c1, c2 in basis.generators)
 
 
-def brute_force_invariants(action: DiagonalAction, max_degree: int) -> list[Monomial]:
-    """All invariant monomials of total degree in (0, max_degree]."""
-    out = []
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1 - i):
-            if i + j > 0 and action.is_invariant(i, j):
-                out.append((i, j))
-    return sorted(out)
-
-
 class RamificationWitness(NamedTuple):
     """The two Jacobian 2x2 minors that are pure powers: coefficient p
     times y^(p-1+j_{p-1}) and p times x^(2p-1-i_1)."""
@@ -123,17 +112,13 @@ def ramification_minors(action: DiagonalAction) -> RamificationWitness:
     any allowed characteristic), so the radical of the minor ideal is
     (x, y) and the quotient map is unramified away from it.
     """
-    p = action.order
-    if action.a == 0 or action.b == 0:
+    p, a, b = action.order, action.a, action.b
+    if a == 0 or b == 0:
         raise QuotientError("ramification witnesses need both weights nonzero")
-    jmap = action.weight_map()
-    j_last = jmap[p - 1]
-    i_1 = next((i for i, j in jmap.items() if j == 1), None)
-    if i_1 is None:  # pragma: no cover - impossible for prime order, b invertible
-        raise CertificationError("no invariant of the form x^(p-i) y")
+    # j_i = a*i/b mod p, so j_{p-1} = -a/b and j_i = 1 at i = b/a
     return RamificationWitness(coefficient=p,
-                               y_witness=(0, p - 1 + j_last),
-                               x_witness=(2 * p - 1 - i_1, 0))
+                               y_witness=(0, p - 1 + (-a * pow(b, -1, p) % p)),
+                               x_witness=(2 * p - 1 - (b * pow(a, -1, p) % p), 0))
 
 
 def is_regular(action: DiagonalAction) -> bool:

@@ -224,6 +224,23 @@ class SemigroupBasis(NamedTuple):
     rays: tuple[Vec2, Vec2]
 
 
+# The chain holds one vector per Hilbert-basis generator.  The cap admits
+# every quotient of order at most quotient.ORDER_MAX (a chain of at most
+# |det| + 1 vectors) and the 1,000,001 generators of cone((1, 0), (1, 10^6)).
+CHAIN_MAX = 2 ** 20
+
+
+def _chain_length(dd: int, k: int) -> int:
+    """2 + len(hirzebruch_jung_digits(dd, k)) in O(log dd) steps: with
+    dd/k = [a_1; a_2, ...] it is 2 + #{odd i} + sum over even i of (a_i - 1)
+    (Riemenschneider's point diagram)."""
+    length, odd = 2, True
+    while k:
+        length += 1 if odd else dd // k - 1
+        dd, k, odd = k, dd % k, not odd
+    return length
+
+
 def _hj_chain(u1: Vec2, u2: Vec2) -> list[Vec2]:
     """The certified Hirzebruch-Jung chain from primitive u1 to primitive u2.
 
@@ -231,7 +248,8 @@ def _hj_chain(u1: Vec2, u2: Vec2) -> list[Vec2]:
     (D, -k) up to a shear fixing (0, 1), with k from `_hj_offset`.  The
     chain is v_0 = u1, v_1 = (k*u1 + u2)/D, v_{i+1} = c_i*v_i - v_{i-1}
     over the digits c_i of D/k (Fulton, Introduction to Toric Varieties,
-    2.6), so it costs time linear in its length.
+    2.6), so it costs time linear in its length.  That length is counted
+    in O(log D) first and capped at CHAIN_MAX.
 
     The chain is certified rather than trusted: every digit must be at
     least 2 (no generator is the sum of its neighbours), every
@@ -245,6 +263,9 @@ def _hj_chain(u1: Vec2, u2: Vec2) -> list[Vec2]:
         raise ToricError("cone is not strictly convex (parallel rays)")
     dd, orientation = abs(d), (1 if d > 0 else -1)
     k = _hj_offset(u1, u2, dd)
+    if _chain_length(dd, k) > CHAIN_MAX:
+        raise ToricError(f"Hirzebruch-Jung chain length <= {CHAIN_MAX} required "
+                         f"(one vector per generator)")
     chain = [u1, ((k * u1[0] + u2[0]) // dd, (k * u1[1] + u2[1]) // dd)]
     for c in hirzebruch_jung_digits(dd, k):
         if c < 2:
@@ -292,14 +313,8 @@ def below_ring_regularity(a) -> RegularityVerdict:
     d = a11 * a22 - a12 * a21
     if d == 0:
         raise ToricError("matrix is singular")
-    g1, g2 = gcd(a11, a12), gcd(a21, a22)
-    (x1, y1), (x2, y2) = (a11 // g1, a12 // g1), (a21 // g2, a22 // g2)
-    prim_det = d // (g1 * g2)
-    # the dual rays: each primitive row turned a quarter, signed to pair
-    # positively with the other row; det(u1, u2) = prim_det
-    s = 1 if prim_det > 0 else -1
-    r = len(_hj_chain((s * y2, -s * x2), (-s * y1, s * x1)))
-    regular = abs(prim_det) == 1
+    r = len(_hj_chain(*dual_cone_2d(((a11, a12), (a21, a22)))))
+    regular = abs(d) == gcd(a11, a12) * gcd(a21, a22)
     if regular != (r == 2):  # pragma: no cover - the two criteria are equivalent
         raise CertificationError("determinant and Hilbert-basis criteria disagree")
     return RegularityVerdict(regular, r, d)

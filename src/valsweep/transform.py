@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import CertificationError
 from .qfield import QuadExt, convergents
-from .valuation import ValueElement, ValuationError
+from .valuation import ValueElement, ValuationError, _check_parameter_values
 
 
 class Branch(enum.Enum):
@@ -50,10 +50,7 @@ class TransformState(_TransformFields):
 
     def __new__(cls, a, param_values, branch=None) -> "TransformState":
         vx, vy = param_values
-        if vx.sign() <= 0 or vy.sign() <= 0:
-            raise ValuationError("parameter values must be positive")
-        if vx.i * vy.j - vx.j * vy.i == 0:
-            raise ValuationError("parameter values are rationally dependent")
+        _check_parameter_values(vx, vy)
         for row in a:
             if row[0] < 0 or row[1] < 0:
                 raise ValuationError("exponent matrix must be nonnegative")

@@ -112,6 +112,15 @@ def check_support(support: Iterable[Monomial]) -> list[Monomial]:
     return pairs
 
 
+def _check_parameter_values(val_u: ValueElement, val_v: ValueElement) -> None:
+    """Both values positive and rationally independent."""
+    if val_u.sign() <= 0 or val_v.sign() <= 0:
+        raise ValuationError("parameter values must be positive")
+    # (i1,j1)/n1 and (i2,j2)/n2 are Q-dependent iff (i1,j1) and (i2,j2) are parallel
+    if val_u.i * val_v.j - val_u.j * val_v.i == 0:
+        raise ValuationError("parameter values are rationally dependent")
+
+
 class MonomialValuation:
     """Valuation determined by exact values on the two parameters u, v.
 
@@ -121,12 +130,7 @@ class MonomialValuation:
 
     def __init__(self, val_u: ValueElement, val_v: ValueElement):
         val_u._check(val_v)
-        if val_u.sign() <= 0 or val_v.sign() <= 0:
-            raise ValuationError("parameter values must be positive")
-        # (i1,j1)/n1 and (i2,j2)/n2 are Q-dependent iff the integer vectors
-        # (i1,j1) and (i2,j2) are parallel.
-        if val_u.i * val_v.j - val_u.j * val_v.i == 0:
-            raise ValuationError("parameter values are rationally dependent")
+        _check_parameter_values(val_u, val_v)
         self.val_u = val_u
         self.val_v = val_v
 

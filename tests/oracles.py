@@ -1,21 +1,36 @@
-"""Brute-force oracles for the 2D semigroup computations.
+"""Independent oracles for the lattice, semigroup and quotient computations.
 
-These are the enumeration and search routines that production code
-replaced with the Hirzebruch-Jung recursion.  They share no logic with
-it, so tests compare the two: `enumerated_hilbert_basis` against
-`toric.hilbert_basis_2d`, and `filtered_minimal_generators` (a
-`semigroup_contains` filtering of the full invariant list) against the
-minimal set of `quotient.invariant_generators`.  `matmul` checks the
-Smith and adjugate certificates without the production `toric._matmul`.
-`cofactor_det` checks the closed-form 2x2 determinant of
-`toric.below_ring_regularity`.  `full_size_offset` derives the Hirzebruch-Jung offset k from a Bezout
-pair of the full-size ray, against which `toric._hj_offset`, which works
-on residues mod D, is compared.
+These are the enumeration, search and second-route derivations that
+production code replaced with one route each.  None shares logic with
+the route it checks, so tests compare the two:
+
+- `enumerated_hilbert_basis` against `toric.hilbert_basis_2d`;
+- `filtered_minimal_generators` (a `semigroup_contains` filtering of the
+  full invariant list) against the minimal set of
+  `quotient.invariant_generators`;
+- `brute_force_invariants`, which tests invariance with its own
+  congruence, against the invariant generators;
+- `adjugate_diagonal_action`, which reads the weights off adj(A) at the
+  quotient generator adj(U) det(U) e_2, against
+  `counterexample.derive_diagonal_action`, which reads them off V of the
+  same certified Smith form U A V = D;
+- `scanned_ramification_minors`, which finds i_1 and j_{p-1} by scanning
+  congruences, against the closed form of `quotient.ramification_minors`.
+
+`matmul` checks the Smith and adjugate certificates without the
+production `toric._matmul`.  `cofactor_det` checks the closed-form 2x2
+determinant of `toric.below_ring_regularity`.  `full_size_offset` derives
+the Hirzebruch-Jung offset k from a Bezout pair of the full-size ray,
+against which `toric._hj_offset`, which works on residues mod D, is
+compared.
 """
 
 from __future__ import annotations
 
-from valsweep.toric import SemigroupBasis, ToricError, _bezout, dual_cone_2d, primitive
+from valsweep.counterexample import ConfigError
+from valsweep.quotient import DiagonalAction, RamificationWitness
+from valsweep.toric import (SemigroupBasis, ToricError, _bezout, dual_cone_2d, primitive,
+                            smith_normal_form)
 
 Vec2 = tuple[int, int]
 
@@ -164,3 +179,35 @@ def filtered_minimal_generators(full: list[Vec2]) -> list[Vec2]:
                 minimal.remove(g)
                 changed = True
     return sorted(minimal)
+
+
+def brute_force_invariants(action: DiagonalAction, max_degree: int) -> list[Vec2]:
+    """All invariant monomials x^i y^j of total degree in (0, max_degree]."""
+    p, a, b = action
+    return sorted((i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)
+                  if i + j > 0 and (a * i + b * j) % p == 0)
+
+
+def adjugate_diagonal_action(matrix) -> DiagonalAction:
+    """The cyclic action of Z^2 / A Z^2 for a 2x2 A: the generator U^-1 e_2
+    of the quotient is column 2 of adj(U) det(U), and the weights are
+    adj(A) times it, mod |det A|."""
+    d = abs(cofactor_det(matrix))
+    form = smith_normal_form(matrix)
+    invariants = form.quotient_invariants()
+    if d == 0 or invariants != [d]:
+        raise ConfigError("cyclic quotient", f"quotient invariants {invariants} not cyclic")
+    (u11, u12), (u21, u22) = form.u
+    u_det = u11 * u22 - u12 * u21
+    g1, g2 = -u12 * u_det, u11 * u_det
+    (a11, a12), (a21, a22) = matrix
+    return DiagonalAction(d, (a22 * g1 - a12 * g2) % d, (a11 * g2 - a21 * g1) % d)
+
+
+def scanned_ramification_minors(action: DiagonalAction) -> RamificationWitness:
+    """The witnesses from the invariants x^(p-i) y^(j_i), b*j_i = a*i mod p:
+    i_1 and j_{p-1} found by scanning 0..p-1 for the congruence."""
+    p, a, b = action
+    i_1 = [a * i % p for i in range(p)].index(b)
+    j_last = [b * j % p for j in range(p)].index(a * (p - 1) % p)
+    return RamificationWitness(p, (0, p - 1 + j_last), (2 * p - 1 - i_1, 0))

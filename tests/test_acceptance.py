@@ -10,12 +10,12 @@ import json
 import random
 import time
 
-from oracles import enumerated_hilbert_basis, semigroup_contains
+from oracles import brute_force_invariants, enumerated_hilbert_basis, semigroup_contains
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import (InstanceConfig, Verdict, build,
                                      singularity_sweep)
 from valsweep.qfield import partial_quotients, tau_from_a
-from valsweep.quotient import (DiagonalAction, brute_force_invariants,
+from valsweep.quotient import (DiagonalAction,
                                invariant_generators, is_prime, pi1_order,
                                ramification_minors)
 from valsweep.toric import (adjugate_power_identity, below_ring_regularity,

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,13 +11,16 @@ from pathlib import Path
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import valsweep
 
 from valsweep import counterexample, toric
-from valsweep.cli import (EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
+from valsweep.cli import (COMMANDS, EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
                           STEPS_MAX, Report, UsageError, _write_json, main, parse_matrix)
+from valsweep.qfield import TAU_A_MAX
+from valsweep.quotient import ORDER_MAX
+from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
 
 def run(capsys, *argv):
@@ -279,6 +284,18 @@ class TestHostileSizes:
         assert err.startswith(f"error: violated constraint [integers of at most {limit} digits]")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [("hilbert", "--matrix=1,0,1,1000000000000"),
+                                      ("regularity", "--matrix=1000000000000,-1,0,1")])
+    def test_long_chain_rejected_at_once(self, capsys, argv):
+        # a Hirzebruch-Jung chain of 10^12 + 1 vectors, counted before it is built
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 0.1
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"error: Hirzebruch-Jung chain length <= {CHAIN_MAX} required "
+                       f"(one vector per generator)\n")
+
     def test_tau_at_worst_case_below_cap(self, capsys):
         # 999979 and 999983 are both prime: the slowest trial division under the cap
         res = self.timed(capsys, "tau", "--a", "999979")
@@ -438,3 +455,46 @@ class TestPackage:
             bare = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
                     and "AssertionError" in ast.unparse(node)]
             assert bare == [], f"{path.name}: AssertionError raised at lines {bare}"
+
+
+FLAGS = ["--q", "--p", "--m", "--n", "--steps", "--a", "--b", "--order", "--corrupt-step"]
+# one past each named cap, and inputs that fail in the parser or the commands
+CAPS_PLUS_ONE = [str(cap + 1) for cap in (STEPS_MAX, ORDER_MAX, TAU_A_MAX, SNF_N_MAX, CHAIN_MAX)]
+MALFORMED = ["", "x", "1.5", "-", "--", "1e3", "0x10", "+5", "-0", " 7 ", "\u0663", "nan"]
+INT_TOKENS = st.integers(-3, 40).map(str) | st.sampled_from(CAPS_PLUS_ONE + MALFORMED)
+MATRIX_TOKENS = (st.lists(st.integers(-6, 6), max_size=10).map(lambda xs: ",".join(map(str, xs)))
+                 | st.sampled_from([",".join(["1"] * (SNF_N_MAX + 1) ** 2),
+                                    f"1,0,1,{CHAIN_MAX}", f"{CHAIN_MAX},-1,0,1",
+                                    "1,,2,3", "a,b,c,d", "1,2,3", "-1,0,0,1"] + MALFORMED))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or a stray token) with a random subset of its flags."""
+    argv = [draw(st.sampled_from(sorted(COMMANDS) + ["", "bogus", "-h"]))]
+    for flag in draw(st.lists(st.sampled_from(FLAGS), unique=True)):
+        argv += [flag, draw(INT_TOKENS)]
+    matrix = draw(st.none() | MATRIX_TOKENS)
+    if matrix is not None:
+        argv += draw(st.sampled_from([[f"--matrix={matrix}"], ["--matrix", matrix]]))
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "text", "xml"]))]
+    return argv + draw(st.lists(st.sampled_from(["--bogus", "extra", "--steps"]), max_size=1))
+
+
+class TestArgvFuzz:
+    """No argv makes main raise, and every exit code is a documented one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argvs())
+    @example(["hilbert", f"--matrix=1,0,1,{CHAIN_MAX}"])
+    @example(["lemma5", "--order", str(ORDER_MAX + 1), "--a", "1", "--b", "2"])
+    @example(["counterexample", "--q", "11", "--p", "13", "--steps", "40",
+              "--corrupt-step", "40", "--format", "text"])
+    def test_main_never_raises(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_FALSIFIED, EXIT_CERTIFICATE)
+        assert "Traceback" not in err.getvalue()
+        assert (out.getvalue() == "") == (code == EXIT_USAGE), argv

@@ -1,11 +1,20 @@
-import pytest
+import functools
+import itertools
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from oracles import adjugate_diagonal_action
+from valsweep import counterexample, toric
 from valsweep.counterexample import (ConfigError, InstanceConfig, Verdict, build,
                                      certify_conflict, contradiction_report,
                                      derive_diagonal_action, singularity_sweep,
                                      validate_surface)
 from valsweep.qfield import QuadExt
-from valsweep.quotient import is_prime
+from valsweep.quotient import DiagonalAction, is_prime
+from valsweep.toric import det_int
 
 
 class TestConfig:
@@ -161,3 +170,66 @@ class TestDerivedAction:
         with pytest.raises(ConfigError):
             # unimodular matrix has trivial quotient, not a cyclic prime group
             derive_diagonal_action(((1, 1), (0, 1)))
+
+    def test_singular_matrix_is_not_cyclic(self):
+        # Z^2 / A Z^2 is infinite; its Smith invariants [0] equal [|det A|]
+        with pytest.raises(ConfigError) as exc:
+            derive_diagonal_action(((1, 2), (2, 4)))
+        assert exc.value.constraint == "cyclic quotient"
+
+
+def action_or_error(derive, matrix):
+    try:
+        return derive(matrix)
+    except Exception as exc:  # the two routes must fail alike
+        return type(exc), str(exc)
+
+
+@st.composite
+def prime_det_matrices(draw):
+    """L diag(1, +-p) R for a prime p and products L, R of four shears each,
+    with entries up to about p * 2^64: the quotient is cyclic of order p."""
+    p = draw(st.sampled_from([2, 3, 5, 11, 13, 97, 1009, 99991]))
+    m = ((1, 0), (0, p * draw(st.sampled_from([1, -1]))))
+    for side in (0, 1):
+        for k, t in enumerate(draw(st.tuples(*[st.integers(-2 ** 8, 2 ** 8)] * 4))):
+            e = ((1, t), (0, 1)) if k % 2 == 0 else ((1, 0), (t, 1))
+            a, b = (e, m) if side == 0 else (m, e)
+            m = tuple(tuple(sum(a[i][j] * b[j][l] for j in range(2)) for l in range(2))
+                      for i in range(2))
+    return m
+
+
+class TestDerivedActionOracle:
+    """The Smith-V route of derive_diagonal_action against the adjugate
+    route of oracles.adjugate_diagonal_action."""
+
+    def test_exhaustive_small_entries(self, monkeypatch):
+        # both routes read the same certified Smith form, so it is computed
+        # once per matrix; the routes differ only in how they read it
+        snf = functools.cache(toric.smith_normal_form)
+        monkeypatch.setattr(counterexample, "smith_normal_form", snf)
+        monkeypatch.setattr(oracles, "smith_normal_form", snf)
+        actions = 0
+        for entries in itertools.product(range(-6, 7), repeat=4):
+            matrix = (entries[:2], entries[2:])
+            smith = action_or_error(derive_diagonal_action, matrix)
+            assert smith == action_or_error(adjugate_diagonal_action, matrix), matrix
+            actions += isinstance(smith, DiagonalAction)
+        assert actions == 6248
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*[st.integers(-2 ** 64, 2 ** 64)] * 4))
+    @example((0, 0, 0, 0))
+    @example((2 ** 64, 2 ** 64 - 1, 2 ** 64 + 1, 2 ** 64))  # det 1
+    def test_large_entries(self, entries):
+        matrix = (entries[:2], entries[2:])
+        assert (action_or_error(derive_diagonal_action, matrix)
+                == action_or_error(adjugate_diagonal_action, matrix))
+
+    @settings(max_examples=150, deadline=None)
+    @given(prime_det_matrices())
+    def test_large_entries_prime_order(self, matrix):
+        action = derive_diagonal_action(matrix)
+        assert action == adjugate_diagonal_action(matrix)
+        assert action.order == abs(det_int(matrix))

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from oracles import filtered_minimal_generators, semigroup_contains
+from oracles import brute_force_invariants, filtered_minimal_generators, semigroup_contains
+from oracles import scanned_ramification_minors
 from valsweep import quotient
 from valsweep.quotient import (DiagonalAction, QuotientError,
-                               brute_force_invariants, invariant_generators,
+                               invariant_generators,
                                is_prime, is_regular, pi1_order,
                                ramification_minors)
 
@@ -120,6 +121,13 @@ class TestRamification:
             assert wit.y_witness == (0, p - 1 + jmap[p - 1])
             i_1 = next(i for i, j in jmap.items() if j == 1)
             assert wit.x_witness == (2 * p - 1 - i_1, 0)
+
+
+    def test_closed_form_matches_scan(self):
+        for p in filter(is_prime, range(98)):
+            for a, b in itertools.product(range(1, p), repeat=2):
+                action = DiagonalAction(p, a, b)
+                assert ramification_minors(action) == scanned_ramification_minors(action)
 
 
 class TestPi1:

@@ -14,6 +14,7 @@ from oracles import (cofactor_det, enumerated_hilbert_basis, full_size_offset, i
                      matmul, semigroup_contains)
 from valsweep import toric
 from valsweep.errors import CertificationError
+from valsweep.quotient import ORDER_MAX
 from valsweep.toric import (SemigroupBasis, ToricError, adjugate,
                             adjugate_power_identity, below_ring_regularity,
                             det_int, dual_cone_2d, hilbert_basis_2d,
@@ -403,3 +404,52 @@ class TestPrimitive:
     def test_zero_rejected(self):
         with pytest.raises(ToricError):
             primitive((0, 0))
+
+
+def from_partial_quotients(quotients):
+    """(D, k) with D/k = [a_1; a_2, ..., a_n]."""
+    d, k = quotients[-1], 1
+    for a in reversed(quotients[:-1]):
+        d, k = a * d + k, d
+    return d, k
+
+
+class TestChainLength:
+    """The chain length counted from the continued fraction of D/k, before
+    any chain is built, and the cap it is checked against."""
+
+    def test_matches_digit_count_exhaustively(self):
+        count = 0
+        for dd in range(1, 500):
+            for k in range(dd):
+                if gcd(dd, k) == 1:
+                    assert toric._chain_length(dd, k) == 2 + len(hirzebruch_jung_digits(dd, k))
+                    count += 1
+        assert count == 75916
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 100), min_size=1, max_size=30))
+    def test_matches_digit_count_for_large_d(self, quotients):
+        dd, k = from_partial_quotients(quotients)
+        assert toric._chain_length(dd, k) == 2 + len(hirzebruch_jung_digits(dd, k))
+
+    def test_cap_admits_every_quotient_order(self):
+        # a chain over |det| = D has at most D + 1 vectors
+        assert toric.CHAIN_MAX >= ORDER_MAX + 1
+
+    def test_boundary(self):
+        # cone((1, 0), (1, D)) has the D + 1 generators (1, j), 0 <= j <= D
+        chain = toric._hj_chain((1, 0), (1, toric.CHAIN_MAX - 1))
+        assert len(chain) == toric.CHAIN_MAX
+        assert chain[-1] == (1, toric.CHAIN_MAX - 1)
+        with pytest.raises(ToricError, match=f"chain length <= {toric.CHAIN_MAX} required"):
+            toric._hj_chain((1, 0), (1, toric.CHAIN_MAX))
+
+    @pytest.mark.parametrize("matrix", [((10 ** 12, -1), (0, 1)), ((10 ** 5000, -1), (0, 1))])
+    def test_regularity_rejects_long_chain(self, matrix):
+        with pytest.raises(ToricError, match="chain length"):
+            below_ring_regularity(matrix)
+
+    def test_short_chain_at_huge_det(self):
+        basis = hilbert_basis_2d(((1, 0), (-1, 10 ** 12)))
+        assert basis.generators == ((-1, 10 ** 12), (0, 1), (1, 0))
