@@ -11,16 +11,22 @@ failed its own check (a defect in valsweep, not in the input).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from json.encoder import encode_basestring_ascii
-from math import isqrt
-from typing import Any, NamedTuple
+from itertools import islice
+from math import inf, isqrt
+from typing import Any, NamedTuple, Sequence
+
+# The JSON report needs only json's C string encoder.  Importing json itself
+# costs a process about 1.4 ms, so only text reports import it.
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # pragma: no cover - an interpreter without CPython's _json
+    from json.encoder import encode_basestring_ascii
 
 from . import counterexample as cx
 from .errors import CertificationError
-from .qfield import QFieldError, convergents, tau_from_a
+from .qfield import QFieldError, iter_convergents, tau_from_a
 from .quotient import (DiagonalAction, QuotientError, invariant_generators,
                        pi1_order, ramification_minors)
 from .toric import ToricError, below_ring_regularity, hilbert_basis_2d, smith_normal_form
@@ -41,8 +47,9 @@ class UsageError(ValueError):
 
 # Matrix entries grow linearly in the step count, so time and stdout grow
 # about quadratically: `counterexample --q 11 --p 13` at the cap takes
-# about 10 s and 580 MB peak RSS end to end (2-CPU x86-64, CPython 3.11)
-# and prints 205 MB.
+# about 6 s and 290 MB peak RSS end to end (os.wait4 on a 2-CPU x86-64
+# host, CPython 3.11) and prints 205 MB; most of the time goes to
+# converting the entries to decimal.
 STEPS_MAX = 20_000
 
 
@@ -65,6 +72,71 @@ def _digit_limit_error() -> cx.ConfigError:
                           "int-to-str conversion limit")
 
 
+# Stand-ins for the values in a record skeleton: an int, and a text value
+# that a row holds already JSON-encoded.
+_INT, _TEXT = "\0d", "\0s"
+_PAIR = [_INT, _INT]
+
+# Rows are rendered and joined per block, so the report is held as a few
+# large blocks and no join copies more than one block.
+_BLOCK_ROWS = 512
+_BLOCK_BYTES = 1 << 16
+
+
+class Records:
+    """A list of records of one shape, rendered from one `%` template.
+
+    `skeleton` is one record with `_INT` and `_TEXT` in place of its
+    values.  Each row holds a record's values in the order they appear
+    in the sorted-key rendering of the skeleton.  (Not a NamedTuple,
+    whose class creation every import would pay for.)
+    """
+
+    __slots__ = ("skeleton", "rows")
+
+    def __init__(self, skeleton: Any, rows: Sequence[tuple]):
+        self.skeleton = skeleton
+        self.rows = rows
+
+
+def _template(skeleton: Any, newline: str | None) -> str:
+    """The `%` template of one record: json.dumps(record, sort_keys=True,
+    indent=2) at the indent that `newline` ends with, or
+    json.dumps(record, sort_keys=True) on one line when newline is None."""
+    if newline is None:
+        import json  # text reports only
+        text = json.dumps(skeleton, sort_keys=True)
+    else:
+        out: list[str] = []
+        _write_json(skeleton, newline, out)
+        text = "".join(out)
+    return (text.replace("%", "%%").replace('"\\u0000d"', "%d")
+            .replace('"\\u0000s"', "%s"))
+
+
+def _write_rows(records: Records, template: str, sep: str, out: list[str]) -> None:
+    """Append the rows rendered through template, sep between rows."""
+    rows = records.rows
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = list(map(template.__mod__, rows[start:start + _BLOCK_ROWS]))
+        if start + _BLOCK_ROWS < len(rows):
+            block.append("")  # the separator before the next block
+        out.append(sep.join(block))
+
+
+def _blocks(chunks: list[str]) -> list[str]:
+    """The chunks with each run of short ones joined: a few large blocks."""
+    blocks, start = [], 0
+    for k, chunk in enumerate(chunks):
+        if len(chunk) >= _BLOCK_BYTES:
+            if k > start:
+                blocks.append("".join(chunks[start:k]))
+            blocks.append(chunk)
+            start = k + 1
+    blocks.append("".join(chunks[start:]))
+    return blocks
+
+
 class Report(NamedTuple):
     command: str
     inputs: dict[str, Any]
@@ -76,17 +148,17 @@ class Report(NamedTuple):
                 "inputs": self.inputs, "results": self.results,
                 "verdict": self.verdict}
 
-    def render(self, fmt: str) -> str:
+    def render(self, fmt: str) -> list[str]:
+        """The report as a few blocks of text, without a final newline."""
         if fmt == "json":
             out: list[str] = []
             _write_json(self.payload(), "\n", out)
-            return "".join(out)
-        lines = [f"command: {self.command}", f"verdict: {self.verdict}", "inputs:"]
-        for k in sorted(self.inputs):
-            lines.append(f"  {k}: {self.inputs[k]}")
-        lines.append("results:")
-        lines.extend(_render_text(self.results, "  "))
-        return "\n".join(lines)
+            return _blocks(out)
+        out = [f"command: {self.command}\nverdict: {self.verdict}\ninputs:"]
+        _write_text(self.inputs, "\n  ", out)
+        out.append("\nresults:")
+        _write_text(self.results, "\n  ", out)
+        return _blocks(out)
 
 
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
@@ -94,8 +166,9 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
 
     The standard library drops to its pure-Python encoder whenever an
     indent is set; this writer covers the report's value types (dicts
-    with str keys, lists, tuples, str, int, bool and None) and joins
-    once.  `newline` is a newline followed by the current indent.
+    with str keys, lists, tuples, str, int, bool and None) and renders
+    `Records` as the list of their records.  `newline` is a newline
+    followed by the current indent.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -107,15 +180,19 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif type(value) is Records:
+        if not value.rows:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        _write_rows(value, _template(value.skeleton, inner), "," + inner, out)
+        out.append(newline + "]")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(v) is int for v in value):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
-                       + newline + "]")
-            return
         sep = "[" + inner
         for v in value:
             out.append(sep)
@@ -137,20 +214,28 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _render_text(value: Any, indent: str) -> list[str]:
-    lines = []
-    if isinstance(value, dict):
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{indent}{k}:")
-                lines.extend(_render_text(v, indent + "  "))
-            else:
-                lines.append(f"{indent}{k}: {v}")
-    elif isinstance(value, list):
-        for v in value:
-            lines.append(f"{indent}- {json.dumps(v, sort_keys=True)}")
-    return lines
+def _write_text(value: dict[str, Any], newline: str, out: list[str]) -> None:
+    """Append the text lines of a dict: `key: value` for a scalar, nested
+    dicts indented, and a `- ` line of one-line JSON per list item.
+    `newline` is a newline followed by the current indent."""
+    for k in sorted(value):
+        v = value[k]
+        if isinstance(v, dict):
+            out.append(f"{newline}{k}:")
+            _write_text(v, newline + "  ", out)
+        elif type(v) is Records:
+            out.append(f"{newline}{k}:")
+            if v.rows:
+                item = newline + "  - "
+                out.append(item)
+                _write_rows(v, _template(v.skeleton, None), item, out)
+        elif isinstance(v, list):
+            import json  # text reports only
+            out.append(f"{newline}{k}:")
+            for x in v:
+                out.append(f"{newline}  - {json.dumps(x, sort_keys=True)}")
+        else:
+            out.append(f"{newline}{k}: {v}")
 
 
 def parse_matrix(text: str) -> list[list[int]]:
@@ -193,17 +278,26 @@ def cmd_convergents(args) -> Report:
     _require(args, "a")
     count = _steps(args, 10)
     tau = tau_from_a(args.a)
-    cs = convergents(tau, count)
-    # the last numerator is the largest entry: a report that cannot print
-    # it fails here, before the unimodularity check, whose cost grows with it
-    try:
-        int.__repr__(cs[-1].f)
-    except ValueError:
-        raise _digit_limit_error() from None
-    unimodular = all(cs[k - 1].f * cs[k].g - cs[k].f * cs[k - 1].g in (-1, 1)
-                     for k in range(1, len(cs)))
+    if count <= 0:
+        raise QFieldError("count must be positive")
+    # the numerators are the largest entries: generation stops at the first
+    # one that no report could print
+    limit = sys.get_int_max_str_digits()
+    too_long = 10 ** limit if limit else inf
+    rows: list[tuple[int, int]] = []
+    unimodular = True
+    for a, (f, g, k) in islice(iter_convergents(tau), count):
+        if f >= too_long:
+            raise _digit_limit_error()
+        if k == 1:  # the one base determinant
+            (f1, g1), = rows
+            unimodular = f1 * g - f * g1 in (-1, 1)
+        elif k > 1:  # both recurrences hold, so det_k = -det_(k-1)
+            (f2, g2), (f1, g1) = rows[-2:]
+            unimodular = unimodular and f == a * f1 + f2 and g == a * g1 + g2
+        rows.append((f, g))
     res = {"tau": _quad_json(tau),
-           "convergents": [[c.f, c.g] for c in cs],
+           "convergents": Records(_PAIR, rows),
            "unimodular": unimodular}
     return Report("convergents", {"a": args.a, "count": count}, res,
                   "Verified" if unimodular else "Falsified")
@@ -224,8 +318,11 @@ def cmd_value(args) -> Report:
     support = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
     val = _standard_valuation(args.a)
     res_val = val.value_of(support)
-    res = {"support": sorted(map(list, support)), "value": _value_json(res_val)}
+    res = {"support": Records(_PAIR, sorted(support)), "value": _value_json(res_val)}
     return Report("value", {"a": args.a, "matrix": args.matrix}, res, "Verified")
+
+
+_STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "step_index": _INT}
 
 
 def cmd_transform(args) -> Report:
@@ -237,15 +334,16 @@ def cmd_transform(args) -> Report:
                               ValueElement.make(1, 0, 1, tau)))
     states = run_sequence(initial, steps)
     det0 = states[0].det
-    records = []
+    ok = True
+    rows = []
     for k, st in enumerate(states):
-        records.append({"step_index": k,
-                        "A": [list(st.a[0]), list(st.a[1])],
-                        "det": st.det,
-                        "branch": st.branch.value if st.branch is not None else None})
-    ok = all(st.det == det0 for st in states)
+        (a, b), (c, d) = st.a
+        det = st.det
+        ok = ok and det == det0
+        branch = "null" if st.branch is None else encode_basestring_ascii(st.branch.value)
+        rows.append((a, b, c, d, branch, det, k))
     return Report("transform", {"a": args.a, "steps": steps},
-                  {"states": records, "det_constant": ok},
+                  {"states": Records(_STATE, rows), "det_constant": ok},
                   "Verified" if ok else "Falsified")
 
 
@@ -266,8 +364,8 @@ def cmd_hilbert(args) -> Report:
     if len(a) != 2:
         raise UsageError("--matrix: hilbert expects two 2D rays (4 entries)")
     basis = hilbert_basis_2d(((a[0][0], a[0][1]), (a[1][0], a[1][1])))
-    res = {"rays": [list(r) for r in basis.rays],
-           "generators": sorted(map(list, basis.generators)),
+    res = {"rays": Records(_PAIR, basis.rays),
+           "generators": Records(_PAIR, sorted(basis.generators)),
            "count": len(basis.generators)}
     return Report("hilbert", {"matrix": args.matrix}, res, "Verified")
 
@@ -287,8 +385,8 @@ def cmd_lemma5(args) -> Report:
     _require(args, "order", "a", "b")
     action = DiagonalAction(args.order, args.a, args.b)
     full, minimal = invariant_generators(action)
-    res = {"full_generators": sorted(map(list, full)),
-           "minimal_generators": sorted(map(list, minimal)),
+    res = {"full_generators": Records(_PAIR, sorted(full)),
+           "minimal_generators": Records(_PAIR, sorted(minimal)),
            "pi1": pi1_order(action)}
     if action.a != 0 and action.b != 0:
         wit = ramification_minors(action)
@@ -297,6 +395,16 @@ def cmd_lemma5(args) -> Report:
             "x_power": list(wit.x_witness), "y_power": list(wit.y_witness)}
     return Report("lemma5", {"order": args.order, "a": args.a, "b": args.b},
                   res, "Verified")
+
+
+_STEP = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "embedding_dim": _INT,
+         "regularity": _TEXT, "step": _INT}
+
+
+def _step_records(records: Sequence[cx.StepRecord]) -> Records:
+    return Records(_STEP, [(a, b, c, d, encode_basestring_ascii(branch), det, dim,
+                            '"Regular"' if regular else '"Singular"', step)
+                           for branch, step, ((a, b), (c, d)), det, regular, dim in records])
 
 
 def cmd_counterexample(args) -> Report:
@@ -320,10 +428,7 @@ def cmd_counterexample(args) -> Report:
         "epsilon": _quad_json(instance.epsilon),
         "charts": [{"chart": c.chart, "u_correction": list(c.u_correction),
                     "v_correction": list(c.v_correction)} for c in charts],
-        "steps": [{"branch": r.branch, "step": r.step,
-                   "A": [list(r.matrix[0]), list(r.matrix[1])], "det": r.det,
-                   "regularity": "Regular" if r.regular else "Singular",
-                   "embedding_dim": r.embedding_dim} for r in sweep.records],
+        "steps": _step_records(sweep.records),
     }
     if sweep.verdict is cx.Verdict.VERIFIED:
         contradiction = cx.certify_conflict(instance, sweep)
@@ -398,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         report = COMMANDS[args.command](args)
         elapsed_ms = (time.monotonic() - start) * 1000.0
         try:
-            text = report.render(args.format)
+            blocks = report.render(args.format)
         except ValueError:  # an int past sys.get_int_max_str_digits()
             raise _digit_limit_error() from None
     except (UsageError, QFieldError, ValuationError, ToricError, QuotientError) as exc:
@@ -410,7 +515,10 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"error: certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    print(text)
+    write = sys.stdout.write
+    for block in blocks:
+        write(block)
+    write("\n")
     print(f"timing_ms: {elapsed_ms:.1f}", file=sys.stderr)
     return EXIT_FALSIFIED if report.verdict == "Falsified" else EXIT_OK
 

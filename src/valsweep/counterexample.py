@@ -227,25 +227,23 @@ def singularity_sweep(instance: Instance, steps: int,
     substitutes matrices at chosen (branch, step) keys so the
     falsification channel itself can be exercised.
     """
-    inject = inject or {}
     records = []
     falsification = None
     for branch in instance.branches:
+        name, order = branch.name, branch.order
         state = TransformState(branch.matrix, branch.chart_values)
-        prev = reg = None
+        prev = None
         for step in range(steps + 1):
-            matrix = inject.get((branch.name, step), state.a)
+            matrix = inject.get((name, step), state.a) if inject else state.a
             if prev is None or not _elementary_successor(prev, matrix):
-                reg = below_ring_regularity(matrix)
-            records.append(StepRecord(branch.name, step, matrix, reg.det,
-                                      reg.regular, reg.embedding_dim))
-            if falsification is None:
-                if reg.regular:
-                    falsification = (f"branch {branch.name} step {step}: "
-                                     f"ring below is regular")
-                elif abs(reg.det) != branch.order:
-                    falsification = (f"branch {branch.name} step {step}: "
-                                     f"|det|={abs(reg.det)} != {branch.order}")
+                regular, dim, det = below_ring_regularity(matrix)
+                # a carried verdict was judged at the step that computed it
+                if falsification is None:
+                    if regular:
+                        falsification = f"branch {name} step {step}: ring below is regular"
+                    elif abs(det) != order:
+                        falsification = f"branch {name} step {step}: |det|={abs(det)} != {order}"
+            records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             prev = matrix
             if step < steps:
                 state = quadratic_step(state)
@@ -259,6 +257,9 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     U A V = diag(1, d) holds the quotient's generator U^-1 e_2, and
     adj(A) U^-1 e_2 = sign(det A) V e_2: the weights are sign(det A) times
     column 2 of V, mod d."""
+    if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
+        raise ConfigError("2x2 matrix", f"a two-variable action needs a 2x2 exponent "
+                                        f"matrix, got row lengths {[len(r) for r in matrix]}")
     det = det_int(matrix)
     form = smith_normal_form(matrix)
     invariants = form.quotient_invariants()

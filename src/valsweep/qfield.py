@@ -7,8 +7,9 @@ exact integer sign tests; no floating point enters the certified path.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CertificationError
 
@@ -164,9 +165,6 @@ class QuadExt(NamedTuple):
             n -= 1
         return n
 
-    def __float__(self) -> float:
-        return (self.s + self.t * self.d ** 0.5) / self.r
-
     def __repr__(self) -> str:
         return f"({self.s}+{self.t}*sqrt({self.d}))/{self.r}"
 
@@ -206,30 +204,43 @@ class Convergent(NamedTuple):
     index: int
 
 
-def partial_quotients(x: QuadExt, count: int):
-    """First `count` partial quotients of x by exact floor-and-invert."""
-    out = []
-    for _ in range(count):
+def _quotient_stream(x: QuadExt) -> Iterator[int]:
+    """The partial quotients of x by exact floor-and-invert, lazily."""
+    while True:
         a = x.floor()
-        out.append(a)
+        yield a
         x = (x - a).inverse()
-    return out
 
 
-def convergents(x: QuadExt, count: int) -> list[Convergent]:
-    """First `count` convergents of an irrational x > 0."""
+def partial_quotients(x: QuadExt, count: int) -> list[int]:
+    """First `count` partial quotients of x."""
+    return list(islice(_quotient_stream(x), count))
+
+
+def iter_convergents(x: QuadExt) -> Iterator[tuple[int, Convergent]]:
+    """Each partial quotient a_k of an irrational x > 0 with its convergent
+    f_k/g_k, lazily: f_k = a_k*f_{k-1} + f_{k-2} from f_{-1}, f_{-2} = 1, 0,
+    and the same for g from g_{-1}, g_{-2} = 0, 1."""
     if x.t == 0:
         raise QFieldError("convergents require an irrational input")
     if x.sign() <= 0:
         raise QFieldError("convergents require x > 0")
-    if count <= 0:
-        raise QFieldError("count must be positive")
-    out = []
+    return _convergent_stream(x)
+
+
+def _convergent_stream(x: QuadExt) -> Iterator[tuple[int, Convergent]]:
     f_prev, g_prev = 1, 0
     f_pprev, g_pprev = 0, 1
-    for k, a in enumerate(partial_quotients(x, count)):
+    for k, a in enumerate(_quotient_stream(x)):
         f, g = a * f_prev + f_pprev, a * g_prev + g_pprev
-        out.append(Convergent(f, g, k))
+        yield a, Convergent(f, g, k)
         f_pprev, g_pprev = f_prev, g_prev
         f_prev, g_prev = f, g
-    return out
+
+
+def convergents(x: QuadExt, count: int) -> list[Convergent]:
+    """First `count` convergents of an irrational x > 0."""
+    stream = iter_convergents(x)  # checks x before count
+    if count <= 0:
+        raise QFieldError("count must be positive")
+    return [c for _, c in islice(stream, count)]

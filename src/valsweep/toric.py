@@ -42,10 +42,17 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def det_int(a) -> int:
     """Exact determinant by cofactor expansion (small n only)."""
-    m = as_int_matrix(a)
+    return _det(as_int_matrix(a))
+
+
+def _det(m: Matrix) -> int:
+    """det_int of an already validated matrix: the minors are not checked again."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
     if len(m) == 1:
         return m[0][0]
-    return sum((-1) ** k * m[0][k] * det_int(_minor(m, 0, k)) for k in range(len(m)))
+    return sum((-1) ** k * m[0][k] * _det(_minor(m, 0, k)) for k in range(len(m)))
 
 
 def adjugate(a) -> Matrix:
@@ -54,7 +61,7 @@ def adjugate(a) -> Matrix:
     n = len(m)
     if n == 1:
         return ((1,),)
-    return tuple(tuple((-1) ** (i + j) * det_int(_minor(m, j, i)) for j in range(n))
+    return tuple(tuple((-1) ** (i + j) * _det(_minor(m, j, i)) for j in range(n))
                  for i in range(n))
 
 
@@ -139,7 +146,7 @@ def smith_normal_form(a) -> SmithForm:
     n = len(a)
     if _matmul(_matmul(u, a), v) != d or any(d[i][j] for i in range(n) for j in range(n) if i != j):
         raise CertificationError(f"Smith certificate fails: U A V != D = {d}")
-    if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
+    if abs(_det(u)) != 1 or abs(_det(v)) != 1:
         raise CertificationError("Smith certificate fails: U or V is not unimodular")
     form = SmithForm(u, d, v)
     diag = form.diagonal()
@@ -336,7 +343,7 @@ def adjugate_power_identity(a) -> PowerIdentityCertificate:
     the det(A)-th power of the single parameter above indexed by i.
     """
     m = as_int_matrix(a)
-    d = det_int(m)
+    d = _det(m)
     if d == 0:
         raise ToricError("matrix is singular")
     adj = adjugate(m)

@@ -10,10 +10,11 @@ det(A) is constant along the sequence.
 from __future__ import annotations
 
 import enum
+from math import gcd
 from typing import NamedTuple
 
 from .errors import CertificationError
-from .qfield import QuadExt, convergents
+from .qfield import QuadExt, convergents, sign_of
 from .valuation import ValueElement, ValuationError, _check_parameter_values
 
 
@@ -40,8 +41,9 @@ class _TransformFields(NamedTuple):
 class TransformState(_TransformFields):
     """A validated transform state.
 
-    The constructor checks outside input in full: both values positive,
-    rationally independent, and A nonnegative with no zero row.
+    The constructor checks outside input in full: both values over the
+    same tau, positive, rationally independent, and A nonnegative with no
+    zero row.
     `quadratic_step` builds its successor without re-running the checks,
     which its own exact sign test and the unimodular step carry over.
     """
@@ -50,6 +52,7 @@ class TransformState(_TransformFields):
 
     def __new__(cls, a, param_values, branch=None) -> "TransformState":
         vx, vy = param_values
+        vx._check(vy)
         _check_parameter_values(vx, vy)
         for row in a:
             if row[0] < 0 or row[1] < 0:
@@ -76,26 +79,31 @@ def quadratic_step(state: TransformState) -> TransformState:
     which adds column 1 of A into column 2; symmetrically otherwise.  Ties
     cannot occur for rationally independent values.
 
-    The new state skips the constructor's checks, which hold by
-    induction: the exact sign of vx - vy certifies the new value, the
-    other value is unchanged, and the step maps (vx, vy) and the columns
-    of A by a unimodular column operation, which keeps the values
-    rationally independent and A nonnegative with no zero row.
+    The step works on the integer fields: vx - vy = (i + j*tau)/n takes
+    one gcd to reach the canonical form of `ValueElement.make`, and its
+    sign is decided exactly on the numerator.  The new state skips the
+    constructor's checks, which hold by induction: that sign certifies
+    the new value, the other value and tau are unchanged, and the step
+    maps (vx, vy) and the columns of A by a unimodular column operation,
+    which keeps the values rationally independent and A nonnegative with
+    no zero row.
     """
-    vx, vy = state.param_values
-    diff = vx - vy
-    s = diff.sign()
-    if s == 0:  # pragma: no cover - excluded by rational independence
+    (vx, vy), ((a, b), (c, d)) = state.param_values, state.a
+    i1, j1, n1, tau = vx
+    i2, j2, n2, _ = vy
+    i, j, n = i1 * n2 - i2 * n1, j1 * n2 - j2 * n1, n1 * n2
+    s = sign_of(i * tau.r + j * tau.s, j * tau.t, tau.d)  # n > 0 and tau.r > 0
+    if s == 0:  # excluded by rational independence
         raise CertificationError("equal parameter values: rational independence violated")
-    (a, b), (c, d) = state.a
+    g = gcd(n, i, j)  # the small denominator first keeps this linear in bits
     if s > 0:
         branch = Branch.DIVIDE_SECOND_INTO_FIRST
         new_a = ((a, a + b), (c, c + d))
-        new_vals = (diff, vy)
+        new_vals = (tuple.__new__(ValueElement, (i // g, j // g, n // g, tau)), vy)
     else:
         branch = Branch.DIVIDE_FIRST_INTO_SECOND
         new_a = ((a + b, b), (c + d, d))
-        new_vals = (vx, -diff)
+        new_vals = (vx, tuple.__new__(ValueElement, (-i // g, -j // g, n // g, tau)))
     return tuple.__new__(TransformState, (new_a, new_vals, branch))
 
 

@@ -88,9 +88,6 @@ class ValueElement(NamedTuple):
     def __ge__(self, other):
         return (self - other).sign() >= 0
 
-    def __float__(self) -> float:
-        return (self.i + self.j * float(self.tau)) / self.n
-
     def __repr__(self) -> str:
         return f"({self.i}+{self.j}*tau)/{self.n}"
 

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import valsweep
 
-from valsweep import counterexample, toric
+from valsweep import cli, counterexample, toric
 from valsweep.cli import (COMMANDS, EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
                           STEPS_MAX, Report, UsageError, _write_json, main, parse_matrix)
-from valsweep.qfield import TAU_A_MAX
+from valsweep.qfield import TAU_A_MAX, convergents, tau_from_a
 from valsweep.quotient import ORDER_MAX
 from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
@@ -302,6 +302,63 @@ class TestHostileSizes:
         assert res["tau"] == {"s": 999979, "t": 1, "r": 2, "d": 999979 * 999983}
 
 
+class TestConvergentsCheck:
+    """Unimodularity from one base determinant and the recurrence at every
+    later step; generation stops at the first numerator past the digit limit."""
+
+    def tampered(self, monkeypatch, index, df, dg):
+        real = cli.iter_convergents
+
+        def stream(tau):
+            for a, c in real(tau):
+                yield a, (c._replace(f=c.f + df, g=c.g + dg) if c.index == index else c)
+
+        monkeypatch.setattr(cli, "iter_convergents", stream)
+
+    @pytest.mark.parametrize("index, df, dg", [(1, 1, 0), (2, 0, 1), (5, 7, 0), (9, 0, -1)])
+    def test_broken_convergent_falsifies(self, capsys, monkeypatch, index, df, dg):
+        self.tampered(monkeypatch, index, df, dg)
+        code, payload, _ = run_json(capsys, "convergents", "--a", "7", "--steps", "10")
+        assert code == EXIT_FALSIFIED
+        assert payload["results"]["unimodular"] is False
+
+    def test_recurrence_carries_the_base_determinant(self, capsys, monkeypatch):
+        # (15, 2) in place of (7, 1) still has determinant -1 with (8, 1), so
+        # only the recurrence at k = 2 can catch it: 63 != 7 * 8 + 15
+        self.tampered(monkeypatch, 0, 8, 1)
+        code, payload, _ = run_json(capsys, "convergents", "--a", "7", "--steps", "3")
+        assert payload["results"]["convergents"][0] == [15, 2]
+        assert code == EXIT_FALSIFIED
+
+    def test_stops_at_the_first_numerator_past_the_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        cs = convergents(tau_from_a(999979), 1500)
+        last = next(k for k, c in enumerate(cs) if c.f >= 10 ** limit)
+        code, out, _ = run(capsys, "convergents", "--a", "999979", "--steps", str(last))
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["convergents"][-1] == [cs[last - 1].f, cs[last - 1].g]
+        calls = []
+        real = cli.iter_convergents
+
+        def counted(tau):
+            for item in real(tau):
+                calls.append(item)
+                yield item
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "iter_convergents", counted)
+            code, out, err = run(capsys, "convergents", "--a", "999979",
+                                 "--steps", str(STEPS_MAX))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"[integers of at most {limit} digits]" in err
+        assert len(calls) == last + 1
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_count_must_be_positive(self, capsys, steps):
+        code, out, err = run(capsys, "convergents", "--a", "7", "--steps", steps)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: count must be positive\n")
+
+
 class TestNegativeMatrixEntries:
     @pytest.mark.parametrize("argv", [("snf", "-1,0,0,1"), ("snf", "-3,2,5,-7"),
                                       ("hilbert", "-1,2,3,-7"), ("regularity", "-7,9,2,1"),
@@ -405,7 +462,8 @@ class TestJsonWriter:
     def test_report_render(self):
         report = Report("x", {"q": 11}, {"steps": [{"A": [[1, 2], [3, 4]], "ok": True}]},
                         "Verified")
-        assert report.render("json") == json.dumps(report.payload(), sort_keys=True, indent=2)
+        assert "".join(report.render("json")) == json.dumps(report.payload(), sort_keys=True,
+                                                            indent=2)
 
 
 class TestDeterminism:

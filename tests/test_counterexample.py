@@ -177,6 +177,23 @@ class TestDerivedAction:
             derive_diagonal_action(((1, 2), (2, 4)))
         assert exc.value.constraint == "cyclic quotient"
 
+    @pytest.mark.parametrize("matrix", [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 5)),  # was DiagonalAction(5, 0, 1)
+        ((1, 0, 0), (0, 5, 0), (0, 0, 1)),  # was QuotientError
+        ((5,),), ((1, 2), (3, 4), (5, 6)), ((1, 2, 3), (4, 5, 6))])
+    def test_not_2x2_rejected(self, matrix):
+        with pytest.raises(ConfigError) as exc:
+            derive_diagonal_action(matrix)
+        assert exc.value.constraint == "2x2 matrix"
+
+    def test_large_matrix_rejected_at_once(self, monkeypatch):
+        # a cofactor determinant of this matrix would take 200! terms
+        monkeypatch.setattr(counterexample, "det_int", None)
+        big = tuple(tuple(int(i == j) for j in range(200)) for i in range(200))
+        with pytest.raises(ConfigError) as exc:
+            derive_diagonal_action(big)
+        assert exc.value.constraint == "2x2 matrix"
+
 
 def action_or_error(derive, matrix):
     try:

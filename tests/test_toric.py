@@ -51,6 +51,28 @@ class TestAdjugate:
         assert matmul(a, adjugate(a)) == eye(3, 7)
 
 
+class TestDeterminant:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_matches_cofactor_oracle(self, a):
+        assert det_int(a) == cofactor_det(a)
+
+    def test_validates_once(self, monkeypatch):
+        # the minors of a validated matrix are expanded without re-validation
+        calls = []
+        real = toric.as_int_matrix
+        monkeypatch.setattr(toric, "as_int_matrix", lambda a: calls.append(a) or real(a))
+        assert det_int(eye(5, 2)) == 32
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("a", [[], [[1, 2]], [[1, 2], [3]], 5])
+    def test_rejects_non_square(self, a):
+        with pytest.raises(ToricError):
+            det_int(a)
+
+
 class TestSmithNormalForm:
     def test_q11_matrix(self):
         form = smith_normal_form([[7, 9], [2, 1]])

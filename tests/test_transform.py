@@ -1,5 +1,6 @@
 import pytest
 
+from valsweep.errors import CertificationError
 from valsweep.qfield import partial_quotients, tau_from_a
 from valsweep.transform import (Branch, TransformState, branch_run_lengths,
                                 convergent_parameters, det2, quadratic_step,
@@ -53,6 +54,50 @@ class TestQuadraticStep:
         for _ in range(30):
             state = quadratic_step(state)
             assert all(v.sign() > 0 for v in state.param_values)
+
+
+def arithmetic_step(state):
+    """quadratic_step through ValueElement arithmetic: subtraction, make and sign."""
+    vx, vy = state.param_values
+    (a, b), (c, d) = state.a
+    diff = vx - vy
+    if diff.sign() > 0:
+        return ((a, a + b), (c, c + d)), (diff, vy), Branch.DIVIDE_SECOND_INTO_FIRST
+    return ((a + b, b), (c + d, d)), (vx, -diff), Branch.DIVIDE_FIRST_INTO_SECOND
+
+
+class TestStepOracle:
+    """quadratic_step works on the integer fields; the oracle goes through
+    ValueElement arithmetic.  Run under python -O as well."""
+
+    @pytest.mark.parametrize("initial", [
+        chart_state_q11(), identity_state(), identity_state(tau_from_a(1)),
+        identity_state(tau_from_a(999979)),
+        TransformState(((9, 11), (2, 1)), (ve(11, -1, 13), ve(-9, 2, 13))),
+        TransformState(((1, 0), (0, 1)), (ve(3, 1, 6), ve(2, 0, 4))),
+    ])
+    def test_matches_value_arithmetic(self, initial):
+        state = initial
+        for _ in range(400):
+            expected = arithmetic_step(state)
+            state = quadratic_step(state)
+            assert tuple(state) == expected
+            for v in state.param_values:
+                # the canonical form of ValueElement.make
+                assert type(v) is ValueElement and v.n > 0
+                assert ValueElement.make(v.i, v.j, v.n, v.tau) == v
+            assert TransformState(*state) == state
+
+    def test_equal_values_raise_certification_error(self):
+        # rational independence excluded by hand: the exact sign test catches it
+        state = tuple.__new__(TransformState, (((1, 0), (0, 1)),
+                                               (ve(1, 1, 2), ve(2, 2, 4)), None))
+        with pytest.raises(CertificationError, match="equal parameter values"):
+            quadratic_step(state)
+
+    def test_mismatched_tau_rejected(self):
+        with pytest.raises(ValuationError, match="mismatched ambient tau"):
+            TransformState(((1, 0), (0, 1)), (ve(0, 1, 1), ve(1, 0, 1, tau_from_a(3))))
 
 
 class TestRunSequence:
