@@ -11,18 +11,12 @@ failed its own check (a defect in valsweep, not in the input).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from math import inf, isqrt
 from typing import Any, NamedTuple, Sequence
-
-# The JSON report needs only json's C string encoder.  Importing json itself
-# costs a process about 1.4 ms, so only text reports import it.
-try:
-    from _json import encode_basestring_ascii
-except ImportError:  # pragma: no cover - an interpreter without CPython's _json
-    from json.encoder import encode_basestring_ascii
 
 from . import counterexample as cx
 from .errors import CertificationError
@@ -104,7 +98,6 @@ def _template(skeleton: Any, newline: str | None) -> str:
     indent=2) at the indent that `newline` ends with, or
     json.dumps(record, sort_keys=True) on one line when newline is None."""
     if newline is None:
-        import json  # text reports only
         text = json.dumps(skeleton, sort_keys=True)
     else:
         out: list[str] = []
@@ -230,7 +223,6 @@ def _write_text(value: dict[str, Any], newline: str, out: list[str]) -> None:
                 out.append(item)
                 _write_rows(v, _template(v.skeleton, None), item, out)
         elif isinstance(v, list):
-            import json  # text reports only
             out.append(f"{newline}{k}:")
             for x in v:
                 out.append(f"{newline}  - {json.dumps(x, sort_keys=True)}")
@@ -278,15 +270,13 @@ def cmd_convergents(args) -> Report:
     _require(args, "a")
     count = _steps(args, 10)
     tau = tau_from_a(args.a)
-    if count <= 0:
-        raise QFieldError("count must be positive")
     # the numerators are the largest entries: generation stops at the first
     # one that no report could print
     limit = sys.get_int_max_str_digits()
     too_long = 10 ** limit if limit else inf
     rows: list[tuple[int, int]] = []
     unimodular = True
-    for a, (f, g, k) in islice(iter_convergents(tau), count):
+    for a, (f, g, k) in iter_convergents(tau, count):
         if f >= too_long:
             raise _digit_limit_error()
         if k == 1:  # the one base determinant

@@ -213,19 +213,21 @@ def _quotient_stream(x: QuadExt) -> Iterator[int]:
 
 
 def partial_quotients(x: QuadExt, count: int) -> list[int]:
-    """First `count` partial quotients of x."""
-    return list(islice(_quotient_stream(x), count))
+    """First `count` partial quotients of x ([] when count <= 0)."""
+    return list(islice(_quotient_stream(x), max(count, 0)))
 
 
-def iter_convergents(x: QuadExt) -> Iterator[tuple[int, Convergent]]:
-    """Each partial quotient a_k of an irrational x > 0 with its convergent
-    f_k/g_k, lazily: f_k = a_k*f_{k-1} + f_{k-2} from f_{-1}, f_{-2} = 1, 0,
-    and the same for g from g_{-1}, g_{-2} = 0, 1."""
+def iter_convergents(x: QuadExt, count: int) -> Iterator[tuple[int, Convergent]]:
+    """The first `count` partial quotients a_k of an irrational x > 0, each
+    with its convergent f_k/g_k, lazily: f_k = a_k*f_{k-1} + f_{k-2} from
+    f_{-1}, f_{-2} = 1, 0, and the same for g from g_{-1}, g_{-2} = 0, 1."""
     if x.t == 0:
         raise QFieldError("convergents require an irrational input")
     if x.sign() <= 0:
         raise QFieldError("convergents require x > 0")
-    return _convergent_stream(x)
+    if count <= 0:
+        raise QFieldError("count must be positive")
+    return islice(_convergent_stream(x), count)
 
 
 def _convergent_stream(x: QuadExt) -> Iterator[tuple[int, Convergent]]:
@@ -240,7 +242,4 @@ def _convergent_stream(x: QuadExt) -> Iterator[tuple[int, Convergent]]:
 
 def convergents(x: QuadExt, count: int) -> list[Convergent]:
     """First `count` convergents of an irrational x > 0."""
-    stream = iter_convergents(x)  # checks x before count
-    if count <= 0:
-        raise QFieldError("count must be positive")
-    return [c for _, c in islice(stream, count)]
+    return [c for _, c in iter_convergents(x, count)]

@@ -52,7 +52,6 @@ class TransformState(_TransformFields):
 
     def __new__(cls, a, param_values, branch=None) -> "TransformState":
         vx, vy = param_values
-        vx._check(vy)
         _check_parameter_values(vx, vy)
         for row in a:
             if row[0] < 0 or row[1] < 0:

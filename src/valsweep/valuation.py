@@ -110,7 +110,8 @@ def check_support(support: Iterable[Monomial]) -> list[Monomial]:
 
 
 def _check_parameter_values(val_u: ValueElement, val_v: ValueElement) -> None:
-    """Both values positive and rationally independent."""
+    """Both values over the same tau, positive and rationally independent."""
+    val_u._check(val_v)
     if val_u.sign() <= 0 or val_v.sign() <= 0:
         raise ValuationError("parameter values must be positive")
     # (i1,j1)/n1 and (i2,j2)/n2 are Q-dependent iff (i1,j1) and (i2,j2) are parallel
@@ -126,7 +127,6 @@ class MonomialValuation:
     """
 
     def __init__(self, val_u: ValueElement, val_v: ValueElement):
-        val_u._check(val_v)
         _check_parameter_values(val_u, val_v)
         self.val_u = val_u
         self.val_v = val_v

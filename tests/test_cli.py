@@ -309,8 +309,8 @@ class TestConvergentsCheck:
     def tampered(self, monkeypatch, index, df, dg):
         real = cli.iter_convergents
 
-        def stream(tau):
-            for a, c in real(tau):
+        def stream(tau, count):
+            for a, c in real(tau, count):
                 yield a, (c._replace(f=c.f + df, g=c.g + dg) if c.index == index else c)
 
         monkeypatch.setattr(cli, "iter_convergents", stream)
@@ -340,8 +340,8 @@ class TestConvergentsCheck:
         calls = []
         real = cli.iter_convergents
 
-        def counted(tau):
-            for item in real(tau):
+        def counted(tau, count):
+            for item in real(tau, count):
                 calls.append(item)
                 yield item
 

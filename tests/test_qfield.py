@@ -184,6 +184,10 @@ class TestConvergents:
     def test_partial_quotients_periodic(self):
         assert partial_quotients(tau_from_a(7), 6) == [7, 1, 7, 1, 7, 1]
 
+    @pytest.mark.parametrize("count", [0, -1, -5])
+    def test_partial_quotients_of_no_count_is_empty(self, count):
+        assert partial_quotients(tau_from_a(7), count) == []
+
     @pytest.mark.parametrize("a", [1, 3, 7, 13])
     def test_unimodularity_and_sandwich(self, a):
         x = tau_from_a(a)

@@ -75,6 +75,10 @@ class TestMakeValuation:
         with pytest.raises(ValuationError):
             MonomialValuation(ve(-1, 0, 1), ve(1, 0, 1))
 
+    def test_mismatched_tau_rejected(self):
+        with pytest.raises(ValuationError, match="mismatched ambient tau"):
+            MonomialValuation(ve(0, 1, 1), ve(1, 0, 1, tau_from_a(3)))
+
 
 class TestValueOf:
     def test_min_of_parameters(self, nu_bar):
