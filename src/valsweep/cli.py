@@ -70,11 +70,13 @@ def _digit_limit_error() -> cx.ConfigError:
 # that a row holds already JSON-encoded.
 _INT, _TEXT = "\0d", "\0s"
 _PAIR = [_INT, _INT]
+# Stand-in for a nonempty record list: the payload is rendered with one in
+# each list's place, and the list's rows are spliced in where it renders.
+_SLOT = "\0r"
 
 # Rows are rendered and joined per block, so the report is held as a few
 # large blocks and no join copies more than one block.
 _BLOCK_ROWS = 512
-_BLOCK_BYTES = 1 << 16
 
 
 class Records:
@@ -93,16 +95,8 @@ class Records:
         self.rows = rows
 
 
-def _template(skeleton: Any, newline: str | None) -> str:
-    """The `%` template of one record: json.dumps(record, sort_keys=True,
-    indent=2) at the indent that `newline` ends with, or
-    json.dumps(record, sort_keys=True) on one line when newline is None."""
-    if newline is None:
-        text = json.dumps(skeleton, sort_keys=True)
-    else:
-        out: list[str] = []
-        _write_json(skeleton, newline, out)
-        text = "".join(out)
+def _template(text: str) -> str:
+    """A rendered skeleton as a `%` template: `%` escaped, stand-ins as %d and %s."""
     return (text.replace("%", "%%").replace('"\\u0000d"', "%d")
             .replace('"\\u0000s"', "%s"))
 
@@ -117,17 +111,29 @@ def _write_rows(records: Records, template: str, sep: str, out: list[str]) -> No
         out.append(sep.join(block))
 
 
-def _blocks(chunks: list[str]) -> list[str]:
-    """The chunks with each run of short ones joined: a few large blocks."""
-    blocks, start = [], 0
-    for k, chunk in enumerate(chunks):
-        if len(chunk) >= _BLOCK_BYTES:
-            if k > start:
-                blocks.append("".join(chunks[start:k]))
-            blocks.append(chunk)
-            start = k + 1
-    blocks.append("".join(chunks[start:]))
-    return blocks
+def _slots(value: dict[str, Any], lists: list[tuple[Records, str]], newline: str) -> dict:
+    """value with each nonempty `Records` replaced by `_SLOT` and each empty
+    one by [], walking dicts (not lists) in sorted-key order, so the slots
+    render in the order they are appended to lists.  Each goes there with
+    the newline and indent of its key's line in the JSON report; `newline`
+    is that of value's keys.
+
+    Every string the program renders is NUL-free, so no key or value can
+    contain or forge a stand-in (`_INT`, `_TEXT`) or a rendered slot.
+    """
+    out = {}
+    for k in sorted(value):
+        v = value[k]
+        if type(v) is Records:
+            if v.rows:
+                lists.append((v, newline))
+                v = _SLOT
+            else:
+                v = []
+        elif isinstance(v, dict):
+            v = _slots(v, lists, newline + "  ")
+        out[k] = v
+    return out
 
 
 class Report(NamedTuple):
@@ -142,92 +148,49 @@ class Report(NamedTuple):
                 "verdict": self.verdict}
 
     def render(self, fmt: str) -> list[str]:
-        """The report as a few blocks of text, without a final newline."""
+        """The report as a few blocks of text, without a final newline:
+        json.dumps(payload, sort_keys=True, indent=2), or its text
+        projection, with each record list spliced in at its slot."""
+        lists: list[tuple[Records, str]] = []
+        payload = _slots(self.payload(), lists, "\n  ")
         if fmt == "json":
-            out: list[str] = []
-            _write_json(self.payload(), "\n", out)
-            return _blocks(out)
-        out = [f"command: {self.command}\nverdict: {self.verdict}\ninputs:"]
-        _write_text(self.inputs, "\n  ", out)
-        out.append("\nresults:")
-        _write_text(self.results, "\n  ", out)
-        return _blocks(out)
+            head, *tails = json.dumps(payload, sort_keys=True, indent=2).split(json.dumps(_SLOT))
+        else:
+            lines = [f"command: {self.command}", f"verdict: {self.verdict}", "inputs:"]
+            _text_lines(payload["inputs"], "  ", lines)
+            lines.append("results:")
+            _text_lines(payload["results"], "  ", lines)
+            head, *tails = "\n".join(lines).split(" " + _SLOT)
+        out = [head]
+        for (records, newline), tail in zip(lists, tails):
+            if fmt == "json":
+                inner = newline + "  "
+                out[-1] += "[" + inner
+                text = json.dumps(records.skeleton, sort_keys=True, indent=2)
+                _write_rows(records, _template(text.replace("\n", inner)), "," + inner, out)
+                out.append(newline + "]" + tail)
+            else:  # a text key is indented two spaces less than in JSON
+                item = newline + "- "
+                out[-1] += item
+                text = json.dumps(records.skeleton, sort_keys=True)
+                _write_rows(records, _template(text), item, out)
+                out.append(tail)
+        return out
 
 
-def _write_json(value: Any, newline: str, out: list[str]) -> None:
-    """Append the chunks of json.dumps(value, sort_keys=True, indent=2) to out.
-
-    The standard library drops to its pure-Python encoder whenever an
-    indent is set; this writer covers the report's value types (dicts
-    with str keys, lists, tuples, str, int, bool and None) and renders
-    `Records` as the list of their records.  `newline` is a newline
-    followed by the current indent.
-    """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif type(value) is Records:
-        if not value.rows:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        out.append("[" + inner)
-        _write_rows(value, _template(value.skeleton, inner), "," + inner, out)
-        out.append(newline + "]")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for v in value:
-            out.append(sep)
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for k in sorted(value):
-            out.append(sep + encode_basestring_ascii(k) + ": ")
-            _write_json(value[k], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write_text(value: dict[str, Any], newline: str, out: list[str]) -> None:
+def _text_lines(value: dict[str, Any], indent: str, lines: list[str]) -> None:
     """Append the text lines of a dict: `key: value` for a scalar, nested
-    dicts indented, and a `- ` line of one-line JSON per list item.
-    `newline` is a newline followed by the current indent."""
+    dicts indented, and a `- ` line of one-line JSON per list item."""
     for k in sorted(value):
         v = value[k]
         if isinstance(v, dict):
-            out.append(f"{newline}{k}:")
-            _write_text(v, newline + "  ", out)
-        elif type(v) is Records:
-            out.append(f"{newline}{k}:")
-            if v.rows:
-                item = newline + "  - "
-                out.append(item)
-                _write_rows(v, _template(v.skeleton, None), item, out)
+            lines.append(f"{indent}{k}:")
+            _text_lines(v, indent + "  ", lines)
         elif isinstance(v, list):
-            out.append(f"{newline}{k}:")
-            for x in v:
-                out.append(f"{newline}  - {json.dumps(x, sort_keys=True)}")
+            lines.append(f"{indent}{k}:")
+            lines.extend(f"{indent}  - {json.dumps(x, sort_keys=True)}" for x in v)
         else:
-            out.append(f"{newline}{k}: {v}")
+            lines.append(f"{indent}{k}: {v}")
 
 
 def parse_matrix(text: str) -> list[list[int]]:
@@ -355,7 +318,7 @@ def cmd_hilbert(args) -> Report:
         raise UsageError("--matrix: hilbert expects two 2D rays (4 entries)")
     basis = hilbert_basis_2d(((a[0][0], a[0][1]), (a[1][0], a[1][1])))
     res = {"rays": Records(_PAIR, basis.rays),
-           "generators": Records(_PAIR, sorted(basis.generators)),
+           "generators": Records(_PAIR, basis.generators),
            "count": len(basis.generators)}
     return Report("hilbert", {"matrix": args.matrix}, res, "Verified")
 
@@ -375,8 +338,8 @@ def cmd_lemma5(args) -> Report:
     _require(args, "order", "a", "b")
     action = DiagonalAction(args.order, args.a, args.b)
     full, minimal = invariant_generators(action)
-    res = {"full_generators": Records(_PAIR, sorted(full)),
-           "minimal_generators": Records(_PAIR, sorted(minimal)),
+    res = {"full_generators": Records(_PAIR, full),
+           "minimal_generators": Records(_PAIR, minimal),
            "pi1": pi1_order(action)}
     if action.a != 0 and action.b != 0:
         wit = ramification_minors(action)
@@ -486,6 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_matrix_value(sys.argv[1:] if argv is None else argv))
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # `--a=--`: argparse drops the `--`, leaving []
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     start = time.monotonic()

@@ -169,10 +169,8 @@ class MonomialValuation:
                 best = val
         if best is None:
             raise ValuationError("empty stream")
-        n = last_deg + 1
-        while not small.scale(n) > best:
-            n += 1
-        return best, n
+        # the least integer n > best/small, exactly; small > 0
+        return best, max(last_deg + 1, (best.as_quadext() / small.as_quadext()).floor() + 1)
 
 
 def group_index(sub_gens: tuple[ValueElement, ValueElement],

@@ -17,10 +17,12 @@ import valsweep
 
 from valsweep import cli, counterexample, toric
 from valsweep.cli import (COMMANDS, EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
-                          STEPS_MAX, Report, UsageError, _write_json, main, parse_matrix)
+                          STEPS_MAX, Records, Report, UsageError, main, parse_matrix)
 from valsweep.qfield import TAU_A_MAX, convergents, tau_from_a
 from valsweep.quotient import ORDER_MAX
 from valsweep.toric import CHAIN_MAX, SNF_N_MAX
+
+from test_report_templates import assert_renders_like_oracle
 
 
 def run(capsys, *argv):
@@ -417,25 +419,77 @@ class TestRecordedDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
-def write_json(value) -> str:
-    out: list[str] = []
-    _write_json(value, "\n", out)
-    return "".join(out)
-
-
-JSON_KEYS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)))
+JSON_KEYS = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                           blacklist_characters="\0"))
+BIG = st.integers(-2 ** 4000, 2 ** 4000)
+JSON_SCALARS = st.none() | st.booleans() | BIG | JSON_KEYS
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 4000, 2 ** 4000) | JSON_KEYS,
-    lambda children: st.lists(children) | st.dictionaries(JSON_KEYS, children),
+    JSON_SCALARS, lambda children: st.lists(children) | st.dictionaries(JSON_KEYS, children),
     max_leaves=30)
+SKELETONS = st.recursive(
+    st.sampled_from([cli._INT, cli._TEXT]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(JSON_KEYS, children,
+                                                                       max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def record_lists(draw):
+    """A `Records` and the plain list of records it stands for."""
+    skeleton = draw(SKELETONS)
+    rows, plain = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        row = []
+
+        def fill(shape):
+            if shape == cli._INT:
+                row.append(draw(BIG))
+                return row[-1]
+            if shape == cli._TEXT:
+                value = draw(st.none() | st.booleans() | JSON_KEYS)
+                row.append(json.dumps(value))
+                return value
+            if isinstance(shape, list):
+                return [fill(x) for x in shape]
+            return {k: fill(shape[k]) for k in sorted(shape)}
+
+        plain.append(fill(skeleton))
+        rows.append(tuple(row))
+    return Records(skeleton, rows), plain
+
+
+# results dicts with (Records, plain list) pairs at any dict depth
+RESULTS = st.recursive(
+    st.dictionaries(JSON_KEYS, JSON_VALUES | record_lists(), max_size=4),
+    lambda children: st.dictionaries(JSON_KEYS, JSON_VALUES | record_lists() | children,
+                                     max_size=4),
+    max_leaves=8)
+
+
+PAIRS = (Records(cli._PAIR, [(1, 2), (3, 4)]), [[1, 2], [3, 4]])
+
+
+def side(tree, k: int):
+    """tree with each (Records, plain list) pair replaced by its k-th item."""
+    if isinstance(tree, tuple):
+        return tree[k]
+    if isinstance(tree, dict):
+        return {key: side(v, k) for key, v in tree.items()}
+    return tree
 
 
 class TestJsonWriter:
-    """The report writer against json.dumps(..., sort_keys=True, indent=2)."""
+    """Report.render against json.dumps(..., sort_keys=True, indent=2) and
+    the text projection of the same payload."""
 
-    @given(JSON_VALUES)
-    def test_matches_json_dumps(self, value):
-        assert write_json(value) == json.dumps(value, sort_keys=True, indent=2)
+    @settings(max_examples=200, deadline=None)
+    @given(RESULTS, st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=3), JSON_KEYS, JSON_KEYS)
+    @example(  # text keys print raw, so a key's spaces or newline are no indent
+        {" a": PAIRS, "b\n  c": {"%d": PAIRS, "e": (Records(cli._PAIR, []), [])}, "f": PAIRS},
+        {}, "x", "Verified")
+    def test_matches_json_dumps(self, tree, inputs, command, verdict):
+        assert_renders_like_oracle(Report(command, inputs, side(tree, 0), verdict),
+                                   side(tree, 1))
 
     @pytest.mark.parametrize("value", [
         {}, [], {"a": {}, "b": [], "c": [[]], "d": [{}]},
@@ -445,19 +499,15 @@ class TestJsonWriter:
         {"b": 1, "a": 2, "B": 3, "_": 4, "aa": [1, {"y": 2, "x": [3]}]},
     ])
     def test_edge_cases(self, value):
-        assert write_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert_renders_like_oracle(Report("x", {"q": 11}, {"v": value}, "Verified"),
+                                   {"v": value})
 
     def test_rejects_what_json_dumps_rejects(self):
         for value in ([object()], {"x": {1.5}}):
             with pytest.raises(TypeError):
-                write_json(value)
+                Report("x", {}, {"v": value}, "Verified").render("json")
             with pytest.raises(TypeError):
                 json.dumps(value, sort_keys=True, indent=2)
-
-    def test_keys_are_str(self):
-        # report keys are str; json.dumps would coerce an int key instead
-        with pytest.raises(TypeError):
-            write_json({1: 2})
 
     def test_report_render(self):
         report = Report("x", {"q": 11}, {"steps": [{"A": [[1, 2], [3, 4]], "ok": True}]},
@@ -546,6 +596,8 @@ class TestArgvFuzz:
     @settings(max_examples=200, deadline=None)
     @given(argvs())
     @example(["hilbert", f"--matrix=1,0,1,{CHAIN_MAX}"])
+    @example(["hilbert", "--matrix=--"])
+    @example(["counterexample", "--q", "11", "--p", "13", "--corrupt-step=--"])
     @example(["lemma5", "--order", str(ORDER_MAX + 1), "--a", "1", "--b", "2"])
     @example(["counterexample", "--q", "11", "--p", "13", "--steps", "40",
               "--corrupt-step", "40", "--format", "text"])

@@ -61,6 +61,7 @@ class TestInvariantGenerators:
                 continue
             action = DiagonalAction(p, a, b)
             full, minimal = invariant_generators(action)
+            assert full == sorted(full) and minimal == sorted(minimal)  # the CLI relies on it
             gens = tuple(minimal)
             for mono in brute_force_invariants(action, 2 * p):
                 assert semigroup_contains(gens, mono), (p, a, b, mono)

@@ -203,7 +203,9 @@ class TestHilbertBasis:
         for u1, u2 in itertools.product(prims, repeat=2):
             if u1[0] * u2[1] - u1[1] * u2[0] == 0:
                 continue
-            assert hilbert_basis_2d((u1, u2)) == enumerated_hilbert_basis((u1, u2)), (u1, u2)
+            basis = hilbert_basis_2d((u1, u2))
+            assert basis == enumerated_hilbert_basis((u1, u2)), (u1, u2)
+            assert list(basis.generators) == sorted(basis.generators)  # the CLI relies on it
             count += 1
         assert count == 9024
 

@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from valsweep.qfield import tau_from_a
 from valsweep.valuation import (MonomialValuation, NotASubgroupError,
@@ -136,6 +138,34 @@ class TestSeriesValue:
         v1, b1 = nu_bar.series_value(base + tail[:5])
         v2, b2 = nu_bar.series_value(base + tail)
         assert v1 == v2 and b1 == b2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10), st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3)),
+           st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3)),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=6,
+                    unique=True))
+    def test_bound_matches_counting(self, a, u, v, support):
+        tau = tau_from_a(a)
+        assume(u[:2] != (0, 0) and v[:2] != (0, 0) and u[0] * v[1] != u[1] * v[0])
+        nu = MonomialValuation(ve(*u, tau), ve(*v, tau))
+        stream = sorted(support, key=sum)
+        value, bound = nu.series_value(stream)
+        last_deg = sum(stream[-1])
+        if bound > last_deg:  # the stream ran out: count up to the bound
+            small = min(nu.val_u, nu.val_v)
+            n = last_deg + 1
+            while not small.scale(n) > value:
+                n += 1
+            assert bound == n
+
+    def test_huge_ratio_in_closed_form(self):
+        # value 10^12 + tau against a parameter value of 1
+        nu = MonomialValuation(ve(1, 0, 1), ve(10 ** 12, 1, 1))
+        start = time.perf_counter()
+        value, bound = nu.series_value([(0, 1)])
+        assert time.perf_counter() - start < 0.05
+        assert value == ve(10 ** 12, 1, 1)
+        assert bound == 10 ** 12 + 8  # 7 < tau < 8
 
     def test_unordered_rejected(self, nu_bar):
         with pytest.raises(ValuationError):
