@@ -18,14 +18,10 @@ from json.encoder import encode_basestring_ascii
 from math import inf, isqrt
 from typing import Any, NamedTuple, Sequence
 
-from . import counterexample as cx
-from .errors import CertificationError
-from .qfield import QFieldError, iter_convergents, tau_from_a
-from .quotient import (DiagonalAction, QuotientError, invariant_generators,
-                       pi1_order, ramification_minors)
-from .toric import ToricError, below_ring_regularity, hilbert_basis_2d, smith_normal_form
-from .transform import TransformState, run_sequence
-from .valuation import MonomialValuation, ValuationError, ValueElement
+# Only the errors at module level: each command imports the layers it runs,
+# so a process compiles no module its subcommand does not use.
+from .errors import (CertificationError, ConfigError, QFieldError, QuotientError,
+                     ToricError, ValuationError)
 
 SCHEMA_VERSION = "1.0"
 
@@ -51,19 +47,18 @@ def _steps(args, default: int) -> int:
     """--steps, or its default, checked against STEPS_MAX before any work."""
     steps = default if args.steps is None else args.steps
     if steps > STEPS_MAX:
-        raise cx.ConfigError(f"steps <= {STEPS_MAX}",
-                             f"--steps {steps} exceeds the step cap")
+        raise ConfigError(f"steps <= {STEPS_MAX}", f"--steps {steps} exceeds the step cap")
     return steps
 
 
-def _digit_limit_error() -> cx.ConfigError:
+def _digit_limit_error() -> ConfigError:
     """A report integer has more decimal digits than the interpreter
     converts to a string (sys.get_int_max_str_digits), so no report of
     it can be printed."""
     limit = sys.get_int_max_str_digits()
-    return cx.ConfigError(f"integers of at most {limit} digits",
-                          "a report integer exceeds the interpreter's "
-                          "int-to-str conversion limit")
+    return ConfigError(f"integers of at most {limit} digits",
+                       "a report integer exceeds the interpreter's "
+                       "int-to-str conversion limit")
 
 
 # Stand-ins for the values in a record skeleton: an int, and a text value
@@ -212,7 +207,7 @@ def _require(args, *names):
             raise UsageError(f"--{name} is required for this subcommand")
 
 
-def _value_json(v: ValueElement) -> dict[str, int]:
+def _value_json(v) -> dict[str, int]:
     return {"i": v.i, "j": v.j, "n": v.n}
 
 
@@ -221,6 +216,7 @@ def _quad_json(x) -> dict[str, int]:
 
 
 def cmd_tau(args) -> Report:
+    from .qfield import tau_from_a
     _require(args, "a")
     tau = tau_from_a(args.a)
     res = {"tau": _quad_json(tau),
@@ -230,6 +226,7 @@ def cmd_tau(args) -> Report:
 
 
 def cmd_convergents(args) -> Report:
+    from .qfield import iter_convergents, tau_from_a
     _require(args, "a")
     count = _steps(args, 10)
     tau = tau_from_a(args.a)
@@ -256,20 +253,17 @@ def cmd_convergents(args) -> Report:
                   "Verified" if unimodular else "Falsified")
 
 
-def _standard_valuation(a: int) -> MonomialValuation:
-    tau = tau_from_a(a)
-    return MonomialValuation(ValueElement.make(0, 1, 1, tau),
-                             ValueElement.make(1, 0, 1, tau))
-
-
 def cmd_value(args) -> Report:
+    from .qfield import tau_from_a
+    from .valuation import MonomialValuation, ValueElement
     _require(args, "a", "matrix")
     flat = [x for row in parse_matrix(args.matrix) for x in row]
     if len(flat) % 2:
         raise UsageError(f"--matrix: value needs an even number of entries to form "
                          f"(i, j) support pairs, got {len(flat)}")
     support = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
-    val = _standard_valuation(args.a)
+    tau = tau_from_a(args.a)
+    val = MonomialValuation(ValueElement.make(0, 1, 1, tau), ValueElement.make(1, 0, 1, tau))
     res_val = val.value_of(support)
     res = {"support": Records(_PAIR, sorted(support)), "value": _value_json(res_val)}
     return Report("value", {"a": args.a, "matrix": args.matrix}, res, "Verified")
@@ -279,6 +273,9 @@ _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "step_index": _INT}
 
 
 def cmd_transform(args) -> Report:
+    from .qfield import tau_from_a
+    from .transform import TransformState, run_sequence
+    from .valuation import ValueElement
     _require(args, "a")
     steps = _steps(args, 10)
     tau = tau_from_a(args.a)
@@ -301,6 +298,7 @@ def cmd_transform(args) -> Report:
 
 
 def cmd_snf(args) -> Report:
+    from .toric import smith_normal_form
     _require(args, "matrix")
     a = parse_matrix(args.matrix)
     form = smith_normal_form(a)
@@ -312,6 +310,7 @@ def cmd_snf(args) -> Report:
 
 
 def cmd_hilbert(args) -> Report:
+    from .toric import hilbert_basis_2d
     _require(args, "matrix")
     a = parse_matrix(args.matrix)
     if len(a) != 2:
@@ -324,6 +323,7 @@ def cmd_hilbert(args) -> Report:
 
 
 def cmd_regularity(args) -> Report:
+    from .toric import below_ring_regularity
     _require(args, "matrix")
     a = parse_matrix(args.matrix)
     if len(a) != 2:
@@ -335,6 +335,7 @@ def cmd_regularity(args) -> Report:
 
 
 def cmd_lemma5(args) -> Report:
+    from .quotient import DiagonalAction, invariant_generators, pi1_order, ramification_minors
     _require(args, "order", "a", "b")
     action = DiagonalAction(args.order, args.a, args.b)
     full, minimal = invariant_generators(action)
@@ -354,13 +355,15 @@ _STEP = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "embedding_dim": _IN
          "regularity": _TEXT, "step": _INT}
 
 
-def _step_records(records: Sequence[cx.StepRecord]) -> Records:
+def _step_records(records: Sequence[tuple]) -> Records:
+    """The sweep's `counterexample.StepRecord`s as one record list."""
     return Records(_STEP, [(a, b, c, d, encode_basestring_ascii(branch), det, dim,
                             '"Regular"' if regular else '"Singular"', step)
                            for branch, step, ((a, b), (c, d)), det, regular, dim in records])
 
 
 def cmd_counterexample(args) -> Report:
+    from . import counterexample as cx
     _require(args, "q", "p")
     config = cx.InstanceConfig(q=args.q, p=args.p,
                                m=args.m if args.m is not None else 3,
@@ -371,11 +374,13 @@ def cmd_counterexample(args) -> Report:
     inject = None
     if args.corrupt_step is not None:
         if not 0 <= args.corrupt_step <= config.steps:
-            raise cx.ConfigError("0 <= corrupt-step <= steps",
-                                 f"--corrupt-step {args.corrupt_step} is outside the "
-                                 f"swept steps 0..{config.steps}")
+            raise ConfigError("0 <= corrupt-step <= steps",
+                              f"--corrupt-step {args.corrupt_step} is outside the "
+                              f"swept steps 0..{config.steps}")
         inject = {("nu1", args.corrupt_step): ((1, 0), (0, 1))}
     sweep = cx.singularity_sweep(instance, config.steps, inject=inject)
+    inputs = {"q": config.q, "p": config.p, "m": config.m, "n": config.n,
+              "steps": config.steps}
     results: dict[str, Any] = {
         "tau": _quad_json(instance.tau),
         "epsilon": _quad_json(instance.epsilon),
@@ -387,14 +392,9 @@ def cmd_counterexample(args) -> Report:
         contradiction = cx.certify_conflict(instance, sweep)
         results["pi1_orders"] = dict(sorted(contradiction.orders.items()))
         results["conflict"] = contradiction.conflict
-        return Report("counterexample", _cx_inputs(config), results, "Verified")
+        return Report("counterexample", inputs, results, "Verified")
     results["falsification"] = sweep.falsification
-    return Report("counterexample", _cx_inputs(config), results, "Falsified")
-
-
-def _cx_inputs(config: cx.InstanceConfig) -> dict[str, Any]:
-    return {"q": config.q, "p": config.p, "m": config.m, "n": config.n,
-            "steps": config.steps}
+    return Report("counterexample", inputs, results, "Falsified")
 
 
 COMMANDS = {
@@ -465,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, QFieldError, ValuationError, ToricError, QuotientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except cx.ConfigError as exc:
+    except ConfigError as exc:
         print(f"error: violated constraint [{exc.constraint}]: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertificationError as exc:

@@ -19,18 +19,12 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .errors import CertificationError
+from .errors import CertificationError, ConfigError
 from .qfield import QuadExt, tau_from_a
 from .valuation import MonomialValuation, ValueElement, group_index
 from .transform import Matrix2, TransformState, quadratic_step
 from .toric import below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
-
-
-class ConfigError(ValueError):
-    def __init__(self, constraint: str, message: str):
-        super().__init__(message)
-        self.constraint = constraint
 
 
 class InstanceConfig(NamedTuple):

@@ -1,4 +1,9 @@
-"""Exceptions shared by every layer."""
+"""Exceptions shared by every layer.
+
+Every exception class lives here, and each layer binds its own back by
+import (`valsweep.toric.ToricError` is `valsweep.errors.ToricError`), so
+the CLI reports every input error without importing a layer.
+"""
 
 
 class CertificationError(AssertionError):
@@ -7,3 +12,27 @@ class CertificationError(AssertionError):
     It is an explicit raise, so python -O cannot switch it off; the CLI
     reports it with its own exit code.
     """
+
+
+class QFieldError(ValueError):
+    """Invalid input to quadratic-field arithmetic (valsweep.qfield)."""
+
+
+class ValuationError(ValueError):
+    """Invalid values or support for a monomial valuation (valsweep.valuation)."""
+
+
+class ToricError(ValueError):
+    """An integer matrix or cone the lattice layer cannot take (valsweep.toric)."""
+
+
+class QuotientError(ValueError):
+    """An order or weights that define no faithful cyclic action (valsweep.quotient)."""
+
+
+class ConfigError(ValueError):
+    """An instance or CLI input violates the named `constraint`."""
+
+    def __init__(self, constraint: str, message: str):
+        super().__init__(message)
+        self.constraint = constraint

@@ -11,11 +11,7 @@ from itertools import islice
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .errors import CertificationError
-
-
-class QFieldError(ValueError):
-    pass
+from .errors import CertificationError, QFieldError
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:

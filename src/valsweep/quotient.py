@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import QuotientError
 from .toric import hilbert_basis_2d
-
-
-class QuotientError(ValueError):
-    pass
 
 
 def is_prime(n: int) -> bool:

@@ -11,11 +11,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import CertificationError
-
-
-class ToricError(ValueError):
-    pass
+from .errors import CertificationError, ToricError
 
 
 Matrix = tuple[tuple[int, ...], ...]

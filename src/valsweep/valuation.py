@@ -10,11 +10,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
+from .errors import ValuationError
 from .qfield import QuadExt, sign_of
-
-
-class ValuationError(ValueError):
-    pass
 
 
 class NotASubgroupError(ValuationError):

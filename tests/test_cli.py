@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import valsweep
 
-from valsweep import cli, counterexample, toric
+from valsweep import cli, counterexample, qfield, toric
 from valsweep.cli import (COMMANDS, EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
                           STEPS_MAX, Records, Report, UsageError, main, parse_matrix)
 from valsweep.qfield import TAU_A_MAX, convergents, tau_from_a
@@ -182,6 +182,22 @@ class TestExitCodes:
         assert err.startswith("error: certificate failed: Smith certificate fails")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (("tau", "--a", "0"), "error: a must be a positive integer"),
+        (("value", "--a", "3", "--matrix=-1,0,0,0"),
+         "error: negative exponent in support: (-1,0)"),
+        (("hilbert", "--matrix=1,0,2,0"), "error: cone is not strictly convex (parallel rays)"),
+        (("lemma5", "--order", "4", "--a", "1", "--b", "1"), "error: order 4 is not prime"),
+        (("counterexample", "--q", "4", "--p", "13"),
+         "error: violated constraint [q prime > 3]: q=4 must be a prime greater than 3"),
+        (("transform", "--a", "2", "--steps", str(STEPS_MAX + 1)),
+         f"error: violated constraint [steps <= {STEPS_MAX}]: "
+         f"--steps {STEPS_MAX + 1} exceeds the step cap"),
+    ], ids=["qfield", "valuation", "toric", "quotient", "config", "config-cli"])
+    def test_each_layer_input_error_exits_1(self, capsys, argv, line):
+        # main catches every layer's error class from valsweep.errors alone
+        assert run(capsys, *argv) == (EXIT_USAGE, "", line + "\n")
+
     def test_falsification_channel(self, capsys):
         code, out, err = run(capsys, "counterexample", "--q", "11", "--p", "13",
                              "--steps", "5", "--corrupt-step", "2")
@@ -309,13 +325,13 @@ class TestConvergentsCheck:
     later step; generation stops at the first numerator past the digit limit."""
 
     def tampered(self, monkeypatch, index, df, dg):
-        real = cli.iter_convergents
+        real = qfield.iter_convergents
 
         def stream(tau, count):
             for a, c in real(tau, count):
                 yield a, (c._replace(f=c.f + df, g=c.g + dg) if c.index == index else c)
 
-        monkeypatch.setattr(cli, "iter_convergents", stream)
+        monkeypatch.setattr(qfield, "iter_convergents", stream)
 
     @pytest.mark.parametrize("index, df, dg", [(1, 1, 0), (2, 0, 1), (5, 7, 0), (9, 0, -1)])
     def test_broken_convergent_falsifies(self, capsys, monkeypatch, index, df, dg):
@@ -340,7 +356,7 @@ class TestConvergentsCheck:
         assert code == EXIT_OK
         assert json.loads(out)["results"]["convergents"][-1] == [cs[last - 1].f, cs[last - 1].g]
         calls = []
-        real = cli.iter_convergents
+        real = qfield.iter_convergents
 
         def counted(tau, count):
             for item in real(tau, count):
@@ -348,7 +364,7 @@ class TestConvergentsCheck:
                 yield item
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "iter_convergents", counted)
+            mp.setattr(qfield, "iter_convergents", counted)
             code, out, err = run(capsys, "convergents", "--a", "999979",
                                  "--steps", str(STEPS_MAX))
         assert (code, out) == (EXIT_USAGE, "")
@@ -536,22 +552,86 @@ class TestDeterminism:
 SRC = Path(valsweep.__file__).resolve().parents[1]
 
 
+# Runs `body` in a fresh interpreter and prints, as JSON, the exit code of
+# any `main` call in it, then the modules it added, in three groups: valsweep
+# submodules (without the prefix), modules from neither the standard library
+# nor valsweep, and the slow-to-import dataclasses, fractions and inspect.
+_ADDED_MODULES = """
+import contextlib, io, sys
+before = set(sys.modules)
+code = None
+{body}
+added = set(sys.modules) - before
+import json
+print(json.dumps([code,
+                  sorted(m[9:] for m in added if m.startswith("valsweep.")),
+                  sorted(m for m in added
+                         if m.split(".")[0] not in sys.stdlib_module_names | {{"valsweep"}}),
+                  sorted(added & {{"dataclasses", "fractions", "inspect"}})]))
+"""
+
+_RUN_MAIN = """
+import valsweep.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = valsweep.cli.main(sys.argv[1:])
+"""
+
+
+def added_modules(body: str, *argv: str) -> list:
+    proc = subprocess.run([sys.executable, "-c", _ADDED_MODULES.format(body=body), *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# the valsweep layers each subcommand runs, besides cli and errors
+SUBCOMMAND_LAYERS = {
+    ("tau", "--a", "7"): ["qfield"],
+    ("convergents", "--a", "7"): ["qfield"],
+    ("value", "--a", "3", "--matrix=1,2,3,4"): ["qfield", "valuation"],
+    ("transform", "--a", "2"): ["qfield", "transform", "valuation"],
+    ("snf", "--matrix=2,0,0,3"): ["toric"],
+    ("hilbert", "--matrix=1,0,1,5"): ["toric"],
+    ("regularity", "--matrix=7,9,2,1"): ["toric"],
+    ("lemma5", "--order", "211", "--a", "1", "--b", "2"): ["quotient", "toric"],
+    ("counterexample", "--q", "11", "--p", "13", "--steps", "5"):
+        ["counterexample", "qfield", "quotient", "toric", "transform", "valuation"],
+}
+
+
 class TestPackage:
     def test_cli_import_loads_only_stdlib(self):
         # the package has no runtime dependency, so importing the CLI may add
         # only standard-library modules and valsweep's own; and the value types
         # are NamedTuples, so not dataclasses (nor the inspect it pulls in) or
-        # fractions, which would cost every process tens of ms
-        script = ("import sys; before = set(sys.modules); import valsweep.cli; "
-                  "added = set(sys.modules) - before; "
-                  "print(sorted(m for m in added "
-                  "if m.split('.')[0] not in sys.stdlib_module_names | {'valsweep'})); "
-                  "print(sorted(added & {'dataclasses', 'fractions', 'inspect'}))")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["[]", "[]"]
+        # fractions, which would cost every process tens of ms.  Of valsweep,
+        # only the errors load: each command imports the layers it runs.
+        assert added_modules("import valsweep.cli") == [None, ["cli", "errors"], [], []]
+
+    def test_package_import_loads_no_submodule(self):
+        assert added_modules("import valsweep") == [None, [], [], []]
+
+    @pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS.items(),
+                             ids=[argv[0] for argv in SUBCOMMAND_LAYERS])
+    def test_subcommand_loads_only_its_modules(self, argv, layers):
+        # every process compiles what it imports when no bytecode is cached,
+        # so a subcommand loads the layers it runs and no other; the stdlib-only
+        # and no-dataclasses checks above hold on the command path too
+        assert added_modules(_RUN_MAIN, *argv) == [EXIT_OK, sorted(["cli", "errors"] + layers),
+                                                   [], []]
+
+    def test_error_classes_have_one_home(self):
+        from valsweep import errors, quotient, transform, valuation
+        assert qfield.QFieldError is errors.QFieldError
+        assert valuation.ValuationError is errors.ValuationError
+        assert transform.ValuationError is errors.ValuationError
+        assert toric.ToricError is errors.ToricError
+        assert quotient.QuotientError is errors.QuotientError
+        assert counterexample.ConfigError is errors.ConfigError
+        assert counterexample.CertificationError is errors.CertificationError
+        assert issubclass(valuation.NotASubgroupError, errors.ValuationError)
+        assert errors.ConfigError("q != p", "message").constraint == "q != p"
 
     def test_no_assert_statements(self):
         # python -O strips assert statements, so no certificate may be one;
