@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import inf, isqrt
 from typing import Any, NamedTuple, Sequence
@@ -37,9 +38,9 @@ class UsageError(ValueError):
 
 # Matrix entries grow linearly in the step count, so time and stdout grow
 # about quadratically: `counterexample --q 11 --p 13` at the cap takes
-# about 6 s and 290 MB peak RSS end to end (os.wait4 on a 2-CPU x86-64
-# host, CPython 3.11) and prints 205 MB; most of the time goes to
-# converting the entries to decimal.
+# about 7.5 s and 285 MB peak RSS end to end (os.wait4 on a 2-CPU x86-64
+# host, CPython 3.11) and prints 205 MB; the command takes about 0.3 s of
+# it, and nearly all the rest goes to converting the entries to decimal.
 STEPS_MAX = 20_000
 
 
@@ -274,24 +275,18 @@ _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "step_index": _INT}
 
 def cmd_transform(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import TransformState, run_sequence
-    from .valuation import ValueElement
+    from .transform import branch_steps, det2
     _require(args, "a")
     steps = _steps(args, 10)
     tau = tau_from_a(args.a)
-    initial = TransformState(((1, 0), (0, 1)),
-                             (ValueElement.make(0, 1, 1, tau),
-                              ValueElement.make(1, 0, 1, tau)))
-    states = run_sequence(initial, steps)
-    det0 = states[0].det
+    # u and v have values tau and 1, so the branches follow the quotients of tau
     ok = True
-    rows = []
-    for k, st in enumerate(states):
-        (a, b), (c, d) = st.a
-        det = st.det
-        ok = ok and det == det0
-        branch = "null" if st.branch is None else encode_basestring_ascii(st.branch.value)
-        rows.append((a, b, c, d, branch, det, k))
+    rows = [(1, 0, 0, 1, "null", 1, 0)]
+    for k, (branch, matrix) in enumerate(islice(branch_steps(((1, 0), (0, 1)), tau), steps), 1):
+        det = det2(matrix)
+        ok = ok and det == 1
+        (a, b), (c, d) = matrix
+        rows.append((a, b, c, d, encode_basestring_ascii(branch.value), det, k))
     return Report("transform", {"a": args.a, "steps": steps},
                   {"states": Records(_STATE, rows), "det_constant": ok},
                   "Verified" if ok else "Falsified")

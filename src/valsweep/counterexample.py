@@ -17,12 +17,13 @@ the ring below unchanged up to isomorphism (see `singularity_sweep`).
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import CertificationError, ConfigError
 from .qfield import QuadExt, tau_from_a
 from .valuation import MonomialValuation, ValueElement, group_index
-from .transform import Matrix2, TransformState, quadratic_step
+from .transform import Matrix2, branch_steps
 from .toric import below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
@@ -225,10 +226,11 @@ def singularity_sweep(instance: Instance, steps: int,
     falsification = None
     for branch in instance.branches:
         name, order = branch.name, branch.order
-        state = TransformState(branch.matrix, branch.chart_values)
+        vx, vy = branch.chart_values  # certified positive by build
+        walk = branch_steps(branch.matrix, vx.as_quadext() / vy.as_quadext())
         prev = None
-        for step in range(steps + 1):
-            matrix = inject.get((name, step), state.a) if inject else state.a
+        for step, (_, current) in zip(range(steps + 1), chain([(None, branch.matrix)], walk)):
+            matrix = inject.get((name, step), current) if inject else current
             if prev is None or not _elementary_successor(prev, matrix):
                 regular, dim, det = below_ring_regularity(matrix)
                 # a carried verdict was judged at the step that computed it
@@ -239,8 +241,6 @@ def singularity_sweep(instance: Instance, steps: int,
                         falsification = f"branch {name} step {step}: |det|={abs(det)} != {order}"
             records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             prev = matrix
-            if step < steps:
-                state = quadratic_step(state)
     verdict = Verdict.FALSIFIED if falsification else Verdict.VERIFIED
     return SweepReport(verdict, tuple(records), falsification)
 

@@ -149,24 +149,13 @@ class QuadExt(NamedTuple):
         return (self - other).sign() >= 0
 
     def floor(self) -> int:
-        """Exact floor, via an isqrt estimate corrected by sign tests."""
+        """Exact floor: s // r, or the first partial quotient when irrational."""
         if self.t == 0:
             return self.s // self.r
-        root = isqrt(self.t * self.t * self.d)  # |t|*sqrt(d) rounded down
-        approx = root if self.t > 0 else -(root + 1)
-        n = (self.s + approx) // self.r
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        while (self - n).sign() < 0:
-            n -= 1
-        return n
+        return next(_quotient_stream(self))
 
     def __repr__(self) -> str:
         return f"({self.s}+{self.t}*sqrt({self.d}))/{self.r}"
-
-
-def sign(x: QuadExt) -> int:
-    return x.sign()
 
 
 TAU_A_MAX = 1_000_000
@@ -201,11 +190,32 @@ class Convergent(NamedTuple):
 
 
 def _quotient_stream(x: QuadExt) -> Iterator[int]:
-    """The partial quotients of x by exact floor-and-invert, lazily."""
+    """The partial quotients of an irrational x, lazily.  x = (s + t*sqrt(d))/r
+    is (P + sqrt(D))/Q for D = t^2 d r^2, P = w*s*r, Q = w*r^2 and w = sign(t),
+    which an exact field equality certifies once."""
+    s, t, r, d = x
+    if t == 0:
+        raise QFieldError("continued fractions require an irrational input")
+    w = 1 if t > 0 else -1
+    p, q = w * s * r, w * r * r
+    if QuadExt._reduce(p, abs(t) * r, q, d) != x:
+        raise CertificationError(f"{x!r} != ({p} + {abs(t) * r}*sqrt({d}))/{q}")
+    return _pq_quotients(p, q, t * t * d * r * r)
+
+
+def _pq_quotients(p: int, q: int, dd: int) -> Iterator[int]:
+    """The quotients a = floor((P + sqrt(D))/Q) of the (P, Q) recurrence
+    P <- a*Q - P, Q <- (D - P^2)/Q (Cohen, GTM 138, 5.7).  D is not a
+    square, so a comes from isqrt(D); it is the floor only while Q != 0
+    divides D - P^2, which is checked before every quotient."""
+    root = isqrt(dd)
     while True:
-        a = x.floor()
+        if q == 0 or (dd - p * p) % q:
+            raise CertificationError(f"(P, Q, D) = ({p}, {q}, {dd}): Q does not divide D - P^2")
+        a = (p + root + (q < 0)) // q  # for Q < 0: -floor((P + sqrt D)/|Q|) - 1
         yield a
-        x = (x - a).inverse()
+        p = a * q - p
+        q = (dd - p * p) // q
 
 
 def partial_quotients(x: QuadExt, count: int) -> list[int]:
@@ -217,19 +227,13 @@ def iter_convergents(x: QuadExt, count: int) -> Iterator[tuple[int, Convergent]]
     """The first `count` partial quotients a_k of an irrational x > 0, each
     with its convergent f_k/g_k, lazily: f_k = a_k*f_{k-1} + f_{k-2} from
     f_{-1}, f_{-2} = 1, 0, and the same for g from g_{-1}, g_{-2} = 0, 1."""
-    if x.t == 0:
-        raise QFieldError("convergents require an irrational input")
     if x.sign() <= 0:
         raise QFieldError("convergents require x > 0")
     if count <= 0:
         raise QFieldError("count must be positive")
-    return islice(_convergent_stream(x), count)
-
-
-def _convergent_stream(x: QuadExt) -> Iterator[tuple[int, Convergent]]:
     f_prev, g_prev = 1, 0
     f_pprev, g_pprev = 0, 1
-    for k, a in enumerate(_quotient_stream(x)):
+    for k, a in enumerate(islice(_quotient_stream(x), count)):
         f, g = a * f_prev + f_pprev, a * g_prev + g_pprev
         yield a, Convergent(f, g, k)
         f_pprev, g_pprev = f_prev, g_prev

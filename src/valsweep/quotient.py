@@ -118,11 +118,7 @@ def ramification_minors(action: DiagonalAction) -> RamificationWitness:
                                x_witness=(2 * p - 1 - (b * pow(a, -1, p) % p), 0))
 
 
-def is_regular(action: DiagonalAction) -> bool:
-    return action.a == 0 or action.b == 0
-
-
 def pi1_order(action: DiagonalAction) -> int:
     """Order of the local fundamental group of the invariant ring:
-    1 when the ring is regular, the group order otherwise."""
-    return 1 if is_regular(action) else action.order
+    1 when the ring is regular (a weight is zero), the group order otherwise."""
+    return 1 if action.a == 0 or action.b == 0 else action.order

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CertificationError
-from .qfield import QuadExt, convergents, sign_of
+from .qfield import QuadExt, _quotient_stream, convergents, sign_of
 from .valuation import ValueElement, ValuationError, _check_parameter_values
 
 
@@ -72,7 +72,8 @@ class TransformState(_TransformFields):
 
 
 def quadratic_step(state: TransformState) -> TransformState:
-    """One quadratic transform picked by the valuation.
+    """One quadratic transform picked by the valuation, decided on the values:
+    the per-step reference route for `branch_steps`.
 
     If the first parameter has the larger value it becomes (first/second),
     which adds column 1 of A into column 2; symmetrically otherwise.  Ties
@@ -116,17 +117,21 @@ def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
     return out
 
 
-def branch_run_lengths(states: list[TransformState]) -> list[int]:
-    """Run-length encoding of the branch tags of the steps in the sequence."""
-    runs: list[int] = []
-    prev = None
-    for state in states[1:]:
-        if state.branch is prev:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-            prev = state.branch
-    return runs
+def branch_steps(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[Branch, Matrix2]]:
+    """(branch, next A) at each step of the transform sequence from A = matrix,
+    lazily, for parameter values of ratio x = v(first)/v(second) > 0.  The
+    steps run the subtractive Euclidean algorithm on the values, so they come
+    in runs of the partial quotients a_k of x: a_0 steps that add column 1
+    into column 2, then a_1 that add column 2 into column 1, and so on."""
+    (a, b), (c, d) = matrix
+    for k, run in enumerate(_quotient_stream(x)):
+        for _ in range(run):
+            if k % 2 == 0:
+                b, d = a + b, c + d
+                yield Branch.DIVIDE_SECOND_INTO_FIRST, ((a, b), (c, d))
+            else:
+                a, c = a + b, c + d
+                yield Branch.DIVIDE_FIRST_INTO_SECOND, ((a, b), (c, d))
 
 
 def convergent_parameters(tau: QuadExt, p: int) -> Matrix2:

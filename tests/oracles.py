@@ -15,7 +15,10 @@ the route it checks, so tests compare the two:
   `counterexample.derive_diagonal_action`, which reads them off V of the
   same certified Smith form U A V = D;
 - `scanned_ramification_minors`, which finds i_1 and j_{p-1} by scanning
-  congruences, against the closed form of `quotient.ramification_minors`.
+  congruences, against the closed form of `quotient.ramification_minors`;
+- `floor_and_invert_quotients`, the partial quotients of a quadratic
+  irrational by exact floor and inversion in the field, against the
+  (P, Q) recurrence of `qfield`.
 
 `matmul` checks the Smith and adjugate certificates without the
 production `toric._matmul`.  `cofactor_det` checks the closed-form 2x2
@@ -27,7 +30,11 @@ compared.
 
 from __future__ import annotations
 
+from math import isqrt
+from typing import Iterator
+
 from valsweep.counterexample import ConfigError
+from valsweep.qfield import QuadExt
 from valsweep.quotient import DiagonalAction, RamificationWitness
 from valsweep.toric import (SemigroupBasis, ToricError, _bezout, dual_cone_2d, primitive,
                             smith_normal_form)
@@ -211,3 +218,25 @@ def scanned_ramification_minors(action: DiagonalAction) -> RamificationWitness:
     i_1 = [a * i % p for i in range(p)].index(b)
     j_last = [b * j % p for j in range(p)].index(a * (p - 1) % p)
     return RamificationWitness(p, (0, p - 1 + j_last), (2 * p - 1 - i_1, 0))
+
+
+def sign_corrected_floor(x: QuadExt) -> int:
+    """Exact floor of x, via an isqrt estimate corrected by sign tests."""
+    if x.t == 0:
+        return x.s // x.r
+    root = isqrt(x.t * x.t * x.d)  # |t|*sqrt(d) rounded down
+    approx = root if x.t > 0 else -(root + 1)
+    n = (x.s + approx) // x.r
+    while (x - (n + 1)).sign() >= 0:
+        n += 1
+    while (x - n).sign() < 0:
+        n -= 1
+    return n
+
+
+def floor_and_invert_quotients(x: QuadExt) -> Iterator[int]:
+    """The partial quotients of x by exact floor-and-invert, lazily."""
+    while True:
+        a = sign_corrected_floor(x)
+        yield a
+        x = (x - a).inverse()

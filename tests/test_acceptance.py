@@ -20,8 +20,8 @@ from valsweep.quotient import (DiagonalAction,
                                ramification_minors)
 from valsweep.toric import (adjugate_power_identity, below_ring_regularity,
                             det_int, dual_cone_2d, primitive, smith_normal_form)
-from valsweep.transform import (TransformState, branch_run_lengths,
-                                convergent_parameters, det2, run_sequence)
+from valsweep.transform import (TransformState, branch_steps, convergent_parameters, det2,
+                                run_sequence)
 from valsweep.valuation import ValueElement, group_index
 
 
@@ -168,10 +168,11 @@ def test_criterion_8_continued_fraction_crosscheck(capsys):
     initial = TransformState(((1, 0), (0, 1)),
                              (ValueElement.make(0, 1, 1, tau),
                               ValueElement.make(1, 0, 1, tau)))
-    states = run_sequence(initial, 40)
-    runs = branch_run_lengths(states)
+    tags = [branch for branch, _ in itertools.islice(branch_steps(initial.a, tau), 40)]
+    ok = tags == [state.branch for state in run_sequence(initial, 40)[1:]]
+    runs = [len(list(run)) for _, run in itertools.groupby(tags)]
     quotients = partial_quotients(tau, len(runs))
-    ok = runs[:-1] == quotients[:len(runs) - 1] and runs[-1] <= quotients[len(runs) - 1]
+    ok = ok and runs[:-1] == quotients[:len(runs) - 1] and runs[-1] <= quotients[len(runs) - 1]
     for p in range(1, 11):
         ok = ok and det2(convergent_parameters(tau, p)) in (-1, 1)
     with capsys.disabled():

@@ -1,18 +1,29 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import islice
+from math import isqrt
+from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import valsweep
+from oracles import floor_and_invert_quotients, sign_corrected_floor
 from valsweep import qfield
+from valsweep.errors import CertificationError
 from valsweep.qfield import (Convergent, QFieldError, QuadExt, convergents,
-                             partial_quotients, sign, squarefree_decompose,
+                             partial_quotients, squarefree_decompose,
                              tau_from_a)
 
 mpmath.mp.dps = 60
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 77, 221]
+SRC = Path(valsweep.__file__).resolve().parents[1]
+NONZERO = st.integers(-10**6, 10**6).filter(bool)
 
 
 def to_mp(x: QuadExt) -> mpmath.mpf:
@@ -66,12 +77,12 @@ class TestTau:
 
 class TestSign:
     def test_trivial(self):
-        assert sign(QuadExt.make(7, 1, 2, 77)) == 1
-        assert sign(QuadExt.make(0, 0, 1, 5)) == 0
+        assert QuadExt.make(7, 1, 2, 77).sign() == 1
+        assert QuadExt.make(0, 0, 1, 5).sign() == 0
 
     def test_two_minus_sqrt5(self):
         x = QuadExt.make(2, -1, 1, 5)
-        assert sign(x) == -1
+        assert x.sign() == -1
         assert mpmath.sign(to_mp(x)) == -1
 
     def test_random_against_numeric(self):
@@ -84,11 +95,11 @@ class TestSign:
             x = QuadExt.make(s, t, r, d)
             numeric = to_mp(x)
             if x.s == 0 and x.t == 0:
-                assert sign(x) == 0
+                assert x.sign() == 0
             else:
                 # 50-digit interval clearly separates nonzero values here
                 assert abs(numeric) > mpmath.mpf("1e-50")
-                assert sign(x) == mpmath.sign(numeric)
+                assert x.sign() == mpmath.sign(numeric)
 
 
 class TestArithmetic:
@@ -165,6 +176,57 @@ class TestFloor:
         n = x.floor()
         assert (x - n).sign() >= 0
         assert (x - (n + 1)).sign() < 0
+
+
+class TestQuotientStream:
+    """The (P, Q) recurrence against floor-and-invert (tests/oracles.py),
+    which shares no logic with it.  Run under python -O as well."""
+
+    @staticmethod
+    def oracle(x, count=40):
+        return list(islice(floor_and_invert_quotients(x), count))
+
+    def test_tau_matches_floor_and_invert(self):
+        for a in range(1, 201):
+            tau = tau_from_a(a)
+            assert partial_quotients(tau, 40) == self.oracle(tau), a
+
+    @given(st.integers(-10**6, 10**6), NONZERO, st.integers(-10**4, 10**4).filter(bool),
+           st.integers(2, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_random_irrationals_match_floor_and_invert(self, s, t, r, d):
+        assume(isqrt(d) ** 2 != d)
+        x = QuadExt.make(s, t, r, d)
+        assert partial_quotients(x, 40) == self.oracle(x)
+        assert x.floor() == sign_corrected_floor(x)
+
+    def test_rational_rejected(self):
+        with pytest.raises(QFieldError, match="irrational"):
+            partial_quotients(QuadExt.make(3, 0, 2, 5), 3)
+
+    # (P, Q, D) with Q = 0, and with Q = 5 not dividing D - P^2 = 76
+    CORRUPTED = [(1, 0, 77), (1, 5, 77)]
+
+    @pytest.mark.parametrize("p, q, dd", CORRUPTED)
+    def test_corrupted_state_raises(self, p, q, dd):
+        with pytest.raises(CertificationError, match="Q does not divide D - P"):
+            next(qfield._pq_quotients(p, q, dd))
+
+    def test_corrupted_state_raises_under_optimize(self):
+        script = ("from valsweep.errors import CertificationError\n"
+                  "from valsweep.qfield import _pq_quotients\n"
+                  f"for p, q, dd in {self.CORRUPTED}:\n"
+                  "    try:\n"
+                  "        next(_pq_quotients(p, q, dd))\n"
+                  "    except CertificationError as exc:\n"
+                  "        print(__debug__, exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False (P, Q, D) = (1, 0, 77): Q does not divide D - P^2",
+            "False (P, Q, D) = (1, 5, 77): Q does not divide D - P^2"]
 
 
 class TestConvergents:

@@ -7,7 +7,7 @@ from oracles import scanned_ramification_minors
 from valsweep import quotient
 from valsweep.quotient import (DiagonalAction, QuotientError,
                                invariant_generators,
-                               is_prime, is_regular, pi1_order,
+                               is_prime, pi1_order,
                                ramification_minors)
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -90,8 +90,8 @@ class TestInvariantGenerators:
                 continue
             action = DiagonalAction(p, a, b)
             _, minimal = invariant_generators(action)
-            assert is_regular(action) == (a == 0 or b == 0)
-            assert is_regular(action) == (len(minimal) == 2)
+            assert (pi1_order(action) == 1) == (a == 0 or b == 0)
+            assert (pi1_order(action) == 1) == (len(minimal) == 2)
 
 
 class TestRamification:

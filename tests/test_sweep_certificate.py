@@ -8,6 +8,7 @@ stepped state through the validating constructor.  No check here is an
 assert that python -O could drop from src; run this module under -O too.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -16,13 +17,14 @@ from pathlib import Path
 import pytest
 
 import valsweep
-from valsweep import counterexample
+from valsweep import counterexample, qfield, transform, valuation
+from valsweep.cli import main
 from valsweep.counterexample import (InstanceConfig, Verdict, build, certify_conflict,
                                      singularity_sweep)
 from valsweep.qfield import tau_from_a
 from valsweep.quotient import is_prime
 from valsweep.toric import below_ring_regularity
-from valsweep.transform import TransformState, quadratic_step, run_sequence
+from valsweep.transform import TransformState, branch_steps, run_sequence
 from valsweep.valuation import ValueElement
 
 SRC = Path(valsweep.__file__).resolve().parents[1]
@@ -79,17 +81,17 @@ class TestAgainstDirectOracle:
         assert len(calls) == 2 + 2
 
 
-def doubling_step(state):
+def doubling_step(step):
     """A broken step: the elementary column operation, then column 1 doubled,
     which is not unimodular and doubles |det|."""
-    (a, b), (c, d) = state.a
-    return state._replace(a=((2 * a, b), (2 * c, d)))
+    branch, ((a, b), (c, d)) = step
+    return branch, ((2 * a, b), (2 * c, d))
 
 
 class TestMutation:
     def test_non_unimodular_step_is_checked_directly(self, monkeypatch):
-        monkeypatch.setattr(counterexample, "quadratic_step",
-                            lambda state: doubling_step(quadratic_step(state)))
+        monkeypatch.setattr(counterexample, "branch_steps",
+                            lambda a, x: map(doubling_step, branch_steps(a, x)))
         report = sweep(11, 13, 10, m=3)
         assert report.verdict is Verdict.FALSIFIED
         assert report.falsification == "branch nu1 step 1: |det|=22 != 11"
@@ -100,12 +102,11 @@ class TestMutation:
     def test_non_unimodular_step_under_optimize(self):
         script = (
             "from valsweep import counterexample as cx\n"
-            "from valsweep.transform import quadratic_step\n"
-            "def broken(state):\n"
-            "    new = quadratic_step(state)\n"
-            "    (a, b), (c, d) = new.a\n"
-            "    return new._replace(a=((2 * a, b), (2 * c, d)))\n"
-            "cx.quadratic_step = broken\n"
+            "from valsweep.transform import branch_steps\n"
+            "def broken(matrix, x):\n"
+            "    for branch, ((a, b), (c, d)) in branch_steps(matrix, x):\n"
+            "        yield branch, ((2 * a, b), (2 * c, d))\n"
+            "cx.branch_steps = broken\n"
             "inst = cx.build(cx.InstanceConfig(11, 13, 3, 3, 10))\n"
             "report = cx.singularity_sweep(inst, 10)\n"
             "print(__debug__, report.verdict.value, report.falsification)\n")
@@ -130,3 +131,57 @@ class TestSteppedStatesValidate:
         for branch in build(InstanceConfig(q, p, p - q + 1, p - q + 1)).branches:
             for state in run_sequence(TransformState(branch.matrix, branch.chart_values), 300):
                 assert TransformState(*state) == state
+
+
+def branch_ratio(branch):
+    """x = v(first)/v(second) for the chart values of a branch."""
+    vx, vy = branch.chart_values
+    return vx.as_quadext() / vy.as_quadext()
+
+
+class TestStepsAlongQuotientRuns:
+    """`branch_steps`, which steps A along the partial quotients of the value
+    ratio, against the per-step reference route `run_sequence`."""
+
+    @staticmethod
+    def assert_steps_match_reference(branch, steps):
+        production = list(itertools.islice(branch_steps(branch.matrix, branch_ratio(branch)),
+                                           steps))
+        reference = run_sequence(TransformState(branch.matrix, branch.chart_values), steps)
+        assert production == [(state.branch, state.a) for state in reference[1:]], branch.name
+
+    def test_every_pair_with_q_at_most_100(self):
+        pairs = [(q, p) for q in range(5, 101) if is_prime(q)
+                 for p in range(q + 1, 2 * q - 4) if is_prime(p)]
+        assert len(pairs) == 191
+        for q, p in pairs:
+            for branch in build(InstanceConfig(q, p, p - q + 1, p - q + 1)).branches:
+                self.assert_steps_match_reference(branch, 300)
+
+    @pytest.mark.parametrize("q, p", [(11, 13), (17, 23), (97, 101), (991, 997)])
+    def test_long_runs(self, q, p):
+        inst = build(InstanceConfig(q, p, p - q + 1, p - q + 1))
+        for branch in inst.branches:
+            self.assert_steps_match_reference(branch, 2000)
+        # the sweep's records follow the same steps
+        records = singularity_sweep(inst, 2000).records
+        for branch in inst.branches:
+            steps = branch_steps(branch.matrix, branch_ratio(branch))
+            expected = [branch.matrix] + [a for _, a in itertools.islice(steps, 2000)]
+            assert [r.matrix for r in records if r.branch == branch.name] == expected
+
+    def test_no_field_arithmetic_per_step(self, monkeypatch, capsys):
+        inst = build(InstanceConfig(11, 13, 3, 3, 1000))
+
+        def refuse(*args):
+            raise RuntimeError("field arithmetic on the verdict path")
+
+        for module, name in ((transform, "quadratic_step"), (qfield, "sign_of"),
+                             (valuation, "sign_of")):
+            monkeypatch.setattr(module, name, refuse)
+        assert singularity_sweep(inst, 1000).verdict is Verdict.VERIFIED
+        assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
+        for patched in (inst.tau.sign, inst.branches[0].chart_values[0].sign,
+                        transform.quadratic_step):
+            with pytest.raises(RuntimeError):
+                patched()

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from valsweep.counterexample import InstanceConfig, build
 from valsweep.qfield import partial_quotients, squarefree_decompose, tau_from_a
+from valsweep.quotient import is_prime
 from valsweep.toric import smith_normal_form
 
 
@@ -32,6 +34,25 @@ def test_partial_quotients_match_sympy():
                           else (terms, []))
         expected = (prefix + period * 24)[:24]
         assert partial_quotients(tau_from_a(a), 24) == expected, a
+
+
+def test_branch_ratio_quotients_match_sympy():
+    # the sweep steps along these quotients; q <= 19 keeps the test near 1 s
+    pytest.importorskip("sympy")
+    from sympy.ntheory.continued_fraction import continued_fraction_periodic
+
+    pairs = [(q, p) for q in range(5, 20) if is_prime(q)
+             for p in range(q + 1, 2 * q - 4) if is_prime(p)]
+    assert len(pairs) == 10
+    for q, p in pairs:
+        for branch in build(InstanceConfig(q, p, p - q + 1, p - q + 1)).branches:
+            vx, vy = branch.chart_values
+            x = vx.as_quadext() / vy.as_quadext()  # (s + t sqrt d) / r
+            terms = continued_fraction_periodic(x.s, x.r, x.d, x.t)
+            prefix, period = ((terms[:-1], terms[-1]) if isinstance(terms[-1], list)
+                              else (terms, []))
+            expected = (prefix + period * 300)[:300]
+            assert partial_quotients(x, 300) == expected, (q, p, branch.name)
 
 
 def test_squarefree_decompose_matches_factorint():

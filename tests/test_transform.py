@@ -1,10 +1,11 @@
+import itertools
+
 import pytest
 
 from valsweep.errors import CertificationError
 from valsweep.qfield import partial_quotients, tau_from_a
-from valsweep.transform import (Branch, TransformState, branch_run_lengths,
-                                convergent_parameters, det2, quadratic_step,
-                                run_sequence)
+from valsweep.transform import (Branch, TransformState, branch_steps, convergent_parameters,
+                                det2, quadratic_step, run_sequence)
 from valsweep.valuation import ValuationError, ValueElement
 
 TAU7 = tau_from_a(7)
@@ -125,8 +126,9 @@ class TestRunSequence:
                 assert row != (0, 0)
 
     def test_branch_tags_encode_partial_quotients(self):
-        states = run_sequence(identity_state(), 40)
-        runs = branch_run_lengths(states)
+        tags = [branch for branch, _ in itertools.islice(branch_steps(((1, 0), (0, 1)), TAU7), 40)]
+        assert tags == [state.branch for state in run_sequence(identity_state(), 40)[1:]]
+        runs = [len(list(run)) for _, run in itertools.groupby(tags)]
         expected = partial_quotients(TAU7, len(runs))
         # the last run may be cut off mid-quotient by the step budget
         assert runs[:-1] == expected[:len(runs) - 1]
