@@ -275,18 +275,21 @@ _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "step_index": _INT}
 
 def cmd_transform(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import branch_steps, det2
+    from .transform import _elementary_successor, branch_steps, det2
     _require(args, "a")
     steps = _steps(args, 10)
     tau = tau_from_a(args.a)
     # u and v have values tau and 1, so the branches follow the quotients of tau
     ok = True
-    rows = [(1, 0, 0, 1, "null", 1, 0)]
-    for k, (branch, matrix) in enumerate(islice(branch_steps(((1, 0), (0, 1)), tau), steps), 1):
-        det = det2(matrix)
+    prev, det = ((1, 0), (0, 1)), 1
+    rows = [(1, 0, 0, 1, "null", det, 0)]
+    for k, (branch, matrix) in enumerate(islice(branch_steps(prev, tau), steps), 1):
+        if not _elementary_successor(prev, matrix):  # a successor keeps det
+            det = det2(matrix)
         ok = ok and det == 1
         (a, b), (c, d) = matrix
         rows.append((a, b, c, d, encode_basestring_ascii(branch.value), det, k))
+        prev = matrix
     return Report("transform", {"a": args.a, "steps": steps},
                   {"states": Records(_STATE, rows), "det_constant": ok},
                   "Verified" if ok else "Falsified")

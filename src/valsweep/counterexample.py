@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import CertificationError, ConfigError
 from .qfield import QuadExt, tau_from_a
 from .valuation import MonomialValuation, ValueElement, group_index
-from .transform import Matrix2, branch_steps
+from .transform import Matrix2, _elementary_successor, branch_steps
 from .toric import below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
@@ -190,15 +190,6 @@ class SweepReport(NamedTuple):
     verdict: Verdict
     records: tuple[StepRecord, ...]
     falsification: str | None = None
-
-
-def _elementary_successor(prev: Matrix2, matrix: Matrix2) -> bool:
-    """Whether matrix = prev*E for E = [[1,1],[0,1]] or [[1,0],[1,1]]: one
-    column of prev kept and the other replaced by the sum of both."""
-    (a, b), (c, d) = prev
-    (a2, b2), (c2, d2) = matrix
-    return ((a2 == a and c2 == c and b2 == a + b and d2 == c + d)
-            or (b2 == b and d2 == d and a2 == a + b and c2 == c + d))
 
 
 def singularity_sweep(instance: Instance, steps: int,

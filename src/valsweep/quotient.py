@@ -56,9 +56,6 @@ class DiagonalAction(_ActionFields):
             raise QuotientError("trivial action is not faithful")
         return super().__new__(cls, order, a, b)
 
-    def is_invariant(self, e_x: int, e_y: int) -> bool:
-        return (self.a * e_x + self.b * e_y) % self.order == 0
-
     def weight_map(self) -> dict[int, int]:
         """i -> j_i with b*j_i = a*i mod p and 0 < j_i < p, for a, b != 0."""
         p, a, b = self.order, self.a, self.b

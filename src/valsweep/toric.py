@@ -1,6 +1,6 @@
 """Integer lattice and cone computations.
 
-Determinants, adjugates and Smith normal forms of integer matrices, plus
+Determinants and Smith normal forms of integer matrices, plus
 2D dual cones, Hilbert bases and the regularity test for the invariant
 (semigroup) ring attached to a 2x2 exponent matrix.  Everything is exact;
 matrices are tuples of integer rows.
@@ -49,16 +49,6 @@ def _det(m: Matrix) -> int:
     if len(m) == 1:
         return m[0][0]
     return sum((-1) ** k * m[0][k] * _det(_minor(m, 0, k)) for k in range(len(m)))
-
-
-def adjugate(a) -> Matrix:
-    """adj(A) with A adj(A) = det(A) I."""
-    m = as_int_matrix(a)
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    return tuple(tuple((-1) ** (i + j) * _det(_minor(m, j, i)) for j in range(n))
-                 for i in range(n))
 
 
 class SmithForm(NamedTuple):
@@ -321,30 +311,3 @@ def below_ring_regularity(a) -> RegularityVerdict:
     if regular != (r == 2):  # pragma: no cover - the two criteria are equivalent
         raise CertificationError("determinant and Hilbert-basis criteria disagree")
     return RegularityVerdict(regular, r, d)
-
-
-class PowerIdentityCertificate(NamedTuple):
-    """Witness that each adjugate row sends the parameters below onto a
-    pure d-th power of a single parameter above."""
-
-    det: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-def adjugate_power_identity(a) -> PowerIdentityCertificate:
-    """Certify adj(A) A = det(A) I at the exponent level.
-
-    Row i of the product is det(A) times the i-th unit vector: the
-    monomial with exponents row_i(adj A) in the parameters below equals
-    the det(A)-th power of the single parameter above indexed by i.
-    """
-    m = as_int_matrix(a)
-    d = _det(m)
-    if d == 0:
-        raise ToricError("matrix is singular")
-    adj = adjugate(m)
-    for i, row in enumerate(_matmul(adj, m)):
-        for j, x in enumerate(row):
-            if x != (d if i == j else 0):  # pragma: no cover - self-check path
-                raise CertificationError(f"row {i} fails: entry {j} is {x}")
-    return PowerIdentityCertificate(d, adj)

@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterator, NamedTuple
 
 from .errors import CertificationError
-from .qfield import QuadExt, _quotient_stream, convergents, sign_of
+from .qfield import QuadExt, _quotient_stream, sign_of
 from .valuation import ValueElement, ValuationError, _check_parameter_values
 
 
@@ -64,12 +64,6 @@ class TransformState(_TransformFields):
     def det(self) -> int:
         return det2(self.a)
 
-    def original_values(self) -> tuple[ValueElement, ValueElement]:
-        """A applied to the current parameter values: (value of u, value of v)."""
-        vx, vy = self.param_values
-        return (vx.scale(self.a[0][0]) + vy.scale(self.a[0][1]),
-                vx.scale(self.a[1][0]) + vy.scale(self.a[1][1]))
-
 
 def quadratic_step(state: TransformState) -> TransformState:
     """One quadratic transform picked by the valuation, decided on the values:
@@ -117,6 +111,20 @@ def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
     return out
 
 
+def _elementary_successor(prev: Matrix2, matrix: Matrix2) -> bool:
+    """Whether matrix = prev*E for E = [[1,1],[0,1]] or [[1,0],[1,1]]: one
+    column of prev kept and the other replaced by the sum of both.
+
+    This restates the two column operations without calling
+    `branch_steps`, so a broken step cannot certify itself.  E has
+    determinant 1, so a successor keeps det(prev).
+    """
+    (a, b), (c, d) = prev
+    (a2, b2), (c2, d2) = matrix
+    return ((a2 == a and c2 == c and b2 == a + b and d2 == c + d)
+            or (b2 == b and d2 == d and a2 == a + b and c2 == c + d))
+
+
 def branch_steps(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[Branch, Matrix2]]:
     """(branch, next A) at each step of the transform sequence from A = matrix,
     lazily, for parameter values of ratio x = v(first)/v(second) > 0.  The
@@ -132,27 +140,3 @@ def branch_steps(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[Branch, Matrix2]
             else:
                 a, c = a + b, c + d
                 yield Branch.DIVIDE_FIRST_INTO_SECOND, ((a, b), (c, d))
-
-
-def convergent_parameters(tau: QuadExt, p: int) -> Matrix2:
-    """Parameter exponents from two consecutive convergents f_p/g_p of tau.
-
-    Returns M = [[g_p, g_{p-1}], [f_p, f_{p-1}]], the matrix expressing
-    (u, v) in the parameters (u_1, v_1) when u has value 1 and v has value
-    tau.  Certifies det M = +-1 and that both new parameter values are
-    strictly positive, by exact sign tests.
-    """
-    if p < 1:
-        raise ValuationError("need p >= 1 so two consecutive convergents exist")
-    cs = convergents(tau, p + 1)
-    f0, g0 = cs[p - 1].f, cs[p - 1].g
-    f1, g1 = cs[p].f, cs[p].g
-    eps = f0 * g1 - f1 * g0
-    if eps not in (-1, 1):
-        raise CertificationError(f"consecutive convergents have determinant {eps}, not +-1")
-    # values of u_1, v_1 obtained by inverting M against (value u, value v) = (1, tau)
-    u1 = (f0 - g0 * tau) * eps
-    v1 = (g1 * tau - f1) * eps
-    if u1.sign() <= 0 or v1.sign() <= 0:
-        raise CertificationError("convergent parameters produced a nonpositive value")
-    return ((g1, g0), (f1, f0))

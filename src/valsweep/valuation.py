@@ -8,7 +8,7 @@ which is attained at a unique monomial.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ValuationError
 from .qfield import QuadExt, sign_of
@@ -140,34 +140,6 @@ class MonomialValuation:
             if best is None or val < best:
                 best = val
         return best
-
-    def series_value(self, monomials: Iterable[Monomial]) -> tuple[ValueElement, int]:
-        """Value of a power series given by a degree-ordered monomial stream.
-
-        The stream must yield support monomials in nondecreasing total
-        degree.  Consumption stops at the first monomial whose total degree
-        n satisfies n * min(val_u, val_v) > (current minimum): no later
-        monomial can lower the minimum.  Returns (value, n).  If the stream
-        is finite, n is the least such integer degree.
-        """
-        small = self.val_u if self.val_u < self.val_v else self.val_v
-        it: Iterator[Monomial] = iter(monomials)
-        best = None
-        last_deg = -1
-        for e_u, e_v in it:
-            deg = e_u + e_v
-            if deg < last_deg:
-                raise ValuationError("stream not ordered by total degree")
-            last_deg = deg
-            if best is not None and small.scale(deg) > best:
-                return best, deg
-            val = self.monomial_value(e_u, e_v)
-            if best is None or val < best:
-                best = val
-        if best is None:
-            raise ValuationError("empty stream")
-        # the least integer n > best/small, exactly; small > 0
-        return best, max(last_deg + 1, (best.as_quadext() / small.as_quadext()).floor() + 1)
 
 
 def group_index(sub_gens: tuple[ValueElement, ValueElement],

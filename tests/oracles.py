@@ -1,4 +1,5 @@
-"""Independent oracles for the lattice, semigroup and quotient computations.
+"""Independent oracles for the lattice, semigroup, quotient, transform and
+valuation computations.
 
 These are the enumeration, search and second-route derivations that
 production code replaced with one route each.  None shares logic with
@@ -8,17 +9,26 @@ the route it checks, so tests compare the two:
 - `filtered_minimal_generators` (a `semigroup_contains` filtering of the
   full invariant list) against the minimal set of
   `quotient.invariant_generators`;
-- `brute_force_invariants`, which tests invariance with its own
-  congruence, against the invariant generators;
+- `brute_force_invariants`, which tests invariance with the congruence of
+  `is_invariant`, against the invariant generators;
 - `adjugate_diagonal_action`, which reads the weights off adj(A) at the
   quotient generator adj(U) det(U) e_2, against
   `counterexample.derive_diagonal_action`, which reads them off V of the
   same certified Smith form U A V = D;
+- `adjugate`, by cofactors, against `smith_adjugate`, which reads
+  adj(A) = det(A) V D^-1 U off the certified Smith form, the route of
+  `counterexample.derive_diagonal_action`;
 - `scanned_ramification_minors`, which finds i_1 and j_{p-1} by scanning
   congruences, against the closed form of `quotient.ramification_minors`;
 - `floor_and_invert_quotients`, the partial quotients of a quadratic
   irrational by exact floor and inversion in the field, against the
-  (P, Q) recurrence of `qfield`.
+  (P, Q) recurrence of `qfield`;
+- `convergent_parameters`, the matrix of two consecutive convergents of
+  tau, against the matrix that `transform.branch_steps` reaches from the
+  identity at the end of each run of steps;
+- `series_value`, the value of a degree-ordered monomial stream cut off
+  by a degree bound, against `MonomialValuation.value_of` on finite
+  supports.
 
 `matmul` checks the Smith and adjugate certificates without the
 production `toric._matmul`.  `cofactor_det` checks the closed-form 2x2
@@ -30,14 +40,16 @@ compared.
 
 from __future__ import annotations
 
-from math import isqrt
-from typing import Iterator
+from math import isqrt, prod
+from typing import Iterable, Iterator
 
 from valsweep.counterexample import ConfigError
-from valsweep.qfield import QuadExt
+from valsweep.errors import CertificationError, ValuationError
+from valsweep.qfield import QuadExt, convergents
 from valsweep.quotient import DiagonalAction, RamificationWitness
-from valsweep.toric import (SemigroupBasis, ToricError, _bezout, dual_cone_2d, primitive,
-                            smith_normal_form)
+from valsweep.toric import (SemigroupBasis, ToricError, _bezout, det_int, dual_cone_2d,
+                            primitive, smith_normal_form)
+from valsweep.valuation import MonomialValuation, ValueElement
 
 Vec2 = tuple[int, int]
 
@@ -59,6 +71,31 @@ def cofactor_det(a) -> int:
         return a[0][0]
     return sum((-1) ** k * a[0][k] * cofactor_det([row[:k] + row[k + 1:] for row in a[1:]])
                for k in range(len(a)))
+
+
+def adjugate(a) -> tuple[tuple[int, ...], ...]:
+    """adj(A) by cofactors: entry (i, j) is (-1)^(i+j) times the minor of A
+    without row j and column i."""
+    n = len(a)
+    if n == 1:
+        return ((1,),)
+    return tuple(tuple((-1) ** (i + j) * cofactor_det(
+        [row[:i] + row[i + 1:] for k, row in enumerate(a) if k != j]) for j in range(n))
+        for i in range(n))
+
+
+def smith_adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det A, adj A) read off the certified Smith form U A V = D: det A is
+    det(U) det(V) det(D), since det U and det V are +-1, and adj A =
+    det(A) A^-1 = V diag(det(A)/d_i) U, integral because each d_i divides
+    det D."""
+    form = smith_normal_form(a)
+    diag = form.diagonal()
+    det = det_int(form.u) * det_int(form.v) * prod(diag)
+    if det == 0:
+        raise ToricError("matrix is singular")
+    scaled_u = [[det // d * x for x in row] for d, row in zip(diag, form.u)]
+    return det, tuple(tuple(row) for row in matmul(form.v, scaled_u))
 
 
 def full_size_offset(u1: Vec2, u2: Vec2) -> int:
@@ -188,11 +225,16 @@ def filtered_minimal_generators(full: list[Vec2]) -> list[Vec2]:
     return sorted(minimal)
 
 
+def is_invariant(action: DiagonalAction, e_x: int, e_y: int) -> bool:
+    """x^e_x y^e_y is fixed by the action: a*e_x + b*e_y = 0 mod p."""
+    p, a, b = action
+    return (a * e_x + b * e_y) % p == 0
+
+
 def brute_force_invariants(action: DiagonalAction, max_degree: int) -> list[Vec2]:
     """All invariant monomials x^i y^j of total degree in (0, max_degree]."""
-    p, a, b = action
     return sorted((i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)
-                  if i + j > 0 and (a * i + b * j) % p == 0)
+                  if i + j > 0 and is_invariant(action, i, j))
 
 
 def adjugate_diagonal_action(matrix) -> DiagonalAction:
@@ -240,3 +282,56 @@ def floor_and_invert_quotients(x: QuadExt) -> Iterator[int]:
         a = sign_corrected_floor(x)
         yield a
         x = (x - a).inverse()
+
+
+def convergent_parameters(tau: QuadExt, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Parameter exponents from two consecutive convergents f_p/g_p of tau.
+
+    Returns M = [[g_p, g_{p-1}], [f_p, f_{p-1}]], the matrix expressing
+    (u, v) in the parameters (u_1, v_1) when u has value 1 and v has value
+    tau.  Certifies det M = +-1 and that both new parameter values are
+    strictly positive, by exact sign tests.
+    """
+    if p < 1:
+        raise ValuationError("need p >= 1 so two consecutive convergents exist")
+    cs = convergents(tau, p + 1)
+    f0, g0 = cs[p - 1].f, cs[p - 1].g
+    f1, g1 = cs[p].f, cs[p].g
+    eps = f0 * g1 - f1 * g0
+    if eps not in (-1, 1):
+        raise CertificationError(f"consecutive convergents have determinant {eps}, not +-1")
+    # values of u_1, v_1 obtained by inverting M against (value u, value v) = (1, tau)
+    u1 = (f0 - g0 * tau) * eps
+    v1 = (g1 * tau - f1) * eps
+    if u1.sign() <= 0 or v1.sign() <= 0:
+        raise CertificationError("convergent parameters produced a nonpositive value")
+    return ((g1, g0), (f1, f0))
+
+
+def series_value(nu: MonomialValuation,
+                 monomials: Iterable[tuple[int, int]]) -> tuple[ValueElement, int]:
+    """Value of a power series given by a degree-ordered monomial stream.
+
+    The stream must yield support monomials in nondecreasing total
+    degree.  Consumption stops at the first monomial whose total degree
+    n satisfies n * min(val_u, val_v) > (current minimum): no later
+    monomial can lower the minimum.  Returns (value, n).  If the stream
+    is finite, n is the least such integer degree.
+    """
+    small = nu.val_u if nu.val_u < nu.val_v else nu.val_v
+    best = None
+    last_deg = -1
+    for e_u, e_v in monomials:
+        deg = e_u + e_v
+        if deg < last_deg:
+            raise ValuationError("stream not ordered by total degree")
+        last_deg = deg
+        if best is not None and small.scale(deg) > best:
+            return best, deg
+        val = nu.monomial_value(e_u, e_v)
+        if best is None or val < best:
+            best = val
+    if best is None:
+        raise ValuationError("empty stream")
+    # the least integer n > best/small, exactly; small > 0
+    return best, max(last_deg + 1, (best.as_quadext() / small.as_quadext()).floor() + 1)

@@ -10,7 +10,9 @@ import json
 import random
 import time
 
-from oracles import brute_force_invariants, enumerated_hilbert_basis, semigroup_contains
+from oracles import (adjugate, brute_force_invariants, convergent_parameters,
+                     enumerated_hilbert_basis, is_invariant, matmul, semigroup_contains,
+                     smith_adjugate)
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import (InstanceConfig, Verdict, build,
                                      singularity_sweep)
@@ -18,10 +20,9 @@ from valsweep.qfield import partial_quotients, tau_from_a
 from valsweep.quotient import (DiagonalAction,
                                invariant_generators, is_prime, pi1_order,
                                ramification_minors)
-from valsweep.toric import (adjugate_power_identity, below_ring_regularity,
-                            det_int, dual_cone_2d, primitive, smith_normal_form)
-from valsweep.transform import (TransformState, branch_steps, convergent_parameters, det2,
-                                run_sequence)
+from valsweep.toric import (below_ring_regularity, det_int, dual_cone_2d, primitive,
+                            smith_normal_form)
+from valsweep.transform import TransformState, branch_steps, det2, run_sequence
 from valsweep.valuation import ValueElement, group_index
 
 
@@ -122,7 +123,7 @@ def test_criterion_6_lemma5_suite(capsys):
             gens = tuple(minimal)
             ok = ok and all(semigroup_contains(gens, mono)
                             for mono in brute_force_invariants(action, 2 * p))
-            ok = ok and all(action.is_invariant(*g) for g in full)
+            ok = ok and all(is_invariant(action, *g) for g in full)
             regular = a == 0 or b == 0
             ok = ok and regular == (len(minimal) == 2)
             order = pi1_order(action)
@@ -168,13 +169,20 @@ def test_criterion_8_continued_fraction_crosscheck(capsys):
     initial = TransformState(((1, 0), (0, 1)),
                              (ValueElement.make(0, 1, 1, tau),
                               ValueElement.make(1, 0, 1, tau)))
-    tags = [branch for branch, _ in itertools.islice(branch_steps(initial.a, tau), 40)]
+    run_ends = list(itertools.accumulate(partial_quotients(tau, 11)))
+    walk = list(itertools.islice(branch_steps(initial.a, tau), run_ends[-1]))
+    tags = [branch for branch, _ in walk[:40]]
     ok = tags == [state.branch for state in run_sequence(initial, 40)[1:]]
     runs = [len(list(run)) for _, run in itertools.groupby(tags)]
     quotients = partial_quotients(tau, len(runs))
     ok = ok and runs[:-1] == quotients[:len(runs) - 1] and runs[-1] <= quotients[len(runs) - 1]
-    for p in range(1, 11):
-        ok = ok and det2(convergent_parameters(tau, p)) in (-1, 1)
+    # at the end of run k the columns of A are the convergents k and k - 1
+    for k in range(1, 11):
+        matrix = walk[run_ends[k] - 1][1]
+        (g1, g0), (f1, f0) = convergent_parameters(tau, k)
+        ok = ok and {(matrix[0][0], matrix[1][0]), (matrix[0][1], matrix[1][1])} == \
+            {(f1, g1), (f0, g0)}
+        ok = ok and det2(matrix) in (-1, 1)
     with capsys.disabled():
         report(8, ok, "40-step branch tags RLE to the partial quotients; "
                       "convergent matrices unimodular")
@@ -189,8 +197,10 @@ def test_criterion_9_power_identity_random(capsys):
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if det_int(m) == 0:
             continue
-        cert = adjugate_power_identity(m)
-        ok = ok and cert.det == det_int(m)
+        # adj(A) = det(A) V D^-1 U from the certified Smith form, against cofactors
+        det, adj = smith_adjugate(m)
+        ok = ok and det == det_int(m) and adj == adjugate(m)
+        ok = ok and matmul(adj, m) == [[det * (i == j) for j in range(n)] for i in range(n)]
         count += 1
     with capsys.disabled():
         report(9, ok, "adjugate power identity certified on 200 random matrices")

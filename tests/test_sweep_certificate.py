@@ -9,6 +9,7 @@ assert that python -O could drop from src; run this module under -O too.
 """
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -18,13 +19,13 @@ import pytest
 
 import valsweep
 from valsweep import counterexample, qfield, transform, valuation
-from valsweep.cli import main
+from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import (InstanceConfig, Verdict, build, certify_conflict,
                                      singularity_sweep)
 from valsweep.qfield import tau_from_a
 from valsweep.quotient import is_prime
 from valsweep.toric import below_ring_regularity
-from valsweep.transform import TransformState, branch_steps, run_sequence
+from valsweep.transform import TransformState, branch_steps, det2, run_sequence
 from valsweep.valuation import ValueElement
 
 SRC = Path(valsweep.__file__).resolve().parents[1]
@@ -115,6 +116,70 @@ class TestMutation:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False Falsified branch nu1 step 1: |det|=22 != 11"
+
+
+IDENTITY = ((1, 0), (0, 1))
+
+
+def transform_oracle(a, steps, step_pairs):
+    """The JSON report of `transform --a a --steps steps` for the given
+    (branch, A) steps, with det2 of every matrix: the direct route that
+    the successor check replaces."""
+    states = [{"A": [[1, 0], [0, 1]], "branch": None, "det": 1, "step_index": 0}]
+    for k, (branch, m) in enumerate(step_pairs, 1):
+        states.append({"A": [list(m[0]), list(m[1])], "branch": branch.value,
+                       "det": det2(m), "step_index": k})
+    ok = all(state["det"] == 1 for state in states)
+    return json.dumps({"command": "transform", "inputs": {"a": a, "steps": steps},
+                       "results": {"det_constant": ok, "states": states},
+                       "schema_version": "1.0", "verdict": "Verified" if ok else "Falsified"},
+                      sort_keys=True, indent=2) + "\n"
+
+
+class TestTransformMutation:
+    """`transform` carries det from the identity along elementary successors,
+    with the same check as the sweep, and takes det2 of any other matrix."""
+
+    def test_non_unimodular_step_is_checked_directly(self, monkeypatch, capsys):
+        expected = transform_oracle(7, 40, map(doubling_step, itertools.islice(
+            branch_steps(IDENTITY, tau_from_a(7)), 40)))
+        monkeypatch.setattr(transform, "branch_steps",
+                            lambda a, x: map(doubling_step, branch_steps(a, x)))
+        assert main(["transform", "--a", "7", "--steps", "40"]) == EXIT_FALSIFIED
+        out = capsys.readouterr().out
+        assert json.loads(out)["results"]["det_constant"] is False
+        assert out == expected
+
+    def test_non_unimodular_step_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from valsweep import transform\n"
+            "from valsweep.cli import main\n"
+            "steps = transform.branch_steps\n"
+            "def broken(matrix, x):\n"
+            "    for branch, ((a, b), (c, d)) in steps(matrix, x):\n"
+            "        yield branch, ((2 * a, b), (2 * c, d))\n"
+            "transform.branch_steps = broken\n"
+            "print('debug', __debug__, file=sys.stderr)\n"
+            "sys.exit(main(['transform', '--a', '7', '--steps', '40']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_FALSIFIED, proc.stderr
+        assert proc.stderr.splitlines()[0] == "debug False"
+        assert proc.stdout == transform_oracle(7, 40, map(doubling_step, itertools.islice(
+            branch_steps(IDENTITY, tau_from_a(7)), 40)))
+
+    def test_successors_take_no_det2(self, monkeypatch, capsys):
+        expected = transform_oracle(7, 1000, itertools.islice(
+            branch_steps(IDENTITY, tau_from_a(7)), 1000))
+
+        def refuse(a):
+            raise RuntimeError("det2 of an elementary successor")
+
+        monkeypatch.setattr(transform, "det2", refuse)
+        assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestSteppedStatesValidate:

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (cofactor_det, enumerated_hilbert_basis, full_size_offset, in_cone,
-                     matmul, semigroup_contains)
+from oracles import (adjugate, cofactor_det, enumerated_hilbert_basis, full_size_offset,
+                     in_cone, matmul, semigroup_contains, smith_adjugate)
 from valsweep import toric
 from valsweep.errors import CertificationError
 from valsweep.quotient import ORDER_MAX
-from valsweep.toric import (SemigroupBasis, ToricError, adjugate,
-                            adjugate_power_identity, below_ring_regularity,
-                            det_int, dual_cone_2d, hilbert_basis_2d,
-                            hirzebruch_jung_digits, primitive,
+from valsweep.toric import (ToricError, below_ring_regularity, det_int, dual_cone_2d,
+                            hilbert_basis_2d, hirzebruch_jung_digits, primitive,
                             smith_normal_form)
 
 
@@ -39,16 +37,21 @@ def as_lists(m):
 
 
 class TestAdjugate:
+    """The Smith route adj(A) = det(A) V D^-1 U against the cofactor oracle."""
+
     def test_2x2(self):
         assert adjugate([[7, 9], [2, 1]]) == ((1, -9), (-2, 7))
+        assert smith_adjugate([[7, 9], [2, 1]]) == (-11, ((1, -9), (-2, 7)))
 
     def test_identity(self):
         assert as_lists(adjugate(eye(3))) == eye(3)
+        assert smith_adjugate(eye(3)) == (1, adjugate(eye(3)))
 
     def test_3x3_product(self):
         a = [[2, 1, 0], [0, 3, 1], [1, 0, 1]]
         assert det_int(a) == 7
         assert matmul(a, adjugate(a)) == eye(3, 7)
+        assert smith_adjugate(a) == (7, adjugate(a))
 
 
 class TestDeterminant:
@@ -98,7 +101,7 @@ class TestSmithNormalForm:
 
     def test_tuples_of_int_rows(self):
         form = smith_normal_form([[2, 1, 0], [0, 3, 1], [1, 0, 1]])
-        for m in (form.u, form.d, form.v, adjugate([[2, 1], [0, 3]])):
+        for m in (form.u, form.d, form.v):
             assert type(m) is tuple
             assert all(type(row) is tuple and all(type(x) is int for x in row) for row in m)
 
@@ -394,16 +397,26 @@ class TestRegularity:
 
 
 class TestPowerIdentity:
+    """adj(A) A = det(A) I, with adj(A) read off the certified Smith form
+    and compared with the cofactor oracle."""
+
+    @staticmethod
+    def certify(a):
+        det, rows = smith_adjugate(a)
+        assert rows == adjugate(a)
+        assert matmul(rows, a) == eye(len(a), det)
+        return det, rows
+
     def test_q11_row(self):
-        cert = adjugate_power_identity([[7, 9], [2, 1]])
-        assert cert.det == -11
-        assert cert.rows[0] == (1, -9)
+        det, rows = self.certify([[7, 9], [2, 1]])
+        assert det == -11
+        assert rows[0] == (1, -9)
         # exponents of the first adjugate row pushed through A: -11 * e1
         assert (1 * 7 + -9 * 2, 1 * 9 + -9 * 1) == (-11, 0)
 
     def test_identity(self):
-        cert = adjugate_power_identity(eye(3))
-        assert cert.det == 1
+        det, _ = self.certify(eye(3))
+        assert det == 1
 
     def test_random_3x3(self):
         rng = random.Random(99)
@@ -412,13 +425,13 @@ class TestPowerIdentity:
             a = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
             if det_int(a) == 0:
                 continue
-            cert = adjugate_power_identity(a)
-            assert cert.det == det_int(a)
+            det, _ = self.certify(a)
+            assert det == det_int(a)
             count += 1
 
     def test_singular_rejected(self):
         with pytest.raises(ToricError):
-            adjugate_power_identity([[1, 1], [1, 1]])
+            smith_adjugate([[1, 1], [1, 1]])
 
 
 class TestPrimitive:

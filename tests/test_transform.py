@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+from oracles import convergent_parameters
 from valsweep.errors import CertificationError
 from valsweep.qfield import partial_quotients, tau_from_a
-from valsweep.transform import (Branch, TransformState, branch_steps, convergent_parameters,
-                                det2, quadratic_step, run_sequence)
+from valsweep.transform import (Branch, TransformState, branch_steps, det2, quadratic_step,
+                                run_sequence)
 from valsweep.valuation import ValuationError, ValueElement
 
 TAU7 = tau_from_a(7)
@@ -117,7 +118,10 @@ class TestRunSequence:
 
     def test_matrix_reproduces_original_values(self):
         for state in run_sequence(chart_state_q11(), 20):
-            assert state.original_values() == (ve(0, 1, 1), ve(1, 0, 1))
+            (a, b), (c, d) = state.a
+            vx, vy = state.param_values
+            assert (vx.scale(a) + vy.scale(b), vx.scale(c) + vy.scale(d)) == \
+                (ve(0, 1, 1), ve(1, 0, 1))
 
     def test_rows_nonnegative_nonzero(self):
         for state in run_sequence(chart_state_q11(), 20):
@@ -149,16 +153,39 @@ class TestStateValidation:
             TransformState(((1, 0), (0, 1)), (ve(2, 0, 1), ve(1, 0, 1)))
 
 
+def run_end(tau, k):
+    """A from `branch_steps` at I on tau at the end of run k, after the
+    partial quotients a_0, ..., a_k of tau."""
+    steps = sum(partial_quotients(tau, k + 1))
+    return list(itertools.islice(branch_steps(((1, 0), (0, 1)), tau), steps))[-1][1]
+
+
+def assert_run_end_matches_oracle(tau, k):
+    """At the end of run k the columns of A are (f_k, g_k) and
+    (f_{k-1}, g_{k-1}), in either order: the columns of the oracle
+    [[g_k, g_{k-1}], [f_k, f_{k-1}]] with their entries swapped."""
+    (a, b), (c, d) = run_end(tau, k)
+    (g1, g0), (f1, f0) = convergent_parameters(tau, k)
+    assert {(a, c), (b, d)} == {(f1, g1), (f0, g0)}, k
+    assert det2(((a, b), (c, d))) in (-1, 1)
+
+
 class TestConvergentParameters:
+    """The oracle `convergent_parameters` against the ends of the runs of
+    `branch_steps`."""
+
     def test_a7_p2(self):
         m = convergent_parameters(TAU7, 2)
         assert m == ((8, 1), (63, 8))
         assert det2(m) == 1
+        assert run_end(TAU7, 2) == ((8, 63), (1, 8))  # the transpose of m
+        assert_run_end_matches_oracle(TAU7, 2)
 
     def test_golden_p1(self):
         m = convergent_parameters(tau_from_a(1), 1)
         assert m == ((1, 1), (2, 1))
         assert det2(m) == -1
+        assert_run_end_matches_oracle(tau_from_a(1), 1)
 
     @pytest.mark.parametrize("a", [1, 7, 13])
     @pytest.mark.parametrize("p", range(1, 11))
@@ -166,6 +193,7 @@ class TestConvergentParameters:
         # construction raises if either derived parameter value is nonpositive
         m = convergent_parameters(tau_from_a(a), p)
         assert det2(m) in (-1, 1)
+        assert_run_end_matches_oracle(tau_from_a(a), p)
 
     def test_p_zero_rejected(self):
         with pytest.raises(ValuationError):

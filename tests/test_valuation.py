@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import series_value
 from valsweep.qfield import tau_from_a
 from valsweep.valuation import (MonomialValuation, NotASubgroupError,
                                 ValuationError, ValueElement, group_index)
@@ -105,17 +106,17 @@ class TestValueOf:
 class TestSeriesValue:
     def test_low_terms_then_tail(self, nu_bar):
         stream = [(1, 0), (0, 1)] + [(i, 9 - i) for i in range(10)]
-        value, bound = nu_bar.series_value(stream)
+        value, bound = series_value(nu_bar, stream)
         assert value == ve(1, 0, 1)
         assert bound == 9
 
     def test_single_monomial(self, nu_bar):
-        value, bound = nu_bar.series_value([(0, 1)])
+        value, bound = series_value(nu_bar, [(0, 1)])
         assert value == ve(1, 0, 1)
         assert bound == 2
 
     def test_finite_stream_bound(self, nu_bar):
-        value, bound = nu_bar.series_value([(2, 3), (5, 0)])
+        value, bound = series_value(nu_bar, [(2, 3), (5, 0)])
         assert value == ve(3, 2, 1)  # 2 tau + 3 < 5 tau
         assert bound == 19  # least n with n > 2 tau + 3 ~ 18.77
 
@@ -128,15 +129,15 @@ class TestSeriesValue:
                 yield (deg, 0)
                 deg += 1
 
-        value, bound = nu_bar.series_value(stream())
+        value, bound = series_value(nu_bar, stream())
         assert value == ve(1, 0, 1)
         assert bound == 9
 
     def test_stable_under_longer_prefixes(self, nu_bar):
         base = [(2, 1), (1, 3), (4, 4)]
         tail = [(k, 0) for k in range(9, 40)]
-        v1, b1 = nu_bar.series_value(base + tail[:5])
-        v2, b2 = nu_bar.series_value(base + tail)
+        v1, b1 = series_value(nu_bar, base + tail[:5])
+        v2, b2 = series_value(nu_bar, base + tail)
         assert v1 == v2 and b1 == b2
 
     @settings(max_examples=150, deadline=None)
@@ -149,7 +150,7 @@ class TestSeriesValue:
         assume(u[:2] != (0, 0) and v[:2] != (0, 0) and u[0] * v[1] != u[1] * v[0])
         nu = MonomialValuation(ve(*u, tau), ve(*v, tau))
         stream = sorted(support, key=sum)
-        value, bound = nu.series_value(stream)
+        value, bound = series_value(nu, stream)
         last_deg = sum(stream[-1])
         if bound > last_deg:  # the stream ran out: count up to the bound
             small = min(nu.val_u, nu.val_v)
@@ -162,18 +163,30 @@ class TestSeriesValue:
         # value 10^12 + tau against a parameter value of 1
         nu = MonomialValuation(ve(1, 0, 1), ve(10 ** 12, 1, 1))
         start = time.perf_counter()
-        value, bound = nu.series_value([(0, 1)])
+        value, bound = series_value(nu, [(0, 1)])
         assert time.perf_counter() - start < 0.05
         assert value == ve(10 ** 12, 1, 1)
         assert bound == 10 ** 12 + 8  # 7 < tau < 8
 
     def test_unordered_rejected(self, nu_bar):
         with pytest.raises(ValuationError):
-            nu_bar.series_value([(0, 3), (1, 0)])
+            series_value(nu_bar, [(0, 3), (1, 0)])
 
     def test_empty_rejected(self, nu_bar):
         with pytest.raises(ValuationError):
-            nu_bar.series_value([])
+            series_value(nu_bar, [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10), st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3)),
+           st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3)),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=6,
+                    unique=True))
+    def test_agrees_with_value_of(self, a, u, v, support):
+        tau = tau_from_a(a)
+        assume(u[:2] != (0, 0) and v[:2] != (0, 0) and u[0] * v[1] != u[1] * v[0])
+        nu = MonomialValuation(ve(*u, tau), ve(*v, tau))
+        value, _ = series_value(nu, sorted(support, key=sum))
+        assert value == nu.value_of(support)
 
 
 class TestGroupIndex:
