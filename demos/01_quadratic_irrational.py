@@ -7,7 +7,7 @@ lands in the open unit interval.  Everything below is computed without
 floating point.
 """
 
-from valsweep.qfield import convergents, partial_quotients, tau_from_a
+from valsweep.qfield import iter_convergents, tau_from_a
 
 tau = tau_from_a(7)  # q = 11
 print("tau as (s + t sqrt(d)) / r:", tau)
@@ -17,8 +17,9 @@ eps = tau - 7
 print("eps = tau - 7 is positive:", eps.sign() > 0)
 print("eps < 1:", (eps - 1).sign() < 0)
 
-print("\npartial quotients:", partial_quotients(tau, 8))
+convergents = list(iter_convergents(tau, 8))  # (partial quotient, convergent) pairs
+print("\npartial quotients:", [a for a, _ in convergents])
 print("convergents f/g with f - g*tau alternating in sign:")
-for c in convergents(tau, 8):
+for _, c in convergents:
     sign = (c.f - tau * c.g).sign()
     print(f"  p={c.index}: {c.f}/{c.g}   sign(f - g tau) = {sign}")

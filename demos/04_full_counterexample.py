@@ -19,7 +19,7 @@ for branch in instance.branches:
     print("branch matrix:", branch.matrix,
           " chart values:", [str(v.as_quadext()) for v in branch.chart_values])
 
-report = singularity_sweep(instance, 25)
+report = singularity_sweep(instance)
 print("\nsweep verdict:", report.verdict.value)
 print("records:", len(report.records))
 regular_count = sum(r.regular for r in report.records)

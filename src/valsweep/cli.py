@@ -279,6 +279,8 @@ def cmd_transform(args) -> Report:
     _require(args, "a")
     steps = _steps(args, 10)
     tau = tau_from_a(args.a)
+    if steps < 0:
+        raise ConfigError("steps >= 0", "steps must be nonnegative")
     # u and v have values tau and 1, so the branches follow the quotients of tau
     ok = True
     prev, det = ((1, 0), (0, 1)), 1
@@ -368,7 +370,6 @@ def cmd_counterexample(args) -> Report:
                                n=args.n if args.n is not None else 3,
                                steps=_steps(args, 25))
     instance = cx.build(config)
-    charts = cx.validate_surface(config)
     inject = None
     if args.corrupt_step is not None:
         if not 0 <= args.corrupt_step <= config.steps:
@@ -376,14 +377,14 @@ def cmd_counterexample(args) -> Report:
                               f"--corrupt-step {args.corrupt_step} is outside the "
                               f"swept steps 0..{config.steps}")
         inject = {("nu1", args.corrupt_step): ((1, 0), (0, 1))}
-    sweep = cx.singularity_sweep(instance, config.steps, inject=inject)
+    sweep = cx.singularity_sweep(instance, inject=inject)
     inputs = {"q": config.q, "p": config.p, "m": config.m, "n": config.n,
               "steps": config.steps}
     results: dict[str, Any] = {
         "tau": _quad_json(instance.tau),
         "epsilon": _quad_json(instance.epsilon),
         "charts": [{"chart": c.chart, "u_correction": list(c.u_correction),
-                    "v_correction": list(c.v_correction)} for c in charts],
+                    "v_correction": list(c.v_correction)} for c in instance.charts],
         "steps": _step_records(sweep.records),
     }
     if sweep.verdict is cx.Verdict.VERIFIED:

@@ -70,74 +70,6 @@ class InstanceConfig(NamedTuple):
             raise ConfigError("steps >= 0", "steps must be nonnegative")
 
 
-class BranchData(NamedTuple):
-    """One root cover: exponent matrix and exact chart parameter values."""
-
-    name: str
-    order: int
-    matrix: Matrix2
-    chart_values: tuple[ValueElement, ValueElement]
-
-
-class Instance(NamedTuple):
-    config: InstanceConfig
-    tau: QuadExt
-    epsilon: QuadExt
-    base_values: tuple[ValueElement, ValueElement]
-    branches: tuple[BranchData, BranchData]
-
-
-def build(config: InstanceConfig) -> Instance:
-    """Construct and exactly certify the instance.
-
-    Certifies 0 < epsilon < 1, positivity of all four chart values, that
-    the value group indices are q and p (by both the linear-system and the
-    Smith-form routes), and the matrix determinants.
-    """
-    config.validate()
-    q, p = config.q, config.p
-    tau = tau_from_a(q - 4)
-    epsilon = tau - (q - 4)
-    if not (epsilon.sign() > 0 and (epsilon - 1).sign() < 0):
-        raise ConfigError("0 < epsilon < 1", "epsilon outside (0, 1)")
-
-    val_u = ValueElement.make(0, 1, 1, tau)  # value tau
-    val_v = ValueElement.make(1, 0, 1, tau)  # value 1
-    MonomialValuation(val_u, val_v)  # validates independence and positivity
-
-    branches = []
-    for name, order in (("nu1", q), ("nu2", p)):
-        # root value (2+tau)/order; chart parameters v/root and root^2/v
-        x1 = ValueElement.make(order - 2, -1, order, tau)
-        y1 = ValueElement.make(4 - order, 2, order, tau)
-        for label, val in (("x", x1), ("y", y1)):
-            if val.sign() <= 0:
-                raise ConfigError(f"{name}({label}1) > 0",
-                                  f"chart value {label}1 not positive on {name}")
-        a = ((order - 4, order - 2), (2, 1))
-        # the defining relations x1 = v/z, y1 = z^2/v at value level
-        root = ValueElement.make(2, 1, order, tau)
-        # row i of A expresses u resp. v in the chart parameters
-        relations = {"x1 + root = v": x1 + root == val_v,
-                     "2 root - v = y1": root.scale(2) - val_v == y1,
-                     "row 1 of A gives u": x1.scale(a[0][0]) + y1.scale(a[0][1]) == val_u,
-                     "row 2 of A gives v": x1.scale(a[1][0]) + y1.scale(a[1][1]) == val_v}
-        for relation, holds in relations.items():
-            if not holds:
-                raise CertificationError(f"chart relation {relation} fails on {name}")
-        d = det_int(a)
-        if abs(d) != order:
-            raise ConfigError("matrix determinant", f"|det|={abs(d)} != {order}")
-        idx = group_index((val_u, val_v), (x1, y1))
-        invariants = smith_normal_form(a).quotient_invariants()
-        if idx != order or invariants != [order]:
-            raise ConfigError("value group index",
-                              f"index {idx}, Smith invariants {invariants}, expected {order}")
-        branches.append(BranchData(name, order, a, (x1, y1)))
-
-    return Instance(config, tau, epsilon, (val_u, val_v), tuple(branches))
-
-
 class ChartCorrections(NamedTuple):
     """Unit-correction exponents certifying the chart relations.
 
@@ -172,6 +104,75 @@ def validate_surface(config: InstanceConfig) -> tuple[ChartCorrections, ChartCor
     return tuple(charts)
 
 
+class BranchData(NamedTuple):
+    """One root cover: exponent matrix, exact chart parameter values, and
+    the cyclic action of the matrix's certified Smith form."""
+
+    name: str
+    order: int
+    matrix: Matrix2
+    chart_values: tuple[ValueElement, ValueElement]
+    action: DiagonalAction
+
+
+class Instance(NamedTuple):
+    config: InstanceConfig
+    tau: QuadExt
+    epsilon: QuadExt
+    base_values: tuple[ValueElement, ValueElement]
+    branches: tuple[BranchData, BranchData]
+    charts: tuple[ChartCorrections, ChartCorrections]
+
+
+def build(config: InstanceConfig) -> Instance:
+    """Validate the configuration once, then construct and certify the instance.
+
+    Certifies the chart corrections, 0 < epsilon < 1, positivity of all
+    four chart values, and that the value group indices are q and p by the
+    linear-system and the Smith-form routes; each branch keeps the cyclic
+    action of its Smith form.
+    """
+    charts = validate_surface(config)
+    q, p = config.q, config.p
+    tau = tau_from_a(q - 4)
+    epsilon = tau - (q - 4)
+    if not (epsilon.sign() > 0 and (epsilon - 1).sign() < 0):
+        raise ConfigError("0 < epsilon < 1", "epsilon outside (0, 1)")
+
+    val_u = ValueElement.make(0, 1, 1, tau)  # value tau
+    val_v = ValueElement.make(1, 0, 1, tau)  # value 1
+    MonomialValuation(val_u, val_v)  # validates independence and positivity
+
+    branches = []
+    for name, order in (("nu1", q), ("nu2", p)):
+        # root value (2+tau)/order; chart parameters v/root and root^2/v
+        x1 = ValueElement.make(order - 2, -1, order, tau)
+        y1 = ValueElement.make(4 - order, 2, order, tau)
+        for label, val in (("x", x1), ("y", y1)):
+            if val.sign() <= 0:
+                raise ConfigError(f"{name}({label}1) > 0",
+                                  f"chart value {label}1 not positive on {name}")
+        a = ((order - 4, order - 2), (2, 1))
+        # the defining relations x1 = v/z, y1 = z^2/v at value level
+        root = ValueElement.make(2, 1, order, tau)
+        # row i of A expresses u resp. v in the chart parameters
+        relations = {"x1 + root = v": x1 + root == val_v,
+                     "2 root - v = y1": root.scale(2) - val_v == y1,
+                     "row 1 of A gives u": x1.scale(a[0][0]) + y1.scale(a[0][1]) == val_u,
+                     "row 2 of A gives v": x1.scale(a[1][0]) + y1.scale(a[1][1]) == val_v}
+        for relation, holds in relations.items():
+            if not holds:
+                raise CertificationError(f"chart relation {relation} fails on {name}")
+        idx = group_index((val_u, val_v), (x1, y1))
+        action = derive_diagonal_action(a)  # a cyclic quotient of order |det A|
+        if idx != order or action.order != order:
+            raise ConfigError("value group index", f"index {idx}, Smith quotient order "
+                              f"{action.order}, expected {order}")
+        branches.append(BranchData(name, order, a, (x1, y1), action))
+
+    return Instance(config, tau, epsilon, (val_u, val_v), tuple(branches), charts)
+
+
 class StepRecord(NamedTuple):
     branch: str
     step: int
@@ -192,10 +193,10 @@ class SweepReport(NamedTuple):
     falsification: str | None = None
 
 
-def singularity_sweep(instance: Instance, steps: int,
+def singularity_sweep(instance: Instance,
                       inject: dict[tuple[str, int], Matrix2] | None = None) -> SweepReport:
-    """Transform sweep certifying that the ring below is singular at every
-    step of each branch.
+    """Transform sweep certifying that the ring below is singular at steps
+    0..config.steps of each branch.
 
     The certificate is inductive.  Step 0 of each branch is checked
     directly by `below_ring_regularity`.  A later matrix that is exactly
@@ -213,6 +214,7 @@ def singularity_sweep(instance: Instance, steps: int,
     substitutes matrices at chosen (branch, step) keys so the
     falsification channel itself can be exercised.
     """
+    steps = instance.config.steps  # checked nonnegative by build
     records = []
     falsification = None
     for branch in instance.branches:
@@ -259,31 +261,26 @@ class ContradictionReport(NamedTuple):
     orders: dict[str, int]
     conflict: bool
 
-    @property
-    def verdict(self) -> Verdict:
-        return self.sweep.verdict
 
-
-def contradiction_report(instance: Instance, steps: int) -> ContradictionReport:
+def contradiction_report(instance: Instance) -> ContradictionReport:
     """Run the sweep and certify the conflicting fundamental-group orders."""
-    return certify_conflict(instance, singularity_sweep(instance, steps))
+    return certify_conflict(instance, singularity_sweep(instance))
 
 
 def certify_conflict(instance: Instance, sweep: SweepReport) -> ContradictionReport:
     """Certify the conflicting fundamental-group orders on a finished sweep.
 
-    Both branches must have stayed singular; the induced cyclic actions
-    then give local fundamental groups of order q and p respectively, and
-    q != p is checked by machine: no single normal local ring lies below
-    both.
+    Both branches must have stayed singular; the cyclic actions that
+    `build` derived then give local fundamental groups of order q and p
+    respectively, and q != p is checked by machine: no single normal local
+    ring lies below both.
     """
     if sweep.verdict is not Verdict.VERIFIED:
         raise ConfigError("sweep verified", f"sweep falsified: {sweep.falsification}")
     orders = {}
     for branch in instance.branches:
-        action = derive_diagonal_action(branch.matrix)
-        order = pi1_order(action)
-        # consistency with the regularity verdict of the same matrix
+        order = pi1_order(branch.action)
+        # consistency with the Hirzebruch-Jung regularity verdict of the same matrix
         reg = below_ring_regularity(branch.matrix)
         if (order == 1) != reg.regular:
             raise ConfigError("pi1/regularity consistency",

@@ -74,23 +74,20 @@ class QuadExt(NamedTuple):
         return QuadExt(s // g, t // g, r // g, d)
 
     def _coerce(self, other) -> "QuadExt":
+        """other as an element of this field: an int, or an element with the same d."""
         if isinstance(other, int):
             return QuadExt._reduce(other, 0, 1, self.d)
         if not isinstance(other, QuadExt):
             raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
-        if other.d != self.d and other.t != 0 and self.t != 0:
+        if other.d != self.d:
             raise QFieldError(f"mixed radicands {self.d} and {other.d}")
         return other
 
-    def _common_d(self, other: "QuadExt") -> int:
-        return self.d if self.t != 0 or other.t == 0 else other.d
-
     def __add__(self, other) -> "QuadExt":
         o = self._coerce(other)
-        d = self._common_d(o)
         return QuadExt._reduce(self.s * o.r + o.s * self.r,
                                self.t * o.r + o.t * self.r,
-                               self.r * o.r, d)
+                               self.r * o.r, self.d)
 
     __radd__ = __add__
 
@@ -105,10 +102,9 @@ class QuadExt(NamedTuple):
 
     def __mul__(self, other) -> "QuadExt":
         o = self._coerce(other)
-        d = self._common_d(o)
-        return QuadExt._reduce(self.s * o.s + self.t * o.t * d,
+        return QuadExt._reduce(self.s * o.s + self.t * o.t * self.d,
                                self.s * o.t + self.t * o.s,
-                               self.r * o.r, d)
+                               self.r * o.r, self.d)
 
     __rmul__ = __mul__
 
@@ -122,9 +118,6 @@ class QuadExt(NamedTuple):
     def __truediv__(self, other) -> "QuadExt":
         o = self._coerce(other)
         return self * o.inverse()
-
-    def __rtruediv__(self, other) -> "QuadExt":
-        return self.inverse() * other
 
     def is_zero(self) -> bool:
         return self.s == 0 and self.t == 0
@@ -218,11 +211,6 @@ def _pq_quotients(p: int, q: int, dd: int) -> Iterator[int]:
         q = (dd - p * p) // q
 
 
-def partial_quotients(x: QuadExt, count: int) -> list[int]:
-    """First `count` partial quotients of x ([] when count <= 0)."""
-    return list(islice(_quotient_stream(x), max(count, 0)))
-
-
 def iter_convergents(x: QuadExt, count: int) -> Iterator[tuple[int, Convergent]]:
     """The first `count` partial quotients a_k of an irrational x > 0, each
     with its convergent f_k/g_k, lazily: f_k = a_k*f_{k-1} + f_{k-2} from
@@ -238,8 +226,3 @@ def iter_convergents(x: QuadExt, count: int) -> Iterator[tuple[int, Convergent]]
         yield a, Convergent(f, g, k)
         f_pprev, g_pprev = f_prev, g_prev
         f_prev, g_prev = f, g
-
-
-def convergents(x: QuadExt, count: int) -> list[Convergent]:
-    """First `count` convergents of an irrational x > 0."""
-    return [c for _, c in iter_convergents(x, count)]

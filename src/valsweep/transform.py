@@ -60,10 +60,6 @@ class TransformState(_TransformFields):
                 raise ValuationError("exponent matrix has a zero row")
         return super().__new__(cls, a, param_values, branch)
 
-    @property
-    def det(self) -> int:
-        return det2(self.a)
-
 
 def quadratic_step(state: TransformState) -> TransformState:
     """One quadratic transform picked by the valuation, decided on the values:

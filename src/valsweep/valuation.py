@@ -42,9 +42,6 @@ class ValueElement(NamedTuple):
         return QuadExt._reduce(self.i * t.r + self.j * t.s, self.j * t.t,
                                self.n * t.r, t.d)
 
-    def is_zero(self) -> bool:
-        return self.i == 0 and self.j == 0
-
     def sign(self) -> int:
         t = self.tau  # n > 0 and t.r > 0 leave the sign of the numerator
         return sign_of(self.i * t.r + self.j * t.s, self.j * t.t, t.d)
@@ -66,9 +63,6 @@ class ValueElement(NamedTuple):
         return ValueElement.make(self.i * other.n - other.i * self.n,
                                  self.j * other.n - other.j * self.n,
                                  self.n * other.n, self.tau)
-
-    def __neg__(self) -> "ValueElement":
-        return ValueElement(-self.i, -self.j, self.n, self.tau)
 
     def scale(self, k: int) -> "ValueElement":
         return ValueElement.make(self.i * k, self.j * k, self.n, self.tau)

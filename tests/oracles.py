@@ -45,7 +45,7 @@ from typing import Iterable, Iterator
 
 from valsweep.counterexample import ConfigError
 from valsweep.errors import CertificationError, ValuationError
-from valsweep.qfield import QuadExt, convergents
+from valsweep.qfield import QuadExt, iter_convergents
 from valsweep.quotient import DiagonalAction, RamificationWitness
 from valsweep.toric import (SemigroupBasis, ToricError, _bezout, det_int, dual_cone_2d,
                             primitive, smith_normal_form)
@@ -294,7 +294,7 @@ def convergent_parameters(tau: QuadExt, p: int) -> tuple[tuple[int, int], tuple[
     """
     if p < 1:
         raise ValuationError("need p >= 1 so two consecutive convergents exist")
-    cs = convergents(tau, p + 1)
+    cs = [c for _, c in iter_convergents(tau, p + 1)]
     f0, g0 = cs[p - 1].f, cs[p - 1].g
     f1, g1 = cs[p].f, cs[p].g
     eps = f0 * g1 - f1 * g0

@@ -16,7 +16,7 @@ from oracles import (adjugate, brute_force_invariants, convergent_parameters,
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import (InstanceConfig, Verdict, build,
                                      singularity_sweep)
-from valsweep.qfield import partial_quotients, tau_from_a
+from valsweep.qfield import _quotient_stream, tau_from_a
 from valsweep.quotient import (DiagonalAction,
                                invariant_generators, is_prime, pi1_order,
                                ramification_minors)
@@ -34,7 +34,7 @@ def report(num: int, ok: bool, text: str) -> None:
 def _sweep_criterion(q: int, p: int, m: int, n: int, steps: int) -> float:
     start = time.monotonic()
     inst = build(InstanceConfig(q=q, p=p, m=m, n=n, steps=steps))
-    rep = singularity_sweep(inst, steps)
+    rep = singularity_sweep(inst)
     assert rep.verdict is Verdict.VERIFIED
     assert len(rep.records) == 2 * (steps + 1)
     for rec in rep.records:
@@ -169,12 +169,12 @@ def test_criterion_8_continued_fraction_crosscheck(capsys):
     initial = TransformState(((1, 0), (0, 1)),
                              (ValueElement.make(0, 1, 1, tau),
                               ValueElement.make(1, 0, 1, tau)))
-    run_ends = list(itertools.accumulate(partial_quotients(tau, 11)))
+    run_ends = list(itertools.accumulate(itertools.islice(_quotient_stream(tau), 11)))
     walk = list(itertools.islice(branch_steps(initial.a, tau), run_ends[-1]))
     tags = [branch for branch, _ in walk[:40]]
     ok = tags == [state.branch for state in run_sequence(initial, 40)[1:]]
     runs = [len(list(run)) for _, run in itertools.groupby(tags)]
-    quotients = partial_quotients(tau, len(runs))
+    quotients = list(itertools.islice(_quotient_stream(tau), len(runs)))
     ok = ok and runs[:-1] == quotients[:len(runs) - 1] and runs[-1] <= quotients[len(runs) - 1]
     # at the end of run k the columns of A are the convergents k and k - 1
     for k in range(1, 11):

@@ -18,7 +18,7 @@ import valsweep
 from valsweep import cli, counterexample, qfield, toric
 from valsweep.cli import (COMMANDS, EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
                           STEPS_MAX, Records, Report, UsageError, main, parse_matrix)
-from valsweep.qfield import TAU_A_MAX, convergents, tau_from_a
+from valsweep.qfield import TAU_A_MAX, iter_convergents, tau_from_a
 from valsweep.quotient import ORDER_MAX
 from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
@@ -198,6 +198,12 @@ class TestExitCodes:
         # main catches every layer's error class from valsweep.errors alone
         assert run(capsys, *argv) == (EXIT_USAGE, "", line + "\n")
 
+    @pytest.mark.parametrize("argv", [("transform", "--a", "7"),
+                                      ("counterexample", "--q", "11", "--p", "13")])
+    def test_negative_steps_rejected(self, capsys, argv):
+        assert run(capsys, *argv, "--steps", "-1") == (
+            EXIT_USAGE, "", "error: violated constraint [steps >= 0]: steps must be nonnegative\n")
+
     def test_falsification_channel(self, capsys):
         code, out, err = run(capsys, "counterexample", "--q", "11", "--p", "13",
                              "--steps", "5", "--corrupt-step", "2")
@@ -350,7 +356,7 @@ class TestConvergentsCheck:
 
     def test_stops_at_the_first_numerator_past_the_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
-        cs = convergents(tau_from_a(999979), 1500)
+        cs = [c for _, c in iter_convergents(tau_from_a(999979), 1500)]
         last = next(k for k, c in enumerate(cs) if c.f >= 10 ** limit)
         code, out, _ = run(capsys, "convergents", "--a", "999979", "--steps", str(last))
         assert code == EXIT_OK
@@ -400,7 +406,7 @@ class TestNegativeMatrixEntries:
 class TestSweepOnce:
     @pytest.mark.parametrize("steps", [0, 7])
     def test_counterexample_sweeps_once(self, capsys, monkeypatch, steps):
-        calls = {"regularity": 0, "sweep": 0}
+        calls = {"regularity": 0, "sweep": 0, "validate": 0, "snf": 0, "det": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -412,13 +418,19 @@ class TestSweepOnce:
                             counted("regularity", counterexample.below_ring_regularity))
         monkeypatch.setattr(counterexample, "singularity_sweep",
                             counted("sweep", counterexample.singularity_sweep))
+        monkeypatch.setattr(counterexample.InstanceConfig, "validate",
+                            counted("validate", counterexample.InstanceConfig.validate))
+        monkeypatch.setattr(counterexample, "smith_normal_form",
+                            counted("snf", counterexample.smith_normal_form))
+        monkeypatch.setattr(counterexample, "det_int", counted("det", counterexample.det_int))
         code, _, _ = run(capsys, "counterexample", "--q", "11", "--p", "13",
                          "--steps", str(steps))
         assert code == EXIT_OK
         # one direct check at step 0 of each branch (every later step is an
         # elementary column operation on its predecessor and carries its
-        # verdict), then one per branch matrix in certify_conflict
-        assert calls == {"regularity": 2 + 2, "sweep": 1}
+        # verdict), then one per branch matrix in certify_conflict; build
+        # validates once and takes one Smith form and det per branch
+        assert calls == {"regularity": 2 + 2, "sweep": 1, "validate": 1, "snf": 2, "det": 2}
 
 
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
@@ -681,6 +693,7 @@ class TestArgvFuzz:
     @example(["lemma5", "--order", str(ORDER_MAX + 1), "--a", "1", "--b", "2"])
     @example(["counterexample", "--q", "11", "--p", "13", "--steps", "40",
               "--corrupt-step", "40", "--format", "text"])
+    @example(["transform", "--a", "7", "--steps", "-1"])
     def test_main_never_raises(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

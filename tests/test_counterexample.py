@@ -82,6 +82,14 @@ class TestBuild:
         # x1 + z = v and 2 z - v = y1 at value level, checked in build
         build(InstanceConfig(q=11, p=13))
 
+    @pytest.mark.parametrize("config", [InstanceConfig(11, 13), InstanceConfig(17, 23, 7, 7)])
+    def test_build_keeps_charts_and_actions(self, config):
+        inst = build(config)
+        assert inst.charts == validate_surface(config)
+        for branch in inst.branches:
+            assert branch.action == derive_diagonal_action(branch.matrix)
+            assert branch.action.order == branch.order
+
 
 class TestSurface:
     def test_q11_p13_corrections(self):
@@ -103,7 +111,7 @@ class TestSurface:
 class TestSweep:
     def test_q11_p13_full(self):
         inst = build(InstanceConfig(q=11, p=13))
-        report = singularity_sweep(inst, 25)
+        report = singularity_sweep(inst)
         assert report.verdict is Verdict.VERIFIED
         assert len(report.records) == 52
         for rec in report.records:
@@ -112,48 +120,60 @@ class TestSweep:
             assert abs(rec.det) == (11 if rec.branch == "nu1" else 13)
 
     def test_step_zero_only(self):
-        inst = build(InstanceConfig(q=11, p=13))
-        report = singularity_sweep(inst, 0)
+        inst = build(InstanceConfig(q=11, p=13, steps=0))
+        report = singularity_sweep(inst)
         assert [r.det for r in report.records] == [-11, -13]
         assert report.verdict is Verdict.VERIFIED
 
     def test_step_one_matrix(self):
-        inst = build(InstanceConfig(q=11, p=13))
-        report = singularity_sweep(inst, 1)
+        inst = build(InstanceConfig(q=11, p=13, steps=1))
+        report = singularity_sweep(inst)
         nu1 = [r for r in report.records if r.branch == "nu1"]
         assert nu1[0].matrix == ((7, 9), (2, 1))
         assert nu1[1].matrix == ((16, 9), (3, 1))
 
     def test_falsification_injection(self):
-        inst = build(InstanceConfig(q=11, p=13))
-        report = singularity_sweep(inst, 5, inject={("nu1", 3): ((1, 0), (0, 1))})
+        inst = build(InstanceConfig(q=11, p=13, steps=5))
+        report = singularity_sweep(inst, inject={("nu1", 3): ((1, 0), (0, 1))})
         assert report.verdict is Verdict.FALSIFIED
         assert "regular" in report.falsification
+
+    @pytest.mark.parametrize("steps", [0, 7])
+    def test_length_is_config_steps(self, steps):
+        report = singularity_sweep(build(InstanceConfig(11, 13, steps=steps)))
+        assert len(report.records) == 2 * (steps + 1)
+        assert [r.step for r in report.records] == [*range(steps + 1)] * 2
+
+    def test_negative_length_rejected_by_build(self):
+        with pytest.raises(ConfigError) as exc:
+            build(InstanceConfig(11, 13, steps=-1))
+        assert (exc.value.constraint, str(exc.value)) == ("steps >= 0",
+                                                          "steps must be nonnegative")
 
 
 class TestContradiction:
     def test_q11_p13(self):
         inst = build(InstanceConfig(q=11, p=13))
-        report = contradiction_report(inst, 25)
+        report = contradiction_report(inst)
         assert report.orders == {"nu1": 11, "nu2": 13}
         assert report.conflict
 
     def test_q17_p23(self):
-        inst = build(InstanceConfig(q=17, p=23, m=7, n=7))
-        report = contradiction_report(inst, 10)
+        inst = build(InstanceConfig(q=17, p=23, m=7, n=7, steps=10))
+        report = contradiction_report(inst)
         assert report.orders == {"nu1": 17, "nu2": 23}
         assert report.conflict
 
     def test_certify_conflict_keeps_the_sweep(self):
-        inst = build(InstanceConfig(q=11, p=13))
-        sweep = singularity_sweep(inst, 5)
+        inst = build(InstanceConfig(q=11, p=13, steps=5))
+        sweep = singularity_sweep(inst)
         report = certify_conflict(inst, sweep)
         assert report.sweep is sweep
-        assert report == contradiction_report(inst, 5)
+        assert report == contradiction_report(inst)
 
     def test_certify_conflict_rejects_falsified_sweep(self):
-        inst = build(InstanceConfig(q=11, p=13))
-        sweep = singularity_sweep(inst, 5, inject={("nu1", 3): ((1, 0), (0, 1))})
+        inst = build(InstanceConfig(q=11, p=13, steps=5))
+        sweep = singularity_sweep(inst, inject={("nu1", 3): ((1, 0), (0, 1))})
         with pytest.raises(ConfigError) as exc:
             certify_conflict(inst, sweep)
         assert exc.value.constraint == "sweep verified"

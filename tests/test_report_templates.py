@@ -21,7 +21,7 @@ from valsweep.cli import (EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, STEPS_MAX, Record
                           _step_records, main)
 from valsweep.counterexample import InstanceConfig, StepRecord, build, singularity_sweep
 from valsweep.qfield import tau_from_a
-from valsweep.transform import TransformState, run_sequence
+from valsweep.transform import TransformState, det2, run_sequence
 from valsweep.valuation import ValueElement
 
 
@@ -133,7 +133,7 @@ class TestCommandsAgainstOracle:
     def test_counterexample(self, steps):
         payload = run_both_formats("counterexample", "--q", "11", "--p", "13",
                                    "--steps", str(steps))
-        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, steps)), steps)
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, steps)))
         assert payload["results"]["steps"] == [step_dict(r) for r in sweep.records]
         assert payload["verdict"] == "Verified"
 
@@ -142,7 +142,7 @@ class TestCommandsAgainstOracle:
         payload = run_both_formats("counterexample", "--q", "11", "--p", "13", "--steps", "60",
                                    "--corrupt-step", str(step), expect=EXIT_FALSIFIED)
         inject = {("nu1", step): ((1, 0), (0, 1))}
-        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 60)), 60, inject=inject)
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 60)), inject=inject)
         assert payload["results"]["steps"] == [step_dict(r) for r in sweep.records]
         assert payload["results"]["falsification"] == sweep.falsification
         assert payload["verdict"] == "Falsified"
@@ -155,7 +155,7 @@ class TestCommandsAgainstOracle:
                                                     ValueElement.make(1, 0, 1, tau)))
         states = run_sequence(initial, steps)
         assert payload["results"]["states"] == [
-            {"step_index": k, "A": [list(st.a[0]), list(st.a[1])], "det": st.det,
+            {"step_index": k, "A": [list(st.a[0]), list(st.a[1])], "det": det2(st.a),
              "branch": None if st.branch is None else st.branch.value}
             for k, st in enumerate(states)]
         assert payload["results"]["det_constant"] is True

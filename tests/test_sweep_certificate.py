@@ -37,7 +37,7 @@ PAIRS = [(q, p) for q in range(5, 38) if is_prime(q)
 
 def sweep(q, p, steps, m=None):
     m = m or p - q + 1
-    return singularity_sweep(build(InstanceConfig(q, p, m, m, steps)), steps)
+    return singularity_sweep(build(InstanceConfig(q, p, m, m, steps)))
 
 
 def assert_records_match_oracle(report):
@@ -64,7 +64,7 @@ class TestAgainstDirectOracle:
     def test_corrupted_steps_keep_the_oracle(self):
         inst = build(InstanceConfig(11, 13, 3, 3, 30))
         for step in (0, 1, 7, 29, 30):
-            report = singularity_sweep(inst, 30, inject={("nu1", step): ((1, 0), (0, 1))})
+            report = singularity_sweep(inst, inject={("nu1", step): ((1, 0), (0, 1))})
             assert report.falsification == f"branch nu1 step {step}: ring below is regular"
             assert_records_match_oracle(report)
 
@@ -74,11 +74,11 @@ class TestAgainstDirectOracle:
         monkeypatch.setattr(counterexample, "below_ring_regularity",
                             lambda a: calls.append(a) or real(a))
         inst = build(InstanceConfig(11, 13, 3, 3, 40))
-        singularity_sweep(inst, 40)
+        singularity_sweep(inst)
         assert calls == [b.matrix for b in inst.branches]
         calls.clear()
         # an injected matrix and the step after it are checked directly
-        singularity_sweep(inst, 40, inject={("nu2", 5): ((1, 0), (0, 1))})
+        singularity_sweep(inst, inject={("nu2", 5): ((1, 0), (0, 1))})
         assert len(calls) == 2 + 2
 
 
@@ -109,7 +109,7 @@ class TestMutation:
             "        yield branch, ((2 * a, b), (2 * c, d))\n"
             "cx.branch_steps = broken\n"
             "inst = cx.build(cx.InstanceConfig(11, 13, 3, 3, 10))\n"
-            "report = cx.singularity_sweep(inst, 10)\n"
+            "report = cx.singularity_sweep(inst)\n"
             "print(__debug__, report.verdict.value, report.falsification)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -225,11 +225,11 @@ class TestStepsAlongQuotientRuns:
 
     @pytest.mark.parametrize("q, p", [(11, 13), (17, 23), (97, 101), (991, 997)])
     def test_long_runs(self, q, p):
-        inst = build(InstanceConfig(q, p, p - q + 1, p - q + 1))
+        inst = build(InstanceConfig(q, p, p - q + 1, p - q + 1, 2000))
         for branch in inst.branches:
             self.assert_steps_match_reference(branch, 2000)
         # the sweep's records follow the same steps
-        records = singularity_sweep(inst, 2000).records
+        records = singularity_sweep(inst).records
         for branch in inst.branches:
             steps = branch_steps(branch.matrix, branch_ratio(branch))
             expected = [branch.matrix] + [a for _, a in itertools.islice(steps, 2000)]
@@ -244,7 +244,7 @@ class TestStepsAlongQuotientRuns:
         for module, name in ((transform, "quadratic_step"), (qfield, "sign_of"),
                              (valuation, "sign_of")):
             monkeypatch.setattr(module, name, refuse)
-        assert singularity_sweep(inst, 1000).verdict is Verdict.VERIFIED
+        assert singularity_sweep(inst).verdict is Verdict.VERIFIED
         assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
         for patched in (inst.tau.sign, inst.branches[0].chart_values[0].sign,
                         transform.quadratic_step):

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import convergent_parameters
 from valsweep.errors import CertificationError
-from valsweep.qfield import partial_quotients, tau_from_a
+from valsweep.qfield import _quotient_stream, tau_from_a
 from valsweep.transform import (Branch, TransformState, branch_steps, det2, quadratic_step,
                                 run_sequence)
 from valsweep.valuation import ValuationError, ValueElement
@@ -32,7 +32,7 @@ class TestQuadraticStep:
         state = quadratic_step(chart_state_q11())
         assert state.a == ((16, 9), (3, 1))
         assert state.param_values == (ve(9, -1, 11), ve(-16, 3, 11))
-        assert state.det == -11
+        assert det2(state.a) == -11
         assert state.param_values[1].sign() > 0
 
     def test_identity_first_larger(self):
@@ -65,7 +65,7 @@ def arithmetic_step(state):
     diff = vx - vy
     if diff.sign() > 0:
         return ((a, a + b), (c, c + d)), (diff, vy), Branch.DIVIDE_SECOND_INTO_FIRST
-    return ((a + b, b), (c + d, d)), (vx, -diff), Branch.DIVIDE_FIRST_INTO_SECOND
+    return ((a + b, b), (c + d, d)), (vx, vy - vx), Branch.DIVIDE_FIRST_INTO_SECOND
 
 
 class TestStepOracle:
@@ -105,7 +105,7 @@ class TestStepOracle:
 class TestRunSequence:
     def test_det_preserved_q11(self):
         states = run_sequence(chart_state_q11(), 2)
-        assert [s.det for s in states] == [-11, -11, -11]
+        assert [det2(s.a) for s in states] == [-11, -11, -11]
 
     def test_zero_steps(self):
         states = run_sequence(chart_state_q11(), 0)
@@ -114,7 +114,7 @@ class TestRunSequence:
     def test_det_preserved_p13(self):
         initial = TransformState(((9, 11), (2, 1)), (ve(11, -1, 13), ve(-9, 2, 13)))
         states = run_sequence(initial, 5)
-        assert all(s.det == -13 for s in states)
+        assert all(det2(s.a) == -13 for s in states)
 
     def test_matrix_reproduces_original_values(self):
         for state in run_sequence(chart_state_q11(), 20):
@@ -133,7 +133,7 @@ class TestRunSequence:
         tags = [branch for branch, _ in itertools.islice(branch_steps(((1, 0), (0, 1)), TAU7), 40)]
         assert tags == [state.branch for state in run_sequence(identity_state(), 40)[1:]]
         runs = [len(list(run)) for _, run in itertools.groupby(tags)]
-        expected = partial_quotients(TAU7, len(runs))
+        expected = list(itertools.islice(_quotient_stream(TAU7), len(runs)))
         # the last run may be cut off mid-quotient by the step budget
         assert runs[:-1] == expected[:len(runs) - 1]
         assert runs[-1] <= expected[len(runs) - 1]
@@ -156,7 +156,7 @@ class TestStateValidation:
 def run_end(tau, k):
     """A from `branch_steps` at I on tau at the end of run k, after the
     partial quotients a_0, ..., a_k of tau."""
-    steps = sum(partial_quotients(tau, k + 1))
+    steps = sum(itertools.islice(_quotient_stream(tau), k + 1))
     return list(itertools.islice(branch_steps(((1, 0), (0, 1)), tau), steps))[-1][1]
 
 
