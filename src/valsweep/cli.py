@@ -189,13 +189,18 @@ def _text_lines(value: dict[str, Any], indent: str, lines: list[str]) -> None:
             lines.append(f"{indent}{k}: {v}")
 
 
-def parse_matrix(text: str) -> list[list[int]]:
+def parse_entries(text: str) -> list[int]:
     entries = []
     for pos, tok in enumerate(text.split(",")):
         try:
             entries.append(int(tok.strip()))
         except ValueError:
             raise UsageError(f"--matrix: entry {pos} ({tok!r}) is not an integer")
+    return entries
+
+
+def parse_matrix(text: str) -> list[list[int]]:
+    entries = parse_entries(text)
     n = isqrt(len(entries))
     if n * n != len(entries) or n == 0:
         raise UsageError(f"--matrix: {len(entries)} entries do not form a square matrix")
@@ -258,7 +263,7 @@ def cmd_value(args) -> Report:
     from .qfield import tau_from_a
     from .valuation import MonomialValuation, ValueElement
     _require(args, "a", "matrix")
-    flat = [x for row in parse_matrix(args.matrix) for x in row]
+    flat = parse_entries(args.matrix)
     if len(flat) % 2:
         raise UsageError(f"--matrix: value needs an even number of entries to form "
                          f"(i, j) support pairs, got {len(flat)}")
@@ -302,7 +307,10 @@ def cmd_snf(args) -> Report:
     _require(args, "matrix")
     a = parse_matrix(args.matrix)
     form = smith_normal_form(a)
-    quotient = " + ".join(f"Z/{d}" for d in form.quotient_invariants()) or "0"
+    try:
+        quotient = " + ".join(f"Z/{d}" for d in form.quotient_invariants()) or "0"
+    except ValueError:  # an invariant past sys.get_int_max_str_digits()
+        raise _digit_limit_error() from None
     res = {"U": [list(r) for r in form.u], "D": [list(r) for r in form.d],
            "V": [list(r) for r in form.v],
            "diagonal": form.diagonal(), "quotient": quotient}
@@ -370,14 +378,7 @@ def cmd_counterexample(args) -> Report:
                                n=args.n if args.n is not None else 3,
                                steps=_steps(args, 25))
     instance = cx.build(config)
-    inject = None
-    if args.corrupt_step is not None:
-        if not 0 <= args.corrupt_step <= config.steps:
-            raise ConfigError("0 <= corrupt-step <= steps",
-                              f"--corrupt-step {args.corrupt_step} is outside the "
-                              f"swept steps 0..{config.steps}")
-        inject = {("nu1", args.corrupt_step): ((1, 0), (0, 1))}
-    sweep = cx.singularity_sweep(instance, inject=inject)
+    sweep = cx.singularity_sweep(instance, args.corrupt_step)
     inputs = {"q": config.q, "p": config.p, "m": config.m, "n": config.n,
               "steps": config.steps}
     results: dict[str, Any] = {

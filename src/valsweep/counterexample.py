@@ -52,8 +52,7 @@ class InstanceConfig(NamedTuple):
         if not (5 <= q < p < 2 * q - 4):
             raise ConfigError("5 <= q < p < 2q-4",
                               f"(q, p)=({q}, {p}) violates 5 <= q < p < 2q-4")
-        a1, b1, c1, d1 = self.chart_exponents()[0]
-        a2, b2, c2, d2 = self.chart_exponents()[1]
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = self.chart_exponents()
         m_bound = max(abs(a1 - a2), abs(c1 - c2))
         n_bound = max(abs(b1 - b2), abs(d1 - d2))
         if m <= 0 or m % 2 == 0:
@@ -85,11 +84,10 @@ class ChartCorrections(NamedTuple):
 
 def validate_surface(config: InstanceConfig) -> tuple[ChartCorrections, ChartCorrections]:
     config.validate()
-    (a1, b1, c1, d1), (a2, b2, c2, d2) = config.chart_exponents()
+    e1, e2 = config.chart_exponents()
     m, n = config.m, config.n
     charts = []
-    for chart, (own, other) in (("P1", ((a1, b1, c1, d1), (a2, b2, c2, d2))),
-                                ("P2", ((a2, b2, c2, d2), (a1, b1, c1, d1)))):
+    for chart, (own, other) in (("P1", (e1, e2)), ("P2", (e2, e1))):
         ao, bo, co, do = own
         at, bt, ct, dt = other
         u_corr = (at + m - ao, bt + n - bo)
@@ -119,7 +117,6 @@ class Instance(NamedTuple):
     config: InstanceConfig
     tau: QuadExt
     epsilon: QuadExt
-    base_values: tuple[ValueElement, ValueElement]
     branches: tuple[BranchData, BranchData]
     charts: tuple[ChartCorrections, ChartCorrections]
 
@@ -144,7 +141,7 @@ def build(config: InstanceConfig) -> Instance:
     MonomialValuation(val_u, val_v)  # validates independence and positivity
 
     branches = []
-    for name, order in (("nu1", q), ("nu2", p)):
+    for name, order, e in zip(("nu1", "nu2"), (q, p), config.chart_exponents()):
         # root value (2+tau)/order; chart parameters v/root and root^2/v
         x1 = ValueElement.make(order - 2, -1, order, tau)
         y1 = ValueElement.make(4 - order, 2, order, tau)
@@ -152,7 +149,7 @@ def build(config: InstanceConfig) -> Instance:
             if val.sign() <= 0:
                 raise ConfigError(f"{name}({label}1) > 0",
                                   f"chart value {label}1 not positive on {name}")
-        a = ((order - 4, order - 2), (2, 1))
+        a = (e[:2], e[2:])  # the chart's (a, b, c, d) as rows
         # the defining relations x1 = v/z, y1 = z^2/v at value level
         root = ValueElement.make(2, 1, order, tau)
         # row i of A expresses u resp. v in the chart parameters
@@ -170,7 +167,7 @@ def build(config: InstanceConfig) -> Instance:
                               f"{action.order}, expected {order}")
         branches.append(BranchData(name, order, a, (x1, y1), action))
 
-    return Instance(config, tau, epsilon, (val_u, val_v), tuple(branches), charts)
+    return Instance(config, tau, epsilon, tuple(branches), charts)
 
 
 class StepRecord(NamedTuple):
@@ -193,8 +190,7 @@ class SweepReport(NamedTuple):
     falsification: str | None = None
 
 
-def singularity_sweep(instance: Instance,
-                      inject: dict[tuple[str, int], Matrix2] | None = None) -> SweepReport:
+def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> SweepReport:
     """Transform sweep certifying that the ring below is singular at steps
     0..config.steps of each branch.
 
@@ -206,15 +202,18 @@ def singularity_sweep(instance: Instance,
     row r goes to r*E with the same content, so the primitive determinant
     is unchanged; and the dual cone of the new rows is the image of the
     old one under the lattice automorphism E^-1, so its Hilbert basis has
-    the same size.  Any other matrix, such as an injected one or the step
-    after it, is checked directly.
+    the same size.  Any other matrix, such as the corrupted one or the
+    step after it, is checked directly.
 
     A Regular verdict or a determinant drift at any step falsifies the
-    construction; that outcome is reported, not raised.  `inject`
-    substitutes matrices at chosen (branch, step) keys so the
-    falsification channel itself can be exercised.
+    construction; that outcome is reported, not raised.  `corrupt_step`
+    puts the identity at that step of nu1 so the falsification channel
+    itself can be exercised; it must lie in 0..config.steps.
     """
     steps = instance.config.steps  # checked nonnegative by build
+    if corrupt_step is not None and not 0 <= corrupt_step <= steps:
+        raise ConfigError("0 <= corrupt-step <= steps", f"--corrupt-step {corrupt_step} "
+                          f"is outside the swept steps 0..{steps}")
     records = []
     falsification = None
     for branch in instance.branches:
@@ -223,7 +222,7 @@ def singularity_sweep(instance: Instance,
         walk = branch_steps(branch.matrix, vx.as_quadext() / vy.as_quadext())
         prev = None
         for step, (_, current) in zip(range(steps + 1), chain([(None, branch.matrix)], walk)):
-            matrix = inject.get((name, step), current) if inject else current
+            matrix = ((1, 0), (0, 1)) if step == corrupt_step and name == "nu1" else current
             if prev is None or not _elementary_successor(prev, matrix):
                 regular, dim, det = below_ring_regularity(matrix)
                 # a carried verdict was judged at the step that computed it

@@ -70,6 +70,20 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert payload["results"]["value"] == {"i": 1, "j": 0, "n": 1}
 
+    @pytest.mark.parametrize("matrix", ["1,2", "3,0,1,4,0,2"])
+    def test_value_reads_support_pairs(self, capsys, matrix):
+        # --matrix holds (i, j) pairs, so any even count is a support
+        from valsweep.valuation import MonomialValuation, ValueElement
+        code, payload, _ = run_json(capsys, "value", "--a", "7", "--matrix", matrix)
+        assert code == EXIT_OK
+        flat = [int(x) for x in matrix.split(",")]
+        support = list(zip(flat[::2], flat[1::2]))
+        tau = tau_from_a(7)
+        val = MonomialValuation(ValueElement.make(0, 1, 1, tau), ValueElement.make(1, 0, 1, tau))
+        expected = val.value_of(support)
+        assert payload["results"]["value"] == {"i": expected.i, "j": expected.j, "n": expected.n}
+        assert payload["results"]["support"] == [list(pair) for pair in sorted(support)]
+
     def test_transform(self, capsys):
         code, payload, _ = run_json(capsys, "transform", "--a", "7", "--steps", "3")
         assert code == EXIT_OK
@@ -294,6 +308,7 @@ class TestHostileSizes:
         ("convergents", "--a", "999979", "--steps", "1500"),
         ("convergents", "--a", "7", "--steps", str(STEPS_MAX)),
         ("regularity", "--matrix=1" + "0" * 4000 + ",0,0,1" + "0" * 4000),
+        ("snf", "--matrix=" + "7" * 4000 + ",1,1," + "7" * 4000),
     ])
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_past_int_digit_limit(self, capsys, argv, fmt):
@@ -694,6 +709,7 @@ class TestArgvFuzz:
     @example(["counterexample", "--q", "11", "--p", "13", "--steps", "40",
               "--corrupt-step", "40", "--format", "text"])
     @example(["transform", "--a", "7", "--steps", "-1"])
+    @example(["snf", "--matrix=" + "7" * 4000 + ",1,1," + "7" * 4000])
     def test_main_never_raises(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -134,9 +134,17 @@ class TestSweep:
 
     def test_falsification_injection(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
-        report = singularity_sweep(inst, inject={("nu1", 3): ((1, 0), (0, 1))})
+        report = singularity_sweep(inst, corrupt_step=3)
         assert report.verdict is Verdict.FALSIFIED
         assert "regular" in report.falsification
+
+    @pytest.mark.parametrize("step", [-1, 6])
+    def test_corrupt_step_outside_sweep_rejected(self, step):
+        # the library keeps the range the CLI reports: steps 0..config.steps
+        with pytest.raises(ConfigError) as exc:
+            singularity_sweep(build(InstanceConfig(q=11, p=13, steps=5)), corrupt_step=step)
+        assert (exc.value.constraint, str(exc.value)) == (
+            "0 <= corrupt-step <= steps", f"--corrupt-step {step} is outside the swept steps 0..5")
 
     @pytest.mark.parametrize("steps", [0, 7])
     def test_length_is_config_steps(self, steps):
@@ -173,7 +181,7 @@ class TestContradiction:
 
     def test_certify_conflict_rejects_falsified_sweep(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
-        sweep = singularity_sweep(inst, inject={("nu1", 3): ((1, 0), (0, 1))})
+        sweep = singularity_sweep(inst, corrupt_step=3)
         with pytest.raises(ConfigError) as exc:
             certify_conflict(inst, sweep)
         assert exc.value.constraint == "sweep verified"

@@ -141,8 +141,7 @@ class TestCommandsAgainstOracle:
     def test_corrupt_step_falsified(self, step):
         payload = run_both_formats("counterexample", "--q", "11", "--p", "13", "--steps", "60",
                                    "--corrupt-step", str(step), expect=EXIT_FALSIFIED)
-        inject = {("nu1", step): ((1, 0), (0, 1))}
-        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 60)), inject=inject)
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 60)), corrupt_step=step)
         assert payload["results"]["steps"] == [step_dict(r) for r in sweep.records]
         assert payload["results"]["falsification"] == sweep.falsification
         assert payload["verdict"] == "Falsified"

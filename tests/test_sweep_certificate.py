@@ -64,7 +64,7 @@ class TestAgainstDirectOracle:
     def test_corrupted_steps_keep_the_oracle(self):
         inst = build(InstanceConfig(11, 13, 3, 3, 30))
         for step in (0, 1, 7, 29, 30):
-            report = singularity_sweep(inst, inject={("nu1", step): ((1, 0), (0, 1))})
+            report = singularity_sweep(inst, corrupt_step=step)
             assert report.falsification == f"branch nu1 step {step}: ring below is regular"
             assert_records_match_oracle(report)
 
@@ -77,8 +77,8 @@ class TestAgainstDirectOracle:
         singularity_sweep(inst)
         assert calls == [b.matrix for b in inst.branches]
         calls.clear()
-        # an injected matrix and the step after it are checked directly
-        singularity_sweep(inst, inject={("nu2", 5): ((1, 0), (0, 1))})
+        # the corrupted matrix and the step after it are checked directly
+        singularity_sweep(inst, corrupt_step=5)
         assert len(calls) == 2 + 2
 
 
