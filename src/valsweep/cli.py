@@ -1,11 +1,11 @@
 """Command-line front end with a canonical machine-readable report.
 
-Every subcommand validates its flags, runs the computation, and prints a
-single report on stdout (JSON is the canonical form; text is a projection
-of the same payload).  Timing goes to stderr so identical invocations
-produce byte-identical stdout.  Exit codes: 0 success, 1 usage or config
-error, 2 falsified (the sweep found a regular ring below), 3 a certificate
-failed its own check (a defect in valsweep, not in the input).
+Each subcommand takes only its own flags, runs the computation and prints
+one report on stdout (JSON is the canonical form; text is a projection of
+the same payload).  Timing goes to stderr so identical invocations produce
+byte-identical stdout.  Exit codes: 0 success, 1 usage or config error, 2
+falsified (the sweep found a regular ring below), 3 a certificate failed its
+own check (a defect in valsweep, not in the input).
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ class UsageError(ValueError):
 # host, CPython 3.11) and prints 205 MB; the command takes about 0.3 s of
 # it, and nearly all the rest goes to converting the entries to decimal.
 STEPS_MAX = 20_000
-
-
-def _steps(args, default: int) -> int:
-    """--steps, or its default, checked against STEPS_MAX before any work."""
-    steps = default if args.steps is None else args.steps
-    if steps > STEPS_MAX:
-        raise ConfigError(f"steps <= {STEPS_MAX}", f"--steps {steps} exceeds the step cap")
-    return steps
 
 
 def _digit_limit_error() -> ConfigError:
@@ -195,6 +187,8 @@ def parse_entries(text: str) -> list[int]:
         try:
             entries.append(int(tok.strip()))
         except ValueError:
+            if tok.strip().lstrip("+-").isdecimal():  # past sys.get_int_max_str_digits()
+                raise _digit_limit_error() from None
             raise UsageError(f"--matrix: entry {pos} ({tok!r}) is not an integer")
     return entries
 
@@ -207,25 +201,14 @@ def parse_matrix(text: str) -> list[list[int]]:
     return [entries[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name} is required for this subcommand")
-
-
 def _value_json(v) -> dict[str, int]:
     return {"i": v.i, "j": v.j, "n": v.n}
 
 
-def _quad_json(x) -> dict[str, int]:
-    return {"s": x.s, "t": x.t, "r": x.r, "d": x.d}
-
-
 def cmd_tau(args) -> Report:
     from .qfield import tau_from_a
-    _require(args, "a")
     tau = tau_from_a(args.a)
-    res = {"tau": _quad_json(tau),
+    res = {"tau": tau._asdict(),
            "satisfies": f"t^2 - {args.a}*t - {args.a} = 0",
            "floor": tau.floor()}
     return Report("tau", {"a": args.a}, res, "Verified")
@@ -233,8 +216,7 @@ def cmd_tau(args) -> Report:
 
 def cmd_convergents(args) -> Report:
     from .qfield import iter_convergents, tau_from_a
-    _require(args, "a")
-    count = _steps(args, 10)
+    count = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     # the numerators are the largest entries: generation stops at the first
     # one that no report could print
@@ -252,7 +234,7 @@ def cmd_convergents(args) -> Report:
             (f2, g2), (f1, g1) = rows[-2:]
             unimodular = unimodular and f == a * f1 + f2 and g == a * g1 + g2
         rows.append((f, g))
-    res = {"tau": _quad_json(tau),
+    res = {"tau": tau._asdict(),
            "convergents": Records(_PAIR, rows),
            "unimodular": unimodular}
     return Report("convergents", {"a": args.a, "count": count}, res,
@@ -262,7 +244,6 @@ def cmd_convergents(args) -> Report:
 def cmd_value(args) -> Report:
     from .qfield import tau_from_a
     from .valuation import MonomialValuation, ValueElement
-    _require(args, "a", "matrix")
     flat = parse_entries(args.matrix)
     if len(flat) % 2:
         raise UsageError(f"--matrix: value needs an even number of entries to form "
@@ -281,8 +262,7 @@ _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "step_index": _INT}
 def cmd_transform(args) -> Report:
     from .qfield import tau_from_a
     from .transform import _elementary_successor, branch_steps, det2
-    _require(args, "a")
-    steps = _steps(args, 10)
+    steps = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     if steps < 0:
         raise ConfigError("steps >= 0", "steps must be nonnegative")
@@ -304,7 +284,6 @@ def cmd_transform(args) -> Report:
 
 def cmd_snf(args) -> Report:
     from .toric import smith_normal_form
-    _require(args, "matrix")
     a = parse_matrix(args.matrix)
     form = smith_normal_form(a)
     try:
@@ -319,7 +298,6 @@ def cmd_snf(args) -> Report:
 
 def cmd_hilbert(args) -> Report:
     from .toric import hilbert_basis_2d
-    _require(args, "matrix")
     a = parse_matrix(args.matrix)
     if len(a) != 2:
         raise UsageError("--matrix: hilbert expects two 2D rays (4 entries)")
@@ -332,7 +310,6 @@ def cmd_hilbert(args) -> Report:
 
 def cmd_regularity(args) -> Report:
     from .toric import below_ring_regularity
-    _require(args, "matrix")
     a = parse_matrix(args.matrix)
     if len(a) != 2:
         raise UsageError("--matrix: regularity expects a 2x2 matrix")
@@ -344,7 +321,6 @@ def cmd_regularity(args) -> Report:
 
 def cmd_lemma5(args) -> Report:
     from .quotient import DiagonalAction, invariant_generators, pi1_order, ramification_minors
-    _require(args, "order", "a", "b")
     action = DiagonalAction(args.order, args.a, args.b)
     full, minimal = invariant_generators(action)
     res = {"full_generators": Records(_PAIR, full),
@@ -372,18 +348,13 @@ def _step_records(records: Sequence[tuple]) -> Records:
 
 def cmd_counterexample(args) -> Report:
     from . import counterexample as cx
-    _require(args, "q", "p")
-    config = cx.InstanceConfig(q=args.q, p=args.p,
-                               m=args.m if args.m is not None else 3,
-                               n=args.n if args.n is not None else 3,
-                               steps=_steps(args, 25))
-    instance = cx.build(config)
+    given = {k: getattr(args, k) for k in ("m", "n", "steps") if getattr(args, k) is not None}
+    instance = cx.build(cx.InstanceConfig(args.q, args.p, **given))
     sweep = cx.singularity_sweep(instance, args.corrupt_step)
-    inputs = {"q": config.q, "p": config.p, "m": config.m, "n": config.n,
-              "steps": config.steps}
+    inputs = instance.config._asdict()
     results: dict[str, Any] = {
-        "tau": _quad_json(instance.tau),
-        "epsilon": _quad_json(instance.epsilon),
+        "tau": instance.tau._asdict(),
+        "epsilon": instance.epsilon._asdict(),
         "charts": [{"chart": c.chart, "u_correction": list(c.u_correction),
                     "v_correction": list(c.v_correction)} for c in instance.charts],
         "steps": _step_records(sweep.records),
@@ -396,6 +367,20 @@ def cmd_counterexample(args) -> Report:
     results["falsification"] = sweep.falsification
     return Report("counterexample", inputs, results, "Falsified")
 
+
+# The flags each subcommand reads, required and then optional, as argparse
+# dests; --format is every subcommand's.  main rejects any other flag.
+SUBCOMMAND_FLAGS = {
+    "tau": (("a",), ()),
+    "convergents": (("a",), ("steps",)),
+    "value": (("a", "matrix"), ()),
+    "transform": (("a",), ("steps",)),
+    "snf": (("matrix",), ()),
+    "hilbert": (("matrix",), ()),
+    "regularity": (("matrix",), ()),
+    "lemma5": (("order", "a", "b"), ()),
+    "counterexample": (("q", "p"), ("m", "n", "steps", "corrupt_step")),
+}
 
 COMMANDS = {
     "tau": cmd_tau,
@@ -454,8 +439,18 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    start = time.monotonic()
-    try:
+    try:  # before any work: the flags against the subcommand's row, and the step cap
+        required, optional = SUBCOMMAND_FLAGS[args.command]
+        for name in required:
+            if getattr(args, name) is None:
+                raise UsageError(f"--{name} is required for this subcommand")
+        for name, value in vars(args).items():
+            if value is not None and name not in (*required, *optional, "command", "format"):
+                raise UsageError(f"--{name.replace('_', '-')} is not a flag of {args.command}")
+        steps = args.steps
+        if steps is not None and steps > STEPS_MAX:
+            raise ConfigError(f"steps <= {STEPS_MAX}", f"--steps {steps} exceeds the step cap")
+        start = time.monotonic()
         report = COMMANDS[args.command](args)
         elapsed_ms = (time.monotonic() - start) * 1000.0
         try:

@@ -74,7 +74,8 @@ class ChartCorrections(NamedTuple):
 
     In each chart, u and v are monomials in the local parameters times
     units; the units differ from constants by terms whose exponents are
-    these corrections, all of which must be strictly positive.
+    these corrections, all strictly positive: the charts share c and d, and
+    `InstanceConfig.validate` requires m > |a1 - a2| and n > |b1 - b2|.
     """
 
     chart: str
@@ -92,12 +93,6 @@ def validate_surface(config: InstanceConfig) -> tuple[ChartCorrections, ChartCor
         at, bt, ct, dt = other
         u_corr = (at + m - ao, bt + n - bo)
         v_corr = (ct + m - co, dt + n - do)
-        for label, corr in (("u", u_corr), ("v", v_corr)):
-            if corr[0] <= 0 or corr[1] <= 0:
-                raise ConfigError(
-                    "positive unit correction",
-                    f"{chart}: correction {corr} for {label} not positive; "
-                    f"m, n bounds violated")
         charts.append(ChartCorrections(chart, u_corr, v_corr))
     return tuple(charts)
 
@@ -124,7 +119,7 @@ class Instance(NamedTuple):
 def build(config: InstanceConfig) -> Instance:
     """Validate the configuration once, then construct and certify the instance.
 
-    Certifies the chart corrections, 0 < epsilon < 1, positivity of all
+    Computes the chart corrections; certifies 0 < epsilon < 1, positivity of all
     four chart values, and that the value group indices are q and p by the
     linear-system and the Smith-form routes; each branch keeps the cyclic
     action of its Smith form.

@@ -17,11 +17,13 @@ import valsweep
 
 from valsweep import cli, counterexample, qfield, toric
 from valsweep.cli import (COMMANDS, EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
-                          STEPS_MAX, Records, Report, UsageError, main, parse_matrix)
+                          STEPS_MAX, SUBCOMMAND_FLAGS, Records, Report, UsageError, main,
+                          parse_matrix)
 from valsweep.qfield import TAU_A_MAX, iter_convergents, tau_from_a
 from valsweep.quotient import ORDER_MAX
 from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
+from corpus import LONG_TOKEN, OWN, VALID
 from test_report_templates import assert_renders_like_oracle
 
 
@@ -227,6 +229,57 @@ class TestExitCodes:
         assert "regular" in payload["results"]["falsification"]
 
 
+def dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+# every (subcommand, flag) pair, split by whether the subcommand reads the flag
+OWN_PAIRS = [(c, f) for c, (required, optional) in OWN.items() for f in required + optional]
+FOREIGN_PAIRS = [(c, f) for c, (required, optional) in OWN.items() for f in VALID
+                 if f not in required + optional]
+
+
+def with_required(command: str) -> list[str]:
+    return [x for flag in OWN[command][0] for x in (flag, VALID[flag])]
+
+
+class TestFlagTable:
+    """Each subcommand takes only the flags of its row in SUBCOMMAND_FLAGS."""
+
+    def test_table_rows(self):
+        assert SUBCOMMAND_FLAGS.keys() == COMMANDS.keys()
+        assert SUBCOMMAND_FLAGS == {c: (tuple(map(dest, required)), tuple(map(dest, optional)))
+                                    for c, (required, optional) in OWN.items()}
+        # --format is every subcommand's, so it is in no row
+        assert {f"--{a.dest.replace('_', '-')}" for a in cli.build_parser()._actions
+                if a.option_strings and a.dest not in ("help", "format")} == set(VALID)
+        assert (len(OWN_PAIRS), len(FOREIGN_PAIRS)) == (19, 71)
+
+    @pytest.mark.parametrize("command, flag", FOREIGN_PAIRS,
+                             ids=[f"{c}{f}" for c, f in FOREIGN_PAIRS])
+    def test_foreign_flag_rejected(self, capsys, command, flag):
+        assert run(capsys, command, *with_required(command), flag, VALID[flag]) == (
+            EXIT_USAGE, "", f"error: {flag} is not a flag of {command}\n")
+
+    @pytest.mark.parametrize("command, flag", OWN_PAIRS, ids=[f"{c}{f}" for c, f in OWN_PAIRS])
+    def test_own_flag_accepted(self, capsys, command, flag):
+        argv = with_required(command)
+        if flag not in argv:
+            argv += [flag, VALID[flag]]
+        code, payload, err = run_json(capsys, command, *argv)
+        assert code == (EXIT_FALSIFIED if flag == "--corrupt-step" else EXIT_OK), err
+        assert payload["command"] == command
+
+    def test_missing_flag_named_before_a_foreign_one(self, capsys):
+        assert run(capsys, "lemma5", "--order", "7", "--q", "11") == (
+            EXIT_USAGE, "", "error: --a is required for this subcommand\n")
+
+    def test_foreign_flag_named_before_the_step_cap(self, capsys):
+        assert run(capsys, "transform", "--a", "7", "--steps", str(STEPS_MAX + 1),
+                   "--corrupt-step", "2") == (
+            EXIT_USAGE, "", "error: --corrupt-step is not a flag of transform\n")
+
+
 class TestHostileSizes:
     """Inputs whose cost used to grow with |det|^2 or p^3."""
 
@@ -283,11 +336,13 @@ class TestHostileSizes:
         assert out == ""
         assert constraint in err
 
-    @pytest.mark.parametrize("command", ["counterexample", "transform", "convergents"])
-    def test_steps_beyond_cap_rejected_at_once(self, capsys, command):
+    @pytest.mark.parametrize("argv", [("counterexample", "--q", "11", "--p", "13"),
+                                      ("transform", "--a", "999979"),
+                                      ("convergents", "--a", "999979")],
+                             ids=["counterexample", "transform", "convergents"])
+    def test_steps_beyond_cap_rejected_at_once(self, capsys, argv):
         start = time.monotonic()
-        code, out, err = run(capsys, command, "--q", "11", "--p", "13", "--a", "999979",
-                             "--steps", str(STEPS_MAX + 1))
+        code, out, err = run(capsys, *argv, "--steps", str(STEPS_MAX + 1))
         assert time.monotonic() - start < 1.0
         assert code == EXIT_USAGE
         assert out == ""
@@ -322,6 +377,21 @@ class TestHostileSizes:
         limit = sys.get_int_max_str_digits()
         assert err.startswith(f"error: violated constraint [integers of at most {limit} digits]")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("snf", f"--matrix={LONG_TOKEN},1,1,1"),
+        ("hilbert", f"--matrix=1,{LONG_TOKEN},1,1"),
+        ("regularity", f"--matrix=1,1,-{LONG_TOKEN},1"),
+        ("value", "--a", "3", f"--matrix=1,+{LONG_TOKEN}"),
+    ], ids=["snf", "hilbert", "regularity", "value"])
+    def test_matrix_entry_past_int_digit_limit(self, capsys, argv):
+        # int() refuses a decimal token past sys.get_int_max_str_digits(): the
+        # error names that limit and does not echo the token
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, *argv) == (
+            EXIT_USAGE, "", f"error: violated constraint [integers of at most {limit} digits]: "
+                            "a report integer exceeds the interpreter's int-to-str conversion "
+                            "limit\n")
 
     @pytest.mark.parametrize("argv", [("hilbert", "--matrix=1,0,1,1000000000000"),
                                       ("regularity", "--matrix=1000000000000,-1,0,1")])
@@ -685,12 +755,18 @@ MATRIX_TOKENS = (st.lists(st.integers(-6, 6), max_size=10).map(lambda xs: ",".jo
 
 @st.composite
 def argvs(draw):
-    """A subcommand (or a stray token) with a random subset of its flags."""
+    """A subcommand (or a stray token) with a random subset of its own flags,
+    and one time in eight a flag of another subcommand."""
     argv = [draw(st.sampled_from(sorted(COMMANDS) + ["", "bogus", "-h"]))]
-    for flag in draw(st.lists(st.sampled_from(FLAGS), unique=True)):
-        argv += [flag, draw(INT_TOKENS)]
-    matrix = draw(st.none() | MATRIX_TOKENS)
-    if matrix is not None:
+    required, optional = OWN.get(argv[0], (FLAGS + ["--matrix"], []))
+    flags = draw(st.lists(st.sampled_from(required + optional), unique=True))
+    if draw(st.integers(0, 7)) == 0:
+        flags.append(draw(st.sampled_from(FLAGS + ["--matrix"])))
+    for flag in flags:
+        if flag != "--matrix":
+            argv += [flag, draw(INT_TOKENS)]
+    if "--matrix" in flags:
+        matrix = draw(MATRIX_TOKENS)
         argv += draw(st.sampled_from([[f"--matrix={matrix}"], ["--matrix", matrix]]))
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["json", "text", "xml"]))]
@@ -710,6 +786,9 @@ class TestArgvFuzz:
               "--corrupt-step", "40", "--format", "text"])
     @example(["transform", "--a", "7", "--steps", "-1"])
     @example(["snf", "--matrix=" + "7" * 4000 + ",1,1," + "7" * 4000])
+    @example(["snf", f"--matrix={LONG_TOKEN},1,1,1"])
+    @example(["tau", "--a", "7", "--steps", "5", "--q", "3", "--matrix=1,2",
+              "--corrupt-step", "9"])
     def test_main_never_raises(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -717,3 +796,5 @@ class TestArgvFuzz:
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_FALSIFIED, EXIT_CERTIFICATE)
         assert "Traceback" not in err.getvalue()
         assert (out.getvalue() == "") == (code == EXIT_USAGE), argv
+        # an error names its cause and echoes no unbounded input
+        assert len(err.getvalue()) < 1000, argv

@@ -107,6 +107,28 @@ class TestSurface:
         with pytest.raises(ConfigError):
             validate_surface(InstanceConfig(q=11, p=13, m=1, n=3))
 
+    def test_corrections_positive_over_the_window(self):
+        # the bounds validate puts on m and n alone make every correction
+        # positive, so validate_surface needs no check of its own
+        pairs = [(q, p) for q in range(5, 101) if is_prime(q)
+                 for p in range(q + 1, 2 * q - 4) if is_prime(p)]
+        assert len(pairs) == 191
+        for q, p in pairs:
+            least = next(m for m in itertools.count(1, 2) if admissible(q, p, m))
+            assert not admissible(q, p, least - 2)
+            for m in (least, least + 2):
+                for chart in validate_surface(InstanceConfig(q, p, m, m)):
+                    assert min(chart.u_correction + chart.v_correction) > 0, (q, p, m, chart)
+
+
+def admissible(q: int, p: int, m: int) -> bool:
+    """Whether m = n passes InstanceConfig.validate for (q, p)."""
+    try:
+        InstanceConfig(q, p, m, m).validate()
+    except ConfigError:
+        return False
+    return True
+
 
 class TestSweep:
     def test_q11_p13_full(self):

@@ -65,3 +65,52 @@ def test_squarefree_decompose_matches_factorint():
             t *= prime ** (exp // 2)
             d *= prime ** (exp % 2)
         assert squarefree_decompose(n) == (t, d), n
+
+
+
+# nu1 depends on q alone: tau is the positive root of t^2 = (q-4) t + (q-4)
+# (tau_from_a(q - 4)), and these are its step-0 matrix and chart values
+def nu1_matrix(q):
+    return ((q - 4, q - 2), (2, 1))
+
+
+def nu1_chart_values(q, tau):
+    return (q - 2 - tau) / q, (4 - q + 2 * tau) / q
+
+
+def test_nu1_closed_forms_hold_for_every_q():
+    # proved as identities in a symbolic q, then matched against the code
+    # for the primes q < 50
+    sympy = pytest.importorskip("sympy")
+
+    k = sympy.Symbol("k", nonnegative=True)  # q = k + 5 >= 5
+    q, a = k + 5, k + 1  # a = q - 4 >= 1
+    t = sympy.Symbol("t")
+    assert sympy.expand(sympy.Matrix(nu1_matrix(q)).det()) == sympy.expand(-q)
+
+    x1, y1 = nu1_chart_values(q, t)
+    x = x1 / y1
+    # x = [0; q-4, 1, q-4, 1, ...]: x = 1/((q-4) + 1/(1+x)) in Q(k)[t]/(t^2 - a t - a)
+    numerator, _ = sympy.fraction(sympy.together(x - 1 / (a + 1 / (1 + x))))
+    assert sympy.rem(sympy.expand(numerator), t ** 2 - a * t - a, t) == 0
+    # with s = sqrt(a^2 + 4a) > 0 and t = (a + s)/2, x = (a + 4 - s)/(2s), so
+    # x > 0 iff (a + 4)^2 > s^2, and x < 1 iff 9 s^2 > (a + 4)^2
+    s = sympy.Symbol("s", positive=True)
+    s2 = a ** 2 + 4 * a
+    at_root = sympy.expand((t ** 2 - a * t - a).subs(t, (a + s) / 2))
+    assert sympy.expand(at_root.subs(s ** 2, s2)) == 0  # (a + s)/2 is tau
+    assert sympy.simplify(x.subs(t, (a + s) / 2) - (a + 4 - s) / (2 * s)) == 0
+    assert sympy.expand((a + 4) ** 2 - s2).is_positive
+    assert sympy.expand(9 * s2 - (a + 4) ** 2).is_positive
+
+    for prime in (n for n in range(5, 50) if is_prime(n)):
+        (a0, b0), (c0, d0) = nu1_matrix(prime)
+        assert InstanceConfig(prime, prime + 2).chart_exponents()[0] == (a0, b0, c0, d0)
+        x1, y1 = nu1_chart_values(prime, tau_from_a(prime - 4))
+        assert list(islice(_quotient_stream(x1 / y1), 41)) == [0] + [prime - 4, 1] * 20
+        partners = [p for p in range(prime + 1, 2 * prime - 4) if is_prime(p)]
+        if partners:  # build needs an admissible pair; q = 5 and 7 have none
+            m = partners[0] - prime + 1
+            nu1 = build(InstanceConfig(prime, partners[0], m, m)).branches[0]
+            assert nu1.matrix == nu1_matrix(prime)
+            assert tuple(v.as_quadext() for v in nu1.chart_values) == (x1, y1)
