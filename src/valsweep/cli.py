@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from itertools import islice
@@ -45,13 +46,28 @@ STEPS_MAX = 20_000
 
 
 def _digit_limit_error() -> ConfigError:
-    """A report integer has more decimal digits than the interpreter
-    converts to a string (sys.get_int_max_str_digits), so no report of
-    it can be printed."""
+    """An integer past the interpreter's int/str conversion limit
+    (sys.get_int_max_str_digits) can be neither read nor printed."""
     limit = sys.get_int_max_str_digits()
     return ConfigError(f"integers of at most {limit} digits",
-                       "a report integer exceeds the interpreter's "
-                       "int-to-str conversion limit")
+                       "an integer exceeds the interpreter's int/str conversion limit")
+
+
+def _past_digit_limit(token: str) -> bool:
+    """Whether int() refused token for its length alone: a signed decimal."""
+    return re.fullmatch(r"[+-]?\d+", token.strip()) is not None
+
+
+def _int_flag(token: str) -> int:
+    """An int flag's value.  A token past the digit limit is named without
+    echoing it; any other bad token gets argparse's own words."""
+    try:
+        return int(token)
+    except ValueError:
+        if not _past_digit_limit(token):
+            raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+        exc = _digit_limit_error()
+        raise argparse.ArgumentTypeError(f"violated constraint [{exc.constraint}]: {exc}") from None
 
 
 # Stand-ins for the values in a record skeleton: an int, and a text value
@@ -187,7 +203,7 @@ def parse_entries(text: str) -> list[int]:
         try:
             entries.append(int(tok.strip()))
         except ValueError:
-            if tok.strip().lstrip("+-").isdecimal():  # past sys.get_int_max_str_digits()
+            if _past_digit_limit(tok):
                 raise _digit_limit_error() from None
             raise UsageError(f"--matrix: entry {pos} ({tok!r}) is not an integer")
     return entries
@@ -401,18 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of monomial valuations, quadratic "
                     "transform sweeps, lattice quotients and cyclic invariant rings.")
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--q", type=int)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--a", type=int)
-    parser.add_argument("--b", type=int)
-    parser.add_argument("--order", type=int)
+    for flag in ("--q", "--p", "--m", "--n", "--steps", "--a", "--b", "--order"):
+        parser.add_argument(flag, type=_int_flag)
     parser.add_argument("--matrix", type=str,
                         help="row-major comma-separated integer entries")
     parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--corrupt-step", type=int, dest="corrupt_step",
+    parser.add_argument("--corrupt-step", type=_int_flag, dest="corrupt_step",
                         help="self-test: inject a unimodular matrix at this sweep "
                              "step to exercise the falsification channel")
     return parser

@@ -10,11 +10,10 @@ det(A) is constant along the sequence.
 from __future__ import annotations
 
 import enum
-from math import gcd
+from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .errors import CertificationError
-from .qfield import QuadExt, _quotient_stream, sign_of
+from .qfield import QuadExt, _quotient_stream
 from .valuation import ValueElement, ValuationError, _check_parameter_values
 
 
@@ -44,8 +43,8 @@ class TransformState(_TransformFields):
     The constructor checks outside input in full: both values over the
     same tau, positive, rationally independent, and A nonnegative with no
     zero row.
-    `quadratic_step` builds its successor without re-running the checks,
-    which its own exact sign test and the unimodular step carry over.
+    `run_sequence` builds the successors unchecked: each step subtracts the
+    smaller value from the larger, and it is unimodular on A and the values.
     """
 
     __slots__ = ()
@@ -61,49 +60,20 @@ class TransformState(_TransformFields):
         return super().__new__(cls, a, param_values, branch)
 
 
-def quadratic_step(state: TransformState) -> TransformState:
-    """One quadratic transform picked by the valuation, decided on the values:
-    the per-step reference route for `branch_steps`.
-
-    If the first parameter has the larger value it becomes (first/second),
-    which adds column 1 of A into column 2; symmetrically otherwise.  Ties
-    cannot occur for rationally independent values.
-
-    The step works on the integer fields: vx - vy = (i + j*tau)/n takes
-    one gcd to reach the canonical form of `ValueElement.make`, and its
-    sign is decided exactly on the numerator.  The new state skips the
-    constructor's checks, which hold by induction: that sign certifies
-    the new value, the other value and tau are unchanged, and the step
-    maps (vx, vy) and the columns of A by a unimodular column operation,
-    which keeps the values rationally independent and A nonnegative with
-    no zero row.
-    """
-    (vx, vy), ((a, b), (c, d)) = state.param_values, state.a
-    i1, j1, n1, tau = vx
-    i2, j2, n2, _ = vy
-    i, j, n = i1 * n2 - i2 * n1, j1 * n2 - j2 * n1, n1 * n2
-    s = sign_of(i * tau.r + j * tau.s, j * tau.t, tau.d)  # n > 0 and tau.r > 0
-    if s == 0:  # excluded by rational independence
-        raise CertificationError("equal parameter values: rational independence violated")
-    g = gcd(n, i, j)  # the small denominator first keeps this linear in bits
-    if s > 0:
-        branch = Branch.DIVIDE_SECOND_INTO_FIRST
-        new_a = ((a, a + b), (c, c + d))
-        new_vals = (tuple.__new__(ValueElement, (i // g, j // g, n // g, tau)), vy)
-    else:
-        branch = Branch.DIVIDE_FIRST_INTO_SECOND
-        new_a = ((a + b, b), (c + d, d))
-        new_vals = (vx, tuple.__new__(ValueElement, (-i // g, -j // g, n // g, tau)))
-    return tuple.__new__(TransformState, (new_a, new_vals, branch))
-
-
 def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
-    """The deterministic transform sequence: [initial, after 1 step, ...]."""
+    """The transform sequence [initial, after 1 step, ...]: the branches and
+    matrices of `branch_steps` on the ratio of the values, and the divided
+    parameter's value less the other's at each step."""
     if steps < 0:
         raise ValuationError("steps must be nonnegative")
     out = [initial]
-    for _ in range(steps):
-        out.append(quadratic_step(out[-1]))
+    vx, vy = initial.param_values
+    for branch, a in islice(branch_steps(initial.a, vx.as_quadext() / vy.as_quadext()), steps):
+        if branch is Branch.DIVIDE_SECOND_INTO_FIRST:
+            vx = vx - vy
+        else:
+            vy = vy - vx
+        out.append(tuple.__new__(TransformState, (a, (vx, vy), branch)))
     return out
 
 

@@ -53,7 +53,7 @@ OWN = {
     "counterexample": (["--q", "--p"], ["--m", "--n", "--steps", "--corrupt-step"]),
 }
 MALFORMED = ["", "x", "1.5", "-", "--", "1e3", "0x10", "+5", "-0", " 7 ", "٣", "nan"]
-# a --matrix entry one digit past the interpreter's int-to-str limit (4300 by default)
+# a token 100 digits past the interpreter's int/str conversion limit (4300 by default)
 LONG_TOKEN = "7" * 4400
 
 
@@ -219,10 +219,18 @@ def foreign() -> list[list[str]]:
 
 
 def long_token() -> list[list[str]]:
+    """The token past the digit limit as a --matrix entry, and as the value
+    of each int flag in a subcommand that reads it."""
+    flags = []
+    for command, (required, optional) in OWN.items():
+        for flag in required + optional:
+            if flag != "--matrix":
+                base = [x for other in required if other != flag for x in (other, VALID[other])]
+                flags.append([command, *base, flag, LONG_TOKEN])
     return _both_formats([["snf", f"--matrix={LONG_TOKEN},1,1,1"],
                           ["hilbert", f"--matrix=1,{LONG_TOKEN},1,1"],
                           ["regularity", f"--matrix=1,1,{LONG_TOKEN},1"],
-                          ["value", "--a", "3", f"--matrix=1,-{LONG_TOKEN}"]])
+                          ["value", "--a", "3", f"--matrix=1,-{LONG_TOKEN}"], *flags])
 
 
 FAMILIES: dict[str, Callable[[], list[list[str]]]] = {

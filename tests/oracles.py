@@ -26,6 +26,10 @@ the route it checks, so tests compare the two:
 - `convergent_parameters`, the matrix of two consecutive convergents of
   tau, against the matrix that `transform.branch_steps` reaches from the
   identity at the end of each run of steps;
+- `value_steps`, the transform sequence with each step decided by the
+  exact sign of the difference of the two values, against
+  `transform.run_sequence` and `transform.branch_steps`, which read the
+  steps off the partial quotients of the value ratio;
 - `series_value`, the value of a degree-ordered monomial stream cut off
   by a degree bound, against `MonomialValuation.value_of` on finite
   supports.
@@ -49,6 +53,7 @@ from valsweep.qfield import QuadExt, iter_convergents
 from valsweep.quotient import DiagonalAction, RamificationWitness
 from valsweep.toric import (SemigroupBasis, ToricError, _bezout, det_int, dual_cone_2d,
                             primitive, smith_normal_form)
+from valsweep.transform import Branch
 from valsweep.valuation import MonomialValuation, ValueElement
 
 Vec2 = tuple[int, int]
@@ -306,6 +311,26 @@ def convergent_parameters(tau: QuadExt, p: int) -> tuple[tuple[int, int], tuple[
     if u1.sign() <= 0 or v1.sign() <= 0:
         raise CertificationError("convergent parameters produced a nonpositive value")
     return ((g1, g0), (f1, f0))
+
+
+def arithmetic_step(state):
+    """One quadratic transform decided on the values, through ValueElement
+    arithmetic: the parameter of larger value is divided by the other, so
+    its value drops by the other's and the other's column of A is added
+    into its column.  state is (A, (vx, vy), branch); so is the result."""
+    ((a, b), (c, d)), (vx, vy), _ = state
+    diff = vx - vy
+    if diff.sign() > 0:
+        return ((a, a + b), (c, c + d)), (diff, vy), Branch.DIVIDE_SECOND_INTO_FIRST
+    return ((a + b, b), (c + d, d)), (vx, vy - vx), Branch.DIVIDE_FIRST_INTO_SECOND
+
+
+def value_steps(initial, n: int) -> list[tuple]:
+    """[initial, after 1 step, ..., after n steps] by `arithmetic_step`."""
+    out = [tuple(initial)]
+    for _ in range(n):
+        out.append(arithmetic_step(out[-1]))
+    return out
 
 
 def series_value(nu: MonomialValuation,

@@ -12,7 +12,7 @@ import time
 
 from oracles import (adjugate, brute_force_invariants, convergent_parameters,
                      enumerated_hilbert_basis, is_invariant, matmul, semigroup_contains,
-                     smith_adjugate)
+                     smith_adjugate, value_steps)
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import (InstanceConfig, Verdict, build,
                                      singularity_sweep)
@@ -22,7 +22,7 @@ from valsweep.quotient import (DiagonalAction,
                                ramification_minors)
 from valsweep.toric import (below_ring_regularity, det_int, dual_cone_2d, primitive,
                             smith_normal_form)
-from valsweep.transform import TransformState, branch_steps, det2, run_sequence
+from valsweep.transform import TransformState, branch_steps, det2
 from valsweep.valuation import ValueElement, group_index
 
 
@@ -172,7 +172,7 @@ def test_criterion_8_continued_fraction_crosscheck(capsys):
     run_ends = list(itertools.accumulate(itertools.islice(_quotient_stream(tau), 11)))
     walk = list(itertools.islice(branch_steps(initial.a, tau), run_ends[-1]))
     tags = [branch for branch, _ in walk[:40]]
-    ok = tags == [state.branch for state in run_sequence(initial, 40)[1:]]
+    ok = tags == [branch for _, _, branch in value_steps(initial, 40)[1:]]
     runs = [len(list(run)) for _, run in itertools.groupby(tags)]
     quotients = list(itertools.islice(_quotient_stream(tau), len(runs)))
     ok = ok and runs[:-1] == quotients[:len(runs) - 1] and runs[-1] <= quotients[len(runs) - 1]

@@ -390,8 +390,27 @@ class TestHostileSizes:
         limit = sys.get_int_max_str_digits()
         assert run(capsys, *argv) == (
             EXIT_USAGE, "", f"error: violated constraint [integers of at most {limit} digits]: "
-                            "a report integer exceeds the interpreter's int-to-str conversion "
-                            "limit\n")
+                            "an integer exceeds the interpreter's int/str conversion limit\n")
+
+    @pytest.mark.parametrize("flag", [flag for flag in VALID if flag != "--matrix"],
+                             ids=lambda flag: flag[2:])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["unsigned", "negative"])
+    def test_int_flag_past_int_digit_limit(self, capsys, flag, sign):
+        # argparse's own `invalid int value` would echo the whole token
+        command = next(c for c, (required, optional) in OWN.items() if flag in required + optional)
+        code, out, err = run(capsys, command, flag, sign + LONG_TOKEN)
+        assert (code, out) == (EXIT_USAGE, "")
+        limit = sys.get_int_max_str_digits()
+        assert f"argument {flag}: violated constraint [integers of at most {limit} digits]" in err
+        assert len(err) < 1000
+
+    def test_only_a_signed_decimal_is_named_too_long(self, capsys):
+        # two signs are malformed, whatever the length
+        code, out, err = run(capsys, "tau", "--a", "+-5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("error: argument --a: invalid int value: '+-5'\n")
+        assert run(capsys, "snf", "--matrix=+-5,1,1,1") == (
+            EXIT_USAGE, "", "error: --matrix: entry 0 ('+-5') is not an integer\n")
 
     @pytest.mark.parametrize("argv", [("hilbert", "--matrix=1,0,1,1000000000000"),
                                       ("regularity", "--matrix=1000000000000,-1,0,1")])
@@ -746,7 +765,8 @@ FLAGS = ["--q", "--p", "--m", "--n", "--steps", "--a", "--b", "--order", "--corr
 # one past each named cap, and inputs that fail in the parser or the commands
 CAPS_PLUS_ONE = [str(cap + 1) for cap in (STEPS_MAX, ORDER_MAX, TAU_A_MAX, SNF_N_MAX, CHAIN_MAX)]
 MALFORMED = ["", "x", "1.5", "-", "--", "1e3", "0x10", "+5", "-0", " 7 ", "\u0663", "nan"]
-INT_TOKENS = st.integers(-3, 40).map(str) | st.sampled_from(CAPS_PLUS_ONE + MALFORMED)
+INT_TOKENS = (st.integers(-3, 40).map(str)
+              | st.sampled_from(CAPS_PLUS_ONE + MALFORMED + [LONG_TOKEN]))
 MATRIX_TOKENS = (st.lists(st.integers(-6, 6), max_size=10).map(lambda xs: ",".join(map(str, xs)))
                  | st.sampled_from([",".join(["1"] * (SNF_N_MAX + 1) ** 2),
                                     f"1,0,1,{CHAIN_MAX}", f"{CHAIN_MAX},-1,0,1",
@@ -787,6 +807,7 @@ class TestArgvFuzz:
     @example(["transform", "--a", "7", "--steps", "-1"])
     @example(["snf", "--matrix=" + "7" * 4000 + ",1,1," + "7" * 4000])
     @example(["snf", f"--matrix={LONG_TOKEN},1,1,1"])
+    @example(["counterexample", "--q", "11", "--p", LONG_TOKEN])
     @example(["tau", "--a", "7", "--steps", "5", "--q", "3", "--matrix=1,2",
               "--corrupt-step", "9"])
     def test_main_never_raises(self, argv):

@@ -16,12 +16,13 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import value_steps
 from valsweep import cli
 from valsweep.cli import (EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, STEPS_MAX, Records, Report,
                           _step_records, main)
 from valsweep.counterexample import InstanceConfig, StepRecord, build, singularity_sweep
 from valsweep.qfield import tau_from_a
-from valsweep.transform import TransformState, det2, run_sequence
+from valsweep.transform import TransformState, det2
 from valsweep.valuation import ValueElement
 
 
@@ -152,11 +153,10 @@ class TestCommandsAgainstOracle:
         tau = tau_from_a(a)
         initial = TransformState(((1, 0), (0, 1)), (ValueElement.make(0, 1, 1, tau),
                                                     ValueElement.make(1, 0, 1, tau)))
-        states = run_sequence(initial, steps)
         assert payload["results"]["states"] == [
-            {"step_index": k, "A": [list(st.a[0]), list(st.a[1])], "det": det2(st.a),
-             "branch": None if st.branch is None else st.branch.value}
-            for k, st in enumerate(states)]
+            {"step_index": k, "A": [list(a[0]), list(a[1])], "det": det2(a),
+             "branch": None if branch is None else branch.value}
+            for k, (a, _, branch) in enumerate(value_steps(initial, steps))]
         assert payload["results"]["det_constant"] is True
 
     @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import valsweep
+from oracles import value_steps
 from valsweep import counterexample, qfield, transform, valuation
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import (InstanceConfig, Verdict, build, certify_conflict,
@@ -206,14 +207,15 @@ def branch_ratio(branch):
 
 class TestStepsAlongQuotientRuns:
     """`branch_steps`, which steps A along the partial quotients of the value
-    ratio, against the per-step reference route `run_sequence`."""
+    ratio, against the oracle `value_steps`, which decides each step on the
+    values."""
 
     @staticmethod
     def assert_steps_match_reference(branch, steps):
         production = list(itertools.islice(branch_steps(branch.matrix, branch_ratio(branch)),
                                            steps))
-        reference = run_sequence(TransformState(branch.matrix, branch.chart_values), steps)
-        assert production == [(state.branch, state.a) for state in reference[1:]], branch.name
+        reference = value_steps(TransformState(branch.matrix, branch.chart_values), steps)
+        assert production == [(tag, a) for a, _, tag in reference[1:]], branch.name
 
     def test_every_pair_with_q_at_most_100(self):
         pairs = [(q, p) for q in range(5, 101) if is_prime(q)
@@ -241,12 +243,10 @@ class TestStepsAlongQuotientRuns:
         def refuse(*args):
             raise RuntimeError("field arithmetic on the verdict path")
 
-        for module, name in ((transform, "quadratic_step"), (qfield, "sign_of"),
-                             (valuation, "sign_of")):
-            monkeypatch.setattr(module, name, refuse)
+        for module in (qfield, valuation):
+            monkeypatch.setattr(module, "sign_of", refuse)
         assert singularity_sweep(inst).verdict is Verdict.VERIFIED
         assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
-        for patched in (inst.tau.sign, inst.branches[0].chart_values[0].sign,
-                        transform.quadratic_step):
+        for patched in (inst.tau.sign, inst.branches[0].chart_values[0].sign):
             with pytest.raises(RuntimeError):
                 patched()

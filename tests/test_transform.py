@@ -2,11 +2,10 @@ import itertools
 
 import pytest
 
-from oracles import convergent_parameters
-from valsweep.errors import CertificationError
+from oracles import convergent_parameters, value_steps
+from valsweep.errors import QFieldError
 from valsweep.qfield import _quotient_stream, tau_from_a
-from valsweep.transform import (Branch, TransformState, branch_steps, det2, quadratic_step,
-                                run_sequence)
+from valsweep.transform import Branch, TransformState, branch_steps, det2, run_sequence
 from valsweep.valuation import ValuationError, ValueElement
 
 TAU7 = tau_from_a(7)
@@ -29,48 +28,34 @@ def identity_state(tau=TAU7):
 
 class TestQuadraticStep:
     def test_chart_step(self):
-        state = quadratic_step(chart_state_q11())
+        state = run_sequence(chart_state_q11(), 1)[-1]
         assert state.a == ((16, 9), (3, 1))
         assert state.param_values == (ve(9, -1, 11), ve(-16, 3, 11))
         assert det2(state.a) == -11
         assert state.param_values[1].sign() > 0
 
     def test_identity_first_larger(self):
-        state = quadratic_step(identity_state())
+        state = run_sequence(identity_state(), 1)[-1]
         assert state.a == ((1, 1), (0, 1))
         assert state.branch is Branch.DIVIDE_SECOND_INTO_FIRST
 
     def test_branch_flip_after_seven_steps(self):
-        state = chart_state_q11()
-        assert state.branch is None
-        first = quadratic_step(state).branch
-        for _ in range(7):
-            state = quadratic_step(state)
-            assert state.branch is first
-        assert state.a == ((70, 9), (9, 1))
-        flipped = quadratic_step(state)
-        assert flipped.branch is not first
+        states = run_sequence(chart_state_q11(), 8)
+        assert states[0].branch is None
+        first = states[1].branch
+        assert all(state.branch is first for state in states[1:8])
+        assert states[7].a == ((70, 9), (9, 1))
+        assert states[8].branch is not first
 
     def test_values_stay_positive(self):
-        state = chart_state_q11()
-        for _ in range(30):
-            state = quadratic_step(state)
+        for state in run_sequence(chart_state_q11(), 30)[1:]:
             assert all(v.sign() > 0 for v in state.param_values)
 
 
-def arithmetic_step(state):
-    """quadratic_step through ValueElement arithmetic: subtraction, make and sign."""
-    vx, vy = state.param_values
-    (a, b), (c, d) = state.a
-    diff = vx - vy
-    if diff.sign() > 0:
-        return ((a, a + b), (c, c + d)), (diff, vy), Branch.DIVIDE_SECOND_INTO_FIRST
-    return ((a + b, b), (c + d, d)), (vx, vy - vx), Branch.DIVIDE_FIRST_INTO_SECOND
-
-
 class TestStepOracle:
-    """quadratic_step works on the integer fields; the oracle goes through
-    ValueElement arithmetic.  Run under python -O as well."""
+    """run_sequence reads the steps off the partial quotients of the value
+    ratio; the oracle decides each step on the values, through ValueElement
+    arithmetic.  Run under python -O as well."""
 
     @pytest.mark.parametrize("initial", [
         chart_state_q11(), identity_state(), identity_state(tau_from_a(1)),
@@ -79,23 +64,21 @@ class TestStepOracle:
         TransformState(((1, 0), (0, 1)), (ve(3, 1, 6), ve(2, 0, 4))),
     ])
     def test_matches_value_arithmetic(self, initial):
-        state = initial
-        for _ in range(400):
-            expected = arithmetic_step(state)
-            state = quadratic_step(state)
-            assert tuple(state) == expected
+        states = run_sequence(initial, 400)
+        assert states == value_steps(initial, 400)
+        for state in states:
             for v in state.param_values:
                 # the canonical form of ValueElement.make
                 assert type(v) is ValueElement and v.n > 0
                 assert ValueElement.make(v.i, v.j, v.n, v.tau) == v
             assert TransformState(*state) == state
 
-    def test_equal_values_raise_certification_error(self):
-        # rational independence excluded by hand: the exact sign test catches it
+    def test_equal_values_raise_qfield_error(self):
+        # rational independence excluded by hand: the value ratio is rational
         state = tuple.__new__(TransformState, (((1, 0), (0, 1)),
                                                (ve(1, 1, 2), ve(2, 2, 4)), None))
-        with pytest.raises(CertificationError, match="equal parameter values"):
-            quadratic_step(state)
+        with pytest.raises(QFieldError, match="continued fractions require an irrational input"):
+            run_sequence(state, 1)
 
     def test_mismatched_tau_rejected(self):
         with pytest.raises(ValuationError, match="mismatched ambient tau"):
@@ -131,7 +114,7 @@ class TestRunSequence:
 
     def test_branch_tags_encode_partial_quotients(self):
         tags = [branch for branch, _ in itertools.islice(branch_steps(((1, 0), (0, 1)), TAU7), 40)]
-        assert tags == [state.branch for state in run_sequence(identity_state(), 40)[1:]]
+        assert tags == [branch for _, _, branch in value_steps(identity_state(), 40)[1:]]
         runs = [len(list(run)) for _, run in itertools.groupby(tags)]
         expected = list(itertools.islice(_quotient_stream(TAU7), len(runs)))
         # the last run may be cut off mid-quotient by the step budget
