@@ -20,13 +20,13 @@ for branch in instance.branches:
           " chart values:", [str(v.as_quadext()) for v in branch.chart_values])
 
 report = singularity_sweep(instance)
-print("\nsweep verdict:", report.verdict.value)
+print("\nsweep verified:", report.falsification is None)
 print("records:", len(report.records))
 regular_count = sum(r.regular for r in report.records)
 print("regular below-rings found:", regular_count)
 dets = sorted({r.det for r in report.records})
 print("determinants seen:", dets)
 
-contra = certify_conflict(instance, report)
-print("\nlocal fundamental group orders:", contra.orders)
-print("conflict certified:", contra.conflict)
+orders = certify_conflict(instance, report)
+print("\nlocal fundamental group orders:", orders)
+print("conflict certified:", orders["nu1"] != orders["nu2"])

@@ -54,18 +54,24 @@ def _digit_limit_error() -> ConfigError:
 
 
 def _past_digit_limit(token: str) -> bool:
-    """Whether int() refused token for its length alone: a signed decimal."""
-    return re.fullmatch(r"[+-]?\d+", token.strip()) is not None
+    """Whether int() refused token for its length alone: a decimal as int()
+    reads it, a sign and then digit groups joined by single underscores."""
+    return re.fullmatch(r"[+-]?\d+(?:_\d+)*", token.strip()) is not None
+
+
+def _echo(token: str) -> str:
+    """token's repr, or past 40 characters the repr of its first 40 and its length."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
 
 
 def _int_flag(token: str) -> int:
     """An int flag's value.  A token past the digit limit is named without
-    echoing it; any other bad token gets argparse's own words."""
+    echoing it; any other bad token gets argparse's words and a bounded echo."""
     try:
         return int(token)
     except ValueError:
         if not _past_digit_limit(token):
-            raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {_echo(token)}") from None
         exc = _digit_limit_error()
         raise argparse.ArgumentTypeError(f"violated constraint [{exc.constraint}]: {exc}") from None
 
@@ -205,7 +211,7 @@ def parse_entries(text: str) -> list[int]:
         except ValueError:
             if _past_digit_limit(tok):
                 raise _digit_limit_error() from None
-            raise UsageError(f"--matrix: entry {pos} ({tok!r}) is not an integer")
+            raise UsageError(f"--matrix: entry {pos} ({_echo(tok)}) is not an integer")
     return entries
 
 
@@ -375,10 +381,10 @@ def cmd_counterexample(args) -> Report:
                     "v_correction": list(c.v_correction)} for c in instance.charts],
         "steps": _step_records(sweep.records),
     }
-    if sweep.verdict is cx.Verdict.VERIFIED:
-        contradiction = cx.certify_conflict(instance, sweep)
-        results["pi1_orders"] = dict(sorted(contradiction.orders.items()))
-        results["conflict"] = contradiction.conflict
+    if sweep.falsification is None:
+        orders = cx.certify_conflict(instance, sweep)
+        results["pi1_orders"] = dict(sorted(orders.items()))
+        results["conflict"] = orders["nu1"] != orders["nu2"]
         return Report("counterexample", inputs, results, "Verified")
     results["falsification"] = sweep.falsification
     return Report("counterexample", inputs, results, "Falsified")

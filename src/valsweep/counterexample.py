@@ -16,7 +16,6 @@ the ring below unchanged up to isomorphism (see `singularity_sweep`).
 
 from __future__ import annotations
 
-import enum
 from itertools import chain
 from typing import NamedTuple
 
@@ -174,13 +173,9 @@ class StepRecord(NamedTuple):
     embedding_dim: int
 
 
-class Verdict(enum.Enum):
-    VERIFIED = "Verified"
-    FALSIFIED = "Falsified"
-
-
 class SweepReport(NamedTuple):
-    verdict: Verdict
+    """The sweep's records; it is verified exactly when falsification is None."""
+
     records: tuple[StepRecord, ...]
     falsification: str | None = None
 
@@ -228,8 +223,7 @@ def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> Sw
                         falsification = f"branch {name} step {step}: |det|={abs(det)} != {order}"
             records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             prev = matrix
-    verdict = Verdict.FALSIFIED if falsification else Verdict.VERIFIED
-    return SweepReport(verdict, tuple(records), falsification)
+    return SweepReport(tuple(records), falsification)
 
 
 def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
@@ -250,26 +244,20 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     return DiagonalAction(d, sign * form.v[0][1] % d, sign * form.v[1][1] % d)
 
 
-class ContradictionReport(NamedTuple):
-    sweep: SweepReport
-    orders: dict[str, int]
-    conflict: bool
-
-
-def contradiction_report(instance: Instance) -> ContradictionReport:
+def contradiction_report(instance: Instance) -> dict[str, int]:
     """Run the sweep and certify the conflicting fundamental-group orders."""
     return certify_conflict(instance, singularity_sweep(instance))
 
 
-def certify_conflict(instance: Instance, sweep: SweepReport) -> ContradictionReport:
-    """Certify the conflicting fundamental-group orders on a finished sweep.
+def certify_conflict(instance: Instance, sweep: SweepReport) -> dict[str, int]:
+    """The certified fundamental-group orders {"nu1": q, "nu2": p} of a finished sweep.
 
     Both branches must have stayed singular; the cyclic actions that
     `build` derived then give local fundamental groups of order q and p
     respectively, and q != p is checked by machine: no single normal local
     ring lies below both.
     """
-    if sweep.verdict is not Verdict.VERIFIED:
+    if sweep.falsification is not None:
         raise ConfigError("sweep verified", f"sweep falsified: {sweep.falsification}")
     orders = {}
     for branch in instance.branches:
@@ -283,7 +271,6 @@ def certify_conflict(instance: Instance, sweep: SweepReport) -> ContradictionRep
             raise ConfigError("pi1 order", f"branch {branch.name}: "
                               f"order {order} != {branch.order}")
         orders[branch.name] = order
-    conflict = orders["nu1"] != orders["nu2"]
-    if not conflict:  # pragma: no cover - excluded by q != p in the config window
+    if orders["nu1"] == orders["nu2"]:  # pragma: no cover - excluded by q != p in the config window
         raise ConfigError("q != p", "branch orders coincide; no obstruction")
-    return ContradictionReport(sweep, orders, conflict)
+    return orders

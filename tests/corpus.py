@@ -55,6 +55,10 @@ OWN = {
 MALFORMED = ["", "x", "1.5", "-", "--", "1e3", "0x10", "+5", "-0", " 7 ", "٣", "nan"]
 # a token 100 digits past the interpreter's int/str conversion limit (4300 by default)
 LONG_TOKEN = "7" * 4400
+# the same past the limit with digit groups joined by underscores, as int() reads them
+GROUPED_TOKEN = "_".join("7" * 4401)
+# a long token that is no integer at all, echoed only in part
+JUNK_TOKEN = "x" * 5000
 
 
 def _both_formats(argvs: list[list[str]]) -> list[list[str]]:
@@ -220,7 +224,8 @@ def foreign() -> list[list[str]]:
 
 def long_token() -> list[list[str]]:
     """The token past the digit limit as a --matrix entry, and as the value
-    of each int flag in a subcommand that reads it."""
+    of each int flag in a subcommand that reads it; its underscore-grouped
+    form, and a long token that is no integer, as an int flag and an entry."""
     flags = []
     for command, (required, optional) in OWN.items():
         for flag in required + optional:
@@ -230,7 +235,11 @@ def long_token() -> list[list[str]]:
     return _both_formats([["snf", f"--matrix={LONG_TOKEN},1,1,1"],
                           ["hilbert", f"--matrix=1,{LONG_TOKEN},1,1"],
                           ["regularity", f"--matrix=1,1,{LONG_TOKEN},1"],
-                          ["value", "--a", "3", f"--matrix=1,-{LONG_TOKEN}"], *flags])
+                          ["value", "--a", "3", f"--matrix=1,-{LONG_TOKEN}"],
+                          ["tau", "--a", GROUPED_TOKEN],
+                          ["value", "--a", "3", f"--matrix={GROUPED_TOKEN},1"],
+                          ["tau", "--a", JUNK_TOKEN],
+                          ["snf", f"--matrix={JUNK_TOKEN},1,1,1"], *flags])
 
 
 FAMILIES: dict[str, Callable[[], list[list[str]]]] = {

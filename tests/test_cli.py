@@ -23,7 +23,7 @@ from valsweep.qfield import TAU_A_MAX, iter_convergents, tau_from_a
 from valsweep.quotient import ORDER_MAX
 from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
-from corpus import LONG_TOKEN, OWN, VALID
+from corpus import GROUPED_TOKEN, JUNK_TOKEN, LONG_TOKEN, OWN, VALID
 from test_report_templates import assert_renders_like_oracle
 
 
@@ -404,6 +404,26 @@ class TestHostileSizes:
         assert f"argument {flag}: violated constraint [integers of at most {limit} digits]" in err
         assert len(err) < 1000
 
+    @pytest.mark.parametrize("argv", [("tau", "--a", GROUPED_TOKEN),
+                                      ("value", "--a", "3", f"--matrix={GROUPED_TOKEN},1")],
+                             ids=["int-flag", "matrix-entry"])
+    def test_underscore_grouped_decimal_past_int_digit_limit(self, capsys, argv):
+        # int() reads 7_7 as 77, so it refused these 4401 digits for their count alone
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        limit = sys.get_int_max_str_digits()
+        assert f"violated constraint [integers of at most {limit} digits]" in err
+        assert len(err) < 1000
+
+    @pytest.mark.parametrize("argv", [("tau", "--a", JUNK_TOKEN),
+                                      ("snf", f"--matrix={JUNK_TOKEN},1,1,1")],
+                             ids=["int-flag", "matrix-entry"])
+    def test_long_malformed_token_echoed_in_part(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"'{'x' * 40}'... (5000 characters)" in err
+        assert len(err) < 1000
+
     def test_only_a_signed_decimal_is_named_too_long(self, capsys):
         # two signs are malformed, whatever the length
         code, out, err = run(capsys, "tau", "--a", "+-5")
@@ -766,11 +786,13 @@ FLAGS = ["--q", "--p", "--m", "--n", "--steps", "--a", "--b", "--order", "--corr
 CAPS_PLUS_ONE = [str(cap + 1) for cap in (STEPS_MAX, ORDER_MAX, TAU_A_MAX, SNF_N_MAX, CHAIN_MAX)]
 MALFORMED = ["", "x", "1.5", "-", "--", "1e3", "0x10", "+5", "-0", " 7 ", "\u0663", "nan"]
 INT_TOKENS = (st.integers(-3, 40).map(str)
-              | st.sampled_from(CAPS_PLUS_ONE + MALFORMED + [LONG_TOKEN]))
+              | st.sampled_from(CAPS_PLUS_ONE + MALFORMED
+                                + [LONG_TOKEN, GROUPED_TOKEN, JUNK_TOKEN]))
 MATRIX_TOKENS = (st.lists(st.integers(-6, 6), max_size=10).map(lambda xs: ",".join(map(str, xs)))
                  | st.sampled_from([",".join(["1"] * (SNF_N_MAX + 1) ** 2),
                                     f"1,0,1,{CHAIN_MAX}", f"{CHAIN_MAX},-1,0,1",
-                                    "1,,2,3", "a,b,c,d", "1,2,3", "-1,0,0,1"] + MALFORMED))
+                                    "1,,2,3", "a,b,c,d", "1,2,3", "-1,0,0,1", GROUPED_TOKEN,
+                                    JUNK_TOKEN] + MALFORMED))
 
 
 @st.composite
@@ -808,6 +830,8 @@ class TestArgvFuzz:
     @example(["snf", "--matrix=" + "7" * 4000 + ",1,1," + "7" * 4000])
     @example(["snf", f"--matrix={LONG_TOKEN},1,1,1"])
     @example(["counterexample", "--q", "11", "--p", LONG_TOKEN])
+    @example(["convergents", "--a", GROUPED_TOKEN])
+    @example(["hilbert", "--matrix", f"1,{JUNK_TOKEN},1,1"])
     @example(["tau", "--a", "7", "--steps", "5", "--q", "3", "--matrix=1,2",
               "--corrupt-step", "9"])
     def test_main_never_raises(self, argv):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import adjugate_diagonal_action
 from valsweep import counterexample, toric
-from valsweep.counterexample import (ConfigError, InstanceConfig, Verdict, build,
+from valsweep.counterexample import (ConfigError, InstanceConfig, build,
                                      certify_conflict, contradiction_report,
                                      derive_diagonal_action, singularity_sweep,
                                      validate_surface)
@@ -134,7 +134,7 @@ class TestSweep:
     def test_q11_p13_full(self):
         inst = build(InstanceConfig(q=11, p=13))
         report = singularity_sweep(inst)
-        assert report.verdict is Verdict.VERIFIED
+        assert report.falsification is None
         assert len(report.records) == 52
         for rec in report.records:
             assert not rec.regular
@@ -145,7 +145,7 @@ class TestSweep:
         inst = build(InstanceConfig(q=11, p=13, steps=0))
         report = singularity_sweep(inst)
         assert [r.det for r in report.records] == [-11, -13]
-        assert report.verdict is Verdict.VERIFIED
+        assert report.falsification is None
 
     def test_step_one_matrix(self):
         inst = build(InstanceConfig(q=11, p=13, steps=1))
@@ -157,8 +157,7 @@ class TestSweep:
     def test_falsification_injection(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
         report = singularity_sweep(inst, corrupt_step=3)
-        assert report.verdict is Verdict.FALSIFIED
-        assert "regular" in report.falsification
+        assert report.falsification == "branch nu1 step 3: ring below is regular"
 
     @pytest.mark.parametrize("step", [-1, 6])
     def test_corrupt_step_outside_sweep_rejected(self, step):
@@ -184,22 +183,15 @@ class TestSweep:
 class TestContradiction:
     def test_q11_p13(self):
         inst = build(InstanceConfig(q=11, p=13))
-        report = contradiction_report(inst)
-        assert report.orders == {"nu1": 11, "nu2": 13}
-        assert report.conflict
+        assert contradiction_report(inst) == {"nu1": 11, "nu2": 13}
 
     def test_q17_p23(self):
         inst = build(InstanceConfig(q=17, p=23, m=7, n=7, steps=10))
-        report = contradiction_report(inst)
-        assert report.orders == {"nu1": 17, "nu2": 23}
-        assert report.conflict
+        assert contradiction_report(inst) == {"nu1": 17, "nu2": 23}
 
-    def test_certify_conflict_keeps_the_sweep(self):
+    def test_certify_conflict_on_a_finished_sweep(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
-        sweep = singularity_sweep(inst)
-        report = certify_conflict(inst, sweep)
-        assert report.sweep is sweep
-        assert report == contradiction_report(inst)
+        assert certify_conflict(inst, singularity_sweep(inst)) == contradiction_report(inst)
 
     def test_certify_conflict_rejects_falsified_sweep(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
