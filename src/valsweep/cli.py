@@ -18,7 +18,7 @@ import time
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import inf, isqrt
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 # Only the errors at module level: each command imports the layers it runs,
 # so a process compiles no module its subcommand does not use.
@@ -80,8 +80,8 @@ def _int_flag(token: str) -> int:
 # that a row holds already JSON-encoded.
 _INT, _TEXT = "\0d", "\0s"
 _PAIR = [_INT, _INT]
-# Stand-in for a nonempty record list: the payload is rendered with one in
-# each list's place, and the list's rows are spliced in where it renders.
+# Stand-in for a nonempty record list: the payload renders with one in each
+# list's place, and the list's rows are spliced in where it renders.
 _SLOT = "\0r"
 
 # Rows are rendered and joined per block, so the report is held as a few
@@ -111,41 +111,6 @@ def _template(text: str) -> str:
             .replace('"\\u0000s"', "%s"))
 
 
-def _write_rows(records: Records, template: str, sep: str, out: list[str]) -> None:
-    """Append the rows rendered through template, sep between rows."""
-    rows = records.rows
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = list(map(template.__mod__, rows[start:start + _BLOCK_ROWS]))
-        if start + _BLOCK_ROWS < len(rows):
-            block.append("")  # the separator before the next block
-        out.append(sep.join(block))
-
-
-def _slots(value: dict[str, Any], lists: list[tuple[Records, str]], newline: str) -> dict:
-    """value with each nonempty `Records` replaced by `_SLOT` and each empty
-    one by [], walking dicts (not lists) in sorted-key order, so the slots
-    render in the order they are appended to lists.  Each goes there with
-    the newline and indent of its key's line in the JSON report; `newline`
-    is that of value's keys.
-
-    Every string the program renders is NUL-free, so no key or value can
-    contain or forge a stand-in (`_INT`, `_TEXT`) or a rendered slot.
-    """
-    out = {}
-    for k in sorted(value):
-        v = value[k]
-        if type(v) is Records:
-            if v.rows:
-                lists.append((v, newline))
-                v = _SLOT
-            else:
-                v = []
-        elif isinstance(v, dict):
-            v = _slots(v, lists, newline + "  ")
-        out[k] = v
-    return out
-
-
 class Report(NamedTuple):
     command: str
     inputs: dict[str, Any]
@@ -160,45 +125,71 @@ class Report(NamedTuple):
     def render(self, fmt: str) -> list[str]:
         """The report as a few blocks of text, without a final newline:
         json.dumps(payload, sort_keys=True, indent=2), or its text
-        projection, with each record list spliced in at its slot."""
-        lists: list[tuple[Records, str]] = []
-        payload = _slots(self.payload(), lists, "\n  ")
+        projection, with each record list spliced in at its slot.
+
+        The one walk that renders the payload calls `slot` on each record
+        list, in the order the lists render.  Every string the program
+        renders is NUL-free, so no key or value can contain or forge a
+        stand-in (`_INT`, `_TEXT`) or a rendered slot.
+        """
+        lists: list[Records] = []
+
+        def slot(value: Any) -> Any:
+            if type(value) is not Records:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            if not value.rows:
+                return []
+            lists.append(value)
+            return _SLOT
+
         if fmt == "json":
-            head, *tails = json.dumps(payload, sort_keys=True, indent=2).split(json.dumps(_SLOT))
+            text = json.dumps(self.payload(), sort_keys=True, indent=2, default=slot)
+            head, *tails = text.split(json.dumps(_SLOT))
         else:
             lines = [f"command: {self.command}", f"verdict: {self.verdict}", "inputs:"]
-            _text_lines(payload["inputs"], "  ", lines)
+            _text_lines(self.inputs, "  ", lines, slot)
             lines.append("results:")
-            _text_lines(payload["results"], "  ", lines)
-            head, *tails = "\n".join(lines).split(" " + _SLOT)
+            _text_lines(self.results, "  ", lines, slot)
+            head, *tails = "\n".join(lines).split(_SLOT)
         out = [head]
-        for (records, newline), tail in zip(lists, tails):
-            if fmt == "json":
+        for records, tail in zip(lists, tails):
+            line = out[-1][out[-1].rfind("\n"):]  # a newline and the slot's line up to it
+            if fmt == "json":  # rows two spaces deeper than the line, in brackets
+                newline = re.match(r"\n *", line)[0]
                 inner = newline + "  "
-                out[-1] += "[" + inner
-                text = json.dumps(records.skeleton, sort_keys=True, indent=2)
-                _write_rows(records, _template(text.replace("\n", inner)), "," + inner, out)
-                out.append(newline + "]" + tail)
-            else:  # a text key is indented two spaces less than in JSON
-                item = newline + "- "
-                out[-1] += item
-                text = json.dumps(records.skeleton, sort_keys=True)
-                _write_rows(records, _template(text), item, out)
-                out.append(tail)
+                skeleton = json.dumps(records.skeleton, sort_keys=True, indent=2)
+                start, sep, end = "[" + inner, "," + inner, newline + "]"
+                template = _template(skeleton.replace("\n", inner))
+            else:  # one `- ` line per row, as the slot's own
+                start, sep, end = "", line, ""
+                template = _template(json.dumps(records.skeleton, sort_keys=True))
+            out[-1] += start
+            rows = records.rows
+            for at in range(0, len(rows), _BLOCK_ROWS):
+                block = list(map(template.__mod__, rows[at:at + _BLOCK_ROWS]))
+                if at + _BLOCK_ROWS < len(rows):
+                    block.append("")  # the separator before the next block
+                out.append(sep.join(block))
+            out.append(end + tail)
         return out
 
 
-def _text_lines(value: dict[str, Any], indent: str, lines: list[str]) -> None:
+def _text_lines(value: dict[str, Any], indent: str, lines: list[str], slot: Callable) -> None:
     """Append the text lines of a dict: `key: value` for a scalar, nested
-    dicts indented, and a `- ` line of one-line JSON per list item."""
+    dicts indented, a `- ` line of one-line JSON per list item, and for a
+    nonempty `Records` one `- ` line holding its slot."""
     for k in sorted(value):
         v = value[k]
         if isinstance(v, dict):
             lines.append(f"{indent}{k}:")
-            _text_lines(v, indent + "  ", lines)
+            _text_lines(v, indent + "  ", lines, slot)
         elif isinstance(v, list):
             lines.append(f"{indent}{k}:")
             lines.extend(f"{indent}  - {json.dumps(x, sort_keys=True)}" for x in v)
+        elif type(v) is Records:
+            lines.append(f"{indent}{k}:")
+            if v.rows:
+                lines.append(f"{indent}  - {slot(v)}")
         else:
             lines.append(f"{indent}{k}: {v}")
 

@@ -65,7 +65,11 @@ class ValueElement(NamedTuple):
                                  self.n * other.n, self.tau)
 
     def scale(self, k: int) -> "ValueElement":
+        if not isinstance(k, int):
+            raise TypeError(f"cannot scale a ValueElement by {type(k).__name__}")
         return ValueElement.make(self.i * k, self.j * k, self.n, self.tau)
+
+    __mul__ = __rmul__ = scale  # k * v is v scaled, not a repeated tuple
 
     def __lt__(self, other):
         return (self - other).sign() < 0

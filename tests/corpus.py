@@ -242,13 +242,38 @@ def long_token() -> list[list[str]]:
                           ["snf", f"--matrix={JUNK_TOKEN},1,1,1"], *flags])
 
 
+def blocks() -> list[list[str]]:
+    """Record lists one row short of, at, and one row past a multiple of
+    `cli._BLOCK_ROWS` (512), the rows the report joins per block."""
+    argvs = [["transform", "--a", "1", "--steps", str(s)] for s in (510, 511, 512, 1023, 1024)]
+    argvs += [["convergents", "--a", "1", "--steps", str(s)]
+              for s in (511, 512, 513, 1024, 1025)]
+    argvs += [["counterexample", "--q", "11", "--p", "13", "--steps", str(s)]
+              for s in (255, 256, 511, 512)]
+    argvs += [["hilbert", f"--matrix=1,0,1,{n}"] for n in (510, 511, 512, 1023, 1024)]
+    argvs += [["lemma5", "--order", str(order), "--a", "1", "--b", "2"]
+              for order in (509, 521, 1021, 1031)]
+    argvs += [["value", "--a", "3", "--matrix=" + _matrix(x for k in range(pairs)
+                                                          for x in (k, pairs - k))]
+              for pairs in (511, 512, 513)]
+    return _both_formats(argvs)
+
+
+def corrupt_grid() -> list[list[str]]:
+    """(11, 13) at steps 0..40 with every --corrupt-step from -2 to steps + 2:
+    the steps inside the sweep falsify (exit 2), the rest exit 1."""
+    return [["counterexample", "--q", "11", "--p", "13", "--steps", str(steps),
+             "--corrupt-step", str(corrupt)]
+            for steps in range(41) for corrupt in range(-2, steps + 3)]
+
+
 FAMILIES: dict[str, Callable[[], list[list[str]]]] = {
     "own-tau": own_tau, "own-convergents": own_convergents, "own-value": own_value,
     "own-transform": own_transform, "own-snf": own_snf, "own-hilbert": own_hilbert,
     "own-regularity": own_regularity, "own-lemma5": own_lemma5,
     "own-counterexample": own_counterexample, "caps": caps, "malformed": malformed,
     "pairs": pairs, "lemma5": lemma5, "long-sweep": long_sweep, "foreign": foreign,
-    "long-token": long_token,
+    "long-token": long_token, "blocks": blocks, "corrupt-grid": corrupt_grid,
 }
 
 

@@ -54,6 +54,18 @@ class TestValueElement:
         for got, expected in cases:
             assert type(got) is ValueElement and got == expected
 
+    def test_int_times_element_scales(self):
+        # ValueElement is a tuple: k * v must not repeat it
+        x = ve(1, 2, 3)
+        for k in (-2, 0, 2, 3, True):
+            assert type(k * x) is type(x * k) is ValueElement
+            assert k * x == x * k == x.scale(k)
+        for other in (1.5, Fraction(3), "2", None, x):
+            with pytest.raises(TypeError):
+                x * other
+            with pytest.raises(TypeError):
+                other * x
+
     def test_sign_matches_quadext(self):
         for i, j, n in itertools.product(range(-9, 10), range(-9, 10), (1, 2, 7)):
             x = ve(i, j, n)
