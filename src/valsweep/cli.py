@@ -426,12 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_matrix_value(argv: list[str]) -> list[str]:
-    """`--matrix -1,0,0,1` as `--matrix=-1,0,0,1`: argparse reads a separate
-    value that starts with '-' and is not a single number as an option."""
+    """`--matrix -1,0,0,1` as `--matrix=-1,0,0,1`, and so for each prefix from `--ma`:
+    argparse reads a separate value that starts with '-' and is not a single number as an option."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--matrix" and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = f"--matrix={tok}"
+        flag = out[-1] if out else ""
+        if len(flag) >= 4 and "--matrix".startswith(flag) and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
     return out

@@ -82,20 +82,6 @@ class ChartCorrections(NamedTuple):
     v_correction: tuple[int, int]
 
 
-def validate_surface(config: InstanceConfig) -> tuple[ChartCorrections, ChartCorrections]:
-    config.validate()
-    e1, e2 = config.chart_exponents()
-    m, n = config.m, config.n
-    charts = []
-    for chart, (own, other) in (("P1", (e1, e2)), ("P2", (e2, e1))):
-        ao, bo, co, do = own
-        at, bt, ct, dt = other
-        u_corr = (at + m - ao, bt + n - bo)
-        v_corr = (ct + m - co, dt + n - do)
-        charts.append(ChartCorrections(chart, u_corr, v_corr))
-    return tuple(charts)
-
-
 class BranchData(NamedTuple):
     """One root cover: exponent matrix, exact chart parameter values, and
     the cyclic action of the matrix's certified Smith form."""
@@ -123,8 +109,16 @@ def build(config: InstanceConfig) -> Instance:
     linear-system and the Smith-form routes; each branch keeps the cyclic
     action of its Smith form.
     """
-    charts = validate_surface(config)
-    q, p = config.q, config.p
+    config.validate()
+    q, p, m, n = config.q, config.p, config.m, config.n
+    e1, e2 = config.chart_exponents()
+    charts = []
+    for chart, (own, other) in (("P1", (e1, e2)), ("P2", (e2, e1))):
+        ao, bo, co, do = own
+        at, bt, ct, dt = other
+        u_corr = (at + m - ao, bt + n - bo)
+        v_corr = (ct + m - co, dt + n - do)
+        charts.append(ChartCorrections(chart, u_corr, v_corr))
     tau = tau_from_a(q - 4)
     epsilon = tau - (q - 4)
     if not (epsilon.sign() > 0 and (epsilon - 1).sign() < 0):
@@ -135,7 +129,7 @@ def build(config: InstanceConfig) -> Instance:
     MonomialValuation(val_u, val_v)  # validates independence and positivity
 
     branches = []
-    for name, order, e in zip(("nu1", "nu2"), (q, p), config.chart_exponents()):
+    for name, order, e in zip(("nu1", "nu2"), (q, p), (e1, e2)):
         # root value (2+tau)/order; chart parameters v/root and root^2/v
         x1 = ValueElement.make(order - 2, -1, order, tau)
         y1 = ValueElement.make(4 - order, 2, order, tau)
@@ -242,11 +236,6 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
         raise ConfigError("cyclic quotient", f"quotient invariants {invariants} not cyclic")
     d, sign = abs(det), (1 if det > 0 else -1)
     return DiagonalAction(d, sign * form.v[0][1] % d, sign * form.v[1][1] % d)
-
-
-def contradiction_report(instance: Instance) -> dict[str, int]:
-    """Run the sweep and certify the conflicting fundamental-group orders."""
-    return certify_conflict(instance, singularity_sweep(instance))
 
 
 def certify_conflict(instance: Instance, sweep: SweepReport) -> dict[str, int]:

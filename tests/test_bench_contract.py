@@ -4,11 +4,13 @@ The bench files are kept fixed, so that runs before and after a change
 measure the same thing; a change to src that removes a name they use
 breaks the benchmark.  This module finds those names without running the
 benchmark: every valsweep import in bench/*.py, including the ones in
-the code strings that bench/run.py hands to child interpreters, and the
-attributes that bench/traced_cli.py reaches with no fallback.
+the code strings that bench/run.py hands to child interpreters, the
+attributes that bench/traced_cli.py reaches with no fallback, and the
+layers it wraps, whose metrics read 0 once src removes them.
 """
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -74,3 +76,29 @@ def test_traced_cli_attributes():
     assert isinstance(vars(valuation.ValueElement)["make"], staticmethod)
     # series.py builds its field elements with QuadExt.make
     assert callable(qfield.QuadExt.make)
+
+
+def traced_layers() -> list[tuple[str, str]]:
+    """(owner, attribute) of each entry of the LAYERS list of bench/traced_cli.py,
+    the owner as written there (`toric`, `cli.Report`)."""
+    tree = ast.parse((BENCH / "traced_cli.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["LAYERS"]:
+            return [(ast.unparse(entry.elts[0]), ast.literal_eval(entry.elts[1]))
+                    for entry in node.value.elts]
+    raise AssertionError("bench/traced_cli.py assigns no LAYERS list")
+
+
+def test_traced_layers_absent():
+    # traced_cli looks each layer up with vars(owner).get(attr), and a missing one
+    # is listed as absent with metrics that read 0 until the benchmark drops them
+    layers = traced_layers()
+    assert len(layers) == 15
+    absent = set()
+    for owner, attr in layers:
+        module, *path = owner.split(".")
+        namespace = functools.reduce(getattr, path, importlib.import_module(f"valsweep.{module}"))
+        if vars(namespace).get(attr) is None:
+            absent.add(f"{owner}.{attr}")
+    assert absent == {"toric.semigroup_contains", "transform.quadratic_step",
+                      "counterexample.contradiction_report"}

@@ -514,12 +514,13 @@ class TestNegativeMatrixEntries:
                                       ("snf", "-1,0,0,1", "--format", "text")])
     def test_separate_value_same_as_attached(self, capsys, argv):
         command, matrix, *rest = argv
-        separate = run(capsys, command, "--matrix", matrix, *rest)
         attached = run(capsys, command, f"--matrix={matrix}", *rest)
-        assert separate[0] in (EXIT_OK, EXIT_USAGE)
-        assert "expected one argument" not in separate[2]
-        assert separate[:2] == attached[:2]
-        assert separate[2].split("timing_ms")[0] == attached[2].split("timing_ms")[0]
+        for spelling in ("--matrix", "--ma", "--matri"):  # argparse takes any unique prefix
+            separate = run(capsys, command, spelling, matrix, *rest)
+            assert separate[0] in (EXIT_OK, EXIT_USAGE)
+            assert "expected one argument" not in separate[2]
+            assert separate[:2] == attached[:2]
+            assert separate[2].split("timing_ms")[0] == attached[2].split("timing_ms")[0]
 
     def test_value_of_another_option_left_alone(self, capsys):
         code, _, err = run(capsys, "snf", "--matrix", "--format", "-1,0,0,1")
@@ -530,7 +531,7 @@ class TestNegativeMatrixEntries:
 class TestSweepOnce:
     @pytest.mark.parametrize("steps", [0, 7])
     def test_counterexample_sweeps_once(self, capsys, monkeypatch, steps):
-        calls = {"regularity": 0, "sweep": 0, "validate": 0, "snf": 0, "det": 0}
+        calls = {"regularity": 0, "sweep": 0, "validate": 0, "exponents": 0, "snf": 0, "det": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -544,6 +545,8 @@ class TestSweepOnce:
                             counted("sweep", counterexample.singularity_sweep))
         monkeypatch.setattr(counterexample.InstanceConfig, "validate",
                             counted("validate", counterexample.InstanceConfig.validate))
+        monkeypatch.setattr(counterexample.InstanceConfig, "chart_exponents",
+                            counted("exponents", counterexample.InstanceConfig.chart_exponents))
         monkeypatch.setattr(counterexample, "smith_normal_form",
                             counted("snf", counterexample.smith_normal_form))
         monkeypatch.setattr(counterexample, "det_int", counted("det", counterexample.det_int))
@@ -553,8 +556,10 @@ class TestSweepOnce:
         # one direct check at step 0 of each branch (every later step is an
         # elementary column operation on its predecessor and carries its
         # verdict), then one per branch matrix in certify_conflict; build
-        # validates once and takes one Smith form and det per branch
-        assert calls == {"regularity": 2 + 2, "sweep": 1, "validate": 1, "snf": 2, "det": 2}
+        # validates once, reads the chart exponents once (validate reads them
+        # too), and takes one Smith form and det per branch
+        assert calls == {"regularity": 2 + 2, "sweep": 1, "validate": 1, "exponents": 1 + 1,
+                         "snf": 2, "det": 2}
 
 
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"

@@ -9,9 +9,8 @@ import oracles
 from oracles import adjugate_diagonal_action
 from valsweep import counterexample, toric
 from valsweep.counterexample import (ConfigError, InstanceConfig, build,
-                                     certify_conflict, contradiction_report,
-                                     derive_diagonal_action, singularity_sweep,
-                                     validate_surface)
+                                     certify_conflict, derive_diagonal_action,
+                                     singularity_sweep)
 from valsweep.qfield import QuadExt
 from valsweep.quotient import DiagonalAction, is_prime
 from valsweep.toric import det_int
@@ -85,7 +84,13 @@ class TestBuild:
     @pytest.mark.parametrize("config", [InstanceConfig(11, 13), InstanceConfig(17, 23, 7, 7)])
     def test_build_keeps_charts_and_actions(self, config):
         inst = build(config)
-        assert inst.charts == validate_surface(config)
+        # each chart's exponents plus its corrections are the other's shifted by (m, n)
+        (e1, e2), shift = config.chart_exponents(), (config.m, config.n) * 2
+        assert [chart.chart for chart in inst.charts] == ["P1", "P2"]
+        for chart, own, other in zip(inst.charts, (e1, e2), (e2, e1)):
+            corrections = chart.u_correction + chart.v_correction
+            assert [o + c for o, c in zip(own, corrections)] == \
+                [t + s for t, s in zip(other, shift)]
         for branch in inst.branches:
             assert branch.action == derive_diagonal_action(branch.matrix)
             assert branch.action.order == branch.order
@@ -93,23 +98,23 @@ class TestBuild:
 
 class TestSurface:
     def test_q11_p13_corrections(self):
-        charts = validate_surface(InstanceConfig(q=11, p=13, m=3, n=3))
+        charts = build(InstanceConfig(q=11, p=13, m=3, n=3)).charts
         p1, p2 = charts
         assert (p1.u_correction, p1.v_correction) == ((5, 5), (3, 3))
         assert (p2.u_correction, p2.v_correction) == ((1, 1), (3, 3))
 
     def test_q17_p23_corrections(self):
-        charts = validate_surface(InstanceConfig(q=17, p=23, m=7, n=7))
+        charts = build(InstanceConfig(q=17, p=23, m=7, n=7)).charts
         p1, _ = charts
         assert (p1.u_correction, p1.v_correction) == ((13, 13), (7, 7))
 
     def test_too_small_m_rejected_at_config(self):
         with pytest.raises(ConfigError):
-            validate_surface(InstanceConfig(q=11, p=13, m=1, n=3))
+            build(InstanceConfig(q=11, p=13, m=1, n=3))
 
     def test_corrections_positive_over_the_window(self):
         # the bounds validate puts on m and n alone make every correction
-        # positive, so validate_surface needs no check of its own
+        # positive, so build needs no check of its own
         pairs = [(q, p) for q in range(5, 101) if is_prime(q)
                  for p in range(q + 1, 2 * q - 4) if is_prime(p)]
         assert len(pairs) == 191
@@ -117,7 +122,7 @@ class TestSurface:
             least = next(m for m in itertools.count(1, 2) if admissible(q, p, m))
             assert not admissible(q, p, least - 2)
             for m in (least, least + 2):
-                for chart in validate_surface(InstanceConfig(q, p, m, m)):
+                for chart in build(InstanceConfig(q, p, m, m)).charts:
                     assert min(chart.u_correction + chart.v_correction) > 0, (q, p, m, chart)
 
 
@@ -183,15 +188,17 @@ class TestSweep:
 class TestContradiction:
     def test_q11_p13(self):
         inst = build(InstanceConfig(q=11, p=13))
-        assert contradiction_report(inst) == {"nu1": 11, "nu2": 13}
+        assert certify_conflict(inst, singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
 
     def test_q17_p23(self):
         inst = build(InstanceConfig(q=17, p=23, m=7, n=7, steps=10))
-        assert contradiction_report(inst) == {"nu1": 17, "nu2": 23}
+        assert certify_conflict(inst, singularity_sweep(inst)) == {"nu1": 17, "nu2": 23}
 
     def test_certify_conflict_on_a_finished_sweep(self):
-        inst = build(InstanceConfig(q=11, p=13, steps=5))
-        assert certify_conflict(inst, singularity_sweep(inst)) == contradiction_report(inst)
+        # the orders come from the actions build derived, whatever the sweep's length
+        for steps in (0, 5):
+            inst = build(InstanceConfig(q=11, p=13, steps=steps))
+            assert certify_conflict(inst, singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
 
     def test_certify_conflict_rejects_falsified_sweep(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
