@@ -172,16 +172,6 @@ def dual_cone_2d(rows: tuple[Vec2, Vec2]) -> tuple[Vec2, Vec2]:
     return (perp_ray(r2, r1), perp_ray(r1, r2))
 
 
-def hirzebruch_jung_digits(a: int, b: int) -> list[int]:
-    """Digits c_i of a/b = c_1 - 1/(c_2 - 1/(...)), for 0 <= b <= a (none if b = 0)."""
-    digits = []
-    while b > 0:
-        c = -(-a // b)  # ceil
-        digits.append(c)
-        a, b = b, c * b - a
-    return digits
-
-
 def _bezout(x: int, y: int) -> tuple[int, int]:
     old_r, r = x, y
     old_s, s = 1, 0
@@ -217,68 +207,78 @@ class SemigroupBasis(NamedTuple):
     rays: tuple[Vec2, Vec2]
 
 
-# The chain holds one vector per Hilbert-basis generator.  The cap admits
-# every quotient of order at most quotient.ORDER_MAX (a chain of at most
-# |det| + 1 vectors) and the 1,000,001 generators of cone((1, 0), (1, 10^6)).
+# `hilbert_basis_2d` lists one vector per generator, at most CHAIN_MAX.  That
+# admits every quotient of order at most quotient.ORDER_MAX (at most |det| + 1
+# vectors) and the 1,000,001 generators of cone((1, 0), (1, 10^6)).
 CHAIN_MAX = 2 ** 20
 
 
-def _chain_length(dd: int, k: int) -> int:
-    """2 + len(hirzebruch_jung_digits(dd, k)) in O(log dd) steps: with
-    dd/k = [a_1; a_2, ...] it is 2 + #{odd i} + sum over even i of (a_i - 1)
-    (Riemenschneider's point diagram)."""
-    length, odd = 2, True
+def _hj_runs(dd: int, k: int) -> list[tuple[int, int]]:
+    """The Hirzebruch-Jung digits of dd/k as runs (c, t): a digit c, then
+    t - 1 twos.  With dd/k = [a_1; a_2, ..., a_2m] (an even number of terms:
+    each odd one is the floor of (dd - 1)/k, so the last may be 1), the
+    runs are (a_1 + 1, a_2), (a_3 + 2, a_4), ... (Riemenschneider's point
+    diagram)."""
+    runs = []
     while k:
-        length += 1 if odd else dd // k - 1
-        dd, k, odd = k, dd % k, not odd
-    return length
+        a = (dd - 1) // k
+        dd -= a * k
+        b, k = divmod(k, dd)
+        runs.append((a + (2 if runs else 1), b))
+    return runs
 
 
-def _hj_chain(u1: Vec2, u2: Vec2) -> list[Vec2]:
-    """The certified Hirzebruch-Jung chain from primitive u1 to primitive u2.
+def _hj_chain(u1: Vec2, u2: Vec2) -> list[tuple[Vec2, Vec2, int]]:
+    """The certified Hirzebruch-Jung chain from primitive u1 to primitive u2,
+    as segments (v, w, t) that list v + j*w for 0 <= j < t in turn.
 
     With D = |det(u1, u2)|, a unimodular map u1 -> (0, 1) sends u2 to
     (D, -k) up to a shear fixing (0, 1), with k from `_hj_offset`.  The
     chain is v_0 = u1, v_1 = (k*u1 + u2)/D, v_{i+1} = c_i*v_i - v_{i-1}
     over the digits c_i of D/k (Fulton, Introduction to Toric Varieties,
-    2.6), so it costs time linear in its length.  That length is counted
-    in O(log D) first and capped at CHAIN_MAX.
+    2.6).  A run (c, t) of `_hj_runs` steps t times by w = (c - 1)*v_i -
+    v_{i-1}, so the chain takes O(log D) steps whatever its length.
 
-    The chain is certified rather than trusted: every digit must be at
-    least 2 (no generator is the sum of its neighbours), every
-    consecutive pair must be a lattice basis oriented like (u1, u2), and
-    the chain must end exactly at u2.  Together these make the v_i the
-    lattice points on the boundary of the convex hull of the nonzero
-    cone points, which is the Hilbert basis of cone(u1, u2).
+    The chain is certified rather than trusted: (v_0, v_1) must be a
+    lattice basis oriented like (u1, u2), which the recurrence keeps for
+    every later pair; every run must hold a digit, each at least 2 (no
+    generator is the sum of its neighbours); and the chain must end
+    exactly at u2.  Together these make the v_i the lattice points on the
+    boundary of the convex hull of the nonzero cone points, which is the
+    Hilbert basis of cone(u1, u2).
     """
     d = u1[0] * u2[1] - u1[1] * u2[0]
     if d == 0:
         raise ToricError("cone is not strictly convex (parallel rays)")
-    dd, orientation = abs(d), (1 if d > 0 else -1)
+    dd = abs(d)
     k = _hj_offset(u1, u2, dd)
-    if _chain_length(dd, k) > CHAIN_MAX:
-        raise ToricError(f"Hirzebruch-Jung chain length <= {CHAIN_MAX} required "
-                         f"(one vector per generator)")
-    chain = [u1, ((k * u1[0] + u2[0]) // dd, (k * u1[1] + u2[1]) // dd)]
-    for c in hirzebruch_jung_digits(dd, k):
-        if c < 2:
-            raise CertificationError(f"Hirzebruch-Jung digit {c} < 2 for D={dd}, k={k}")
-        (x0, y0), (x1, y1) = chain[-2], chain[-1]
-        chain.append((c * x1 - x0, c * y1 - y0))
-    if chain[-1] != u2:
-        raise CertificationError(f"Hirzebruch-Jung chain ends at {chain[-1]}, not at {u2}")
-    for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
-        if x0 * y1 - y0 * x1 != orientation:
-            raise CertificationError(f"generators {(x0, y0)}, {(x1, y1)} are not a "
-                                     f"lattice basis oriented like the rays")
-    return chain
+    (x0, y0), (x1, y1) = u1, ((k * u1[0] + u2[0]) // dd, (k * u1[1] + u2[1]) // dd)
+    if x0 * y1 - y0 * x1 != (1 if d > 0 else -1):
+        raise CertificationError(f"generators {u1}, {(x1, y1)} are not a lattice basis "
+                                 f"oriented like the rays")
+    segments = [(u1, (x1 - x0, y1 - y0), 2)]
+    for c, t in _hj_runs(dd, k):
+        if c < 2 or t < 1:
+            raise CertificationError(f"Hirzebruch-Jung run ({c}, {t}) for D={dd}, k={k} "
+                                     f"has a digit below 2 or none")
+        dx, dy = (c - 1) * x1 - x0, (c - 1) * y1 - y0
+        segments.append(((x1 + dx, y1 + dy), (dx, dy), t))
+        x0, y0, x1, y1 = x1 + (t - 1) * dx, y1 + (t - 1) * dy, x1 + t * dx, y1 + t * dy
+    if (x1, y1) != u2:
+        raise CertificationError(f"Hirzebruch-Jung chain ends at {(x1, y1)}, not at {u2}")
+    return segments
 
 
 def hilbert_basis_2d(rays: tuple[Vec2, Vec2]) -> SemigroupBasis:
     """Minimal generating set of cone(rays) ∩ Z^2: the certified
-    Hirzebruch-Jung chain between the primitive rays, sorted."""
+    Hirzebruch-Jung chain between the primitive rays, listed and sorted."""
     u1, u2 = primitive(rays[0]), primitive(rays[1])
-    return SemigroupBasis(tuple(sorted(_hj_chain(u1, u2))), (u1, u2))
+    segments = _hj_chain(u1, u2)
+    if sum(t for *_, t in segments) > CHAIN_MAX:
+        raise ToricError(f"Hirzebruch-Jung chain length <= {CHAIN_MAX} required "
+                         f"(one vector per generator)")
+    chain = [(x + j * dx, y + j * dy) for (x, y), (dx, dy), t in segments for j in range(t)]
+    return SemigroupBasis(tuple(sorted(chain)), (u1, u2))
 
 
 class RegularityVerdict(NamedTuple):
@@ -295,9 +295,9 @@ def below_ring_regularity(a) -> RegularityVerdict:
     """Regularity of the ring attached to the dual cone of A's rows.
 
     Regular iff the primitive-row matrix has determinant +-1; the
-    embedding dimension is the Hilbert-basis size of the dual semigroup,
-    the length of the Hirzebruch-Jung chain between the dual rays.  The
-    two criteria must agree (r = 2 iff regular).
+    embedding dimension r is the Hilbert-basis size of the dual semigroup,
+    counted off the segments of the chain between the dual rays in
+    O(log |det|), with no cap.  The two criteria must agree (r = 2 iff regular).
     """
     try:
         (a11, a12), (a21, a22) = a
@@ -306,8 +306,8 @@ def below_ring_regularity(a) -> RegularityVerdict:
     d = a11 * a22 - a12 * a21
     if d == 0:
         raise ToricError("matrix is singular")
-    r = len(_hj_chain(*dual_cone_2d(((a11, a12), (a21, a22)))))
+    r = sum(t for *_, t in _hj_chain(*dual_cone_2d(((a11, a12), (a21, a22)))))
     regular = abs(d) == gcd(a11, a12) * gcd(a21, a22)
-    if regular != (r == 2):  # pragma: no cover - the two criteria are equivalent
+    if regular != (r == 2):
         raise CertificationError("determinant and Hilbert-basis criteria disagree")
     return RegularityVerdict(regular, r, d)

@@ -166,6 +166,28 @@ def caps() -> list[list[str]]:
     ])
 
 
+def chains() -> list[list[str]]:
+    """Long Hirzebruch-Jung chains.  `regularity` counts them off their
+    runs, with no cap: at |det| 1, at `CHAIN_MAX` +- 1, at 2000000 and at a
+    Fibonacci ratio of 4200 digits.  `hilbert` lists up to 10^4 generators
+    in runs of 2s, with both orientations of each cone, and refuses a chain
+    past the cap."""
+    fib, limit = [1, 1], 10 ** 4199
+    while fib[-1] < limit:
+        fib.append(fib[-1] + fib[-2])
+    regularity = ["1,0,0,1", f"{CHAIN_MAX - 1},-1,0,1", f"{CHAIN_MAX + 1},-1,0,1",
+                  "2000000,-1,0,1", f"{fib[-1]},-{fib[-2]},0,1"]
+    # D/k = [1; 3000, 1, 3000, 1, 3000] has the runs (2, 3000), (3, 3000), (3, 3000);
+    # the third cone is the second moved by the unimodular (x, y) -> (2x + y, x + y)
+    dd, k = 3000, 1
+    for a in (1, 3000, 1, 3000, 1):
+        dd, k = a * dd + k, dd
+    cones = [((1, 0), (1, 9999)), ((1, 0), (dd - k, dd)), ((2, 1), (3 * dd - 2 * k, 2 * dd - k))]
+    hilbert = [_matrix(v + w) for v, w in cones] + [_matrix(w + v) for v, w in cones]
+    return (_matrix_command("regularity", regularity)
+            + _matrix_command("hilbert", hilbert + [f"1,0,1,{CHAIN_MAX + 1}"]))
+
+
 def malformed() -> list[list[str]]:
     argvs = [[], ["-h"], ["--help"], ["bogus"], [""], ["tau", "--a", "3", "--format", "xml"],
              ["tau", "--a", "3", "extra"], ["tau", "--a", "3", "--bogus"], ["tau", "--a"],
@@ -271,7 +293,8 @@ FAMILIES: dict[str, Callable[[], list[list[str]]]] = {
     "own-tau": own_tau, "own-convergents": own_convergents, "own-value": own_value,
     "own-transform": own_transform, "own-snf": own_snf, "own-hilbert": own_hilbert,
     "own-regularity": own_regularity, "own-lemma5": own_lemma5,
-    "own-counterexample": own_counterexample, "caps": caps, "malformed": malformed,
+    "own-counterexample": own_counterexample, "caps": caps, "chains": chains,
+    "malformed": malformed,
     "pairs": pairs, "lemma5": lemma5, "long-sweep": long_sweep, "foreign": foreign,
     "long-token": long_token, "blocks": blocks, "corrupt-grid": corrupt_grid,
 }

@@ -6,6 +6,8 @@ production code replaced with one route each.  None shares logic with
 the route it checks, so tests compare the two:
 
 - `enumerated_hilbert_basis` against `toric.hilbert_basis_2d`;
+- `hirzebruch_jung_digits`, the ceiling expansion of D/k, against the
+  runs that `toric._hj_runs` reads off the regular continued fraction;
 - `filtered_minimal_generators` (a `semigroup_contains` filtering of the
   full invariant list) against the minimal set of
   `quotient.invariant_generators`;
@@ -110,6 +112,16 @@ def full_size_offset(u1: Vec2, u2: Vec2) -> int:
     if s * u1[0] + t * u1[1] != 1:
         raise ToricError(f"{u1} is not primitive")
     return -(s * u2[0] + t * u2[1]) % abs(u1[0] * u2[1] - u1[1] * u2[0])
+
+
+def hirzebruch_jung_digits(a: int, b: int) -> list[int]:
+    """Digits c_i of a/b = c_1 - 1/(c_2 - 1/(...)), for 0 <= b <= a (none if b = 0)."""
+    digits = []
+    while b > 0:
+        c = -(-a // b)  # ceil
+        digits.append(c)
+        a, b = b, c * b - a
+    return digits
 
 
 def in_cone(point: Vec2, u1: Vec2, u2: Vec2) -> bool:

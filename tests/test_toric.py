@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
@@ -11,13 +12,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (adjugate, cofactor_det, enumerated_hilbert_basis, full_size_offset,
-                     in_cone, matmul, semigroup_contains, smith_adjugate)
+                     hirzebruch_jung_digits, in_cone, matmul, semigroup_contains,
+                     smith_adjugate)
 from valsweep import toric
 from valsweep.errors import CertificationError
 from valsweep.quotient import ORDER_MAX
 from valsweep.toric import (ToricError, below_ring_regularity, det_int, dual_cone_2d,
-                            hilbert_basis_2d, hirzebruch_jung_digits, primitive,
-                            smith_normal_form)
+                            hilbert_basis_2d, primitive, smith_normal_form)
 
 
 def brute_force_hilbert_basis(u1, u2, box=40):
@@ -278,9 +279,23 @@ class TestLargeEntries:
         assert verdict == below_ring_regularity(((a, b), (c, d)))._replace(det=det)
 
 
-# The true digits of cone((1,0),(2,5)) are those of 5/3: [2, 3].  [3, 1, 4]
-# reaches (2, 5) too, through the reducible generator (1, 1) + (1, 2).
-CORRUPTED_DIGITS = [[2, 2, 2, 2], [3], [3, 1, 4], []]
+# The true digits of cone((1,0),(2,5)) are those of 5/3: [2, 3], the runs
+# [(2, 1), (3, 1)].  The runs below are the digits [2, 2, 2, 2], [3], [3, 1, 4]
+# and [], and a run of -1 digits.  [3, 1, 4] reaches (2, 5) through the
+# reducible generator (1, 1) + (1, 2); the last case reaches it after listing
+# (1, 3), which lies outside the cone.
+CORRUPTED_RUNS = [[(2, 4)], [(3, 1)], [(3, 1), (1, 1), (4, 1)], [],
+                  [(2, 2), (2, -1), (3, 1)]]
+
+# Rows whose dual cone is cone((-1, 2), (9, -7)); an offset one off floors
+# v_1 to (-1, 1), which is no lattice basis with (-1, 2).
+Q11_STEP0 = ((7, 9), (2, 1))
+REAL_OFFSET = toric._hj_offset
+
+
+def floored_offset(u1, u2, dd):
+    return (REAL_OFFSET(u1, u2, dd) + 1) % dd
+
 
 # (A, corrupted (U, D, V)), one per Smith certificate check: U A V != D,
 # U not unimodular, and a diagonal entry that does not divide the next.
@@ -293,37 +308,63 @@ CORRUPTED_SMITH = [
 CORRUPTED_CERTIFICATES_SCRIPT = f"""
 from valsweep import toric
 from valsweep.errors import CertificationError
-for digits in {CORRUPTED_DIGITS!r}:
-    toric.hirzebruch_jung_digits = lambda a, b: digits
+def rejected(entry, arg, what):
     try:
-        toric.hilbert_basis_2d(((1, 0), (2, 5)))
+        entry(arg)
     except CertificationError as exc:
         print("rejected:", exc)
     else:
-        raise SystemExit(f"corrupted digits {{digits}} were accepted")
+        raise SystemExit(f"{{what}} was accepted")
+real_runs, real_offset, real_dual = toric._hj_runs, toric._hj_offset, toric.dual_cone_2d
+for runs in {CORRUPTED_RUNS!r}:
+    toric._hj_runs = lambda dd, k: runs
+    rejected(toric.hilbert_basis_2d, ((1, 0), (2, 5)), f"corrupted runs {{runs}}")
+toric._hj_runs = real_runs
+toric._hj_offset = lambda u1, u2, dd: (real_offset(u1, u2, dd) + 1) % dd
+rejected(toric.hilbert_basis_2d, toric.dual_cone_2d({Q11_STEP0!r}), "a floored v_1")
+rejected(toric.below_ring_regularity, {Q11_STEP0!r}, "a floored v_1")
+toric._hj_offset = real_offset
+toric.dual_cone_2d = lambda rows: ((1, 0), (0, 1))
+rejected(toric.below_ring_regularity, ((5, -2), (0, 1)), "a criteria disagreement")
+toric.dual_cone_2d = real_dual
 for a, reduced in {CORRUPTED_SMITH!r}:
     toric._smith_reduce = lambda m: reduced
-    try:
-        toric.smith_normal_form(a)
-    except CertificationError as exc:
-        print("rejected:", exc)
-    else:
-        raise SystemExit(f"corrupted Smith form {{reduced}} was accepted")
+    rejected(toric.smith_normal_form, a, f"corrupted Smith form {{reduced}}")
 """
 
 
 class TestHilbertCertificate:
-    @pytest.mark.parametrize("digits", CORRUPTED_DIGITS)
+    # each case is a list of runs (c, t): a digit c, then t - 1 twos
+    @pytest.mark.parametrize("digits", CORRUPTED_RUNS)
     def test_corrupted_digits_rejected(self, monkeypatch, digits):
-        monkeypatch.setattr(toric, "hirzebruch_jung_digits", lambda a, b: digits)
+        monkeypatch.setattr(toric, "_hj_runs", lambda dd, k: digits)
         with pytest.raises(CertificationError):
             hilbert_basis_2d(((1, 0), (2, 5)))
 
-    @pytest.mark.parametrize("digits", CORRUPTED_DIGITS)
+    @pytest.mark.parametrize("digits", CORRUPTED_RUNS)
     def test_corrupted_digits_rejected_by_regularity(self, monkeypatch, digits):
         # the dual cone of these rows is cone((1, 0), (2, 5))
-        monkeypatch.setattr(toric, "hirzebruch_jung_digits", lambda a, b: digits)
+        monkeypatch.setattr(toric, "_hj_runs", lambda dd, k: digits)
         with pytest.raises(CertificationError):
+            below_ring_regularity(((5, -2), (0, 1)))
+
+    def test_floored_first_pair_rejected(self, monkeypatch):
+        # the one basis check: the recurrence keeps det(v_i, v_{i+1}) after it
+        rays = dual_cone_2d(Q11_STEP0)
+        assert rays == ((-1, 2), (9, -7))
+        monkeypatch.setattr(toric, "_hj_offset", floored_offset)
+        broken = r"generators \(-1, 2\), \(-1, 1\) are not a lattice basis"
+        with pytest.raises(CertificationError, match=broken):
+            hilbert_basis_2d(rays)
+        with pytest.raises(CertificationError, match=broken):
+            below_ring_regularity(Q11_STEP0)
+
+    def test_criteria_disagreement_rejected(self, monkeypatch):
+        # det 5 with primitive rows is singular; the unit square cone says regular
+        real = toric.dual_cone_2d
+        monkeypatch.setattr(toric, "dual_cone_2d", lambda rows: (
+            ((1, 0), (0, 1)) if rows == ((5, -2), (0, 1)) else real(rows)))
+        with pytest.raises(CertificationError, match="criteria disagree"):
             below_ring_regularity(((5, -2), (0, 1)))
 
     @pytest.mark.parametrize("case, broken", zip(
@@ -340,14 +381,21 @@ class TestHilbertCertificate:
                               env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr + proc.stdout
-        assert proc.stdout.count("rejected:") == len(CORRUPTED_DIGITS) + len(CORRUPTED_SMITH)
+        assert proc.stdout.count("rejected:") == len(CORRUPTED_RUNS) + 3 + len(CORRUPTED_SMITH)
+
+
+def expanded_digits(dd, k):
+    """The digits of `toric._hj_runs`: each run (c, t) is c, then t - 1 twos."""
+    return [x for c, t in toric._hj_runs(dd, k) for x in [c] + [2] * (t - 1)]
 
 
 class TestHirzebruchJung:
     def test_digits(self):
-        assert hirzebruch_jung_digits(5, 3) == [2, 3]
-        assert hirzebruch_jung_digits(11, 9) == [2, 2, 2, 2, 3]
-        assert hirzebruch_jung_digits(7, 1) == [7]
+        for (dd, k), digits in [((5, 3), [2, 3]), ((11, 9), [2, 2, 2, 2, 3]), ((7, 1), [7]),
+                                ((1, 0), [])]:
+            assert hirzebruch_jung_digits(dd, k) == digits
+            assert expanded_digits(dd, k) == digits
+        assert toric._hj_runs(11, 9) == [(2, 4), (3, 1)]
 
 
 class TestRegularity:
@@ -452,23 +500,28 @@ def from_partial_quotients(quotients):
 
 
 class TestChainLength:
-    """The chain length counted from the continued fraction of D/k, before
-    any chain is built, and the cap it is checked against."""
+    """The runs read off the continued fraction of D/k against the ceiling
+    expansion, and the cap that only the listed chain is checked against."""
+
+    @staticmethod
+    def check_runs(dd, k):
+        digits = hirzebruch_jung_digits(dd, k)
+        assert expanded_digits(dd, k) == digits
+        assert sum(t for _, t in toric._hj_runs(dd, k)) == len(digits)
 
     def test_matches_digit_count_exhaustively(self):
         count = 0
         for dd in range(1, 500):
             for k in range(dd):
                 if gcd(dd, k) == 1:
-                    assert toric._chain_length(dd, k) == 2 + len(hirzebruch_jung_digits(dd, k))
+                    self.check_runs(dd, k)
                     count += 1
         assert count == 75916
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 100), min_size=1, max_size=30))
     def test_matches_digit_count_for_large_d(self, quotients):
-        dd, k = from_partial_quotients(quotients)
-        assert toric._chain_length(dd, k) == 2 + len(hirzebruch_jung_digits(dd, k))
+        self.check_runs(*from_partial_quotients(quotients))
 
     def test_cap_admits_every_quotient_order(self):
         # a chain over |det| = D has at most D + 1 vectors
@@ -476,16 +529,19 @@ class TestChainLength:
 
     def test_boundary(self):
         # cone((1, 0), (1, D)) has the D + 1 generators (1, j), 0 <= j <= D
-        chain = toric._hj_chain((1, 0), (1, toric.CHAIN_MAX - 1))
-        assert len(chain) == toric.CHAIN_MAX
-        assert chain[-1] == (1, toric.CHAIN_MAX - 1)
+        basis = hilbert_basis_2d(((1, 0), (1, toric.CHAIN_MAX - 1)))
+        assert basis.generators == tuple((1, j) for j in range(toric.CHAIN_MAX))
         with pytest.raises(ToricError, match=f"chain length <= {toric.CHAIN_MAX} required"):
-            toric._hj_chain((1, 0), (1, toric.CHAIN_MAX))
+            hilbert_basis_2d(((1, 0), (1, toric.CHAIN_MAX)))
 
-    @pytest.mark.parametrize("matrix", [((10 ** 12, -1), (0, 1)), ((10 ** 5000, -1), (0, 1))])
-    def test_regularity_rejects_long_chain(self, matrix):
-        with pytest.raises(ToricError, match="chain length"):
-            below_ring_regularity(matrix)
+    @pytest.mark.parametrize("exponent", [12, 5000])
+    def test_regularity_answers_long_chain(self, exponent):
+        # the dual cone is cone((1, 0), (1, D)): D + 1 generators, counted, not listed
+        dd = 10 ** exponent
+        start = time.monotonic()
+        verdict = below_ring_regularity(((dd, -1), (0, 1)))
+        assert time.monotonic() - start < 0.1
+        assert verdict == (False, dd + 1, dd)
 
     def test_short_chain_at_huge_det(self):
         basis = hilbert_basis_2d(((1, 0), (-1, 10 ** 12)))
