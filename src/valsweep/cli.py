@@ -10,7 +10,6 @@ own check (a defect in valsweep, not in the input).
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -18,6 +17,7 @@ import time
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import inf, isqrt
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Sequence
 
 # Only the errors at module level: each command imports the layers it runs,
@@ -64,16 +64,15 @@ def _echo(token: str) -> str:
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
 
 
-def _int_flag(token: str) -> int:
-    """An int flag's value.  A token past the digit limit is named without
-    echoing it; any other bad token gets argparse's words and a bounded echo."""
+def _int_flag(flag: str, token: str) -> int:
+    """An int flag's value; a token past the digit limit is named, not echoed."""
     try:
         return int(token)
     except ValueError:
         if not _past_digit_limit(token):
-            raise argparse.ArgumentTypeError(f"invalid int value: {_echo(token)}") from None
-        exc = _digit_limit_error()
-        raise argparse.ArgumentTypeError(f"violated constraint [{exc.constraint}]: {exc}") from None
+            raise UsageError(f"argument {flag}: invalid int value: {_echo(token)}") from None
+        limit = _digit_limit_error()
+    raise UsageError(f"argument {flag}: violated constraint [{limit.constraint}]: {limit}")
 
 
 # Stand-ins for the values in a record skeleton: an int, and a text value
@@ -381,8 +380,9 @@ def cmd_counterexample(args) -> Report:
     return Report("counterexample", inputs, results, "Falsified")
 
 
-# The flags each subcommand reads, required and then optional, as argparse
-# dests; --format is every subcommand's.  main rejects any other flag.
+# The flags each subcommand reads, required and then optional, by name: the
+# one declaration of a flag.  --format is every subcommand's, and every flag
+# takes an int but --matrix, whose entries the commands parse.
 SUBCOMMAND_FLAGS = {
     "tau": (("a",), ()),
     "convergents": (("a",), ("steps",)),
@@ -395,67 +395,66 @@ SUBCOMMAND_FLAGS = {
     "counterexample": (("q", "p"), ("m", "n", "steps", "corrupt_step")),
 }
 
-COMMANDS = {
-    "tau": cmd_tau,
-    "convergents": cmd_convergents,
-    "value": cmd_value,
-    "transform": cmd_transform,
-    "snf": cmd_snf,
-    "hilbert": cmd_hilbert,
-    "regularity": cmd_regularity,
-    "lemma5": cmd_lemma5,
-    "counterexample": cmd_counterexample,
-}
+# each subcommand runs its cmd_ function
+COMMANDS = {command: globals()["cmd_" + command] for command in SUBCOMMAND_FLAGS}
+
+_FLAGS = {name: "--" + name.replace("_", "-") for required, optional in SUBCOMMAND_FLAGS.values()
+          for name in required + optional} | {"format": "--format", "help": "--help"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="valsweep",
-        description="Exact verification of monomial valuations, quadratic "
-                    "transform sweeps, lattice quotients and cyclic invariant rings.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    for flag in ("--q", "--p", "--m", "--n", "--steps", "--a", "--b", "--order"):
-        parser.add_argument(flag, type=_int_flag)
-    parser.add_argument("--matrix", type=str,
-                        help="row-major comma-separated integer entries")
-    parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--corrupt-step", type=_int_flag, dest="corrupt_step",
-                        help="self-test: inject a unimodular matrix at this sweep "
-                             "step to exercise the falsification channel")
-    return parser
+def _help() -> str:
+    """The usage line and each subcommand's flags, optional ones in brackets."""
+    return ("usage: valsweep SUBCOMMAND [--FLAG VALUE ...] [--format json|text]\n\n"
+            "--matrix takes row-major comma-separated integers, every other flag an integer.\n"
+            + "".join(f"  {command:<15}" + "".join([f" {_FLAGS[name]}" for name in required]
+                                                   + [f" [{_FLAGS[name]}]" for name in optional])
+                      + "\n" for command, (required, optional) in SUBCOMMAND_FLAGS.items()))
 
 
-def _attach_matrix_value(argv: list[str]) -> list[str]:
-    """`--matrix -1,0,0,1` as `--matrix=-1,0,0,1`, and so for each prefix from `--ma`:
-    argparse reads a separate value that starts with '-' and is not a single number as an option."""
-    out: list[str] = []
-    for tok in argv:
-        flag = out[-1] if out else ""
-        if len(flag) >= 4 and "--matrix".startswith(flag) and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = f"{flag}={tok}"
-        else:
-            out.append(tok)
-    return out
+def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The subcommand and its flags' values, or None when argv asks for help
+    (`-h` is `--help`).  A flag is `--name=value` or `--name value`, the value
+    being the next token unless that starts with `--`; a prefix of no other
+    flag's name serves for the name.  The one other token is the subcommand."""
+    command, values, tokens = None, {"format": "json"}, iter(argv)
+    for token in tokens:
+        flag, attached, value = ("--help" if token == "-h" else token).partition("=")
+        if not flag.startswith("--"):
+            if command is not None or token not in COMMANDS:
+                raise UsageError(f"unexpected argument {_echo(token)}: give one subcommand of "
+                                 f"{', '.join(COMMANDS)}")
+            command = token
+            continue
+        names = ([name for name, spelling in _FLAGS.items() if spelling == flag]
+                 or [name for name, spelling in _FLAGS.items() if spelling.startswith(flag)])
+        if len(names) != 1:
+            raise UsageError(f"unrecognized flag {_echo(flag)}")
+        name, = names
+        if name == "help":
+            return None
+        if not attached and (value := next(tokens, "--")).startswith("--"):
+            raise UsageError(f"argument {_FLAGS[name]}: expected one argument")
+        if name == "format" and value not in ("json", "text"):
+            raise UsageError(f"argument --format: {_echo(value)} is not json or text")
+        values[name] = value if name in ("format", "matrix") else _int_flag(_FLAGS[name], value)
+    if command is None:
+        raise UsageError(f"a subcommand is required, one of {', '.join(COMMANDS)}")
+    required, optional = SUBCOMMAND_FLAGS[command]
+    missing = [_FLAGS[name] for name in required if name not in values]
+    foreign = [_FLAGS[name] for name in values if name not in (*required, *optional, "format")]
+    if missing or foreign:  # a missing flag is named before a foreign one
+        raise UsageError(f"{missing[0]} is required for this subcommand" if missing
+                         else f"{foreign[0]} is not a flag of {command}")
+    return SimpleNamespace(**{**dict.fromkeys(_FLAGS), **values}, command=command)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_matrix_value(sys.argv[1:] if argv is None else argv))
-        for name, value in vars(args).items():
-            if isinstance(value, list):  # `--a=--`: argparse drops the `--`, leaving []
-                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:  # before any work: the flags against the subcommand's row, and the step cap
-        required, optional = SUBCOMMAND_FLAGS[args.command]
-        for name in required:
-            if getattr(args, name) is None:
-                raise UsageError(f"--{name} is required for this subcommand")
-        for name, value in vars(args).items():
-            if value is not None and name not in (*required, *optional, "command", "format"):
-                raise UsageError(f"--{name.replace('_', '-')} is not a flag of {args.command}")
-        steps = args.steps
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_help())
+            return EXIT_OK
+        steps = args.steps  # the step cap, before any work
         if steps is not None and steps > STEPS_MAX:
             raise ConfigError(f"steps <= {STEPS_MAX}", f"--steps {steps} exceeds the step cap")
         start = time.monotonic()

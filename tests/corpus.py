@@ -7,9 +7,7 @@ Each family is a deterministic list of argv.  Every argv runs in process
 through `valsweep.cli.main` and gives one line: the argv as JSON, the exit
 code, the sha256 of stdout and the sha256 of stderr without its
 `timing_ms` line.  A family's digest is the sha256 of its sorted lines.
-`corpus_digests.json` holds one digest per family, recorded with the
-Python minor version it names (argparse's wording of help and usage
-errors differs between versions).
+`corpus_digests.json` holds one digest per family.
 
 `check` replays the named families (all by default) and exits 1 if a
 digest differs.  `record` rewrites the digests of the named families: a
@@ -22,11 +20,10 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from valsweep.cli import STEPS_MAX, main
 from valsweep.qfield import TAU_A_MAX
@@ -34,7 +31,6 @@ from valsweep.quotient import ORDER_MAX, is_prime
 from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
 DIGESTS = Path(__file__).with_name("corpus_digests.json")
-PYTHON = f"{sys.version_info[0]}.{sys.version_info[1]}"
 
 FORMATS = (["--format", "json"], ["--format", "text"])
 # a valid value for every flag, for the argv that need one
@@ -59,6 +55,8 @@ LONG_TOKEN = "7" * 4400
 GROUPED_TOKEN = "_".join("7" * 4401)
 # a long token that is no integer at all, echoed only in part
 JUNK_TOKEN = "x" * 5000
+# a long flag that names none, echoed only in part
+JUNK_FLAG = "--" + "x" * 4998
 
 
 def _both_formats(argvs: list[list[str]]) -> list[list[str]]:
@@ -247,7 +245,8 @@ def foreign() -> list[list[str]]:
 def long_token() -> list[list[str]]:
     """The token past the digit limit as a --matrix entry, and as the value
     of each int flag in a subcommand that reads it; its underscore-grouped
-    form, and a long token that is no integer, as an int flag and an entry."""
+    form, and a long token that is no integer: as an int flag, an entry, the
+    subcommand, a stray argument and --format's value, and as an unknown flag."""
     flags = []
     for command, (required, optional) in OWN.items():
         for flag in required + optional:
@@ -261,7 +260,9 @@ def long_token() -> list[list[str]]:
                           ["tau", "--a", GROUPED_TOKEN],
                           ["value", "--a", "3", f"--matrix={GROUPED_TOKEN},1"],
                           ["tau", "--a", JUNK_TOKEN],
-                          ["snf", f"--matrix={JUNK_TOKEN},1,1,1"], *flags])
+                          ["snf", f"--matrix={JUNK_TOKEN},1,1,1"], [JUNK_TOKEN, "--a", "3"],
+                          ["tau", "--a", "3", JUNK_TOKEN], ["tau", "--a", "3", JUNK_FLAG],
+                          ["tau", "--a", "3", "--format", JUNK_TOKEN], *flags])
 
 
 def blocks() -> list[list[str]]:
@@ -300,20 +301,6 @@ FAMILIES: dict[str, Callable[[], list[list[str]]]] = {
 }
 
 
-@contextlib.contextmanager
-def _fixed_terminal() -> Iterator[None]:
-    """argparse wraps help and usage to the terminal width: pin it to 80."""
-    old = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = old
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -321,7 +308,7 @@ def _sha(text: str) -> str:
 def line(argv: list[str]) -> str:
     """argv, exit code, sha256 of stdout, sha256 of stderr without `timing_ms`."""
     out, err = io.StringIO(), io.StringIO()
-    with _fixed_terminal(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     stderr = "".join(x for x in err.getvalue().splitlines(keepends=True)
                      if not x.startswith("timing_ms: "))
@@ -333,8 +320,12 @@ def argvs(name: str) -> list[list[str]]:
     return [list(argv) for argv in dict.fromkeys(map(tuple, FAMILIES[name]()))]
 
 
+def digest(family: list[list[str]]) -> str:
+    return _sha("\n".join(sorted(map(line, family))))
+
+
 def family_digest(name: str) -> str:
-    return _sha("\n".join(sorted(map(line, argvs(name)))))
+    return digest(argvs(name))
 
 
 def recorded() -> dict:
@@ -348,19 +339,16 @@ def _main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1] + f"\nfamilies: {', '.join(FAMILIES)}",
               file=sys.stderr)
         return 1
-    data = recorded() if DIGESTS.exists() else {"python": PYTHON, "families": {}}
-    if data["python"] != PYTHON:
-        print(f"digests were recorded with Python {data['python']}, not {PYTHON}",
-              file=sys.stderr)
-        return 1
+    data = recorded() if DIGESTS.exists() else {"families": {}}
     failed = 0
     for name in names or FAMILIES:
-        digest = family_digest(name)
+        family = argvs(name)
+        found = digest(family)
         if action == "record":
-            data["families"][name] = digest
-        ok = digest == data["families"].get(name)
+            data["families"][name] = found
+        ok = found == data["families"].get(name)
         failed += not ok
-        print(f"{name}: {len(argvs(name))} argv, {'ok' if ok else 'DIFFERS'}")
+        print(f"{name}: {len(family)} argv, {'ok' if ok else 'DIFFERS'}")
     if action == "record":
         DIGESTS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 1 if failed else 0

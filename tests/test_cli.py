@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from valsweep.qfield import TAU_A_MAX, iter_convergents, tau_from_a
 from valsweep.quotient import ORDER_MAX
 from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
-from corpus import GROUPED_TOKEN, JUNK_TOKEN, LONG_TOKEN, OWN, VALID
+from corpus import GROUPED_TOKEN, JUNK_FLAG, JUNK_TOKEN, LONG_TOKEN, OWN, VALID
 from test_report_templates import assert_renders_like_oracle
 
 
@@ -250,9 +251,8 @@ class TestFlagTable:
         assert SUBCOMMAND_FLAGS.keys() == COMMANDS.keys()
         assert SUBCOMMAND_FLAGS == {c: (tuple(map(dest, required)), tuple(map(dest, optional)))
                                     for c, (required, optional) in OWN.items()}
-        # --format is every subcommand's, so it is in no row
-        assert {f"--{a.dest.replace('_', '-')}" for a in cli.build_parser()._actions
-                if a.option_strings and a.dest not in ("help", "format")} == set(VALID)
+        # --format is every subcommand's, so it is in no row, and neither is --help
+        assert set(cli._FLAGS.values()) - {"--format", "--help"} == set(VALID)
         assert (len(OWN_PAIRS), len(FOREIGN_PAIRS)) == (19, 71)
 
     @pytest.mark.parametrize("command, flag", FOREIGN_PAIRS,
@@ -269,6 +269,15 @@ class TestFlagTable:
         code, payload, err = run_json(capsys, command, *argv)
         assert code == (EXIT_FALSIFIED if flag == "--corrupt-step" else EXIT_OK), err
         assert payload["command"] == command
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("tau", "--he"), ("--a", "3", "-h")])
+    def test_help_lists_each_row(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        rows = [f"  {c:<15} " + " ".join(required + [f"[{f}]" for f in optional])
+                for c, (required, optional) in OWN.items()]
+        assert out.splitlines()[-len(rows):] == rows
+        assert f"```text\n{out}```" in (SRC.parent / "README.md").read_text()
 
     def test_missing_flag_named_before_a_foreign_one(self, capsys):
         assert run(capsys, "lemma5", "--order", "7", "--q", "11") == (
@@ -416,12 +425,17 @@ class TestHostileSizes:
         assert len(err) < 1000
 
     @pytest.mark.parametrize("argv", [("tau", "--a", JUNK_TOKEN),
-                                      ("snf", f"--matrix={JUNK_TOKEN},1,1,1")],
-                             ids=["int-flag", "matrix-entry"])
+                                      ("snf", f"--matrix={JUNK_TOKEN},1,1,1"),
+                                      (JUNK_TOKEN, "--a", "3"),
+                                      ("tau", "--a", "3", JUNK_TOKEN),
+                                      ("tau", "--a", "3", JUNK_FLAG),
+                                      ("tau", "--a", "3", "--format", JUNK_TOKEN)],
+                             ids=["int-flag", "matrix-entry", "subcommand", "positional",
+                                  "unknown-flag", "format"])
     def test_long_malformed_token_echoed_in_part(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
-        assert f"'{'x' * 40}'... (5000 characters)" in err
+        assert re.search(r"'(x{40}|--x{38})'\.\.\. \(5000 characters\)", err)
         assert len(err) < 1000
 
     def test_only_a_signed_decimal_is_named_too_long(self, capsys):
@@ -768,6 +782,18 @@ class TestPackage:
         # and no-dataclasses checks above hold on the command path too
         assert added_modules(_RUN_MAIN, *argv) == [EXIT_OK, sorted(["cli", "errors"] + layers),
                                                    [], []]
+
+    def test_command_line_loads_no_argparse(self):
+        # the flag table is the parser, so no process pays for importing
+        # argparse and the gettext it loads
+        script = ("import sys\nfrom valsweep.cli import main\ncode = main()\n"
+                  "print(sorted({'argparse', 'gettext'} & sys.modules.keys()))")
+        proc = subprocess.run([sys.executable, "-c", script,
+                               "counterexample", "--q", "11", "--p", "13"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_error_classes_have_one_home(self):
         from valsweep import errors, quotient, transform, valuation

@@ -13,9 +13,6 @@ def test_every_family_has_a_digest():
     assert RECORDED["families"].keys() == corpus.FAMILIES.keys()
 
 
-@pytest.mark.skipif(RECORDED["python"] != corpus.PYTHON,
-                    reason=f"digests recorded with Python {RECORDED['python']}, whose "
-                           f"argparse wording may differ from {corpus.PYTHON}'s")
 @pytest.mark.parametrize("family", SAMPLE)
 def test_family_keeps_its_bytes(family):
     assert corpus.family_digest(family) == RECORDED["families"][family]

@@ -73,6 +73,12 @@ class TestTau:
         with pytest.raises(QFieldError):
             tau_from_a(0)
 
+    def test_wrong_decomposition_fails_the_equation_check(self, monkeypatch):
+        # 77 = 1^2 * 77, so (7 + 2*sqrt(77))/2 is no root of t^2 - 7t - 7
+        monkeypatch.setattr(qfield, "squarefree_decompose", lambda n: (2, 77))
+        with pytest.raises(CertificationError, match=r"does not satisfy t\^2 = 7\*t \+ 7"):
+            tau_from_a(7)
+
 
 class TestSign:
     def test_trivial(self):
@@ -205,6 +211,12 @@ class TestQuotientStream:
     def test_rational_rejected(self):
         with pytest.raises(QFieldError, match="irrational"):
             _quotient_stream(QuadExt.make(3, 0, 2, 5))
+
+    def test_non_canonical_input_fails_the_rewrite_certificate(self):
+        # s, t and r share the factor 2, so the rewrite (4 + 4*sqrt(5))/4
+        # reduces to (1 + sqrt(5))/1, which differs from the input
+        with pytest.raises(CertificationError, match=r"!= \(4 \+ 4\*sqrt\(5\)\)/4"):
+            _quotient_stream(QuadExt(2, 2, 2, 5))
 
     # (P, Q, D) with Q = 0, and with Q = 5 not dividing D - P^2 = 76
     CORRUPTED = [(1, 0, 77), (1, 5, 77)]
