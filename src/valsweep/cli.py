@@ -413,10 +413,10 @@ def _help() -> str:
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """The subcommand and its flags' values, or None when argv asks for help
-    (`-h` is `--help`).  A flag is `--name=value` or `--name value`, the value
-    being the next token unless that starts with `--`; a prefix of no other
-    flag's name serves for the name.  The one other token is the subcommand."""
-    command, values, tokens = None, {"format": "json"}, iter(argv)
+    (`-h` is `--help`).  A flag, given once, is `--name=value` or `--name value`,
+    the value being the next token unless that starts with `--`; a prefix of
+    no other flag's name serves for the name.  The other token is the subcommand."""
+    command, values, tokens = None, {}, iter(argv)
     for token in tokens:
         flag, attached, value = ("--help" if token == "-h" else token).partition("=")
         if not flag.startswith("--"):
@@ -432,6 +432,8 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
         name, = names
         if name == "help":
             return None
+        if name in values:
+            raise UsageError(f"argument {_FLAGS[name]}: given more than once")
         if not attached and (value := next(tokens, "--")).startswith("--"):
             raise UsageError(f"argument {_FLAGS[name]}: expected one argument")
         if name == "format" and value not in ("json", "text"):
@@ -445,7 +447,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     if missing or foreign:  # a missing flag is named before a foreign one
         raise UsageError(f"{missing[0]} is required for this subcommand" if missing
                          else f"{foreign[0]} is not a flag of {command}")
-    return SimpleNamespace(**{**dict.fromkeys(_FLAGS), **values}, command=command)
+    return SimpleNamespace(**{**dict.fromkeys(_FLAGS), "format": "json", **values}, command=command)
 
 
 def main(argv: list[str] | None = None) -> int:

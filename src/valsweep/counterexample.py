@@ -8,10 +8,11 @@ certifying at every step that the ring lying below is singular, and emits
 the final report: the two branches force local fundamental groups of
 orders q and p, which cannot both hold for one ring since q != p.
 
-The singularity certificate is inductive: step 0 of each branch is
-checked directly, and every later exponent matrix is checked to be its
+The singularity certificate is inductive: `build` judges step 0 of each
+branch directly, and every later exponent matrix is checked to be its
 predecessor times an elementary matrix of determinant 1, which leaves
 the ring below unchanged up to isomorphism (see `singularity_sweep`).
+A check that validated input cannot trip raises `CertificationError`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import CertificationError, ConfigError
 from .qfield import QuadExt, tau_from_a
 from .valuation import MonomialValuation, ValueElement, group_index
 from .transform import Matrix2, _elementary_successor, branch_steps
-from .toric import below_ring_regularity, det_int, smith_normal_form
+from .toric import RegularityVerdict, below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
 
@@ -83,14 +84,15 @@ class ChartCorrections(NamedTuple):
 
 
 class BranchData(NamedTuple):
-    """One root cover: exponent matrix, exact chart parameter values, and
-    the cyclic action of the matrix's certified Smith form."""
+    """One root cover: step-0 exponent matrix, exact chart parameter values,
+    and the matrix's Smith-form cyclic action and Hirzebruch-Jung verdict."""
 
     name: str
     order: int
     matrix: Matrix2
     chart_values: tuple[ValueElement, ValueElement]
     action: DiagonalAction
+    verdict: RegularityVerdict
 
 
 class Instance(NamedTuple):
@@ -107,7 +109,7 @@ def build(config: InstanceConfig) -> Instance:
     Computes the chart corrections; certifies 0 < epsilon < 1, positivity of all
     four chart values, and that the value group indices are q and p by the
     linear-system and the Smith-form routes; each branch keeps the cyclic
-    action of its Smith form.
+    action of its Smith form and the regularity verdict of its matrix.
     """
     config.validate()
     q, p, m, n = config.q, config.p, config.m, config.n
@@ -122,7 +124,7 @@ def build(config: InstanceConfig) -> Instance:
     tau = tau_from_a(q - 4)
     epsilon = tau - (q - 4)
     if not (epsilon.sign() > 0 and (epsilon - 1).sign() < 0):
-        raise ConfigError("0 < epsilon < 1", "epsilon outside (0, 1)")
+        raise CertificationError("epsilon outside (0, 1)")
 
     val_u = ValueElement.make(0, 1, 1, tau)  # value tau
     val_v = ValueElement.make(1, 0, 1, tau)  # value 1
@@ -135,8 +137,7 @@ def build(config: InstanceConfig) -> Instance:
         y1 = ValueElement.make(4 - order, 2, order, tau)
         for label, val in (("x", x1), ("y", y1)):
             if val.sign() <= 0:
-                raise ConfigError(f"{name}({label}1) > 0",
-                                  f"chart value {label}1 not positive on {name}")
+                raise CertificationError(f"chart value {label}1 not positive on {name}")
         a = (e[:2], e[2:])  # the chart's (a, b, c, d) as rows
         # the defining relations x1 = v/z, y1 = z^2/v at value level
         root = ValueElement.make(2, 1, order, tau)
@@ -151,9 +152,9 @@ def build(config: InstanceConfig) -> Instance:
         idx = group_index((val_u, val_v), (x1, y1))
         action = derive_diagonal_action(a)  # a cyclic quotient of order |det A|
         if idx != order or action.order != order:
-            raise ConfigError("value group index", f"index {idx}, Smith quotient order "
-                              f"{action.order}, expected {order}")
-        branches.append(BranchData(name, order, a, (x1, y1), action))
+            raise CertificationError(f"value group index {idx}, Smith quotient order "
+                                     f"{action.order}, expected {order} on {name}")
+        branches.append(BranchData(name, order, a, (x1, y1), action, below_ring_regularity(a)))
 
     return Instance(config, tau, epsilon, tuple(branches), charts)
 
@@ -178,16 +179,16 @@ def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> Sw
     """Transform sweep certifying that the ring below is singular at steps
     0..config.steps of each branch.
 
-    The certificate is inductive.  Step 0 of each branch is checked
-    directly by `below_ring_regularity`.  A later matrix that is exactly
-    prev*E, with prev the previous record's matrix and E = [[1,1],[0,1]]
-    or [[1,0],[1,1]], carries the previous verdict (det, regular,
-    embedding dimension).  E has determinant 1, so det is unchanged; each
-    row r goes to r*E with the same content, so the primitive determinant
-    is unchanged; and the dual cone of the new rows is the image of the
-    old one under the lattice automorphism E^-1, so its Hilbert basis has
-    the same size.  Any other matrix, such as the corrupted one or the
-    step after it, is checked directly.
+    The certificate is inductive.  Step 0 of each branch carries the
+    verdict `build` took of its matrix.  A later matrix that is prev or
+    exactly prev*E, with prev the previous record's matrix and E =
+    [[1,1],[0,1]] or [[1,0],[1,1]], carries the previous verdict (det,
+    regular, embedding dimension).  E has determinant 1, so det is
+    unchanged; each row r goes to r*E with the same content, so the
+    primitive determinant is unchanged; and the dual cone of the new rows
+    is the image of the old one under the lattice automorphism E^-1, so
+    its Hilbert basis has the same size.  Any other matrix, such as the
+    corrupted one or the step after it, is judged by `below_ring_regularity`.
 
     A Regular verdict or a determinant drift at any step falsifies the
     construction; that outcome is reported, not raised.  `corrupt_step`
@@ -204,17 +205,16 @@ def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> Sw
         name, order = branch.name, branch.order
         vx, vy = branch.chart_values  # certified positive by build
         walk = branch_steps(branch.matrix, vx.as_quadext() / vy.as_quadext())
-        prev = None
+        prev, (regular, dim, det) = branch.matrix, branch.verdict
         for step, (_, current) in zip(range(steps + 1), chain([(None, branch.matrix)], walk)):
             matrix = ((1, 0), (0, 1)) if step == corrupt_step and name == "nu1" else current
-            if prev is None or not _elementary_successor(prev, matrix):
+            if matrix != prev and not _elementary_successor(prev, matrix):
                 regular, dim, det = below_ring_regularity(matrix)
-                # a carried verdict was judged at the step that computed it
-                if falsification is None:
-                    if regular:
-                        falsification = f"branch {name} step {step}: ring below is regular"
-                    elif abs(det) != order:
-                        falsification = f"branch {name} step {step}: |det|={abs(det)} != {order}"
+            if falsification is None:
+                if regular:
+                    falsification = f"branch {name} step {step}: ring below is regular"
+                elif abs(det) != order:
+                    falsification = f"branch {name} step {step}: |det|={abs(det)} != {order}"
             records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             prev = matrix
     return SweepReport(tuple(records), falsification)
@@ -241,25 +241,21 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
 def certify_conflict(instance: Instance, sweep: SweepReport) -> dict[str, int]:
     """The certified fundamental-group orders {"nu1": q, "nu2": p} of a finished sweep.
 
-    Both branches must have stayed singular; the cyclic actions that
-    `build` derived then give local fundamental groups of order q and p
-    respectively, and q != p is checked by machine: no single normal local
-    ring lies below both.
+    Both branches must have stayed singular.  Each branch's pi1 order by the
+    Smith-form route (its action) and by the Hirzebruch-Jung route (its
+    verdict: 1 if Regular, else |det|) must be its prime, and q != p is
+    checked by machine: no single normal local ring lies below both.
     """
     if sweep.falsification is not None:
         raise ConfigError("sweep verified", f"sweep falsified: {sweep.falsification}")
     orders = {}
     for branch in instance.branches:
-        order = pi1_order(branch.action)
-        # consistency with the Hirzebruch-Jung regularity verdict of the same matrix
-        reg = below_ring_regularity(branch.matrix)
-        if (order == 1) != reg.regular:
-            raise ConfigError("pi1/regularity consistency",
-                              f"branch {branch.name}: order {order} vs {reg.label}")
-        if order != branch.order:
-            raise ConfigError("pi1 order", f"branch {branch.name}: "
-                              f"order {order} != {branch.order}")
-        orders[branch.name] = order
-    if orders["nu1"] == orders["nu2"]:  # pragma: no cover - excluded by q != p in the config window
-        raise ConfigError("q != p", "branch orders coincide; no obstruction")
+        smith = pi1_order(branch.action)
+        hj = 1 if branch.verdict.regular else abs(branch.verdict.det)
+        if not smith == hj == branch.order:
+            raise CertificationError(f"branch {branch.name}: pi1 order {smith} by the Smith "
+                                     f"form, {hj} by Hirzebruch-Jung, expected {branch.order}")
+        orders[branch.name] = smith
+    if orders["nu1"] == orders["nu2"]:
+        raise CertificationError("branch orders coincide; no obstruction")
     return orders

@@ -288,6 +288,21 @@ class TestFlagTable:
                    "--corrupt-step", "2") == (
             EXIT_USAGE, "", "error: --corrupt-step is not a flag of transform\n")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("tau", "--a", "1", "--a", "2"), "--a"),
+        (("tau", "--a", "1", "--a=1"), "--a"),
+        (("snf", "--ma", "1,0,0,1", "--matrix", "1,0,0,1"), "--matrix"),
+        (("snf", "--matrix=1,0,0,1", "--format", "text", "--form", "text"), "--format"),
+        (("counterexample", "--q", "11", "--p", "13", "--corrupt-step", "2", "--corr", "3"),
+         "--corrupt-step"),
+        (("lemma5", "--order", "7", "--a", "1", "--b", "2", "--order", "7", "--q", "11"),
+         "--order"),
+    ])
+    def test_repeated_flag_refused(self, capsys, argv, flag):
+        # the second occurrence is refused where it stands, even with the same value
+        assert run(capsys, *argv) == (EXIT_USAGE, "",
+                                      f"error: argument {flag}: given more than once\n")
+
 
 class TestHostileSizes:
     """Inputs whose cost used to grow with |det|^2 or p^3."""
@@ -574,12 +589,12 @@ class TestSweepOnce:
         code, _, _ = run(capsys, "counterexample", "--q", "11", "--p", "13",
                          "--steps", str(steps))
         assert code == EXIT_OK
-        # one direct check at step 0 of each branch (every later step is an
-        # elementary column operation on its predecessor and carries its
-        # verdict), then one per branch matrix in certify_conflict; build
-        # validates once, reads the chart exponents once (validate reads them
-        # too), and takes one Smith form and det per branch
-        assert calls == {"regularity": 2 + 2, "sweep": 1, "validate": 1, "exponents": 1 + 1,
+        # build judges step 0 of each branch once (every later step is an
+        # elementary column operation on its predecessor and carries that
+        # verdict, and certify_conflict reads it); build validates once,
+        # reads the chart exponents once (validate reads them too), and
+        # takes one Smith form and det per branch
+        assert calls == {"regularity": 2, "sweep": 1, "validate": 1, "exponents": 1 + 1,
                          "snf": 2, "det": 2}
 
 
@@ -805,7 +820,7 @@ class TestPackage:
         assert counterexample.ConfigError is errors.ConfigError
         assert counterexample.CertificationError is errors.CertificationError
         assert issubclass(valuation.NotASubgroupError, errors.ValuationError)
-        assert errors.ConfigError("q != p", "message").constraint == "q != p"
+        assert errors.ConfigError("sweep verified", "message").constraint == "sweep verified"
 
     def test_no_assert_statements(self):
         # python -O strips assert statements, so no certificate may be one;

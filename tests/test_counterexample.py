@@ -1,5 +1,12 @@
+import contextlib
 import functools
+import io
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,11 +14,13 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import adjugate_diagonal_action
+import valsweep
 from valsweep import counterexample, toric
-from valsweep.counterexample import (ConfigError, InstanceConfig, build,
+from valsweep.cli import EXIT_CERTIFICATE, main
+from valsweep.counterexample import (CertificationError, ConfigError, InstanceConfig, build,
                                      certify_conflict, derive_diagonal_action,
                                      singularity_sweep)
-from valsweep.qfield import QuadExt
+from valsweep.qfield import QuadExt, tau_from_a
 from valsweep.quotient import DiagonalAction, is_prime
 from valsweep.toric import det_int
 
@@ -31,6 +40,11 @@ class TestConfig:
     def test_small_m_rejected(self):
         with pytest.raises(ConfigError):
             InstanceConfig(q=11, p=13, m=1, n=3).validate()
+
+    def test_small_n_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            InstanceConfig(q=11, p=13, m=3, n=1).validate()
+        assert exc.value.constraint == "n > max(|b1-b2|, |d1-d2|)"
 
     def test_even_m_rejected(self):
         with pytest.raises(ConfigError):
@@ -207,6 +221,136 @@ class TestContradiction:
             certify_conflict(inst, sweep)
         assert exc.value.constraint == "sweep verified"
         assert "nu1 step 3" in str(exc.value)
+
+    def test_certify_conflict_reads_build_and_calls_no_toric(self, monkeypatch):
+        inst = build(InstanceConfig(q=11, p=13, steps=5))
+        sweep = singularity_sweep(inst)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("certify_conflict called into valsweep.toric")
+
+        for module in (toric, counterexample):
+            for name, value in vars(module).items():
+                if callable(value) and getattr(value, "__module__", None) == toric.__name__:
+                    monkeypatch.setattr(module, name, refuse)
+        assert certify_conflict(inst, sweep) == {"nu1": 11, "nu2": 13}
+
+    def test_regular_verdict_fails_the_cross_route_check(self):
+        # the Hirzebruch-Jung side of the check, on an instance whose step-0
+        # verdict was replaced after a verified sweep
+        inst = build(InstanceConfig(q=11, p=13, steps=5))
+        sweep = singularity_sweep(inst)
+        nu1, nu2 = inst.branches
+        broken = inst._replace(branches=(nu1._replace(verdict=nu1.verdict._replace(regular=True)),
+                                         nu2))
+        with pytest.raises(CertificationError, match=re.escape(
+                "branch nu1: pi1 order 11 by the Smith form, 1 by Hirzebruch-Jung, expected 11")):
+            certify_conflict(broken, sweep)
+
+
+# Fault injections, one per certificate in `build` and `certify_conflict`
+# that validated input cannot trip.  Each patches the certificate's producer
+# through `mp` (a pytest.MonkeyPatch).
+
+def epsilon_past_one(mp):
+    mp.setattr(counterexample, "tau_from_a", lambda a: tau_from_a(a) + 1)
+
+
+def window_unchecked(mp):
+    # (5, 11) lies outside 5 <= q < p < 2q-4, and p's chart value y1 is negative
+    mp.setattr(InstanceConfig, "validate", lambda self: None)
+
+
+def chart_exponent_shifted(mp):
+    real = InstanceConfig.chart_exponents
+    mp.setattr(InstanceConfig, "chart_exponents",
+               lambda self: tuple((a, b, c, d + 1) for a, b, c, d in real(self)))
+
+
+def index_off_by_one(mp):
+    real = counterexample.group_index
+    mp.setattr(counterexample, "group_index", lambda sub, sup: real(sub, sup) + 1)
+
+
+def smith_order_wrong(mp):
+    mp.setattr(counterexample, "derive_diagonal_action", lambda a: DiagonalAction(13, 12, 2))
+
+
+def smith_pi1_trivial(mp):
+    mp.setattr(counterexample, "pi1_order", lambda action: 1)
+
+
+def orders_coincide(mp):
+    real = counterexample.build
+
+    def twin_branches(config):
+        inst = real(config)
+        nu1 = inst.branches[0]
+        return inst._replace(branches=(nu1, nu1._replace(name="nu2")))
+
+    mp.setattr(counterexample, "build", twin_branches)
+
+
+# (fault, (q, p, m, n), the CertificationError's message)
+CERTIFICATE_FAULTS = [
+    (epsilon_past_one, (11, 13, 3, 3), "epsilon outside (0, 1)"),
+    (window_unchecked, (5, 11, 7, 7), "chart value y1 not positive on nu2"),
+    (chart_exponent_shifted, (11, 13, 3, 3), "chart relation row 2 of A gives v fails on nu1"),
+    (index_off_by_one, (11, 13, 3, 3),
+     "value group index 12, Smith quotient order 11, expected 11 on nu1"),
+    (smith_order_wrong, (11, 13, 3, 3),
+     "value group index 11, Smith quotient order 13, expected 11 on nu1"),
+    (smith_pi1_trivial, (11, 13, 3, 3),
+     "branch nu1: pi1 order 1 by the Smith form, 11 by Hirzebruch-Jung, expected 11"),
+    (orders_coincide, (11, 13, 3, 3), "branch orders coincide; no obstruction"),
+]
+
+
+def fault_outcome(fault, config):
+    """The verdict with `fault` injected, in process and through `main`:
+    (the library's exception type and message, exit code, stdout, stderr)."""
+    q, p, m, n = config
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        fault(mp)
+        try:
+            inst = counterexample.build(InstanceConfig(q, p, m, n))
+            certify_conflict(inst, singularity_sweep(inst))
+            raised = None
+        except Exception as exc:
+            raised = (type(exc).__name__, str(exc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["counterexample", "--q", str(q), "--p", str(p),
+                         "--m", str(m), "--n", str(n)])
+    return raised, code, out.getvalue(), err.getvalue()
+
+
+class TestVerdictCertificates:
+    """Every certificate of the verdict fires under fault injection, leaves
+    through CertificationError, and exits 3 with nothing on stdout."""
+
+    @pytest.mark.parametrize("fault, config, message", CERTIFICATE_FAULTS,
+                             ids=[fault.__name__ for fault, *_ in CERTIFICATE_FAULTS])
+    def test_fault_fails_the_certificate(self, fault, config, message):
+        assert fault_outcome(fault, config) == (
+            ("CertificationError", message), EXIT_CERTIFICATE, "",
+            f"error: certificate failed: {message}\n")
+
+    def test_faults_fail_under_optimize(self):
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "from test_counterexample import CERTIFICATE_FAULTS, fault_outcome\n"
+                  "for fault, config, message in CERTIFICATE_FAULTS:\n"
+                  "    raised, code, out, err = fault_outcome(fault, config)\n"
+                  "    print(__debug__, raised[0], code, repr(out), err, end='')\n")
+        src = Path(valsweep.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"False CertificationError 3 '' error: certificate failed: {message}"
+            for _, _, message in CERTIFICATE_FAULTS]
 
 
 class TestDerivedAction:

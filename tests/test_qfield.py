@@ -107,6 +107,29 @@ class TestSign:
                 assert x.sign() == mpmath.sign(numeric)
 
 
+class TestInputChecks:
+    """Each input check fires through the entry it guards, with its message."""
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(QFieldError, match="^zero denominator$"):
+            QuadExt.make(1, 1, 0, 5)
+
+    @pytest.mark.parametrize("d", [4, 1, 0, -5])
+    def test_square_or_nonpositive_radicand_rejected(self, d):
+        with pytest.raises(QFieldError, match="^d must be a positive nonsquare$"):
+            QuadExt.make(1, 1, 1, d)
+
+    def test_division_by_zero_rejected(self):
+        tau = tau_from_a(7)
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            tau / (tau - tau)
+
+    @pytest.mark.parametrize("shift", [8, tau_from_a(7)])
+    def test_convergents_of_nonpositive_rejected(self, shift):
+        with pytest.raises(QFieldError, match=r"^convergents require x > 0$"):
+            next(iter_convergents(tau_from_a(7) - shift, 3))
+
+
 class TestArithmetic:
     @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 20)),
            st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 20)),

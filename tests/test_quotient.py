@@ -34,6 +34,11 @@ class TestDiagonalAction:
             with pytest.raises(QuotientError, match="order <= 100000 required"):
                 DiagonalAction(order, 1, 2)
 
+    @pytest.mark.parametrize("a, b", [(0, 1), (3, 0)])
+    def test_weight_map_of_a_zero_weight_rejected(self, a, b):
+        with pytest.raises(QuotientError, match="^weight map needs both weights nonzero$"):
+            DiagonalAction(5, a, b).weight_map()
+
     def test_weight_map_bijective(self):
         for p in PRIMES:
             for a, b in itertools.product(range(1, p), repeat=2):

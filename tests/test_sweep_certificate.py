@@ -1,8 +1,8 @@
 """The inductive sweep certificate against the direct per-step oracle.
 
-`singularity_sweep` checks step 0 of each branch with
-`below_ring_regularity` and carries that verdict along every step that is
-an elementary column operation on its predecessor.  These tests rerun the
+`build` checks step 0 of each branch with `below_ring_regularity`, and
+`singularity_sweep` carries that verdict along every step that is an
+elementary column operation on its predecessor.  These tests rerun the
 direct check on every record, break the step on purpose, and rebuild each
 stepped state through the validating constructor.  No check here is an
 assert that python -O could drop from src; run this module under -O too.
@@ -74,12 +74,15 @@ class TestAgainstDirectOracle:
         monkeypatch.setattr(counterexample, "below_ring_regularity",
                             lambda a: calls.append(a) or real(a))
         inst = build(InstanceConfig(11, 13, 3, 3, 40))
-        singularity_sweep(inst)
+        # build judges step 0 of each branch; a clean sweep carries that verdict
         assert calls == [b.matrix for b in inst.branches]
+        assert [b.verdict for b in inst.branches] == [real(b.matrix) for b in inst.branches]
         calls.clear()
+        singularity_sweep(inst)
+        assert calls == []
         # the corrupted matrix and the step after it are checked directly
-        singularity_sweep(inst, corrupt_step=5)
-        assert len(calls) == 2 + 2
+        report = singularity_sweep(inst, corrupt_step=5)
+        assert calls == [((1, 0), (0, 1)), report.records[6].matrix]
 
 
 def doubling_step(step):

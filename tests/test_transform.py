@@ -90,6 +90,10 @@ class TestRunSequence:
         states = run_sequence(chart_state_q11(), 2)
         assert [det2(s.a) for s in states] == [-11, -11, -11]
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValuationError, match="^steps must be nonnegative$"):
+            run_sequence(chart_state_q11(), -1)
+
     def test_zero_steps(self):
         states = run_sequence(chart_state_q11(), 0)
         assert len(states) == 1
@@ -126,6 +130,11 @@ class TestStateValidation:
     def test_nonpositive_value_rejected(self):
         with pytest.raises(ValuationError):
             TransformState(((1, 0), (0, 1)), (ve(-1, 0, 1), ve(0, 1, 1)))
+
+    @pytest.mark.parametrize("a", [((1, -1), (0, 1)), ((1, 0), (-2, 1))])
+    def test_negative_entry_rejected(self, a):
+        with pytest.raises(ValuationError, match="^exponent matrix must be nonnegative$"):
+            TransformState(a, (ve(0, 1, 1), ve(1, 0, 1)))
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValuationError):

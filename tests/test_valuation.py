@@ -25,6 +25,30 @@ def nu_bar():
     return MonomialValuation(ve(0, 1, 1), ve(1, 0, 1))
 
 
+class TestValueElementInputChecks:
+    """Each input check fires through the entry it guards, with its message."""
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValuationError, match="^zero denominator$"):
+            ValueElement.make(1, 1, 0, TAU7)
+
+    def test_rational_tau_rejected(self):
+        with pytest.raises(ValuationError, match="^tau must be irrational$"):
+            ValueElement.make(0, 1, 1, TAU7 - TAU7 + 3)
+
+    @pytest.mark.parametrize("combine", [lambda v: v + (0, 1, 1, TAU7),
+                                         lambda v: v - (0, 1, 1, TAU7),
+                                         lambda v: group_index((v, v), (v, (1, 0, 1, TAU7)))])
+    def test_combining_with_a_non_element_rejected(self, combine):
+        with pytest.raises(TypeError, match="^expected a ValueElement$"):
+            combine(ve(1, 1, 1))
+
+    @pytest.mark.parametrize("scale", [lambda v: v.scale(1.5), lambda v: 2.0 * v])
+    def test_non_integer_scale_rejected(self, scale):
+        with pytest.raises(TypeError, match="^cannot scale a ValueElement by float$"):
+            scale(ve(1, 1, 1))
+
+
 class TestValueElement:
     def test_canonical_reduction(self):
         x = ve(2, 4, 6)
@@ -200,6 +224,12 @@ class TestSeriesValue:
 
 
 class TestGroupIndex:
+    def test_dependent_supergroup_rejected(self):
+        gens = (ve(0, 1, 1), ve(1, 0, 1))
+        with pytest.raises(ValuationError,
+                           match="^supergroup generators are rationally dependent$"):
+            group_index(gens, (ve(1, 2, 3), ve(2, 4, 5)))
+
     def test_index_eleven(self):
         sub = (ve(0, 1, 1), ve(1, 0, 1))
         sup = (ve(9, -1, 11), ve(-7, 2, 11))
