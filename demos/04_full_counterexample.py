@@ -27,6 +27,6 @@ print("regular below-rings found:", regular_count)
 dets = sorted({r.det for r in report.records})
 print("determinants seen:", dets)
 
-orders = certify_conflict(instance, report)
+orders = certify_conflict(report)
 print("\nlocal fundamental group orders:", orders)
 print("conflict certified:", orders["nu1"] != orders["nu2"])

@@ -372,7 +372,7 @@ def cmd_counterexample(args) -> Report:
         "steps": _step_records(sweep.records),
     }
     if sweep.falsification is None:
-        orders = cx.certify_conflict(instance, sweep)
+        orders = cx.certify_conflict(sweep)
         results["pi1_orders"] = dict(sorted(orders.items()))
         results["conflict"] = orders["nu1"] != orders["nu2"]
         return Report("counterexample", inputs, results, "Verified")

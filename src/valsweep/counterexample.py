@@ -169,10 +169,11 @@ class StepRecord(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    """The sweep's records; it is verified exactly when falsification is None."""
+    """The sweep of `instance`; it is verified exactly when falsification is None."""
 
+    instance: Instance
     records: tuple[StepRecord, ...]
-    falsification: str | None = None
+    falsification: str | None
 
 
 def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> SweepReport:
@@ -217,7 +218,7 @@ def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> Sw
                     falsification = f"branch {name} step {step}: |det|={abs(det)} != {order}"
             records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             prev = matrix
-    return SweepReport(tuple(records), falsification)
+    return SweepReport(instance, tuple(records), falsification)
 
 
 def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
@@ -238,18 +239,26 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     return DiagonalAction(d, sign * form.v[0][1] % d, sign * form.v[1][1] % d)
 
 
-def certify_conflict(instance: Instance, sweep: SweepReport) -> dict[str, int]:
+def certify_conflict(sweep: SweepReport) -> dict[str, int]:
     """The certified fundamental-group orders {"nu1": q, "nu2": p} of a finished sweep.
 
-    Both branches must have stayed singular.  Each branch's pi1 order by the
-    Smith-form route (its action) and by the Hirzebruch-Jung route (its
-    verdict: 1 if Regular, else |det|) must be its prime, and q != p is
+    Both branches must have stayed singular over the instance's own records:
+    nu1 then nu2, steps 0..config.steps each, step 0 at the branch matrix.
+    Each branch's pi1 order, by the Smith form (action) and by Hirzebruch-Jung
+    (verdict: 1 if Regular, else |det|), must be its prime, and q != p is
     checked by machine: no single normal local ring lies below both.
     """
     if sweep.falsification is not None:
         raise ConfigError("sweep verified", f"sweep falsified: {sweep.falsification}")
+    branches, span = sweep.instance.branches, sweep.instance.config.steps + 1
+    if len(sweep.records) != 2 * span:
+        raise CertificationError(f"sweep has {len(sweep.records)} records, expected {2 * span}")
+    for at, (name, step, matrix, *_) in enumerate(sweep.records):
+        own = branches[at // span]
+        if (name, step) != (own.name, at % span) or step == 0 and matrix != own.matrix:
+            raise CertificationError(f"sweep record {at} is not {own.name} step {at % span}")
     orders = {}
-    for branch in instance.branches:
+    for branch in branches:
         smith = pi1_order(branch.action)
         hj = 1 if branch.verdict.regular else abs(branch.verdict.det)
         if not smith == hj == branch.order:

@@ -810,6 +810,21 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_module_entry_point_exits_with_main(self):
+        # `python -m valsweep.cli` leaves with main's exit code, as the
+        # installed console script does
+        def spawn(*argv):
+            return subprocess.run([sys.executable, "-m", "valsweep.cli", *argv],
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=60)
+
+        proc = spawn("tau", "--a", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_USAGE, "", "error: a must be a positive integer\n")
+        proc = spawn("counterexample", "--q", "11", "--p", "13", "--corrupt-step", "3")
+        assert proc.returncode == EXIT_FALSIFIED, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "Falsified"
+
     def test_error_classes_have_one_home(self):
         from valsweep import errors, quotient, transform, valuation
         assert qfield.QFieldError is errors.QFieldError

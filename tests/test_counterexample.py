@@ -17,9 +17,9 @@ from oracles import adjugate_diagonal_action
 import valsweep
 from valsweep import counterexample, toric
 from valsweep.cli import EXIT_CERTIFICATE, main
-from valsweep.counterexample import (CertificationError, ConfigError, InstanceConfig, build,
-                                     certify_conflict, derive_diagonal_action,
-                                     singularity_sweep)
+from valsweep.counterexample import (CertificationError, ConfigError, InstanceConfig,
+                                     SweepReport, build, certify_conflict,
+                                     derive_diagonal_action, singularity_sweep)
 from valsweep.qfield import QuadExt, tau_from_a
 from valsweep.quotient import DiagonalAction, is_prime
 from valsweep.toric import det_int
@@ -202,23 +202,23 @@ class TestSweep:
 class TestContradiction:
     def test_q11_p13(self):
         inst = build(InstanceConfig(q=11, p=13))
-        assert certify_conflict(inst, singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
+        assert certify_conflict(singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
 
     def test_q17_p23(self):
         inst = build(InstanceConfig(q=17, p=23, m=7, n=7, steps=10))
-        assert certify_conflict(inst, singularity_sweep(inst)) == {"nu1": 17, "nu2": 23}
+        assert certify_conflict(singularity_sweep(inst)) == {"nu1": 17, "nu2": 23}
 
     def test_certify_conflict_on_a_finished_sweep(self):
         # the orders come from the actions build derived, whatever the sweep's length
         for steps in (0, 5):
             inst = build(InstanceConfig(q=11, p=13, steps=steps))
-            assert certify_conflict(inst, singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
+            assert certify_conflict(singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
 
     def test_certify_conflict_rejects_falsified_sweep(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
         sweep = singularity_sweep(inst, corrupt_step=3)
         with pytest.raises(ConfigError) as exc:
-            certify_conflict(inst, sweep)
+            certify_conflict(sweep)
         assert exc.value.constraint == "sweep verified"
         assert "nu1 step 3" in str(exc.value)
 
@@ -233,7 +233,7 @@ class TestContradiction:
             for name, value in vars(module).items():
                 if callable(value) and getattr(value, "__module__", None) == toric.__name__:
                     monkeypatch.setattr(module, name, refuse)
-        assert certify_conflict(inst, sweep) == {"nu1": 11, "nu2": 13}
+        assert certify_conflict(sweep) == {"nu1": 11, "nu2": 13}
 
     def test_regular_verdict_fails_the_cross_route_check(self):
         # the Hirzebruch-Jung side of the check, on an instance whose step-0
@@ -245,7 +245,64 @@ class TestContradiction:
                                          nu2))
         with pytest.raises(CertificationError, match=re.escape(
                 "branch nu1: pi1 order 11 by the Smith form, 1 by Hirzebruch-Jung, expected 11")):
-            certify_conflict(broken, sweep)
+            certify_conflict(sweep._replace(instance=broken))
+
+
+# Sweeps whose records are not their instance's: (the sweep's maker, the CertificationError's message)
+def no_records():
+    return SweepReport(build(InstanceConfig(17, 23, 7, 7, 0)), (), None)
+
+
+def another_instances_records():
+    sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 5)))
+    return sweep._replace(instance=build(InstanceConfig(17, 23, 7, 7, 5)))
+
+
+def nu2_shifted_by_one_step():
+    longer = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 6))).records
+    sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 5)))
+    return sweep._replace(records=longer[:6] + longer[8:])
+
+
+FOREIGN_SWEEPS = [(no_records, "sweep has 0 records, expected 2"),
+                  (another_instances_records, "sweep record 0 is not nu1 step 0"),
+                  (nu2_shifted_by_one_step, "sweep record 6 is not nu2 step 0")]
+
+
+class TestSweepCarriesItsInstance:
+    def test_one_argument_and_no_defaults(self):
+        assert SweepReport._fields == ("instance", "records", "falsification")
+        assert SweepReport._field_defaults == {}
+        with pytest.raises(TypeError):
+            SweepReport(())
+        inst = build(InstanceConfig(11, 13, 3, 3, 5))
+        assert singularity_sweep(inst).instance is inst
+        with pytest.raises(TypeError):
+            certify_conflict(inst, singularity_sweep(inst))
+
+    @pytest.mark.parametrize("foreign, message", FOREIGN_SWEEPS,
+                             ids=[foreign.__name__ for foreign, _ in FOREIGN_SWEEPS])
+    def test_foreign_records_fail_the_certificate(self, foreign, message):
+        with pytest.raises(CertificationError) as exc:
+            certify_conflict(foreign())
+        assert str(exc.value) == message
+
+    def test_foreign_records_fail_under_optimize(self):
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "from test_counterexample import FOREIGN_SWEEPS, certify_conflict\n"
+                  "for foreign, message in FOREIGN_SWEEPS:\n"
+                  "    try:\n"
+                  "        certify_conflict(foreign())\n"
+                  "    except Exception as exc:\n"
+                  "        print(__debug__, type(exc).__name__, exc)\n")
+        src = Path(valsweep.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"False CertificationError {message}"
+                                            for _, message in FOREIGN_SWEEPS]
 
 
 # Fault injections, one per certificate in `build` and `certify_conflict`
@@ -291,6 +348,16 @@ def orders_coincide(mp):
     mp.setattr(counterexample, "build", twin_branches)
 
 
+def sweep_record_dropped(mp):
+    real = counterexample.singularity_sweep
+
+    def short(instance, corrupt_step=None):
+        sweep = real(instance, corrupt_step)
+        return sweep._replace(records=sweep.records[:-1])
+
+    mp.setattr(counterexample, "singularity_sweep", short)
+
+
 # (fault, (q, p, m, n), the CertificationError's message)
 CERTIFICATE_FAULTS = [
     (epsilon_past_one, (11, 13, 3, 3), "epsilon outside (0, 1)"),
@@ -303,6 +370,7 @@ CERTIFICATE_FAULTS = [
     (smith_pi1_trivial, (11, 13, 3, 3),
      "branch nu1: pi1 order 1 by the Smith form, 11 by Hirzebruch-Jung, expected 11"),
     (orders_coincide, (11, 13, 3, 3), "branch orders coincide; no obstruction"),
+    (sweep_record_dropped, (11, 13, 3, 3), "sweep has 51 records, expected 52"),
 ]
 
 
@@ -314,8 +382,8 @@ def fault_outcome(fault, config):
     with pytest.MonkeyPatch.context() as mp:
         fault(mp)
         try:
-            inst = counterexample.build(InstanceConfig(q, p, m, n))
-            certify_conflict(inst, singularity_sweep(inst))
+            certify_conflict(counterexample.singularity_sweep(
+                counterexample.build(InstanceConfig(q, p, m, n))))
             raised = None
         except Exception as exc:
             raised = (type(exc).__name__, str(exc))

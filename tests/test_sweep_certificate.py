@@ -100,7 +100,7 @@ class TestMutation:
         assert report.falsification == "branch nu1 step 1: |det|=22 != 11"
         assert_records_match_oracle(report)
         with pytest.raises(counterexample.ConfigError):
-            certify_conflict(build(InstanceConfig(11, 13, 3, 3, 10)), report)
+            certify_conflict(report)
 
     def test_non_unimodular_step_under_optimize(self):
         script = (
