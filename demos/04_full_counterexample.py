@@ -11,6 +11,7 @@ single normal local ring can dominate both sequences.
 
 from valsweep.counterexample import (InstanceConfig, build, certify_conflict,
                                      singularity_sweep)
+from valsweep.errors import Falsified
 
 config = InstanceConfig(q=11, p=13, m=3, n=3, steps=25)
 instance = build(config)
@@ -20,13 +21,19 @@ for branch in instance.branches:
           " chart values:", [str(v.as_quadext()) for v in branch.chart_values])
 
 report = singularity_sweep(instance)
-print("\nsweep verified:", report.falsification is None)
-print("records:", len(report.records))
+print("\nrecords:", len(report.records))
 regular_count = sum(r.regular for r in report.records)
 print("regular below-rings found:", regular_count)
 dets = sorted({r.det for r in report.records})
 print("determinants seen:", dets)
 
+# certify_conflict judges every record; a Regular one would raise Falsified
 orders = certify_conflict(report)
 print("\nlocal fundamental group orders:", orders)
 print("conflict certified:", orders["nu1"] != orders["nu2"])
+
+# the falsification channel: step 3 of nu1 replaced by the identity
+try:
+    certify_conflict(singularity_sweep(instance, corrupt_step=3))
+except Falsified as exc:
+    print("corrupted sweep falsified:", exc)

@@ -4,8 +4,8 @@ Each subcommand takes only its own flags, runs the computation and prints
 one report on stdout (JSON is the canonical form; text is a projection of
 the same payload).  Timing goes to stderr so identical invocations produce
 byte-identical stdout.  Exit codes: 0 success, 1 usage or config error, 2
-falsified (the sweep found a regular ring below), 3 a certificate failed its
-own check (a defect in valsweep, not in the input).
+falsified (a certified sweep record holds a regular ring below), 3 a failed
+certificate, a sweep's |det| drift included (a defect in valsweep, not the input).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 # Only the errors at module level: each command imports the layers it runs,
 # so a process compiles no module its subcommand does not use.
-from .errors import (CertificationError, ConfigError, QFieldError, QuotientError,
+from .errors import (CertificationError, ConfigError, Falsified, QFieldError, QuotientError,
                      ToricError, ValuationError)
 
 SCHEMA_VERSION = "1.0"
@@ -371,13 +371,13 @@ def cmd_counterexample(args) -> Report:
                     "v_correction": list(c.v_correction)} for c in instance.charts],
         "steps": _step_records(sweep.records),
     }
-    if sweep.falsification is None:
+    try:
         orders = cx.certify_conflict(sweep)
-        results["pi1_orders"] = dict(sorted(orders.items()))
-        results["conflict"] = orders["nu1"] != orders["nu2"]
-        return Report("counterexample", inputs, results, "Verified")
-    results["falsification"] = sweep.falsification
-    return Report("counterexample", inputs, results, "Falsified")
+    except Falsified as exc:
+        return Report("counterexample", inputs, {**results, "falsification": str(exc)}, "Falsified")
+    results["pi1_orders"] = dict(sorted(orders.items()))
+    results["conflict"] = orders["nu1"] != orders["nu2"]
+    return Report("counterexample", inputs, results, "Verified")
 
 
 # The flags each subcommand reads, required and then optional, by name: the

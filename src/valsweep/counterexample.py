@@ -3,16 +3,16 @@
 Builds the (q, p) instance: the quadratic irrational tau, the valuation
 with values (tau, 1) on (u, v), its unique extensions to the two degree-q
 and degree-p root covers, and the exponent matrices relating (u, v) to
-the chart parameters.  Sweeps quadratic transforms along both branches,
-certifying at every step that the ring lying below is singular, and emits
-the final report: the two branches force local fundamental groups of
+the chart parameters.  Sweeps quadratic transforms along both branches;
+`certify_conflict` checks every record, so the ring lying below is singular
+at every step, and the two branches force local fundamental groups of
 orders q and p, which cannot both hold for one ring since q != p.
 
 The singularity certificate is inductive: `build` judges step 0 of each
 branch directly, and every later exponent matrix is checked to be its
-predecessor times an elementary matrix of determinant 1, which leaves
-the ring below unchanged up to isomorphism (see `singularity_sweep`).
-A check that validated input cannot trip raises `CertificationError`.
+predecessor times an elementary matrix of determinant 1, which leaves the
+ring below unchanged up to isomorphism (`_carried`).  A check that validated
+input cannot trip raises `CertificationError`, and a regular ring `Falsified`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import CertificationError, ConfigError
+from .errors import CertificationError, ConfigError, Falsified
 from .qfield import QuadExt, tau_from_a
 from .valuation import MonomialValuation, ValueElement, group_index
 from .transform import Matrix2, _elementary_successor, branch_steps
@@ -169,56 +169,50 @@ class StepRecord(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    """The sweep of `instance`; it is verified exactly when falsification is None."""
+    """The records of a sweep of `instance`; `certify_conflict` judges them."""
 
     instance: Instance
     records: tuple[StepRecord, ...]
-    falsification: str | None
+
+
+def _carried(prev: Matrix2, verdict: RegularityVerdict, matrix: Matrix2) -> RegularityVerdict:
+    """The verdict on `matrix`, in the record after one with `prev` and `verdict`.
+
+    Step 0 of each branch carries the verdict `build` took of its matrix.
+    A later matrix that is prev or exactly prev*E, with E = [[1,1],[0,1]]
+    or [[1,0],[1,1]], carries the previous verdict (det, regular, embedding
+    dimension).  E has determinant 1, so det is unchanged; each row r goes
+    to r*E with the same content, so the primitive determinant is
+    unchanged; and the dual cone of the new rows is the image of the old
+    one under the lattice automorphism E^-1, so its Hilbert basis has the
+    same size.  Any other matrix, such as the corrupted one or the step
+    after it, is judged by `below_ring_regularity`."""
+    if matrix == prev or _elementary_successor(prev, matrix):
+        return verdict
+    return below_ring_regularity(matrix)
 
 
 def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> SweepReport:
-    """Transform sweep certifying that the ring below is singular at steps
-    0..config.steps of each branch.
-
-    The certificate is inductive.  Step 0 of each branch carries the
-    verdict `build` took of its matrix.  A later matrix that is prev or
-    exactly prev*E, with prev the previous record's matrix and E =
-    [[1,1],[0,1]] or [[1,0],[1,1]], carries the previous verdict (det,
-    regular, embedding dimension).  E has determinant 1, so det is
-    unchanged; each row r goes to r*E with the same content, so the
-    primitive determinant is unchanged; and the dual cone of the new rows
-    is the image of the old one under the lattice automorphism E^-1, so
-    its Hilbert basis has the same size.  Any other matrix, such as the
-    corrupted one or the step after it, is judged by `below_ring_regularity`.
-
-    A Regular verdict or a determinant drift at any step falsifies the
-    construction; that outcome is reported, not raised.  `corrupt_step`
-    puts the identity at that step of nu1 so the falsification channel
-    itself can be exercised; it must lie in 0..config.steps.
-    """
+    """The transform sweep's records at steps 0..config.steps of each branch,
+    with the verdicts `_carried` gives; it judges none.  `corrupt_step`, in
+    0..config.steps, puts the identity at that step of nu1 so the
+    falsification channel itself can be exercised."""
     steps = instance.config.steps  # checked nonnegative by build
     if corrupt_step is not None and not 0 <= corrupt_step <= steps:
         raise ConfigError("0 <= corrupt-step <= steps", f"--corrupt-step {corrupt_step} "
                           f"is outside the swept steps 0..{steps}")
     records = []
-    falsification = None
     for branch in instance.branches:
-        name, order = branch.name, branch.order
+        name = branch.name
         vx, vy = branch.chart_values  # certified positive by build
         walk = branch_steps(branch.matrix, vx.as_quadext() / vy.as_quadext())
-        prev, (regular, dim, det) = branch.matrix, branch.verdict
+        prev, verdict = branch.matrix, branch.verdict
         for step, (_, current) in zip(range(steps + 1), chain([(None, branch.matrix)], walk)):
             matrix = ((1, 0), (0, 1)) if step == corrupt_step and name == "nu1" else current
-            if matrix != prev and not _elementary_successor(prev, matrix):
-                regular, dim, det = below_ring_regularity(matrix)
-            if falsification is None:
-                if regular:
-                    falsification = f"branch {name} step {step}: ring below is regular"
-                elif abs(det) != order:
-                    falsification = f"branch {name} step {step}: |det|={abs(det)} != {order}"
+            regular, dim, det = verdict = _carried(prev, verdict, matrix)
             records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             prev = matrix
-    return SweepReport(instance, tuple(records), falsification)
+    return SweepReport(instance, tuple(records))
 
 
 def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
@@ -242,22 +236,15 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
 def certify_conflict(sweep: SweepReport) -> dict[str, int]:
     """The certified fundamental-group orders {"nu1": q, "nu2": p} of a finished sweep.
 
-    Both branches must have stayed singular over the instance's own records:
-    nu1 then nu2, steps 0..config.steps each, step 0 at the branch matrix.
     Each branch's pi1 order, by the Smith form (action) and by Hirzebruch-Jung
-    (verdict: 1 if Regular, else |det|), must be its prime, and q != p is
-    checked by machine: no single normal local ring lies below both.
-    """
-    if sweep.falsification is not None:
-        raise ConfigError("sweep verified", f"sweep falsified: {sweep.falsification}")
+    (verdict: 1 if Regular, else |det|), must be its prime, and q != p: no single
+    normal local ring lies below both.  Every record must be the instance's own
+    (nu1 then nu2, steps 0..config.steps, step 0 at the branch matrix, |det| the
+    order) with the verdict `_carried` gives; the first Regular one is `Falsified`."""
     branches, span = sweep.instance.branches, sweep.instance.config.steps + 1
     if len(sweep.records) != 2 * span:
         raise CertificationError(f"sweep has {len(sweep.records)} records, expected {2 * span}")
-    for at, (name, step, matrix, *_) in enumerate(sweep.records):
-        own = branches[at // span]
-        if (name, step) != (own.name, at % span) or step == 0 and matrix != own.matrix:
-            raise CertificationError(f"sweep record {at} is not {own.name} step {at % span}")
-    orders = {}
+    orders, falsification = {}, None
     for branch in branches:
         smith = pi1_order(branch.action)
         hj = 1 if branch.verdict.regular else abs(branch.verdict.det)
@@ -267,4 +254,19 @@ def certify_conflict(sweep: SweepReport) -> dict[str, int]:
         orders[branch.name] = smith
     if orders["nu1"] == orders["nu2"]:
         raise CertificationError("branch orders coincide; no obstruction")
+    for at, (name, step, matrix, det, regular, dim) in enumerate(sweep.records):
+        own = branches[at // span]
+        if (name, step) != (own.name, at % span):
+            raise CertificationError(f"sweep record {at} is not {own.name} step {at % span}")
+        if step == 0:
+            prev, held = own.matrix, own.verdict
+        prev, held = matrix, _carried(prev, held, matrix)
+        if (regular, dim, det) != held:
+            raise CertificationError(f"sweep record {at} misstates the verdict on its matrix")
+        if regular:
+            falsification = falsification or f"branch {name} step {step}: ring below is regular"
+        elif abs(det) != own.order or step == 0 and matrix != own.matrix:
+            raise CertificationError(f"sweep record {at} is not {name} step {step}")
+    if falsification is not None:
+        raise Falsified(falsification)
     return orders

@@ -14,6 +14,10 @@ class CertificationError(AssertionError):
     """
 
 
+class Falsified(Exception):
+    """A certified sweep record holds a regular ring below: an outcome (exit 2)."""
+
+
 class QFieldError(ValueError):
     """Invalid input to quadratic-field arithmetic (valsweep.qfield)."""
 

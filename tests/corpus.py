@@ -290,6 +290,16 @@ def corrupt_grid() -> list[list[str]]:
             for steps in range(41) for corrupt in range(-2, steps + 3)]
 
 
+def refusals() -> list[list[str]]:
+    """Refusals that no other family sends, each exit 1 with empty stdout:
+    an --n below the chart bound, a negative --steps, a duplicate support
+    point and a repeated flag."""
+    return [["counterexample", "--q", "11", "--p", "13", "--n", "1"],
+            ["counterexample", "--q", "11", "--p", "13", "--steps", "-1"],
+            ["value", "--a", "1", "--matrix=1,1,1,1"],
+            ["tau", "--a", "1", "--a", "2"]]
+
+
 FAMILIES: dict[str, Callable[[], list[list[str]]]] = {
     "own-tau": own_tau, "own-convergents": own_convergents, "own-value": own_value,
     "own-transform": own_transform, "own-snf": own_snf, "own-hilbert": own_hilbert,
@@ -298,6 +308,7 @@ FAMILIES: dict[str, Callable[[], list[list[str]]]] = {
     "malformed": malformed,
     "pairs": pairs, "lemma5": lemma5, "long-sweep": long_sweep, "foreign": foreign,
     "long-token": long_token, "blocks": blocks, "corrupt-grid": corrupt_grid,
+    "refusals": refusals,
 }
 
 

@@ -14,7 +14,7 @@ from oracles import (adjugate, brute_force_invariants, convergent_parameters,
                      enumerated_hilbert_basis, is_invariant, matmul, semigroup_contains,
                      smith_adjugate, value_steps)
 from valsweep.cli import EXIT_FALSIFIED, main
-from valsweep.counterexample import InstanceConfig, build, singularity_sweep
+from valsweep.counterexample import InstanceConfig, build, certify_conflict, singularity_sweep
 from valsweep.qfield import _quotient_stream, tau_from_a
 from valsweep.quotient import (DiagonalAction,
                                invariant_generators, is_prime, pi1_order,
@@ -34,7 +34,7 @@ def _sweep_criterion(q: int, p: int, m: int, n: int, steps: int) -> float:
     start = time.monotonic()
     inst = build(InstanceConfig(q=q, p=p, m=m, n=n, steps=steps))
     rep = singularity_sweep(inst)
-    assert rep.falsification is None
+    assert certify_conflict(rep) == {"nu1": q, "nu2": p}
     assert len(rep.records) == 2 * (steps + 1)
     for rec in rep.records:
         assert not rec.regular

@@ -834,8 +834,9 @@ class TestPackage:
         assert quotient.QuotientError is errors.QuotientError
         assert counterexample.ConfigError is errors.ConfigError
         assert counterexample.CertificationError is errors.CertificationError
+        assert counterexample.Falsified is cli.Falsified is errors.Falsified
         assert issubclass(valuation.NotASubgroupError, errors.ValuationError)
-        assert errors.ConfigError("sweep verified", "message").constraint == "sweep verified"
+        assert errors.ConfigError("steps >= 0", "message").constraint == "steps >= 0"
 
     def test_no_assert_statements(self):
         # python -O strips assert statements, so no certificate may be one;

@@ -14,3 +14,9 @@ def test_every_family_has_a_digest():
 @pytest.mark.parametrize("family", corpus.FAMILIES)
 def test_family_keeps_its_bytes(family):
     assert corpus.family_digest(family) == RECORDED["families"][family]
+
+
+@pytest.mark.parametrize("argv", corpus.refusals(), ids=" ".join)
+def test_refusal_exits_1_with_empty_stdout(argv):
+    _, code, stdout_sha, _ = corpus.line(argv).split("\t")
+    assert (code, stdout_sha) == ("1", corpus._sha(""))

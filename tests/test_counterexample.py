@@ -17,8 +17,8 @@ from oracles import adjugate_diagonal_action
 import valsweep
 from valsweep import counterexample, toric
 from valsweep.cli import EXIT_CERTIFICATE, main
-from valsweep.counterexample import (CertificationError, ConfigError, InstanceConfig,
-                                     SweepReport, build, certify_conflict,
+from valsweep.counterexample import (CertificationError, ConfigError, Falsified,
+                                     InstanceConfig, SweepReport, build, certify_conflict,
                                      derive_diagonal_action, singularity_sweep)
 from valsweep.qfield import QuadExt, tau_from_a
 from valsweep.quotient import DiagonalAction, is_prime
@@ -153,7 +153,7 @@ class TestSweep:
     def test_q11_p13_full(self):
         inst = build(InstanceConfig(q=11, p=13))
         report = singularity_sweep(inst)
-        assert report.falsification is None
+        assert certify_conflict(report) == {"nu1": 11, "nu2": 13}
         assert len(report.records) == 52
         for rec in report.records:
             assert not rec.regular
@@ -164,7 +164,7 @@ class TestSweep:
         inst = build(InstanceConfig(q=11, p=13, steps=0))
         report = singularity_sweep(inst)
         assert [r.det for r in report.records] == [-11, -13]
-        assert report.falsification is None
+        assert certify_conflict(report) == {"nu1": 11, "nu2": 13}
 
     def test_step_one_matrix(self):
         inst = build(InstanceConfig(q=11, p=13, steps=1))
@@ -176,7 +176,9 @@ class TestSweep:
     def test_falsification_injection(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
         report = singularity_sweep(inst, corrupt_step=3)
-        assert report.falsification == "branch nu1 step 3: ring below is regular"
+        with pytest.raises(Falsified) as exc:
+            certify_conflict(report)
+        assert str(exc.value) == "branch nu1 step 3: ring below is regular"
 
     @pytest.mark.parametrize("step", [-1, 6])
     def test_corrupt_step_outside_sweep_rejected(self, step):
@@ -217,10 +219,9 @@ class TestContradiction:
     def test_certify_conflict_rejects_falsified_sweep(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
         sweep = singularity_sweep(inst, corrupt_step=3)
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(Falsified) as exc:
             certify_conflict(sweep)
-        assert exc.value.constraint == "sweep verified"
-        assert "nu1 step 3" in str(exc.value)
+        assert str(exc.value) == "branch nu1 step 3: ring below is regular"
 
     def test_certify_conflict_reads_build_and_calls_no_toric(self, monkeypatch):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
@@ -250,7 +251,7 @@ class TestContradiction:
 
 # Sweeps whose records are not their instance's: (the sweep's maker, the CertificationError's message)
 def no_records():
-    return SweepReport(build(InstanceConfig(17, 23, 7, 7, 0)), (), None)
+    return SweepReport(build(InstanceConfig(17, 23, 7, 7, 0)), ())
 
 
 def another_instances_records():
@@ -264,14 +265,27 @@ def nu2_shifted_by_one_step():
     return sweep._replace(records=longer[:6] + longer[8:])
 
 
+def first_record_claims_step_one():
+    sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 5)))
+    return sweep._replace(records=(sweep.records[0]._replace(step=1), *sweep.records[1:]))
+
+
+def nu1_starts_one_step_late():
+    # record 0 holds nu1's step-1 matrix, whose verdict is step 0's
+    sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 5)))
+    return sweep._replace(records=(sweep.records[1]._replace(step=0), *sweep.records[1:]))
+
+
 FOREIGN_SWEEPS = [(no_records, "sweep has 0 records, expected 2"),
                   (another_instances_records, "sweep record 0 is not nu1 step 0"),
-                  (nu2_shifted_by_one_step, "sweep record 6 is not nu2 step 0")]
+                  (nu2_shifted_by_one_step, "sweep record 6 is not nu2 step 0"),
+                  (first_record_claims_step_one, "sweep record 0 is not nu1 step 0"),
+                  (nu1_starts_one_step_late, "sweep record 0 is not nu1 step 0")]
 
 
 class TestSweepCarriesItsInstance:
     def test_one_argument_and_no_defaults(self):
-        assert SweepReport._fields == ("instance", "records", "falsification")
+        assert SweepReport._fields == ("instance", "records")
         assert SweepReport._field_defaults == {}
         with pytest.raises(TypeError):
             SweepReport(())
@@ -303,6 +317,44 @@ class TestSweepCarriesItsInstance:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [f"False CertificationError {message}"
                                             for _, message in FOREIGN_SWEEPS]
+
+
+class TestRecordsAreJudged:
+    """`certify_conflict` judges every record against its own matrix, and the
+    falsification is read off the records, after all of them are checked."""
+
+    def test_identity_marked_regular_is_the_corrupted_run(self):
+        inst = build(InstanceConfig(11, 13, 3, 3, 25))
+        records = list(singularity_sweep(inst).records)
+        records[3] = records[3]._replace(matrix=((1, 0), (0, 1)), det=1, regular=True,
+                                         embedding_dim=2)
+        assert tuple(records) == singularity_sweep(inst, corrupt_step=3).records
+        with pytest.raises(Falsified) as exc:
+            certify_conflict(SweepReport(inst, tuple(records)))
+        assert str(exc.value) == "branch nu1 step 3: ring below is regular"
+
+    def test_the_first_regular_record_is_the_falsification(self):
+        inst = build(InstanceConfig(11, 13, 3, 3, 25))
+        records = list(singularity_sweep(inst, corrupt_step=3).records)
+        records[31] = records[31]._replace(matrix=((1, 0), (0, 1)), det=1, regular=True,
+                                           embedding_dim=2)
+        with pytest.raises(Falsified) as exc:
+            certify_conflict(SweepReport(inst, tuple(records)))
+        assert str(exc.value) == "branch nu1 step 3: ring below is regular"
+
+    def test_record_after_the_falsification_is_still_checked(self):
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 25)), corrupt_step=3)
+        records = list(sweep.records)
+        records[30] = records[30]._replace(det=-records[30].det)
+        with pytest.raises(CertificationError) as exc:
+            certify_conflict(sweep._replace(records=tuple(records)))
+        assert str(exc.value) == "sweep record 30 misstates the verdict on its matrix"
+
+    def test_regular_step_zero_falls_through_to_the_falsification(self):
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 0)), corrupt_step=0)
+        with pytest.raises(Falsified) as exc:
+            certify_conflict(sweep)
+        assert str(exc.value) == "branch nu1 step 0: ring below is regular"
 
 
 # Fault injections, one per certificate in `build` and `certify_conflict`
@@ -358,6 +410,23 @@ def sweep_record_dropped(mp):
     mp.setattr(counterexample, "singularity_sweep", short)
 
 
+def record_forged(at, field, change):
+    """A fault that rewrites one field of sweep record `at` by `change`."""
+    def fault(mp):
+        real = counterexample.singularity_sweep
+
+        def forged(instance, corrupt_step=None):
+            sweep = real(instance, corrupt_step)
+            records = list(sweep.records)
+            records[at] = records[at]._replace(**{field: change(getattr(records[at], field))})
+            return sweep._replace(records=tuple(records))
+
+        mp.setattr(counterexample, "singularity_sweep", forged)
+
+    fault.__name__ = f"record_{at}_{field}_forged"
+    return fault
+
+
 # (fault, (q, p, m, n), the CertificationError's message)
 CERTIFICATE_FAULTS = [
     (epsilon_past_one, (11, 13, 3, 3), "epsilon outside (0, 1)"),
@@ -371,6 +440,14 @@ CERTIFICATE_FAULTS = [
      "branch nu1: pi1 order 1 by the Smith form, 11 by Hirzebruch-Jung, expected 11"),
     (orders_coincide, (11, 13, 3, 3), "branch orders coincide; no obstruction"),
     (sweep_record_dropped, (11, 13, 3, 3), "sweep has 51 records, expected 52"),
+    (record_forged(9, "matrix", lambda a: ((a[0][0] + 1, a[0][1]), a[1])), (11, 13, 3, 3),
+     "sweep record 9 misstates the verdict on its matrix"),
+    (record_forged(5, "det", lambda det: 7), (11, 13, 3, 3),
+     "sweep record 5 misstates the verdict on its matrix"),
+    (record_forged(17, "regular", lambda regular: not regular), (11, 13, 3, 3),
+     "sweep record 17 misstates the verdict on its matrix"),
+    (record_forged(40, "embedding_dim", lambda dim: dim + 1), (11, 13, 3, 3),
+     "sweep record 40 misstates the verdict on its matrix"),
 ]
 
 

@@ -20,7 +20,8 @@ from oracles import value_steps
 from valsweep import cli
 from valsweep.cli import (EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, STEPS_MAX, Records, Report,
                           _step_records, main)
-from valsweep.counterexample import InstanceConfig, StepRecord, build, singularity_sweep
+from valsweep.counterexample import (Falsified, InstanceConfig, StepRecord, build,
+                                     certify_conflict, singularity_sweep)
 from valsweep.qfield import tau_from_a
 from valsweep.transform import TransformState, det2
 from valsweep.valuation import ValueElement
@@ -144,7 +145,9 @@ class TestCommandsAgainstOracle:
                                    "--corrupt-step", str(step), expect=EXIT_FALSIFIED)
         sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 60)), corrupt_step=step)
         assert payload["results"]["steps"] == [step_dict(r) for r in sweep.records]
-        assert payload["results"]["falsification"] == sweep.falsification
+        with pytest.raises(Falsified) as exc:
+            certify_conflict(sweep)
+        assert payload["results"]["falsification"] == str(exc.value)
         assert payload["verdict"] == "Falsified"
 
     @pytest.mark.parametrize("a, steps", [(7, 0), (1, 300), (999979, STEPS_MAX)])

@@ -16,12 +16,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import valsweep
 from oracles import value_steps
 from valsweep import counterexample, qfield, transform, valuation
-from valsweep.cli import EXIT_FALSIFIED, main
-from valsweep.counterexample import InstanceConfig, build, certify_conflict, singularity_sweep
+from valsweep.cli import EXIT_CERTIFICATE, EXIT_FALSIFIED, main
+from valsweep.counterexample import (CertificationError, Falsified, InstanceConfig, build,
+                                     certify_conflict, singularity_sweep)
 from valsweep.qfield import tau_from_a
 from valsweep.quotient import is_prime
 from valsweep.toric import below_ring_regularity
@@ -52,20 +55,22 @@ class TestAgainstDirectOracle:
         assert len(PAIRS) == 32
         for q, p in PAIRS:
             report = sweep(q, p, 60)
-            assert report.falsification is None, (q, p)
+            assert certify_conflict(report) == {"nu1": q, "nu2": p}
             assert len(report.records) == 2 * 61
             assert_records_match_oracle(report)
 
     def test_long_sweep(self):
         report = sweep(11, 13, 1000, m=3)
-        assert report.falsification is None
+        assert certify_conflict(report) == {"nu1": 11, "nu2": 13}
         assert_records_match_oracle(report)
 
     def test_corrupted_steps_keep_the_oracle(self):
         inst = build(InstanceConfig(11, 13, 3, 3, 30))
         for step in (0, 1, 7, 29, 30):
             report = singularity_sweep(inst, corrupt_step=step)
-            assert report.falsification == f"branch nu1 step {step}: ring below is regular"
+            with pytest.raises(Falsified) as exc:
+                certify_conflict(report)
+            assert str(exc.value) == f"branch nu1 step {step}: ring below is regular"
             assert_records_match_oracle(report)
 
     def test_direct_checks_are_one_per_branch(self, monkeypatch):
@@ -85,6 +90,41 @@ class TestAgainstDirectOracle:
         assert calls == [((1, 0), (0, 1)), report.records[6].matrix]
 
 
+FORGERIES = {"det + 1": lambda r: r._replace(det=r.det + 1),
+             "det - 1": lambda r: r._replace(det=r.det - 1),
+             "regular flipped": lambda r: r._replace(regular=not r.regular),
+             "embedding_dim + 1": lambda r: r._replace(embedding_dim=r.embedding_dim + 1)}
+
+
+class TestForgedRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PAIRS), st.integers(0, 30), st.sampled_from(sorted(FORGERIES)),
+           st.data())
+    def test_every_forged_field_fails_the_certificate(self, pair, steps, forgery, data):
+        q, p = pair
+        report = sweep(q, p, steps)
+        assert certify_conflict(report) == {"nu1": q, "nu2": p}
+        at = data.draw(st.integers(0, len(report.records) - 1), label="record")
+        records = list(report.records)
+        records[at] = FORGERIES[forgery](records[at])
+        with pytest.raises(CertificationError):
+            certify_conflict(report._replace(records=tuple(records)))
+
+    def test_certificate_calls_the_direct_check_only_off_successors(self, monkeypatch):
+        calls = []
+        real = counterexample.below_ring_regularity
+        monkeypatch.setattr(counterexample, "below_ring_regularity",
+                            lambda a: calls.append(a) or real(a))
+        inst = build(InstanceConfig(11, 13, 3, 3, 40))
+        certify_conflict(singularity_sweep(inst))
+        assert calls == [b.matrix for b in inst.branches]
+        calls.clear()
+        report = singularity_sweep(inst, corrupt_step=5)
+        with pytest.raises(Falsified):
+            certify_conflict(report)
+        assert calls == [((1, 0), (0, 1)), report.records[6].matrix] * 2
+
+
 def doubling_step(step):
     """A broken step: the elementary column operation, then column 1 doubled,
     which is not unimodular and doubles |det|."""
@@ -97,10 +137,18 @@ class TestMutation:
         monkeypatch.setattr(counterexample, "branch_steps",
                             lambda a, x: map(doubling_step, branch_steps(a, x)))
         report = sweep(11, 13, 10, m=3)
-        assert report.falsification == "branch nu1 step 1: |det|=22 != 11"
         assert_records_match_oracle(report)
-        with pytest.raises(counterexample.ConfigError):
+        with pytest.raises(CertificationError) as exc:
             certify_conflict(report)
+        assert str(exc.value) == "sweep record 1 is not nu1 step 1"
+
+    def test_non_unimodular_step_exits_3(self, monkeypatch, capsys):
+        # a |det| drift is a defect in valsweep, not a falsification
+        monkeypatch.setattr(counterexample, "branch_steps",
+                            lambda a, x: map(doubling_step, branch_steps(a, x)))
+        code = main(["counterexample", "--q", "11", "--p", "13", "--steps", "10"])
+        assert (code, capsys.readouterr()) == (
+            EXIT_CERTIFICATE, ("", "error: certificate failed: sweep record 1 is not nu1 step 1\n"))
 
     def test_non_unimodular_step_under_optimize(self):
         script = (
@@ -111,13 +159,15 @@ class TestMutation:
             "        yield branch, ((2 * a, b), (2 * c, d))\n"
             "cx.branch_steps = broken\n"
             "inst = cx.build(cx.InstanceConfig(11, 13, 3, 3, 10))\n"
-            "report = cx.singularity_sweep(inst)\n"
-            "print(__debug__, report.falsification)\n")
+            "try:\n"
+            "    cx.certify_conflict(cx.singularity_sweep(inst))\n"
+            "except cx.CertificationError as exc:\n"
+            "    print(__debug__, exc)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False branch nu1 step 1: |det|=22 != 11"
+        assert proc.stdout.strip() == "False sweep record 1 is not nu1 step 1"
 
 
 IDENTITY = ((1, 0), (0, 1))
@@ -246,7 +296,7 @@ class TestStepsAlongQuotientRuns:
 
         for module in (qfield, valuation):
             monkeypatch.setattr(module, "sign_of", refuse)
-        assert singularity_sweep(inst).falsification is None
+        assert certify_conflict(singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
         assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
         for patched in (inst.tau.sign, inst.branches[0].chart_values[0].sign):
             with pytest.raises(RuntimeError):
