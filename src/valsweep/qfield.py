@@ -129,17 +129,7 @@ class QuadExt(NamedTuple):
         """Exact sign (r > 0 does not affect it)."""
         return sign_of(self.s, self.t, self.d)
 
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
+    __lt__ = __le__ = __gt__ = __ge__ = None  # no tuple order: compare by (x - y).sign()
 
     def floor(self) -> int:
         """Exact floor: s // r, or the first partial quotient when irrational."""

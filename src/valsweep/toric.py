@@ -181,8 +181,6 @@ def _bezout(x: int, y: int) -> tuple[int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
     return old_s, old_t
 
 

@@ -74,14 +74,7 @@ class ValueElement(NamedTuple):
     def __lt__(self, other):
         return (self - other).sign() < 0
 
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
+    __le__ = __gt__ = __ge__ = None  # no tuple order; value_of needs only <
 
     def __repr__(self) -> str:
         return f"({self.i}+{self.j}*tau)/{self.n}"

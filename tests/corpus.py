@@ -293,11 +293,17 @@ def corrupt_grid() -> list[list[str]]:
 def refusals() -> list[list[str]]:
     """Refusals that no other family sends, each exit 1 with empty stdout:
     an --n below the chart bound, a negative --steps, a duplicate support
-    point and a repeated flag."""
+    point and a repeated flag; and a result past the digit limit, though
+    every input is within it: a convergent numerator, a Smith invariant
+    and a determinant in the report, each of about 4400 digits."""
+    half = "7" * 2200
     return [["counterexample", "--q", "11", "--p", "13", "--n", "1"],
             ["counterexample", "--q", "11", "--p", "13", "--steps", "-1"],
             ["value", "--a", "1", "--matrix=1,1,1,1"],
-            ["tau", "--a", "1", "--a", "2"]]
+            ["tau", "--a", "1", "--a", "2"],
+            ["convergents", "--a", "1000000", "--steps", "2000"],
+            ["snf", f"--matrix={half},1,0,{half}"],
+            ["regularity", f"--matrix={half},1,1,{half}"]]
 
 
 FAMILIES: dict[str, Callable[[], list[list[str]]]] = {

@@ -53,8 +53,8 @@ from valsweep.counterexample import ConfigError
 from valsweep.errors import CertificationError, ValuationError
 from valsweep.qfield import QuadExt, iter_convergents
 from valsweep.quotient import DiagonalAction, RamificationWitness
-from valsweep.toric import (SemigroupBasis, ToricError, _bezout, det_int, dual_cone_2d,
-                            primitive, smith_normal_form)
+from valsweep.toric import (SemigroupBasis, ToricError, det_int, dual_cone_2d, primitive,
+                            smith_normal_form)
 from valsweep.transform import Branch
 from valsweep.valuation import MonomialValuation, ValueElement
 
@@ -107,8 +107,14 @@ def smith_adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def full_size_offset(u1: Vec2, u2: Vec2) -> int:
     """k = -(s, t).u2 mod D for the exact Bezout pair s*u1[0] + t*u1[1] = 1
-    of a primitive u1, with D = |det(u1, u2)|."""
-    s, t = _bezout(*u1)
+    of a primitive u1, with D = |det(u1, u2)|.  The pair comes from an
+    extended gcd on the full-size entries that keeps each remainder r as a
+    row (r, s, t) with r = s*u1[0] + t*u1[1]."""
+    row, after = (u1[0], 1, 0), (u1[1], 0, 1)
+    while after[0]:
+        q = row[0] // after[0]
+        row, after = after, tuple(x - q * y for x, y in zip(row, after))
+    _, s, t = row if row[0] > 0 else (-x for x in row)
     if s * u1[0] + t * u1[1] != 1:
         raise ToricError(f"{u1} is not primitive")
     return -(s * u2[0] + t * u2[1]) % abs(u1[0] * u2[1] - u1[1] * u2[0])
@@ -363,7 +369,7 @@ def series_value(nu: MonomialValuation,
         if deg < last_deg:
             raise ValuationError("stream not ordered by total degree")
         last_deg = deg
-        if best is not None and small.scale(deg) > best:
+        if best is not None and best < small.scale(deg):
             return best, deg
         val = nu.monomial_value(e_u, e_v)
         if best is None or val < best:

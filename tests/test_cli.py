@@ -849,6 +849,15 @@ class TestPackage:
                     and "AssertionError" in ast.unparse(node)]
             assert bare == [], f"{path.name}: AssertionError raised at lines {bare}"
 
+    def test_no_debug_switch(self):
+        # with no assert statement either, no interpreter mode can switch a
+        # check off, on lines that no test runs too: python -O sets __debug__
+        for path in sorted((SRC / "valsweep").glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id == "__debug__"]
+            assert lines == [], f"{path.name}: __debug__ at lines {lines}"
+
 
 FLAGS = ["--q", "--p", "--m", "--n", "--steps", "--a", "--b", "--order", "--corrupt-step"]
 # one past each named cap, and inputs that fail in the parser or the commands

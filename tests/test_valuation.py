@@ -1,9 +1,11 @@
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -49,6 +51,31 @@ class TestValueElementInputChecks:
             scale(ve(1, 1, 1))
 
 
+class TestOrder:
+    """QuadExt has no order, and ValueElement has only <: either type, a
+    NamedTuple, would otherwise compare as a tuple (tau > 5 read False)."""
+
+    ORDERLESS = {"QuadExt": (TAU7, TAU7 - 1, ("lt", "le", "gt", "ge")),
+                 "ValueElement": (ve(0, 1, 1), ve(1, 0, 1), ("le", "gt", "ge"))}
+
+    @pytest.mark.parametrize("kind, op", [(kind, op) for kind, (*_, ops) in ORDERLESS.items()
+                                          for op in ops])
+    def test_removed_operators_raise(self, kind, op):
+        x, y, _ = self.ORDERLESS[kind]
+        for other in (y, 5):
+            with pytest.raises(TypeError):
+                getattr(operator, op)(x, other)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), *[st.integers(-10 ** 6, 10 ** 6)] * 4, *[st.integers(1, 99)] * 2)
+    def test_lt_matches_mpmath(self, a, i1, j1, i2, j2, n1, n2):
+        tau = tau_from_a(a)
+        x, y = ve(i1, j1, n1, tau), ve(i2, j2, n2, tau)
+        with mpmath.workdps(60):
+            mp_tau = (tau.s + tau.t * mpmath.sqrt(tau.d)) / tau.r
+            assert (x < y) == ((i1 + j1 * mp_tau) / n1 < (i2 + j2 * mp_tau) / n2)
+
+
 class TestValueElement:
     def test_canonical_reduction(self):
         x = ve(2, 4, 6)
@@ -59,7 +86,7 @@ class TestValueElement:
         assert ve(1, -1, 1).sign() != 0  # 1 - tau != 0 since tau irrational
 
     def test_ordering(self):
-        assert ve(0, 1, 1) > ve(1, 0, 1)  # tau > 1
+        assert ve(1, 0, 1) < ve(0, 1, 1)  # 1 < tau
         assert ve(9, -1, 11) < ve(-7, 2, 11)  # (9-tau)/11 < (2 tau-7)/11
 
     def test_arithmetic(self):
@@ -189,7 +216,7 @@ class TestSeriesValue:
         if bound > last_deg:  # the stream ran out: count up to the bound
             small = min(nu.val_u, nu.val_v)
             n = last_deg + 1
-            while not small.scale(n) > value:
+            while not value < small.scale(n):
                 n += 1
             assert bound == n
 
@@ -305,7 +332,7 @@ class TestInvariants:
             g = {(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(rng.randint(1, 5))}
             vf, vg = nu_bar.value_of(f), nu_bar.value_of(g)
             vsum = nu_bar.value_of(f | g)
-            assert vsum >= min(vf, vg)
+            assert not vsum < min(vf, vg)
             if vf != vg:
                 assert vsum == min(vf, vg)
 
