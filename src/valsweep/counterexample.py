@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import CertificationError, ConfigError, Falsified
 from .qfield import QuadExt, tau_from_a
-from .valuation import MonomialValuation, ValueElement, group_index
+from .valuation import ValueElement, group_index
 from .transform import Matrix2, _elementary_successor, branch_steps
 from .toric import RegularityVerdict, below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
@@ -126,9 +126,8 @@ def build(config: InstanceConfig) -> Instance:
     if not (epsilon.sign() > 0 and (epsilon - 1).sign() < 0):
         raise CertificationError("epsilon outside (0, 1)")
 
-    val_u = ValueElement.make(0, 1, 1, tau)  # value tau
-    val_v = ValueElement.make(1, 0, 1, tau)  # value 1
-    MonomialValuation(val_u, val_v)  # validates independence and positivity
+    val_u = ValueElement.make(0, 1, 1, tau)  # value tau = q - 4 + epsilon > 0
+    val_v = ValueElement.make(1, 0, 1, tau)  # value 1; make refuses a rational tau
 
     branches = []
     for name, order, e in zip(("nu1", "nu2"), (q, p), (e1, e2)):

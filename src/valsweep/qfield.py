@@ -47,6 +47,10 @@ def sign_of(s: int, t: int, d: int) -> int:
     return 1 if t > 0 else -1
 
 
+def _no_order(self, other):
+    raise TypeError(f"{type(self).__name__} has no order; compare by (x - y).sign()")
+
+
 class QuadExt(NamedTuple):
     """(s + t*sqrt(d))/r in canonical form: gcd(s,t,r)=1, r>0, d squarefree."""
 
@@ -129,7 +133,7 @@ class QuadExt(NamedTuple):
         """Exact sign (r > 0 does not affect it)."""
         return sign_of(self.s, self.t, self.d)
 
-    __lt__ = __le__ = __gt__ = __ge__ = None  # no tuple order: compare by (x - y).sign()
+    __lt__ = __le__ = __gt__ = __ge__ = _no_order  # not the tuple order
 
     def floor(self) -> int:
         """Exact floor: s // r, or the first partial quotient when irrational."""

@@ -27,10 +27,6 @@ class Branch(enum.Enum):
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
-def det2(a: Matrix2) -> int:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
 class _TransformFields(NamedTuple):
     a: Matrix2
     param_values: tuple[ValueElement, ValueElement]

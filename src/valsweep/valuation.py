@@ -11,7 +11,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import ValuationError
-from .qfield import QuadExt, sign_of
+from .qfield import QuadExt, _no_order, sign_of
 
 
 class NotASubgroupError(ValuationError):
@@ -74,7 +74,7 @@ class ValueElement(NamedTuple):
     def __lt__(self, other):
         return (self - other).sign() < 0
 
-    __le__ = __gt__ = __ge__ = None  # no tuple order; value_of needs only <
+    __le__ = __gt__ = __ge__ = _no_order  # not the tuple order; value_of needs only <
 
     def __repr__(self) -> str:
         return f"({self.i}+{self.j}*tau)/{self.n}"

@@ -23,7 +23,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from valsweep.cli import STEPS_MAX, main
 from valsweep.qfield import TAU_A_MAX
@@ -337,12 +337,9 @@ def argvs(name: str) -> list[list[str]]:
     return [list(argv) for argv in dict.fromkeys(map(tuple, FAMILIES[name]()))]
 
 
-def digest(family: list[list[str]]) -> str:
-    return _sha("\n".join(sorted(map(line, family))))
-
-
-def family_digest(name: str) -> str:
-    return digest(argvs(name))
+def digest(lines: Iterable[str]) -> str:
+    """A family's digest from its lines."""
+    return _sha("\n".join(sorted(lines)))
 
 
 def recorded() -> dict:
@@ -360,7 +357,7 @@ def _main(argv: list[str]) -> int:
     failed = 0
     for name in names or FAMILIES:
         family = argvs(name)
-        found = digest(family)
+        found = digest(map(line, family))
         if action == "record":
             data["families"][name] = found
         ok = found == data["families"].get(name)

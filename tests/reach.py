@@ -44,15 +44,14 @@ REASONS = (MESSAGE, GUARD, BENCH, INT_OPERAND, JSON_CONTRACT, MAIN)
 
 # One entry per unrun statement, or per function that no argv calls.
 ALLOWED: dict[str, str] = {
-    "cli:cmd_transform: det = det2(matrix)": MESSAGE,
     'cli:main: print(f"error: certificate failed': MESSAGE,
     "cli:main: return EXIT_CERTIFICATE": MESSAGE,
     "qfield:QuadExt.__repr__": MESSAGE,
-    "transform:det2": MESSAGE,
     "valuation:ValueElement.__repr__": MESSAGE,
     'counterexample:derive_diagonal_action: raise ConfigError("2x2 matrix"': GUARD,
     'counterexample:derive_diagonal_action: raise ConfigError("cyclic quotient"': GUARD,
     "qfield:squarefree_decompose: raise QFieldError(": GUARD,
+    "qfield:_no_order: raise TypeError(": GUARD,
     "qfield:QuadExt._coerce: raise TypeError(": GUARD,
     "qfield:QuadExt._coerce: raise QFieldError(": GUARD,
     "qfield:QuadExt.inverse: raise ZeroDivisionError(": GUARD,
@@ -196,17 +195,32 @@ def problems(missed: Iterable[tuple[str, Statement]], allowed: dict[str, str]) -
     return out
 
 
-def check() -> list[str]:
-    """The problems of the corpus's reach over the imported valsweep package.
-    The argv are generated before tracing starts: only `main` is traced."""
+def _modules() -> list:
+    """Every module of the valsweep package, imported."""
     package = importlib.import_module("valsweep")
-    modules = [importlib.import_module(f"valsweep.{path.stem}".removesuffix(".__init__"))
-               for path in sorted(Path(package.__file__).parent.glob("*.py"))]
-    argvs = [argv for name in corpus.FAMILIES for argv in corpus.argvs(name)]
-    seen = trace(lambda: [corpus.line(argv) for argv in argvs],
-                 [module.__file__ for module in modules])
+    return [importlib.import_module(f"valsweep.{path.stem}".removesuffix(".__init__"))
+            for path in sorted(Path(package.__file__).parent.glob("*.py"))]
+
+
+def replay() -> tuple[dict[str, list[str]], dict[str, set[int]]]:
+    """One traced replay of the corpus: each family's `corpus.line`s, and the
+    lines of each valsweep module file that they run.  The argv are generated
+    before tracing starts: only `main` is traced."""
+    families = {name: corpus.argvs(name) for name in corpus.FAMILIES}
+    lines: dict[str, list[str]] = {}
+
+    def run() -> None:
+        for name, argvs in families.items():
+            lines[name] = [corpus.line(argv) for argv in argvs]
+
+    return lines, trace(run, [module.__file__ for module in _modules()])
+
+
+def check(seen: dict[str, set[int]]) -> list[str]:
+    """The problems of the corpus's reach over the valsweep package, from
+    the lines that `replay` saw run."""
     missed = []
-    for module in modules:
+    for module in _modules():
         path = Path(module.__file__)
         display = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
         stmts = statements(path.stem, path.read_text())
@@ -218,7 +232,7 @@ def _main(argv: list[str]) -> int:
     if argv != ["check"]:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
-    found = check()
+    found = check(replay()[1])
     for problem in found:
         print(problem)
     print(f"{len(found)} problems")

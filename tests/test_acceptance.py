@@ -21,7 +21,7 @@ from valsweep.quotient import (DiagonalAction,
                                ramification_minors)
 from valsweep.toric import (below_ring_regularity, det_int, dual_cone_2d, primitive,
                             smith_normal_form)
-from valsweep.transform import TransformState, branch_steps, det2
+from valsweep.transform import TransformState, branch_steps
 from valsweep.valuation import ValueElement, group_index
 
 
@@ -181,7 +181,7 @@ def test_criterion_8_continued_fraction_crosscheck(capsys):
         (g1, g0), (f1, f0) = convergent_parameters(tau, k)
         ok = ok and {(matrix[0][0], matrix[1][0]), (matrix[0][1], matrix[1][1])} == \
             {(f1, g1), (f0, g0)}
-        ok = ok and det2(matrix) in (-1, 1)
+        ok = ok and det_int(matrix) in (-1, 1)
     with capsys.disabled():
         report(8, ok, "40-step branch tags RLE to the partial quotients; "
                       "convergent matrices unimodular")

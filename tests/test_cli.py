@@ -488,7 +488,15 @@ class TestHostileSizes:
 
 class TestConvergentsCheck:
     """Unimodularity from one base determinant and the recurrence at every
-    later step; generation stops at the first numerator past the digit limit."""
+    later step, each a certificate that exits 3 with nothing on stdout;
+    generation stops at the first numerator past the digit limit."""
+
+    # the first convergent k whose check fails: the base determinant at
+    # k = 1, the recurrence at every later k
+    FAULTS = {(1, 1, 0): "convergent 1: f0 g1 - f1 g0 is not +-1",
+              (2, 0, 1): "convergent 2 breaks the recurrence",
+              (5, 7, 0): "convergent 5 breaks the recurrence",
+              (9, 0, -1): "convergent 9 breaks the recurrence"}
 
     def tampered(self, monkeypatch, index, df, dg):
         real = qfield.iter_convergents
@@ -499,20 +507,39 @@ class TestConvergentsCheck:
 
         monkeypatch.setattr(qfield, "iter_convergents", stream)
 
-    @pytest.mark.parametrize("index, df, dg", [(1, 1, 0), (2, 0, 1), (5, 7, 0), (9, 0, -1)])
+    @pytest.mark.parametrize("index, df, dg", FAULTS)
     def test_broken_convergent_falsifies(self, capsys, monkeypatch, index, df, dg):
         self.tampered(monkeypatch, index, df, dg)
-        code, payload, _ = run_json(capsys, "convergents", "--a", "7", "--steps", "10")
-        assert code == EXIT_FALSIFIED
-        assert payload["results"]["unimodular"] is False
+        assert run(capsys, "convergents", "--a", "7", "--steps", "10") == (
+            EXIT_CERTIFICATE, "", f"error: certificate failed: {self.FAULTS[index, df, dg]}\n")
 
     def test_recurrence_carries_the_base_determinant(self, capsys, monkeypatch):
         # (15, 2) in place of (7, 1) still has determinant -1 with (8, 1), so
         # only the recurrence at k = 2 can catch it: 63 != 7 * 8 + 15
         self.tampered(monkeypatch, 0, 8, 1)
-        code, payload, _ = run_json(capsys, "convergents", "--a", "7", "--steps", "3")
-        assert payload["results"]["convergents"][0] == [15, 2]
-        assert code == EXIT_FALSIFIED
+        code, payload, _ = run_json(capsys, "convergents", "--a", "7", "--steps", "2")
+        assert (code, payload["results"]["convergents"]) == (EXIT_OK, [[15, 2], [8, 1]])
+        assert run(capsys, "convergents", "--a", "7", "--steps", "3") == (
+            EXIT_CERTIFICATE, "", "error: certificate failed: convergent 2 breaks the recurrence\n")
+
+    def test_broken_convergent_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from valsweep import qfield\n"
+            "from valsweep.cli import main\n"
+            "real = qfield.iter_convergents\n"
+            "def stream(tau, count):\n"
+            "    for a, c in real(tau, count):\n"
+            "        yield a, (c._replace(f=c.f + 7) if c.index == 5 else c)\n"
+            "qfield.iter_convergents = stream\n"
+            "print('debug', __debug__, file=sys.stderr)\n"
+            "sys.exit(main(['convergents', '--a', '7', '--steps', '10']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_CERTIFICATE, "",
+            "debug False\nerror: certificate failed: convergent 5 breaks the recurrence\n")
 
     def test_stops_at_the_first_numerator_past_the_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
@@ -848,6 +875,38 @@ class TestPackage:
             bare = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
                     and "AssertionError" in ast.unparse(node)]
             assert bare == [], f"{path.name}: AssertionError raised at lines {bare}"
+
+    def test_exit_2_has_one_source(self):
+        # a self-check that fails is a defect (exit 3), so the one
+        # falsification is certify_conflict's, which counterexample reports
+        def named(node, name):
+            return isinstance(node, ast.Name) and node.id == name
+
+        def scoped(node, function=None):
+            """Each node below node, with the innermost function around it."""
+            for child in ast.iter_child_nodes(node):
+                yield child, function
+                inner = child.name if isinstance(child, ast.FunctionDef) else function
+                yield from scoped(child, inner)
+
+        raisers = []
+        for path in sorted((SRC / "valsweep").glob("*.py")):
+            raisers += [(path.stem, function)
+                        for node, function in scoped(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Raise) and node.exc is not None
+                        and named(getattr(node.exc, "func", node.exc), "Falsified")]
+        assert raisers == [("counterexample", "certify_conflict")]
+        # every Report's verdict, its fourth argument, is "Verified" but the
+        # one in cmd_counterexample's `except Falsified` branch
+        tree = ast.parse((SRC / "valsweep" / "cli.py").read_text())
+        handlers = [node for node, function in scoped(tree) if function == "cmd_counterexample"
+                    and isinstance(node, ast.ExceptHandler) and named(node.type, "Falsified")]
+        reports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and named(node.func, "Report")]
+        falsified = [node for handler in handlers for node in ast.walk(handler) if node in reports]
+        assert [ast.unparse(node.args[3]) for node in falsified] == ["'Falsified'"]
+        assert [ast.unparse(node.args[3]) for node in reports if node not in falsified] == \
+            ["'Verified'"] * (len(reports) - 1)
 
     def test_no_debug_switch(self):
         # with no assert statement either, no interpreter mode can switch a

@@ -1,4 +1,6 @@
-"""Tier-1 replay of the byte-identity corpus (tests/corpus.py): every family."""
+"""Tier-1 replay of the byte-identity corpus (tests/corpus.py): every
+family, digested from the session's one traced replay (tests/conftest.py),
+which tests/test_reach.py reads too."""
 
 import pytest
 
@@ -12,8 +14,9 @@ def test_every_family_has_a_digest():
 
 
 @pytest.mark.parametrize("family", corpus.FAMILIES)
-def test_family_keeps_its_bytes(family):
-    assert corpus.family_digest(family) == RECORDED["families"][family]
+def test_family_keeps_its_bytes(family, corpus_replay):
+    lines, _ = corpus_replay
+    assert corpus.digest(lines[family]) == RECORDED["families"][family]
 
 
 def _short(argv: list[str]) -> str:

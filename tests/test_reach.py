@@ -44,8 +44,9 @@ def gen_never():
 '''
 
 
-def test_corpus_runs_every_statement_not_allowed():
-    assert reach.check() == []
+def test_corpus_runs_every_statement_not_allowed(corpus_replay):
+    _, seen = corpus_replay
+    assert reach.check(seen) == []
 
 
 def test_problems_name_unallowed_statements_and_stale_entries():

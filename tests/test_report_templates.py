@@ -23,7 +23,8 @@ from valsweep.cli import (EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, STEPS_MAX, Record
 from valsweep.counterexample import (Falsified, InstanceConfig, StepRecord, build,
                                      certify_conflict, singularity_sweep)
 from valsweep.qfield import tau_from_a
-from valsweep.transform import TransformState, det2
+from valsweep.toric import det_int
+from valsweep.transform import TransformState
 from valsweep.valuation import ValueElement
 
 
@@ -157,7 +158,7 @@ class TestCommandsAgainstOracle:
         initial = TransformState(((1, 0), (0, 1)), (ValueElement.make(0, 1, 1, tau),
                                                     ValueElement.make(1, 0, 1, tau)))
         assert payload["results"]["states"] == [
-            {"step_index": k, "A": [list(a[0]), list(a[1])], "det": det2(a),
+            {"step_index": k, "A": [list(a[0]), list(a[1])], "det": det_int(a),
              "branch": None if branch is None else branch.value}
             for k, (a, _, branch) in enumerate(value_steps(initial, steps))]
         assert payload["results"]["det_constant"] is True

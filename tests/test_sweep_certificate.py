@@ -22,13 +22,13 @@ from hypothesis import strategies as st
 import valsweep
 from oracles import value_steps
 from valsweep import counterexample, qfield, transform, valuation
-from valsweep.cli import EXIT_CERTIFICATE, EXIT_FALSIFIED, main
+from valsweep.cli import EXIT_CERTIFICATE, main
 from valsweep.counterexample import (CertificationError, Falsified, InstanceConfig, build,
                                      certify_conflict, singularity_sweep)
 from valsweep.qfield import tau_from_a
 from valsweep.quotient import is_prime
-from valsweep.toric import below_ring_regularity
-from valsweep.transform import TransformState, branch_steps, det2, run_sequence
+from valsweep.toric import below_ring_regularity, det_int
+from valsweep.transform import TransformState, branch_steps, run_sequence
 from valsweep.valuation import ValueElement
 
 SRC = Path(valsweep.__file__).resolve().parents[1]
@@ -173,34 +173,35 @@ class TestMutation:
 IDENTITY = ((1, 0), (0, 1))
 
 
-def transform_oracle(a, steps, step_pairs):
-    """The JSON report of `transform --a a --steps steps` for the given
-    (branch, A) steps, with det2 of every matrix: the direct route that
-    the successor check replaces."""
+def transform_oracle(a, steps):
+    """The JSON report of `transform --a a --steps steps`, with det_int of
+    every matrix: the direct route that the successor check replaces."""
     states = [{"A": [[1, 0], [0, 1]], "branch": None, "det": 1, "step_index": 0}]
+    step_pairs = itertools.islice(branch_steps(IDENTITY, tau_from_a(a)), steps)
     for k, (branch, m) in enumerate(step_pairs, 1):
         states.append({"A": [list(m[0]), list(m[1])], "branch": branch.value,
-                       "det": det2(m), "step_index": k})
-    ok = all(state["det"] == 1 for state in states)
+                       "det": det_int(m), "step_index": k})
     return json.dumps({"command": "transform", "inputs": {"a": a, "steps": steps},
-                       "results": {"det_constant": ok, "states": states},
-                       "schema_version": "1.0", "verdict": "Verified" if ok else "Falsified"},
+                       "results": {"det_constant": all(state["det"] == 1 for state in states),
+                                   "states": states},
+                       "schema_version": "1.0", "verdict": "Verified"},
                       sort_keys=True, indent=2) + "\n"
 
 
+# the doubled column breaks the first step
+STATE_1_FAILS = "error: certificate failed: state 1 is not an elementary successor of state 0\n"
+
+
 class TestTransformMutation:
-    """`transform` carries det from the identity along elementary successors,
-    with the same check as the sweep, and takes det2 of any other matrix."""
+    """`transform` checks that each state is an elementary successor of the
+    one before, with the same check as the sweep, so every det is 1; a state
+    that is not one fails the certificate: exit 3, nothing on stdout."""
 
     def test_non_unimodular_step_is_checked_directly(self, monkeypatch, capsys):
-        expected = transform_oracle(7, 40, map(doubling_step, itertools.islice(
-            branch_steps(IDENTITY, tau_from_a(7)), 40)))
         monkeypatch.setattr(transform, "branch_steps",
                             lambda a, x: map(doubling_step, branch_steps(a, x)))
-        assert main(["transform", "--a", "7", "--steps", "40"]) == EXIT_FALSIFIED
-        out = capsys.readouterr().out
-        assert json.loads(out)["results"]["det_constant"] is False
-        assert out == expected
+        assert main(["transform", "--a", "7", "--steps", "40"]) == EXIT_CERTIFICATE
+        assert capsys.readouterr() == ("", STATE_1_FAILS)
 
     def test_non_unimodular_step_under_optimize(self):
         script = (
@@ -217,21 +218,12 @@ class TestTransformMutation:
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)
-        assert proc.returncode == EXIT_FALSIFIED, proc.stderr
-        assert proc.stderr.splitlines()[0] == "debug False"
-        assert proc.stdout == transform_oracle(7, 40, map(doubling_step, itertools.islice(
-            branch_steps(IDENTITY, tau_from_a(7)), 40)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_CERTIFICATE, "", "debug False\n" + STATE_1_FAILS)
 
-    def test_successors_take_no_det2(self, monkeypatch, capsys):
-        expected = transform_oracle(7, 1000, itertools.islice(
-            branch_steps(IDENTITY, tau_from_a(7)), 1000))
-
-        def refuse(a):
-            raise RuntimeError("det2 of an elementary successor")
-
-        monkeypatch.setattr(transform, "det2", refuse)
+    def test_successors_take_no_det2(self, capsys):
         assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr().out == transform_oracle(7, 1000)
 
 
 class TestSteppedStatesValidate:

@@ -5,7 +5,8 @@ import pytest
 from oracles import convergent_parameters, value_steps
 from valsweep.errors import QFieldError
 from valsweep.qfield import _quotient_stream, tau_from_a
-from valsweep.transform import Branch, TransformState, branch_steps, det2, run_sequence
+from valsweep.toric import det_int
+from valsweep.transform import Branch, TransformState, branch_steps, run_sequence
 from valsweep.valuation import ValuationError, ValueElement
 
 TAU7 = tau_from_a(7)
@@ -31,7 +32,7 @@ class TestQuadraticStep:
         state = run_sequence(chart_state_q11(), 1)[-1]
         assert state.a == ((16, 9), (3, 1))
         assert state.param_values == (ve(9, -1, 11), ve(-16, 3, 11))
-        assert det2(state.a) == -11
+        assert det_int(state.a) == -11
         assert state.param_values[1].sign() > 0
 
     def test_identity_first_larger(self):
@@ -88,7 +89,7 @@ class TestStepOracle:
 class TestRunSequence:
     def test_det_preserved_q11(self):
         states = run_sequence(chart_state_q11(), 2)
-        assert [det2(s.a) for s in states] == [-11, -11, -11]
+        assert [det_int(s.a) for s in states] == [-11, -11, -11]
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValuationError, match="^steps must be nonnegative$"):
@@ -101,7 +102,7 @@ class TestRunSequence:
     def test_det_preserved_p13(self):
         initial = TransformState(((9, 11), (2, 1)), (ve(11, -1, 13), ve(-9, 2, 13)))
         states = run_sequence(initial, 5)
-        assert all(det2(s.a) == -13 for s in states)
+        assert all(det_int(s.a) == -13 for s in states)
 
     def test_matrix_reproduces_original_values(self):
         for state in run_sequence(chart_state_q11(), 20):
@@ -159,7 +160,7 @@ def assert_run_end_matches_oracle(tau, k):
     (a, b), (c, d) = run_end(tau, k)
     (g1, g0), (f1, f0) = convergent_parameters(tau, k)
     assert {(a, c), (b, d)} == {(f1, g1), (f0, g0)}, k
-    assert det2(((a, b), (c, d))) in (-1, 1)
+    assert det_int(((a, b), (c, d))) in (-1, 1)
 
 
 class TestConvergentParameters:
@@ -169,14 +170,14 @@ class TestConvergentParameters:
     def test_a7_p2(self):
         m = convergent_parameters(TAU7, 2)
         assert m == ((8, 1), (63, 8))
-        assert det2(m) == 1
+        assert det_int(m) == 1
         assert run_end(TAU7, 2) == ((8, 63), (1, 8))  # the transpose of m
         assert_run_end_matches_oracle(TAU7, 2)
 
     def test_golden_p1(self):
         m = convergent_parameters(tau_from_a(1), 1)
         assert m == ((1, 1), (2, 1))
-        assert det2(m) == -1
+        assert det_int(m) == -1
         assert_run_end_matches_oracle(tau_from_a(1), 1)
 
     @pytest.mark.parametrize("a", [1, 7, 13])
@@ -184,7 +185,7 @@ class TestConvergentParameters:
     def test_positivity_certified(self, a, p):
         # construction raises if either derived parameter value is nonpositive
         m = convergent_parameters(tau_from_a(a), p)
-        assert det2(m) in (-1, 1)
+        assert det_int(m) in (-1, 1)
         assert_run_end_matches_oracle(tau_from_a(a), p)
 
     def test_p_zero_rejected(self):

@@ -53,7 +53,8 @@ class TestValueElementInputChecks:
 
 class TestOrder:
     """QuadExt has no order, and ValueElement has only <: either type, a
-    NamedTuple, would otherwise compare as a tuple (tau > 5 read False)."""
+    NamedTuple, would otherwise compare as a tuple (tau > 5 read False).
+    Each removed operator names its type and the way to compare."""
 
     ORDERLESS = {"QuadExt": (TAU7, TAU7 - 1, ("lt", "le", "gt", "ge")),
                  "ValueElement": (ve(0, 1, 1), ve(1, 0, 1), ("le", "gt", "ge"))}
@@ -63,8 +64,9 @@ class TestOrder:
     def test_removed_operators_raise(self, kind, op):
         x, y, _ = self.ORDERLESS[kind]
         for other in (y, 5):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError) as exc:
                 getattr(operator, op)(x, other)
+            assert str(exc.value) == f"{kind} has no order; compare by (x - y).sign()"
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), *[st.integers(-10 ** 6, 10 ** 6)] * 4, *[st.integers(1, 99)] * 2)
