@@ -20,15 +20,15 @@ for branch in instance.branches:
     print("branch matrix:", branch.matrix,
           " chart values:", [str(v.as_quadext()) for v in branch.chart_values])
 
-report = singularity_sweep(instance)
-print("\nrecords:", len(report.records))
-regular_count = sum(r.regular for r in report.records)
-print("regular below-rings found:", regular_count)
-dets = sorted({r.det for r in report.records})
-print("determinants seen:", dets)
-
-# certify_conflict judges every record; a Regular one would raise Falsified
-orders = certify_conflict(report)
+# the sweep hands over each branch's walk of matrices; certify_conflict judges
+# every one and returns the records with their verdicts (a Regular one would
+# raise Falsified)
+sweep = singularity_sweep(instance)
+print("\nmatrices per walk:", [len(walk) for walk in sweep.walks])
+records, orders = certify_conflict(sweep)
+print("records:", len(records))
+print("regular below-rings found:", sum(r.regular for r in records))
+print("determinants seen:", sorted({r.det for r in records}))
 print("\nlocal fundamental group orders:", orders)
 print("conflict certified:", orders["nu1"] != orders["nu2"])
 
@@ -37,3 +37,4 @@ try:
     certify_conflict(singularity_sweep(instance, corrupt_step=3))
 except Falsified as exc:
     print("corrupted sweep falsified:", exc)
+    print("regular records:", [(r.branch, r.step) for r in exc.records if r.regular])

@@ -348,7 +348,7 @@ _STEP = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "embedding_dim": _IN
 
 
 def _step_records(records: Sequence[tuple]) -> Records:
-    """The sweep's `counterexample.StepRecord`s as one record list."""
+    """The judged `counterexample.StepRecord`s as one record list."""
     return Records(_STEP, [(a, b, c, d, encode_basestring_ascii(branch), det, dim,
                             '"Regular"' if regular else '"Singular"', step)
                            for branch, step, ((a, b), (c, d)), det, regular, dim in records])
@@ -365,12 +365,13 @@ def cmd_counterexample(args) -> Report:
         "epsilon": instance.epsilon._asdict(),
         "charts": [{"chart": c.chart, "u_correction": list(c.u_correction),
                     "v_correction": list(c.v_correction)} for c in instance.charts],
-        "steps": _step_records(sweep.records),
     }
     try:
-        orders = cx.certify_conflict(sweep)
+        records, orders = cx.certify_conflict(sweep)
     except Falsified as exc:
-        return Report("counterexample", inputs, {**results, "falsification": str(exc)}, "Falsified")
+        return Report("counterexample", inputs, {**results, "steps": _step_records(exc.records),
+                                                 "falsification": str(exc)}, "Falsified")
+    results["steps"] = _step_records(records)
     results["pi1_orders"] = dict(sorted(orders.items()))
     results["conflict"] = orders["nu1"] != orders["nu2"]
     return Report("counterexample", inputs, results, "Verified")

@@ -4,20 +4,20 @@ Builds the (q, p) instance: the quadratic irrational tau, the valuation
 with values (tau, 1) on (u, v), its unique extensions to the two degree-q
 and degree-p root covers, and the exponent matrices relating (u, v) to
 the chart parameters.  Sweeps quadratic transforms along both branches;
-`certify_conflict` checks every record, so the ring lying below is singular
+`certify_conflict` judges every matrix, so the ring lying below is singular
 at every step, and the two branches force local fundamental groups of
 orders q and p, which cannot both hold for one ring since q != p.
 
 The singularity certificate is inductive: `build` judges step 0 of each
 branch directly, and every later exponent matrix is checked to be its
 predecessor times an elementary matrix of determinant 1, which leaves the
-ring below unchanged up to isomorphism (`_carried`).  A check that validated
-input cannot trip raises `CertificationError`, and a regular ring `Falsified`.
+ring below unchanged up to isomorphism.  A check that validated input cannot
+trip raises `CertificationError`, and a regular ring `Falsified`.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import CertificationError, ConfigError, Falsified
@@ -168,50 +168,30 @@ class StepRecord(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    """The records of a sweep of `instance`; `certify_conflict` judges them."""
+    """Each branch's walk of `instance`, its matrices at steps 0..config.steps,
+    nu1 then nu2.  It states no verdict: `certify_conflict` judges them."""
 
     instance: Instance
-    records: tuple[StepRecord, ...]
-
-
-def _carried(prev: Matrix2, verdict: RegularityVerdict, matrix: Matrix2) -> RegularityVerdict:
-    """The verdict on `matrix`, in the record after one with `prev` and `verdict`.
-
-    Step 0 of each branch carries the verdict `build` took of its matrix.
-    A later matrix that is prev or exactly prev*E, with E = [[1,1],[0,1]]
-    or [[1,0],[1,1]], carries the previous verdict (det, regular, embedding
-    dimension).  E has determinant 1, so det is unchanged; each row r goes
-    to r*E with the same content, so the primitive determinant is
-    unchanged; and the dual cone of the new rows is the image of the old
-    one under the lattice automorphism E^-1, so its Hilbert basis has the
-    same size.  Any other matrix, such as the corrupted one or the step
-    after it, is judged by `below_ring_regularity`."""
-    if matrix == prev or _elementary_successor(prev, matrix):
-        return verdict
-    return below_ring_regularity(matrix)
+    walks: tuple[tuple[Matrix2, ...], ...]
 
 
 def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> SweepReport:
-    """The transform sweep's records at steps 0..config.steps of each branch,
-    with the verdicts `_carried` gives; it judges none.  `corrupt_step`, in
-    0..config.steps, puts the identity at that step of nu1 so the
-    falsification channel itself can be exercised."""
+    """The transform sweep's matrices at steps 0..config.steps of each branch;
+    it judges none.  `corrupt_step`, in 0..config.steps, puts the identity at
+    that step of nu1 so the falsification channel itself can be exercised."""
     steps = instance.config.steps  # checked nonnegative by build
     if corrupt_step is not None and not 0 <= corrupt_step <= steps:
         raise ConfigError("0 <= corrupt-step <= steps", f"--corrupt-step {corrupt_step} "
                           f"is outside the swept steps 0..{steps}")
-    records = []
+    walks = []
     for branch in instance.branches:
-        name = branch.name
         vx, vy = branch.chart_values  # certified positive by build
-        walk = branch_steps(branch.matrix, vx.as_quadext() / vy.as_quadext())
-        prev, verdict = branch.matrix, branch.verdict
-        for step, (_, current) in zip(range(steps + 1), chain([(None, branch.matrix)], walk)):
-            matrix = ((1, 0), (0, 1)) if step == corrupt_step and name == "nu1" else current
-            regular, dim, det = verdict = _carried(prev, verdict, matrix)
-            records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
-            prev = matrix
-    return SweepReport(instance, tuple(records))
+        walk = [branch.matrix, *(current for _, current in islice(
+            branch_steps(branch.matrix, vx.as_quadext() / vy.as_quadext()), steps))]
+        if corrupt_step is not None and branch.name == "nu1":
+            walk[corrupt_step] = ((1, 0), (0, 1))
+        walks.append(tuple(walk))
+    return SweepReport(instance, tuple(walks))
 
 
 def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
@@ -232,19 +212,30 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     return DiagonalAction(d, sign * form.v[0][1] % d, sign * form.v[1][1] % d)
 
 
-def certify_conflict(sweep: SweepReport) -> dict[str, int]:
-    """The certified fundamental-group orders {"nu1": q, "nu2": p} of a finished sweep.
+def certify_conflict(sweep: SweepReport) -> tuple[tuple[StepRecord, ...], dict[str, int]]:
+    """The judged records of a finished sweep and the certified fundamental-group
+    orders {"nu1": q, "nu2": p}.
 
     Each branch's pi1 order, by the Smith form (action) and by Hirzebruch-Jung
     (verdict: 1 if Regular, else |det|), must be its prime, and q != p: no single
-    normal local ring lies below both.  Every record must be the instance's own
-    (nu1 then nu2, steps 0..config.steps, step 0 at the branch matrix, |det| the
-    order) with the verdict `_carried` gives; the first Regular one is `Falsified`."""
-    branches, span = sweep.instance.branches, sweep.instance.config.steps + 1
-    if len(sweep.records) != 2 * span:
-        raise CertificationError(f"sweep has {len(sweep.records)} records, expected {2 * span}")
-    orders, falsification = {}, None
-    for branch in branches:
+    normal local ring lies below both.  The sweep must hold two walks of
+    config.steps + 1 matrices.  Step 0 carries the verdict `build` took of the
+    branch matrix, and a later matrix that is prev or exactly prev*E, with
+    E = [[1,1],[0,1]] or [[1,0],[1,1]], carries the previous verdict: E has
+    determinant 1, so det is unchanged; each row r goes to r*E with the same
+    content, so the primitive determinant is unchanged; and the dual cone of the
+    new rows is the image of the old one under the lattice automorphism E^-1, so
+    its Hilbert basis has the same size.  `below_ring_regularity` judges any other
+    matrix, such as the corrupted one or the step after it.  A Singular record
+    must have |det| the order, and at step 0 the branch matrix; after every record
+    is checked, the first Regular one raises `Falsified`, carrying the records."""
+    instance = sweep.instance
+    span = instance.config.steps + 1
+    if len(sweep.walks) != 2 or any(len(walk) != span for walk in sweep.walks):
+        raise CertificationError(f"sweep walks hold {[len(walk) for walk in sweep.walks]} "
+                                 f"matrices, expected two walks of {span}")
+    orders, records, falsification = {}, [], None
+    for branch in instance.branches:
         smith = pi1_order(branch.action)
         hj = 1 if branch.verdict.regular else abs(branch.verdict.det)
         if not smith == hj == branch.order:
@@ -253,19 +244,19 @@ def certify_conflict(sweep: SweepReport) -> dict[str, int]:
         orders[branch.name] = smith
     if orders["nu1"] == orders["nu2"]:
         raise CertificationError("branch orders coincide; no obstruction")
-    for at, (name, step, matrix, det, regular, dim) in enumerate(sweep.records):
-        own = branches[at // span]
-        if (name, step) != (own.name, at % span):
-            raise CertificationError(f"sweep record {at} is not {own.name} step {at % span}")
-        if step == 0:
-            prev, held = own.matrix, own.verdict
-        prev, held = matrix, _carried(prev, held, matrix)
-        if (regular, dim, det) != held:
-            raise CertificationError(f"sweep record {at} misstates the verdict on its matrix")
-        if regular:
-            falsification = falsification or f"branch {name} step {step}: ring below is regular"
-        elif abs(det) != own.order or step == 0 and matrix != own.matrix:
-            raise CertificationError(f"sweep record {at} is not {name} step {step}")
+    for index, (branch, walk) in enumerate(zip(instance.branches, sweep.walks)):
+        name, prev, verdict = branch.name, branch.matrix, branch.verdict
+        for step, matrix in enumerate(walk):
+            if matrix != prev and not _elementary_successor(prev, matrix):
+                verdict = below_ring_regularity(matrix)
+            regular, dim, det = verdict
+            records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
+            if regular:
+                falsification = falsification or f"branch {name} step {step}: ring below is regular"
+            elif abs(det) != branch.order or step == 0 and matrix != branch.matrix:
+                raise CertificationError(f"sweep record {index * span + step} is not "
+                                         f"{name} step {step}")
+            prev = matrix
     if falsification is not None:
-        raise Falsified(falsification)
-    return orders
+        raise Falsified(falsification, tuple(records))
+    return tuple(records), orders

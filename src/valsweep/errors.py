@@ -15,7 +15,12 @@ class CertificationError(AssertionError):
 
 
 class Falsified(Exception):
-    """A certified sweep record holds a regular ring below: an outcome (exit 2)."""
+    """A certified sweep record holds a regular ring below: an outcome (exit 2).
+    `records` holds every record of the sweep, as `certify_conflict` judged it."""
+
+    def __init__(self, message: str, records: tuple):
+        super().__init__(message)
+        self.records = records
 
 
 class QFieldError(ValueError):

@@ -33,10 +33,10 @@ def report(num: int, ok: bool, text: str) -> None:
 def _sweep_criterion(q: int, p: int, m: int, n: int, steps: int) -> float:
     start = time.monotonic()
     inst = build(InstanceConfig(q=q, p=p, m=m, n=n, steps=steps))
-    rep = singularity_sweep(inst)
-    assert certify_conflict(rep) == {"nu1": q, "nu2": p}
-    assert len(rep.records) == 2 * (steps + 1)
-    for rec in rep.records:
+    records, orders = certify_conflict(singularity_sweep(inst))
+    assert orders == {"nu1": q, "nu2": p}
+    assert len(records) == 2 * (steps + 1)
+    for rec in records:
         assert not rec.regular
         assert abs(rec.det) == (q if rec.branch == "nu1" else p)
     code = main(["counterexample", "--q", str(q), "--p", str(p),

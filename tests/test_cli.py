@@ -508,7 +508,7 @@ class TestConvergentsCheck:
         monkeypatch.setattr(qfield, "iter_convergents", stream)
 
     @pytest.mark.parametrize("index, df, dg", FAULTS)
-    def test_broken_convergent_falsifies(self, capsys, monkeypatch, index, df, dg):
+    def test_broken_convergent_exits_3(self, capsys, monkeypatch, index, df, dg):
         self.tampered(monkeypatch, index, df, dg)
         assert run(capsys, "convergents", "--a", "7", "--steps", "10") == (
             EXIT_CERTIFICATE, "", f"error: certificate failed: {self.FAULTS[index, df, dg]}\n")

@@ -152,26 +152,24 @@ def admissible(q: int, p: int, m: int) -> bool:
 class TestSweep:
     def test_q11_p13_full(self):
         inst = build(InstanceConfig(q=11, p=13))
-        report = singularity_sweep(inst)
-        assert certify_conflict(report) == {"nu1": 11, "nu2": 13}
-        assert len(report.records) == 52
-        for rec in report.records:
+        records, orders = certify_conflict(singularity_sweep(inst))
+        assert orders == {"nu1": 11, "nu2": 13}
+        assert len(records) == 52
+        for rec in records:
             assert not rec.regular
             assert rec.embedding_dim >= 3
             assert abs(rec.det) == (11 if rec.branch == "nu1" else 13)
 
     def test_step_zero_only(self):
         inst = build(InstanceConfig(q=11, p=13, steps=0))
-        report = singularity_sweep(inst)
-        assert [r.det for r in report.records] == [-11, -13]
-        assert certify_conflict(report) == {"nu1": 11, "nu2": 13}
+        records, orders = certify_conflict(singularity_sweep(inst))
+        assert [r.det for r in records] == [-11, -13]
+        assert orders == {"nu1": 11, "nu2": 13}
 
     def test_step_one_matrix(self):
         inst = build(InstanceConfig(q=11, p=13, steps=1))
-        report = singularity_sweep(inst)
-        nu1 = [r for r in report.records if r.branch == "nu1"]
-        assert nu1[0].matrix == ((7, 9), (2, 1))
-        assert nu1[1].matrix == ((16, 9), (3, 1))
+        nu1, _ = singularity_sweep(inst).walks
+        assert nu1 == (((7, 9), (2, 1)), ((16, 9), (3, 1)))
 
     def test_falsification_injection(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
@@ -190,9 +188,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps", [0, 7])
     def test_length_is_config_steps(self, steps):
-        report = singularity_sweep(build(InstanceConfig(11, 13, steps=steps)))
-        assert len(report.records) == 2 * (steps + 1)
-        assert [r.step for r in report.records] == [*range(steps + 1)] * 2
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, steps=steps)))
+        assert [len(walk) for walk in sweep.walks] == [steps + 1] * 2
+        records, _ = certify_conflict(sweep)
+        assert [(r.branch, r.step) for r in records] == [
+            (name, step) for name in ("nu1", "nu2") for step in range(steps + 1)]
 
     def test_negative_length_rejected_by_build(self):
         with pytest.raises(ConfigError) as exc:
@@ -204,17 +204,17 @@ class TestSweep:
 class TestContradiction:
     def test_q11_p13(self):
         inst = build(InstanceConfig(q=11, p=13))
-        assert certify_conflict(singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
+        assert certify_conflict(singularity_sweep(inst))[1] == {"nu1": 11, "nu2": 13}
 
     def test_q17_p23(self):
         inst = build(InstanceConfig(q=17, p=23, m=7, n=7, steps=10))
-        assert certify_conflict(singularity_sweep(inst)) == {"nu1": 17, "nu2": 23}
+        assert certify_conflict(singularity_sweep(inst))[1] == {"nu1": 17, "nu2": 23}
 
     def test_certify_conflict_on_a_finished_sweep(self):
         # the orders come from the actions build derived, whatever the sweep's length
         for steps in (0, 5):
             inst = build(InstanceConfig(q=11, p=13, steps=steps))
-            assert certify_conflict(singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
+            assert certify_conflict(singularity_sweep(inst))[1] == {"nu1": 11, "nu2": 13}
 
     def test_certify_conflict_rejects_falsified_sweep(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
@@ -234,7 +234,7 @@ class TestContradiction:
             for name, value in vars(module).items():
                 if callable(value) and getattr(value, "__module__", None) == toric.__name__:
                     monkeypatch.setattr(module, name, refuse)
-        assert certify_conflict(sweep) == {"nu1": 11, "nu2": 13}
+        assert certify_conflict(sweep)[1] == {"nu1": 11, "nu2": 13}
 
     def test_regular_verdict_fails_the_cross_route_check(self):
         # the Hirzebruch-Jung side of the check, on an instance whose step-0
@@ -249,7 +249,7 @@ class TestContradiction:
             certify_conflict(sweep._replace(instance=broken))
 
 
-# Sweeps whose records are not their instance's: (the sweep's maker, the CertificationError's message)
+# Sweeps whose walks are not their instance's: (the sweep's maker, the CertificationError's message)
 def no_records():
     return SweepReport(build(InstanceConfig(17, 23, 7, 7, 0)), ())
 
@@ -260,32 +260,27 @@ def another_instances_records():
 
 
 def nu2_shifted_by_one_step():
-    longer = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 6))).records
+    nu1, nu2 = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 6))).walks
     sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 5)))
-    return sweep._replace(records=longer[:6] + longer[8:])
-
-
-def first_record_claims_step_one():
-    sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 5)))
-    return sweep._replace(records=(sweep.records[0]._replace(step=1), *sweep.records[1:]))
+    return sweep._replace(walks=(nu1[:6], nu2[1:]))
 
 
 def nu1_starts_one_step_late():
-    # record 0 holds nu1's step-1 matrix, whose verdict is step 0's
+    # nu1's step 0 holds its step-1 matrix, which carries step 0's verdict
     sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 5)))
-    return sweep._replace(records=(sweep.records[1]._replace(step=0), *sweep.records[1:]))
+    nu1, nu2 = sweep.walks
+    return sweep._replace(walks=(nu1[1:2] + nu1[1:], nu2))
 
 
-FOREIGN_SWEEPS = [(no_records, "sweep has 0 records, expected 2"),
+FOREIGN_SWEEPS = [(no_records, "sweep walks hold [] matrices, expected two walks of 1"),
                   (another_instances_records, "sweep record 0 is not nu1 step 0"),
                   (nu2_shifted_by_one_step, "sweep record 6 is not nu2 step 0"),
-                  (first_record_claims_step_one, "sweep record 0 is not nu1 step 0"),
                   (nu1_starts_one_step_late, "sweep record 0 is not nu1 step 0")]
 
 
 class TestSweepCarriesItsInstance:
     def test_one_argument_and_no_defaults(self):
-        assert SweepReport._fields == ("instance", "records")
+        assert SweepReport._fields == ("instance", "walks")
         assert SweepReport._field_defaults == {}
         with pytest.raises(TypeError):
             SweepReport(())
@@ -319,36 +314,77 @@ class TestSweepCarriesItsInstance:
                                             for _, message in FOREIGN_SWEEPS]
 
 
+IDENTITY = ((1, 0), (0, 1))
+
+
+def replaced(walk, step, change):
+    """The walk with its matrix at `step` replaced by `change` of it."""
+    return walk[:step] + (change(walk[step]),) + walk[step + 1:]
+
+
+def column_1_doubled(matrix):
+    """A non-successor of any predecessor of the same det: |det| doubles."""
+    (a, b), (c, d) = matrix
+    return (2 * a, b), (2 * c, d)
+
+
+def regular_in_the_middle():
+    """(message, records) of a clean (11, 13) walk with the identity at nu1
+    step 3, and the records of the same run with corrupt_step=3."""
+    inst = build(InstanceConfig(11, 13, 3, 3, 25))
+    nu1, nu2 = singularity_sweep(inst).walks
+    outcomes = []
+    for sweep in (SweepReport(inst, (replaced(nu1, 3, lambda a: IDENTITY), nu2)),
+                  singularity_sweep(inst, corrupt_step=3)):
+        try:
+            certify_conflict(sweep)
+        except Falsified as exc:
+            outcomes.append((str(exc), exc.records))
+    (message, records), (_, corrupted) = outcomes
+    return message, records, corrupted
+
+
 class TestRecordsAreJudged:
-    """`certify_conflict` judges every record against its own matrix, and the
-    falsification is read off the records, after all of them are checked."""
+    """`certify_conflict` judges every matrix of the walks, and the
+    falsification is read off its records, after all of them are checked."""
 
     def test_identity_marked_regular_is_the_corrupted_run(self):
-        inst = build(InstanceConfig(11, 13, 3, 3, 25))
-        records = list(singularity_sweep(inst).records)
-        records[3] = records[3]._replace(matrix=((1, 0), (0, 1)), det=1, regular=True,
-                                         embedding_dim=2)
-        assert tuple(records) == singularity_sweep(inst, corrupt_step=3).records
-        with pytest.raises(Falsified) as exc:
-            certify_conflict(SweepReport(inst, tuple(records)))
-        assert str(exc.value) == "branch nu1 step 3: ring below is regular"
+        message, records, corrupted = regular_in_the_middle()
+        assert message == "branch nu1 step 3: ring below is regular"
+        assert records == corrupted
+        assert records[3] == ("nu1", 3, IDENTITY, 1, True, 2)
+        assert [r.regular for r in records].count(True) == 1
+
+    def test_identity_marked_regular_under_optimize(self):
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "from test_counterexample import regular_in_the_middle\n"
+                  "message, records, corrupted = regular_in_the_middle()\n"
+                  "print(__debug__, message, records == corrupted, records[3])\n")
+        src = Path(valsweep.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("False branch nu1 step 3: ring below is regular True "
+                               "StepRecord(branch='nu1', step=3, matrix=((1, 0), (0, 1)), "
+                               "det=1, regular=True, embedding_dim=2)\n")
 
     def test_the_first_regular_record_is_the_falsification(self):
         inst = build(InstanceConfig(11, 13, 3, 3, 25))
-        records = list(singularity_sweep(inst, corrupt_step=3).records)
-        records[31] = records[31]._replace(matrix=((1, 0), (0, 1)), det=1, regular=True,
-                                           embedding_dim=2)
+        nu1, nu2 = singularity_sweep(inst, corrupt_step=3).walks
         with pytest.raises(Falsified) as exc:
-            certify_conflict(SweepReport(inst, tuple(records)))
+            certify_conflict(SweepReport(inst, (nu1, replaced(nu2, 5, lambda a: IDENTITY))))
         assert str(exc.value) == "branch nu1 step 3: ring below is regular"
+        assert [(r.branch, r.step) for r in exc.value.records if r.regular] == [
+            ("nu1", 3), ("nu2", 5)]
 
     def test_record_after_the_falsification_is_still_checked(self):
         sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 25)), corrupt_step=3)
-        records = list(sweep.records)
-        records[30] = records[30]._replace(det=-records[30].det)
+        nu1, nu2 = sweep.walks
         with pytest.raises(CertificationError) as exc:
-            certify_conflict(sweep._replace(records=tuple(records)))
-        assert str(exc.value) == "sweep record 30 misstates the verdict on its matrix"
+            certify_conflict(sweep._replace(walks=(nu1, replaced(nu2, 4, column_1_doubled))))
+        assert str(exc.value) == "sweep record 30 is not nu2 step 4"
 
     def test_regular_step_zero_falls_through_to_the_falsification(self):
         sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 0)), corrupt_step=0)
@@ -400,31 +436,25 @@ def orders_coincide(mp):
     mp.setattr(counterexample, "build", twin_branches)
 
 
-def sweep_record_dropped(mp):
-    real = counterexample.singularity_sweep
-
-    def short(instance, corrupt_step=None):
-        sweep = real(instance, corrupt_step)
-        return sweep._replace(records=sweep.records[:-1])
-
-    mp.setattr(counterexample, "singularity_sweep", short)
-
-
-def record_forged(at, field, change):
-    """A fault that rewrites one field of sweep record `at` by `change`."""
+def walk_forged(name, change):
+    """A fault that hands `certify_conflict` the sweep's walks (nu1, nu2) as
+    `change` rewrites them: a forged witness."""
     def fault(mp):
         real = counterexample.singularity_sweep
 
         def forged(instance, corrupt_step=None):
             sweep = real(instance, corrupt_step)
-            records = list(sweep.records)
-            records[at] = records[at]._replace(**{field: change(getattr(records[at], field))})
-            return sweep._replace(records=tuple(records))
+            return sweep._replace(walks=change(*sweep.walks))
 
         mp.setattr(counterexample, "singularity_sweep", forged)
 
-    fault.__name__ = f"record_{at}_{field}_forged"
+    fault.__name__ = name
     return fault
+
+
+def rows_swapped(matrix):
+    """Singular with |det| the order, but not a successor of its predecessor."""
+    return matrix[1], matrix[0]
 
 
 # (fault, (q, p, m, n), the CertificationError's message)
@@ -439,15 +469,23 @@ CERTIFICATE_FAULTS = [
     (smith_pi1_trivial, (11, 13, 3, 3),
      "branch nu1: pi1 order 1 by the Smith form, 11 by Hirzebruch-Jung, expected 11"),
     (orders_coincide, (11, 13, 3, 3), "branch orders coincide; no obstruction"),
-    (sweep_record_dropped, (11, 13, 3, 3), "sweep has 51 records, expected 52"),
-    (record_forged(9, "matrix", lambda a: ((a[0][0] + 1, a[0][1]), a[1])), (11, 13, 3, 3),
-     "sweep record 9 misstates the verdict on its matrix"),
-    (record_forged(5, "det", lambda det: 7), (11, 13, 3, 3),
-     "sweep record 5 misstates the verdict on its matrix"),
-    (record_forged(17, "regular", lambda regular: not regular), (11, 13, 3, 3),
-     "sweep record 17 misstates the verdict on its matrix"),
-    (record_forged(40, "embedding_dim", lambda dim: dim + 1), (11, 13, 3, 3),
-     "sweep record 40 misstates the verdict on its matrix"),
+    (walk_forged("sweep_record_dropped", lambda nu1, nu2: (nu1, nu2[:-1])), (11, 13, 3, 3),
+     "sweep walks hold [26, 25] matrices, expected two walks of 26"),
+    (walk_forged("walk_one_matrix_long", lambda nu1, nu2: (nu1 + nu1[-1:], nu2)),
+     (11, 13, 3, 3), "sweep walks hold [27, 26] matrices, expected two walks of 26"),
+    (walk_forged("one_walk", lambda nu1, nu2: (nu1,)), (11, 13, 3, 3),
+     "sweep walks hold [26] matrices, expected two walks of 26"),
+    (walk_forged("three_walks", lambda nu1, nu2: (nu1, nu2, nu2)), (11, 13, 3, 3),
+     "sweep walks hold [26, 26, 26] matrices, expected two walks of 26"),
+    (walk_forged("record_9_matrix_forged", lambda nu1, nu2: (
+        replaced(nu1, 9, lambda a: ((a[0][0], a[0][1] + 1), a[1])), nu2)), (11, 13, 3, 3),
+     "sweep record 9 is not nu1 step 9"),
+    (walk_forged("non_successor_off_the_order",
+                 lambda nu1, nu2: (nu1, replaced(nu2, 14, column_1_doubled))), (11, 13, 3, 3),
+     "sweep record 40 is not nu2 step 14"),
+    (walk_forged("step_0_not_the_branch_matrix",
+                 lambda nu1, nu2: (nu1, replaced(nu2, 0, rows_swapped))), (11, 13, 3, 3),
+     "sweep record 26 is not nu2 step 0"),
 ]
 
 

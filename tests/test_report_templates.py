@@ -136,8 +136,8 @@ class TestCommandsAgainstOracle:
     def test_counterexample(self, steps):
         payload = run_both_formats("counterexample", "--q", "11", "--p", "13",
                                    "--steps", str(steps))
-        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, steps)))
-        assert payload["results"]["steps"] == [step_dict(r) for r in sweep.records]
+        records, _ = certify_conflict(singularity_sweep(build(InstanceConfig(11, 13, 3, 3, steps))))
+        assert payload["results"]["steps"] == [step_dict(r) for r in records]
         assert payload["verdict"] == "Verified"
 
     @pytest.mark.parametrize("step", [0, 3, 60])
@@ -145,9 +145,9 @@ class TestCommandsAgainstOracle:
         payload = run_both_formats("counterexample", "--q", "11", "--p", "13", "--steps", "60",
                                    "--corrupt-step", str(step), expect=EXIT_FALSIFIED)
         sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 60)), corrupt_step=step)
-        assert payload["results"]["steps"] == [step_dict(r) for r in sweep.records]
         with pytest.raises(Falsified) as exc:
             certify_conflict(sweep)
+        assert payload["results"]["steps"] == [step_dict(r) for r in exc.value.records]
         assert payload["results"]["falsification"] == str(exc.value)
         assert payload["verdict"] == "Falsified"
 

@@ -1,10 +1,11 @@
 """The inductive sweep certificate against the direct per-step oracle.
 
 `build` checks step 0 of each branch with `below_ring_regularity`, and
-`singularity_sweep` carries that verdict along every step that is an
-elementary column operation on its predecessor.  These tests rerun the
-direct check on every record, break the step on purpose, and rebuild each
-stepped state through the validating constructor.  No check here is an
+`certify_conflict` carries that verdict along every matrix of the sweep's
+walks that is an elementary column operation on its predecessor.  These
+tests rerun the direct check on every record the judge returns, break the
+step on purpose, and rebuild each stepped state through the validating
+constructor.  No check here is an
 assert that python -O could drop from src; run this module under -O too.
 """
 
@@ -43,8 +44,8 @@ def sweep(q, p, steps, m=None):
     return singularity_sweep(build(InstanceConfig(q, p, m, m, steps)))
 
 
-def assert_records_match_oracle(report):
-    for rec in report.records:
+def assert_records_match_oracle(records):
+    for rec in records:
         direct = below_ring_regularity(rec.matrix)
         assert (rec.det, rec.regular, rec.embedding_dim) == \
             (direct.det, direct.regular, direct.embedding_dim), (rec.branch, rec.step)
@@ -54,24 +55,23 @@ class TestAgainstDirectOracle:
     def test_batch_pairs(self):
         assert len(PAIRS) == 32
         for q, p in PAIRS:
-            report = sweep(q, p, 60)
-            assert certify_conflict(report) == {"nu1": q, "nu2": p}
-            assert len(report.records) == 2 * 61
-            assert_records_match_oracle(report)
+            records, orders = certify_conflict(sweep(q, p, 60))
+            assert orders == {"nu1": q, "nu2": p}
+            assert len(records) == 2 * 61
+            assert_records_match_oracle(records)
 
     def test_long_sweep(self):
-        report = sweep(11, 13, 1000, m=3)
-        assert certify_conflict(report) == {"nu1": 11, "nu2": 13}
-        assert_records_match_oracle(report)
+        records, orders = certify_conflict(sweep(11, 13, 1000, m=3))
+        assert orders == {"nu1": 11, "nu2": 13}
+        assert_records_match_oracle(records)
 
     def test_corrupted_steps_keep_the_oracle(self):
         inst = build(InstanceConfig(11, 13, 3, 3, 30))
         for step in (0, 1, 7, 29, 30):
-            report = singularity_sweep(inst, corrupt_step=step)
             with pytest.raises(Falsified) as exc:
-                certify_conflict(report)
+                certify_conflict(singularity_sweep(inst, corrupt_step=step))
             assert str(exc.value) == f"branch nu1 step {step}: ring below is regular"
-            assert_records_match_oracle(report)
+            assert_records_match_oracle(exc.value.records)
 
     def test_direct_checks_are_one_per_branch(self, monkeypatch):
         calls = []
@@ -79,21 +79,24 @@ class TestAgainstDirectOracle:
         monkeypatch.setattr(counterexample, "below_ring_regularity",
                             lambda a: calls.append(a) or real(a))
         inst = build(InstanceConfig(11, 13, 3, 3, 40))
-        # build judges step 0 of each branch; a clean sweep carries that verdict
+        # build judges step 0 of each branch; the sweep judges nothing, a
+        # corrupted one included
         assert calls == [b.matrix for b in inst.branches]
         assert [b.verdict for b in inst.branches] == [real(b.matrix) for b in inst.branches]
         calls.clear()
         singularity_sweep(inst)
+        singularity_sweep(inst, corrupt_step=5)
         assert calls == []
-        # the corrupted matrix and the step after it are checked directly
-        report = singularity_sweep(inst, corrupt_step=5)
-        assert calls == [((1, 0), (0, 1)), report.records[6].matrix]
 
 
-FORGERIES = {"det + 1": lambda r: r._replace(det=r.det + 1),
-             "det - 1": lambda r: r._replace(det=r.det - 1),
-             "regular flipped": lambda r: r._replace(regular=not r.regular),
-             "embedding_dim + 1": lambda r: r._replace(embedding_dim=r.embedding_dim + 1)}
+# Each forgery multiplies det by k in {2, 3, -3} < the order, so the forged
+# matrix is no successor of its predecessor, and judged directly it is
+# Singular (k |det| exceeds the product of the row contents) with |det| off
+# the order.
+FORGERIES = {"row 1 doubled": lambda m: ((2 * m[0][0], 2 * m[0][1]), m[1]),
+             "row 2 tripled": lambda m: (m[0], (3 * m[1][0], 3 * m[1][1])),
+             "column 1 doubled": lambda m: ((2 * m[0][0], m[0][1]), (2 * m[1][0], m[1][1])),
+             "column 2 times -3": lambda m: ((m[0][0], -3 * m[0][1]), (m[1][0], -3 * m[1][1]))}
 
 
 class TestForgedRecords:
@@ -101,20 +104,26 @@ class TestForgedRecords:
     @given(st.sampled_from(PAIRS), st.integers(0, 30), st.sampled_from(sorted(FORGERIES)),
            st.data())
     def test_every_forged_field_fails_the_certificate(self, pair, steps, forgery, data):
+        # the matrix is the one field a witness holds
         q, p = pair
         report = sweep(q, p, steps)
-        assert certify_conflict(report) == {"nu1": q, "nu2": p}
-        at = data.draw(st.integers(0, len(report.records) - 1), label="record")
-        records = list(report.records)
-        records[at] = FORGERIES[forgery](records[at])
-        with pytest.raises(CertificationError):
-            certify_conflict(report._replace(records=tuple(records)))
+        assert certify_conflict(report)[1] == {"nu1": q, "nu2": p}
+        branch = data.draw(st.integers(0, 1), label="branch")
+        step = data.draw(st.integers(0, steps), label="step")
+        walks = list(report.walks)
+        walks[branch] = (*walks[branch][:step], FORGERIES[forgery](walks[branch][step]),
+                         *walks[branch][step + 1:])
+        with pytest.raises(CertificationError) as exc:
+            certify_conflict(report._replace(walks=tuple(walks)))
+        at, name = branch * (steps + 1) + step, ("nu1", "nu2")[branch]
+        assert str(exc.value) == f"sweep record {at} is not {name} step {step}"
 
     def test_certificate_calls_the_direct_check_only_off_successors(self, monkeypatch):
         calls = []
         real = counterexample.below_ring_regularity
         monkeypatch.setattr(counterexample, "below_ring_regularity",
                             lambda a: calls.append(a) or real(a))
+        # once per non-successor matrix, across sweep and certify together
         inst = build(InstanceConfig(11, 13, 3, 3, 40))
         certify_conflict(singularity_sweep(inst))
         assert calls == [b.matrix for b in inst.branches]
@@ -122,7 +131,7 @@ class TestForgedRecords:
         report = singularity_sweep(inst, corrupt_step=5)
         with pytest.raises(Falsified):
             certify_conflict(report)
-        assert calls == [((1, 0), (0, 1)), report.records[6].matrix] * 2
+        assert calls == [((1, 0), (0, 1)), report.walks[0][6]]
 
 
 def doubling_step(step):
@@ -137,10 +146,16 @@ class TestMutation:
         monkeypatch.setattr(counterexample, "branch_steps",
                             lambda a, x: map(doubling_step, branch_steps(a, x)))
         report = sweep(11, 13, 10, m=3)
-        assert_records_match_oracle(report)
+        judged = []
+        real = counterexample.below_ring_regularity
+        monkeypatch.setattr(counterexample, "below_ring_regularity",
+                            lambda a: judged.append((a, real(a))) or judged[-1][1])
         with pytest.raises(CertificationError) as exc:
             certify_conflict(report)
         assert str(exc.value) == "sweep record 1 is not nu1 step 1"
+        # the judge took the doubled matrix's verdict directly, and it is the oracle's
+        assert judged == [(report.walks[0][1], real(report.walks[0][1]))]
+        assert abs(judged[0][1].det) == 22
 
     def test_non_unimodular_step_exits_3(self, monkeypatch, capsys):
         # a |det| drift is a defect in valsweep, not a falsification
@@ -197,7 +212,7 @@ class TestTransformMutation:
     one before, with the same check as the sweep, so every det is 1; a state
     that is not one fails the certificate: exit 3, nothing on stdout."""
 
-    def test_non_unimodular_step_is_checked_directly(self, monkeypatch, capsys):
+    def test_non_unimodular_step_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(transform, "branch_steps",
                             lambda a, x: map(doubling_step, branch_steps(a, x)))
         assert main(["transform", "--a", "7", "--steps", "40"]) == EXIT_CERTIFICATE
@@ -221,7 +236,7 @@ class TestTransformMutation:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             EXIT_CERTIFICATE, "", "debug False\n" + STATE_1_FAILS)
 
-    def test_successors_take_no_det2(self, capsys):
+    def test_report_matches_the_det_int_oracle(self, capsys):
         assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
         assert capsys.readouterr().out == transform_oracle(7, 1000)
 
@@ -273,12 +288,11 @@ class TestStepsAlongQuotientRuns:
         inst = build(InstanceConfig(q, p, p - q + 1, p - q + 1, 2000))
         for branch in inst.branches:
             self.assert_steps_match_reference(branch, 2000)
-        # the sweep's records follow the same steps
-        records = singularity_sweep(inst).records
-        for branch in inst.branches:
+        # the sweep's walks follow the same steps
+        for branch, walk in zip(inst.branches, singularity_sweep(inst).walks):
             steps = branch_steps(branch.matrix, branch_ratio(branch))
             expected = [branch.matrix] + [a for _, a in itertools.islice(steps, 2000)]
-            assert [r.matrix for r in records if r.branch == branch.name] == expected
+            assert list(walk) == expected
 
     def test_no_field_arithmetic_per_step(self, monkeypatch, capsys):
         inst = build(InstanceConfig(11, 13, 3, 3, 1000))
@@ -288,7 +302,7 @@ class TestStepsAlongQuotientRuns:
 
         for module in (qfield, valuation):
             monkeypatch.setattr(module, "sign_of", refuse)
-        assert certify_conflict(singularity_sweep(inst)) == {"nu1": 11, "nu2": 13}
+        assert certify_conflict(singularity_sweep(inst))[1] == {"nu1": 11, "nu2": 13}
         assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
         for patched in (inst.tau.sign, inst.branches[0].chart_values[0].sign):
             with pytest.raises(RuntimeError):
