@@ -227,26 +227,29 @@ def cmd_tau(args) -> Report:
 
 
 def cmd_convergents(args) -> Report:
-    from .qfield import iter_convergents, tau_from_a
+    from .qfield import tau_from_a
+    from .transform import _one_shear, branch_runs
     count = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
+    if count <= 0:
+        raise UsageError("count must be positive")
     # the numerators are the largest entries: generation stops at the first
     # one that no report could print
     limit = sys.get_int_max_str_digits()
     too_long = 10 ** limit if limit else inf
     rows: list[tuple[int, int]] = []
-    for a, (f, g, k) in iter_convergents(tau, count):
+    # from the identity along tau, run k writes (f_k, g_k) into column 2 on even k
+    # and column 1 on odd k; each run is one shear, so f_(k-1) g_k - f_k g_(k-1) = +-1
+    prev = ((1, 0), (0, 1))
+    for k, run, matrix in islice(branch_runs(prev, tau), count):
+        (f1, f2), (g1, g2) = matrix
+        f, g = (f1, g1) if k % 2 else (f2, g2)
         if f >= too_long:
             raise _digit_limit_error()
-        if k == 1:  # the one base determinant
-            (f1, g1), = rows
-            if f1 * g - f * g1 not in (-1, 1):
-                raise CertificationError("convergent 1: f0 g1 - f1 g0 is not +-1")
-        elif k > 1:  # both recurrences hold, so det_k = -det_(k-1)
-            (f2, g2), (f1, g1) = rows[-2:]
-            if f != a * f1 + f2 or g != a * g1 + g2:
-                raise CertificationError(f"convergent {k} breaks the recurrence")
+        if not _one_shear(prev, k, run, matrix):
+            raise CertificationError(f"run {k} is not one shear of the matrix before it")
         rows.append((f, g))
+        prev = matrix
     res = {"tau": tau._asdict(), "convergents": Records(_PAIR, rows), "unimodular": True}
     return Report("convergents", {"a": args.a, "count": count}, res, "Verified")
 
@@ -266,26 +269,22 @@ def cmd_value(args) -> Report:
     return Report("value", {"a": args.a, "matrix": args.matrix}, res, "Verified")
 
 
-# every state is the identity times elementary matrices, so its det is 1
+# every state is the identity times shears, so its det is 1
 _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": 1, "step_index": _INT}
 
 
 def cmd_transform(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import _elementary_successor, branch_steps
+    from .transform import branch_steps
     steps = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     if steps < 0:
         raise ConfigError("steps >= 0", "steps must be nonnegative")
-    # u and v have values tau and 1, so the branches follow the quotients of tau
-    prev = ((1, 0), (0, 1))
+    # u and v have values tau and 1, so `branch_steps` walks and certifies tau's runs
     rows = [(1, 0, 0, 1, "null", 0)]
-    for k, (branch, matrix) in enumerate(islice(branch_steps(prev, tau), steps), 1):
-        if not _elementary_successor(prev, matrix):
-            raise CertificationError(f"state {k} is not an elementary successor of state {k - 1}")
-        (a, b), (c, d) = matrix
+    for k, (branch, ((a, b), (c, d))) in enumerate(islice(branch_steps(((1, 0), (0, 1)), tau),
+                                                          steps), 1):
         rows.append((a, b, c, d, encode_basestring_ascii(branch.value), k))
-        prev = matrix
     return Report("transform", {"a": args.a, "steps": steps},
                   {"states": Records(_STATE, rows), "det_constant": True}, "Verified")
 

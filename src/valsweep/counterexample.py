@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import CertificationError, ConfigError, Falsified
 from .qfield import QuadExt, tau_from_a
 from .valuation import ValueElement, group_index
-from .transform import Matrix2, _elementary_successor, branch_steps
+from .transform import Matrix2, _one_shear, branch_steps
 from .toric import RegularityVerdict, below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
@@ -169,10 +169,11 @@ class StepRecord(NamedTuple):
 
 class SweepReport(NamedTuple):
     """Each branch's walk of `instance`, its matrices at steps 0..config.steps,
-    nu1 then nu2.  It states no verdict: `certify_conflict` judges them."""
+    nu1 then nu2, and nu1's corrupted step or None.  It states no verdict."""
 
     instance: Instance
     walks: tuple[tuple[Matrix2, ...], ...]
+    corrupt_step: int | None
 
 
 def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> SweepReport:
@@ -191,7 +192,7 @@ def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> Sw
         if corrupt_step is not None and branch.name == "nu1":
             walk[corrupt_step] = ((1, 0), (0, 1))
         walks.append(tuple(walk))
-    return SweepReport(instance, tuple(walks))
+    return SweepReport(instance, tuple(walks), corrupt_step)
 
 
 def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
@@ -219,16 +220,17 @@ def certify_conflict(sweep: SweepReport) -> tuple[tuple[StepRecord, ...], dict[s
     Each branch's pi1 order, by the Smith form (action) and by Hirzebruch-Jung
     (verdict: 1 if Regular, else |det|), must be its prime, and q != p: no single
     normal local ring lies below both.  The sweep must hold two walks of
-    config.steps + 1 matrices.  Step 0 carries the verdict `build` took of the
-    branch matrix, and a later matrix that is prev or exactly prev*E, with
-    E = [[1,1],[0,1]] or [[1,0],[1,1]], carries the previous verdict: E has
+    config.steps + 1 matrices.  Step 0 that is the branch matrix carries the
+    verdict `build` took of it, and a later matrix that is prev or exactly prev*E,
+    with E = [[1,1],[0,1]] or [[1,0],[1,1]], carries the previous verdict: E has
     determinant 1, so det is unchanged; each row r goes to r*E with the same
     content, so the primitive determinant is unchanged; and the dual cone of the
     new rows is the image of the old one under the lattice automorphism E^-1, so
     its Hilbert basis has the same size.  `below_ring_regularity` judges any other
-    matrix, such as the corrupted one or the step after it.  A Singular record
-    must have |det| the order, and at step 0 the branch matrix; after every record
-    is checked, the first Regular one raises `Falsified`, carrying the records."""
+    matrix, which fails the certificate, as does one the layers refuse, unless it
+    is the sweep's corrupted step of nu1 or the next and, if Singular, has |det|
+    the order (as the check above pins for step 0).  After every record is
+    checked, the first Regular one raises `Falsified`, carrying the records."""
     instance = sweep.instance
     span = instance.config.steps + 1
     if len(sweep.walks) != 2 or any(len(walk) != span for walk in sweep.walks):
@@ -244,18 +246,24 @@ def certify_conflict(sweep: SweepReport) -> tuple[tuple[StepRecord, ...], dict[s
         orders[branch.name] = smith
     if orders["nu1"] == orders["nu2"]:
         raise CertificationError("branch orders coincide; no obstruction")
+    corrupt = sweep.corrupt_step
     for index, (branch, walk) in enumerate(zip(instance.branches, sweep.walks)):
         name, prev, verdict = branch.name, branch.matrix, branch.verdict
+        declared = (corrupt, corrupt + 1) if corrupt is not None and name == "nu1" else ()
         for step, matrix in enumerate(walk):
-            if matrix != prev and not _elementary_successor(prev, matrix):
-                verdict = below_ring_regularity(matrix)
+            successor = _one_shear(prev, 0, 1, matrix) or _one_shear(prev, 1, 1, matrix)
+            if matrix != prev and (step == 0 or not successor):
+                wrong = f"sweep record {index * span + step} is not {name} step {step}"
+                try:
+                    verdict = below_ring_regularity(matrix)
+                except ValueError as exc:  # a layer's input error: the sweep's defect here
+                    raise CertificationError(f"{wrong}: {exc}") from None
+                if step not in declared or not verdict.regular and abs(verdict.det) != branch.order:
+                    raise CertificationError(wrong)
             regular, dim, det = verdict
             records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             if regular:
                 falsification = falsification or f"branch {name} step {step}: ring below is regular"
-            elif abs(det) != branch.order or step == 0 and matrix != branch.matrix:
-                raise CertificationError(f"sweep record {index * span + step} is not "
-                                         f"{name} step {step}")
             prev = matrix
     if falsification is not None:
         raise Falsified(falsification, tuple(records))

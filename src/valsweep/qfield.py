@@ -7,7 +7,6 @@ exact integer sign tests; no floating point enters the certified path.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
@@ -168,14 +167,6 @@ def tau_from_a(a: int) -> QuadExt:
     return tau
 
 
-class Convergent(NamedTuple):
-    """Continued-fraction convergent f/g with its index."""
-
-    f: int
-    g: int
-    index: int
-
-
 def _quotient_stream(x: QuadExt) -> Iterator[int]:
     """The partial quotients of an irrational x, lazily.  x = (s + t*sqrt(d))/r
     is (P + sqrt(D))/Q for D = t^2 d r^2, P = w*s*r, Q = w*r^2 and w = sign(t),
@@ -204,19 +195,3 @@ def _pq_quotients(p: int, q: int, dd: int) -> Iterator[int]:
         p = a * q - p
         q = (dd - p * p) // q
 
-
-def iter_convergents(x: QuadExt, count: int) -> Iterator[tuple[int, Convergent]]:
-    """The first `count` partial quotients a_k of an irrational x > 0, each
-    with its convergent f_k/g_k, lazily: f_k = a_k*f_{k-1} + f_{k-2} from
-    f_{-1}, f_{-2} = 1, 0, and the same for g from g_{-1}, g_{-2} = 0, 1."""
-    if x.sign() <= 0:
-        raise QFieldError("convergents require x > 0")
-    if count <= 0:
-        raise QFieldError("count must be positive")
-    f_prev, g_prev = 1, 0
-    f_pprev, g_pprev = 0, 1
-    for k, a in enumerate(islice(_quotient_stream(x), count)):
-        f, g = a * f_prev + f_pprev, a * g_prev + g_pprev
-        yield a, Convergent(f, g, k)
-        f_pprev, g_pprev = f_prev, g_prev
-        f_prev, g_prev = f, g

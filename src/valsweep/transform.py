@@ -13,8 +13,8 @@ import enum
 from itertools import islice
 from typing import Iterator, NamedTuple
 
+from .errors import CertificationError, ValuationError
 from .qfield import QuadExt, _quotient_stream
-from .valuation import ValueElement, ValuationError, _check_parameter_values
 
 
 class Branch(enum.Enum):
@@ -29,7 +29,7 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 class _TransformFields(NamedTuple):
     a: Matrix2
-    param_values: tuple[ValueElement, ValueElement]
+    param_values: tuple  # two ValueElements: the walks load no valuation
     branch: Branch | None = None  # the step that produced this state
 
 
@@ -46,6 +46,7 @@ class TransformState(_TransformFields):
     __slots__ = ()
 
     def __new__(cls, a, param_values, branch=None) -> "TransformState":
+        from .valuation import _check_parameter_values
         vx, vy = param_values
         _check_parameter_values(vx, vy)
         for row in a:
@@ -73,32 +74,45 @@ def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
     return out
 
 
-def _elementary_successor(prev: Matrix2, matrix: Matrix2) -> bool:
-    """Whether matrix = prev*E for E = [[1,1],[0,1]] or [[1,0],[1,1]]: one
-    column of prev kept and the other replaced by the sum of both.
-
-    This restates the two column operations without calling
-    `branch_steps`, so a broken step cannot certify itself.  E has
-    determinant 1, so a successor keeps det(prev).
-    """
+def _one_shear(prev: Matrix2, k: int, times: int, matrix: Matrix2) -> bool:
+    """Whether matrix is prev after `times` steps of run k: the kept column
+    unchanged, and the written one (column 2 on even k, column 1 on odd k)
+    plus `times` times the kept one.  This restates `branch_runs` without
+    calling it, so a broken run cannot certify itself; a shear has det 1."""
     (a, b), (c, d) = prev
     (a2, b2), (c2, d2) = matrix
-    return ((a2 == a and c2 == c and b2 == a + b and d2 == c + d)
-            or (b2 == b and d2 == d and a2 == a + b and c2 == c + d))
+    if k % 2:  # the columns swapped, so that column 2 is the written one
+        a, b, c, d, a2, b2, c2, d2 = b, a, d, c, b2, a2, d2, c2
+    ta, tc = (a, c) if times == 1 else (times * a, times * c)  # as in `branch_runs`
+    return a2 == a and c2 == c and b2 == b + ta and d2 == d + tc
+
+
+def branch_runs(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[int, int, Matrix2]]:
+    """(k, a_k, A after run k) for each run of the transform sequence from
+    A = matrix, lazily, for parameter values of ratio x = v(first)/v(second) > 0.
+    The steps run the subtractive Euclidean algorithm on the values, so run k
+    takes a_k steps, a_k the k-th partial quotient of x, and is one shear."""
+    (a, b), (c, d) = matrix
+    for k, run in enumerate(_quotient_stream(x)):
+        if k % 2 == 0:  # a run of 1, the commonest, adds: 1 * a copies a long integer
+            b, d = (b + a, d + c) if run == 1 else (b + run * a, d + run * c)
+        else:
+            a, c = (a + b, c + d) if run == 1 else (a + run * b, c + run * d)
+        yield k, run, ((a, b), (c, d))
 
 
 def branch_steps(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[Branch, Matrix2]]:
     """(branch, next A) at each step of the transform sequence from A = matrix,
-    lazily, for parameter values of ratio x = v(first)/v(second) > 0.  The
-    steps run the subtractive Euclidean algorithm on the values, so they come
-    in runs of the partial quotients a_k of x: a_0 steps that add column 1
-    into column 2, then a_1 that add column 2 into column 1, and so on."""
-    (a, b), (c, d) = matrix
-    for k, run in enumerate(_quotient_stream(x)):
-        for _ in range(run):
-            if k % 2 == 0:
-                b, d = a + b, c + d
-                yield Branch.DIVIDE_SECOND_INTO_FIRST, ((a, b), (c, d))
-            else:
-                a, c = a + b, c + d
-                yield Branch.DIVIDE_FIRST_INTO_SECOND, ((a, b), (c, d))
+    lazily: each run of `branch_runs`, once `_one_shear` has certified it, in
+    its steps, one elementary column operation each, the last one its end."""
+    for k, run, end in branch_runs(matrix, x):
+        if not _one_shear(matrix, k, run, end):
+            raise CertificationError(f"run {k} is not one shear of the matrix before it")
+        branch = Branch.DIVIDE_FIRST_INTO_SECOND if k % 2 else Branch.DIVIDE_SECOND_INTO_FIRST
+        for _ in range(run - 1):
+            (a, b), (c, d) = matrix
+            matrix = ((a + b, b), (c + d, d)) if k % 2 else ((a, a + b), (c, c + d))
+            yield branch, matrix
+        if run:
+            yield branch, end
+        matrix = end

@@ -26,8 +26,9 @@ the route it checks, so tests compare the two:
   irrational by exact floor and inversion in the field, against the
   (P, Q) recurrence of `qfield`;
 - `convergent_parameters`, the matrix of two consecutive convergents of
-  tau, against the matrix that `transform.branch_steps` reaches from the
-  identity at the end of each run of steps;
+  tau by the three-term recurrence on the floor-and-invert quotients,
+  against the matrix that `transform.branch_runs` reaches from the
+  identity at the end of each run;
 - `value_steps`, the transform sequence with each step decided by the
   exact sign of the difference of the two values, against
   `transform.run_sequence` and `transform.branch_steps`, which read the
@@ -46,12 +47,13 @@ compared.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import isqrt, prod
 from typing import Iterable, Iterator
 
 from valsweep.counterexample import ConfigError
 from valsweep.errors import CertificationError, ValuationError
-from valsweep.qfield import QuadExt, iter_convergents
+from valsweep.qfield import QuadExt
 from valsweep.quotient import DiagonalAction, RamificationWitness
 from valsweep.toric import (SemigroupBasis, ToricError, det_int, dual_cone_2d, primitive,
                             smith_normal_form)
@@ -317,9 +319,9 @@ def convergent_parameters(tau: QuadExt, p: int) -> tuple[tuple[int, int], tuple[
     """
     if p < 1:
         raise ValuationError("need p >= 1 so two consecutive convergents exist")
-    cs = [c for _, c in iter_convergents(tau, p + 1)]
-    f0, g0 = cs[p - 1].f, cs[p - 1].g
-    f1, g1 = cs[p].f, cs[p].g
+    f0, g0, f1, g1 = 0, 1, 1, 0  # (f, g) at k = -2 and at k = -1
+    for a in islice(floor_and_invert_quotients(tau), p + 1):
+        f0, g0, f1, g1 = f1, g1, a * f1 + f0, a * g1 + g0
     eps = f0 * g1 - f1 * g0
     if eps not in (-1, 1):
         raise CertificationError(f"consecutive convergents have determinant {eps}, not +-1")

@@ -57,7 +57,6 @@ ALLOWED: dict[str, str] = {
     "qfield:QuadExt.inverse: raise ZeroDivisionError(": GUARD,
     "qfield:QuadExt.floor: return self.s // self.r": GUARD,
     "qfield:_quotient_stream: raise QFieldError(": GUARD,
-    "qfield:iter_convergents: raise QFieldError(": GUARD,
     "quotient:DiagonalAction.weight_map: raise QuotientError(": GUARD,
     "quotient:ramification_minors: raise QuotientError(": GUARD,
     'toric:as_int_matrix: raise ToricError("expected a square matrix given': GUARD,

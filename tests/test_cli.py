@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import hashlib
@@ -16,11 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import valsweep
 
-from valsweep import cli, counterexample, qfield, toric
+from valsweep import cli, counterexample, qfield, toric, transform
 from valsweep.cli import (COMMANDS, EXIT_CERTIFICATE, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE,
                           STEPS_MAX, SUBCOMMAND_FLAGS, Records, Report, UsageError, main,
                           parse_matrix)
-from valsweep.qfield import TAU_A_MAX, iter_convergents, tau_from_a
+from valsweep.errors import CertificationError
+from valsweep.qfield import TAU_A_MAX, tau_from_a
 from valsweep.quotient import ORDER_MAX
 from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
@@ -486,78 +488,147 @@ class TestHostileSizes:
         assert res["tau"] == {"s": 999979, "t": 1, "r": 2, "d": 999979 * 999983}
 
 
-class TestConvergentsCheck:
-    """Unimodularity from one base determinant and the recurrence at every
-    later step, each a certificate that exits 3 with nothing on stdout;
-    generation stops at the first numerator past the digit limit."""
+IDENTITY = ((1, 0), (0, 1))
 
-    # the first convergent k whose check fails: the base determinant at
-    # k = 1, the recurrence at every later k
-    FAULTS = {(1, 1, 0): "convergent 1: f0 g1 - f1 g0 is not +-1",
-              (2, 0, 1): "convergent 2 breaks the recurrence",
-              (5, 7, 0): "convergent 5 breaks the recurrence",
-              (9, 0, -1): "convergent 9 breaks the recurrence"}
+
+def sheared(k, matrix, times):
+    """matrix with `times` more of the column that run k keeps added into the
+    column it writes (column 2 on even k, column 1 on odd k)."""
+    (a, b), (c, d) = matrix
+    if k % 2:
+        return (a + times * b, b), (c + times * d, d)
+    return (a, b + times * a), (c, d + times * c)
+
+
+# Faults in one run's end, as functions of (k, a_k, the run's true end)
+RUN_FAULTS = {
+    "run_one_step_short": lambda k, run, end: sheared(k, end, -1),
+    "run_one_step_long": lambda k, run, end: sheared(k, end, 1),
+    # undo the run, then add a_k times the column it writes into the one it keeps
+    "shear_by_the_wrong_column": lambda k, run, end: sheared(k + 1, sheared(k, end, -run), run),
+}
+
+
+def faulty_runs(real, at, fault):
+    """`branch_runs` with `fault` applied to the end of run `at`."""
+    def runs(matrix, x):
+        for k, run, end in real(matrix, x):
+            yield k, run, (fault(k, run, end) if k == at else end)
+    return runs
+
+
+def convergent_columns(a, count):
+    """(f_k, g_k) for k < count, read off the run ends of tau_from_a(a)."""
+    return [(m[0][1 - k % 2], m[1][1 - k % 2])
+            for k, _, m in islice(transform.branch_runs(IDENTITY, tau_from_a(a)), count)]
+
+
+# (command, the run faulted, the CertificationError's message): runs of tau_from_a(7)
+# have lengths 7, 1, 7, 1, ..., so run 2 takes states 9..15 of 40
+RUN_CHECKS = [("convergents", 5, "run 5 is not one shear of the matrix before it"),
+              ("transform", 2, "run 2 is not one shear of the matrix before it")]
+
+
+class TestConvergentsCheck:
+    """Each run of the walk from the identity along tau is checked to be one
+    shear: the kept column unchanged, the written one plus a_k times the kept
+    one.  So det A stays 1 and f_(k-1) g_k - f_k g_(k-1) = +-1.  A run that
+    fails exits 3 with nothing on stdout; generation stops at the first
+    numerator past the digit limit."""
+
+    # (run, df, dg): the convergent that run writes, off by (df, dg)
+    FAULTS = [(1, 1, 0), (2, 0, 1), (5, 7, 0), (9, 0, -1)]
 
     def tampered(self, monkeypatch, index, df, dg):
-        real = qfield.iter_convergents
+        def fault(k, run, end):
+            (a, b), (c, d) = end
+            return ((a + df, b), (c + dg, d)) if k % 2 else ((a, b + df), (c, d + dg))
 
-        def stream(tau, count):
-            for a, c in real(tau, count):
-                yield a, (c._replace(f=c.f + df, g=c.g + dg) if c.index == index else c)
-
-        monkeypatch.setattr(qfield, "iter_convergents", stream)
+        monkeypatch.setattr(transform, "branch_runs",
+                            faulty_runs(transform.branch_runs, index, fault))
 
     @pytest.mark.parametrize("index, df, dg", FAULTS)
     def test_broken_convergent_exits_3(self, capsys, monkeypatch, index, df, dg):
         self.tampered(monkeypatch, index, df, dg)
         assert run(capsys, "convergents", "--a", "7", "--steps", "10") == (
-            EXIT_CERTIFICATE, "", f"error: certificate failed: {self.FAULTS[index, df, dg]}\n")
+            EXIT_CERTIFICATE, "",
+            f"error: certificate failed: run {index} is not one shear of the matrix before it\n")
 
-    def test_recurrence_carries_the_base_determinant(self, capsys, monkeypatch):
-        # (15, 2) in place of (7, 1) still has determinant -1 with (8, 1), so
-        # only the recurrence at k = 2 can catch it: 63 != 7 * 8 + 15
+    def test_a_fault_that_keeps_the_determinant_fails_its_own_run(self, capsys, monkeypatch):
+        # (15, 2) in place of (7, 1) still has determinant -1 with (8, 1), and
+        # the run check catches it at run 0, before any later run is read
         self.tampered(monkeypatch, 0, 8, 1)
-        code, payload, _ = run_json(capsys, "convergents", "--a", "7", "--steps", "2")
-        assert (code, payload["results"]["convergents"]) == (EXIT_OK, [[15, 2], [8, 1]])
-        assert run(capsys, "convergents", "--a", "7", "--steps", "3") == (
-            EXIT_CERTIFICATE, "", "error: certificate failed: convergent 2 breaks the recurrence\n")
+        assert run(capsys, "convergents", "--a", "7", "--steps", "1") == (
+            EXIT_CERTIFICATE, "",
+            "error: certificate failed: run 0 is not one shear of the matrix before it\n")
 
     def test_broken_convergent_under_optimize(self):
         script = (
             "import sys\n"
-            "from valsweep import qfield\n"
+            "from valsweep import transform\n"
             "from valsweep.cli import main\n"
-            "real = qfield.iter_convergents\n"
-            "def stream(tau, count):\n"
-            "    for a, c in real(tau, count):\n"
-            "        yield a, (c._replace(f=c.f + 7) if c.index == 5 else c)\n"
-            "qfield.iter_convergents = stream\n"
+            "real = transform.branch_runs\n"
+            "def runs(matrix, x):\n"
+            "    for k, run, ((a, b), (c, d)) in real(matrix, x):\n"
+            "        yield k, run, ((a + 7, b), (c, d)) if k == 5 else ((a, b), (c, d))\n"
+            "transform.branch_runs = runs\n"
             "print('debug', __debug__, file=sys.stderr)\n"
             "sys.exit(main(['convergents', '--a', '7', '--steps', '10']))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            EXIT_CERTIFICATE, "",
-            "debug False\nerror: certificate failed: convergent 5 breaks the recurrence\n")
+            EXIT_CERTIFICATE, "", "debug False\nerror: certificate failed: "
+                                  "run 5 is not one shear of the matrix before it\n")
+
+    @pytest.mark.parametrize("fault", RUN_FAULTS)
+    @pytest.mark.parametrize("command, at, message", RUN_CHECKS, ids=[c for c, _, _ in RUN_CHECKS])
+    def test_run_fault_exits_3(self, capsys, monkeypatch, command, at, message, fault):
+        real = transform.branch_runs
+        monkeypatch.setattr(transform, "branch_runs", faulty_runs(real, at, RUN_FAULTS[fault]))
+        with pytest.raises(CertificationError) as exc:
+            cli.COMMANDS[command](cli.parse_args([command, "--a", "7", "--steps", "40"]))
+        assert str(exc.value) == message
+        assert run(capsys, command, "--a", "7", "--steps", "40") == (
+            EXIT_CERTIFICATE, "", f"error: certificate failed: {message}\n")
+
+    def test_run_faults_under_optimize(self):
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "from test_cli import RUN_CHECKS, RUN_FAULTS, faulty_runs\n"
+                  "from valsweep import transform\n"
+                  "from valsweep.cli import main\n"
+                  "real = transform.branch_runs\n"
+                  "for command, at, _ in RUN_CHECKS:\n"
+                  "    for fault in RUN_FAULTS.values():\n"
+                  "        transform.branch_runs = faulty_runs(real, at, fault)\n"
+                  "        code = main([command, '--a', '7', '--steps', '40'])\n"
+                  "        print(__debug__, code, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "")
+        expected = [f"error: certificate failed: {message}\nFalse {EXIT_CERTIFICATE}"
+                    for _, _, message in RUN_CHECKS for _ in RUN_FAULTS]
+        assert proc.stderr == "".join(line + "\n" for line in expected)
 
     def test_stops_at_the_first_numerator_past_the_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
-        cs = [c for _, c in iter_convergents(tau_from_a(999979), 1500)]
-        last = next(k for k, c in enumerate(cs) if c.f >= 10 ** limit)
+        cs = convergent_columns(999979, 1500)
+        last = next(k for k, (f, _) in enumerate(cs) if f >= 10 ** limit)
         code, out, _ = run(capsys, "convergents", "--a", "999979", "--steps", str(last))
         assert code == EXIT_OK
-        assert json.loads(out)["results"]["convergents"][-1] == [cs[last - 1].f, cs[last - 1].g]
+        assert json.loads(out)["results"]["convergents"][-1] == list(cs[last - 1])
         calls = []
-        real = qfield.iter_convergents
+        real = transform.branch_runs
 
-        def counted(tau, count):
-            for item in real(tau, count):
+        def counted(matrix, x):
+            for item in real(matrix, x):
                 calls.append(item)
                 yield item
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qfield, "iter_convergents", counted)
+            mp.setattr(transform, "branch_runs", counted)
             code, out, err = run(capsys, "convergents", "--a", "999979",
                                  "--steps", str(STEPS_MAX))
         assert (code, out) == (EXIT_USAGE, "")
@@ -792,9 +863,9 @@ def added_modules(body: str, *argv: str) -> list:
 # the valsweep layers each subcommand runs, besides cli and errors
 SUBCOMMAND_LAYERS = {
     ("tau", "--a", "7"): ["qfield"],
-    ("convergents", "--a", "7"): ["qfield"],
+    ("convergents", "--a", "7"): ["qfield", "transform"],
     ("value", "--a", "3", "--matrix=1,2,3,4"): ["qfield", "valuation"],
-    ("transform", "--a", "2"): ["qfield", "transform", "valuation"],
+    ("transform", "--a", "2"): ["qfield", "transform"],
     ("snf", "--matrix=2,0,0,3"): ["toric"],
     ("hilbert", "--matrix=1,0,1,5"): ["toric"],
     ("regularity", "--matrix=7,9,2,1"): ["toric"],

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import adjugate_diagonal_action
 import valsweep
-from valsweep import counterexample, toric
+from valsweep import counterexample, toric, transform
 from valsweep.cli import EXIT_CERTIFICATE, main
 from valsweep.counterexample import (CertificationError, ConfigError, Falsified,
                                      InstanceConfig, SweepReport, build, certify_conflict,
@@ -251,7 +251,7 @@ class TestContradiction:
 
 # Sweeps whose walks are not their instance's: (the sweep's maker, the CertificationError's message)
 def no_records():
-    return SweepReport(build(InstanceConfig(17, 23, 7, 7, 0)), ())
+    return SweepReport(build(InstanceConfig(17, 23, 7, 7, 0)), (), None)
 
 
 def another_instances_records():
@@ -280,12 +280,16 @@ FOREIGN_SWEEPS = [(no_records, "sweep walks hold [] matrices, expected two walks
 
 class TestSweepCarriesItsInstance:
     def test_one_argument_and_no_defaults(self):
-        assert SweepReport._fields == ("instance", "walks")
+        assert SweepReport._fields == ("instance", "walks", "corrupt_step")
         assert SweepReport._field_defaults == {}
         with pytest.raises(TypeError):
             SweepReport(())
         inst = build(InstanceConfig(11, 13, 3, 3, 5))
+        with pytest.raises(TypeError):
+            SweepReport(inst, singularity_sweep(inst).walks)
         assert singularity_sweep(inst).instance is inst
+        assert singularity_sweep(inst).corrupt_step is None
+        assert singularity_sweep(inst, corrupt_step=4).corrupt_step == 4
         with pytest.raises(TypeError):
             certify_conflict(inst, singularity_sweep(inst))
 
@@ -330,11 +334,12 @@ def column_1_doubled(matrix):
 
 def regular_in_the_middle():
     """(message, records) of a clean (11, 13) walk with the identity at nu1
-    step 3, and the records of the same run with corrupt_step=3."""
+    step 3, declared as the corrupted step, and the records of the same run
+    with corrupt_step=3."""
     inst = build(InstanceConfig(11, 13, 3, 3, 25))
     nu1, nu2 = singularity_sweep(inst).walks
     outcomes = []
-    for sweep in (SweepReport(inst, (replaced(nu1, 3, lambda a: IDENTITY), nu2)),
+    for sweep in (SweepReport(inst, (replaced(nu1, 3, lambda a: IDENTITY), nu2), 3),
                   singularity_sweep(inst, corrupt_step=3)):
         try:
             certify_conflict(sweep)
@@ -371,13 +376,15 @@ class TestRecordsAreJudged:
                                "det=1, regular=True, embedding_dim=2)\n")
 
     def test_the_first_regular_record_is_the_falsification(self):
-        inst = build(InstanceConfig(11, 13, 3, 3, 25))
-        nu1, nu2 = singularity_sweep(inst, corrupt_step=3).walks
+        # only the corrupted step and the one after it may leave the walk, so
+        # the two Regular records are nu1 steps 24 and 25, the last two
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 25)), corrupt_step=24)
+        nu1, nu2 = sweep.walks
         with pytest.raises(Falsified) as exc:
-            certify_conflict(SweepReport(inst, (nu1, replaced(nu2, 5, lambda a: IDENTITY))))
-        assert str(exc.value) == "branch nu1 step 3: ring below is regular"
+            certify_conflict(sweep._replace(walks=(replaced(nu1, 25, lambda a: IDENTITY), nu2)))
+        assert str(exc.value) == "branch nu1 step 24: ring below is regular"
         assert [(r.branch, r.step) for r in exc.value.records if r.regular] == [
-            ("nu1", 3), ("nu2", 5)]
+            ("nu1", 24), ("nu1", 25)]
 
     def test_record_after_the_falsification_is_still_checked(self):
         sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 25)), corrupt_step=3)
@@ -452,9 +459,27 @@ def walk_forged(name, change):
     return fault
 
 
+def run_1_one_step_short(mp):
+    """`branch_runs` under the sweep ends run 1 (a_1 = q - 4 steps, adding
+    column 2 into column 1) one step early."""
+    real = transform.branch_runs
+
+    def runs(matrix, x):
+        for k, run, ((a, b), (c, d)) in real(matrix, x):
+            yield k, run, ((a - b, b), (c - d, d)) if k == 1 else ((a, b), (c, d))
+
+    mp.setattr(transform, "branch_runs", runs)
+
+
 def rows_swapped(matrix):
     """Singular with |det| the order, but not a successor of its predecessor."""
     return matrix[1], matrix[0]
+
+
+def columns_swapped(matrix):
+    """Singular with |det| the order, but not a successor of its predecessor."""
+    (a, b), (c, d) = matrix
+    return (b, a), (d, c)
 
 
 # (fault, (q, p, m, n), the CertificationError's message)
@@ -486,6 +511,19 @@ CERTIFICATE_FAULTS = [
     (walk_forged("step_0_not_the_branch_matrix",
                  lambda nu1, nu2: (nu1, replaced(nu2, 0, rows_swapped))), (11, 13, 3, 3),
      "sweep record 26 is not nu2 step 0"),
+    # a judged matrix that the lattice layer refuses is the sweep's defect, not the input's
+    (walk_forged("det_0_matrix_at_nu1_step_4",
+                 lambda nu1, nu2: (replaced(nu1, 4, lambda a: ((2, 4), (1, 2))), nu2)),
+     (11, 13, 3, 3), "sweep record 4 is not nu1 step 4: matrix is singular"),
+    # only the declared corrupted step and the one after it may leave the walk
+    (walk_forged("rows_swapped_at_nu2_step_14",
+                 lambda nu1, nu2: (nu1, replaced(nu2, 14, rows_swapped))), (11, 13, 3, 3),
+     "sweep record 40 is not nu2 step 14"),
+    (walk_forged("columns_swapped_at_nu2_step_10",
+                 lambda nu1, nu2: (nu1, replaced(nu2, 10, columns_swapped))), (11, 13, 3, 3),
+     "sweep record 36 is not nu2 step 10"),
+    # `branch_steps` certifies each run before the sweep takes its steps
+    (run_1_one_step_short, (11, 13, 3, 3), "run 1 is not one shear of the matrix before it"),
 ]
 
 

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 import valsweep
 from oracles import floor_and_invert_quotients, sign_corrected_floor
 from valsweep import qfield
+from valsweep.cli import main
 from valsweep.errors import CertificationError
-from valsweep.qfield import (Convergent, QFieldError, QuadExt, _quotient_stream,
-                             iter_convergents, squarefree_decompose, tau_from_a)
+from valsweep.qfield import (QFieldError, QuadExt, _quotient_stream, squarefree_decompose,
+                             tau_from_a)
+from valsweep.transform import branch_runs
 
 mpmath.mp.dps = 60
 
@@ -123,11 +125,6 @@ class TestInputChecks:
         tau = tau_from_a(7)
         with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
             tau / (tau - tau)
-
-    @pytest.mark.parametrize("shift", [8, tau_from_a(7)])
-    def test_convergents_of_nonpositive_rejected(self, shift):
-        with pytest.raises(QFieldError, match=r"^convergents require x > 0$"):
-            next(iter_convergents(tau_from_a(7) - shift, 3))
 
 
 class TestArithmetic:
@@ -266,40 +263,47 @@ class TestQuotientStream:
             "False (P, Q, D) = (1, 5, 77): Q does not divide D - P^2"]
 
 
+def convergents(x, count):
+    """(f_k, g_k) for k < count: the column that run k of `branch_runs`
+    writes from the identity, column 2 on even k and column 1 on odd k."""
+    return [(m[0][1 - k % 2], m[1][1 - k % 2])
+            for k, _, m in islice(branch_runs(((1, 0), (0, 1)), x), count)]
+
+
 class TestConvergents:
+    """The convergents read off the run ends, as `convergents` reads them."""
+
     def test_paper_example_a7(self):
-        cs = [c for _, c in iter_convergents(tau_from_a(7), 4)]
-        assert [(c.f, c.g) for c in cs] == [(7, 1), (8, 1), (63, 8), (71, 9)]
+        assert convergents(tau_from_a(7), 4) == [(7, 1), (8, 1), (63, 8), (71, 9)]
         assert 63 * 9 - 71 * 8 == -1
 
     def test_golden_ratio(self):
-        cs = [c for _, c in iter_convergents(tau_from_a(1), 3)]
-        assert [(c.f, c.g) for c in cs] == [(1, 1), (2, 1), (3, 2)]
+        assert convergents(tau_from_a(1), 3) == [(1, 1), (2, 1), (3, 2)]
 
     def test_rejects_rational(self):
         with pytest.raises(QFieldError):
-            next(iter_convergents(QuadExt.make(3, 0, 2, 5), 3))
+            next(branch_runs(((1, 0), (0, 1)), QuadExt.make(3, 0, 2, 5)))
 
     def test_partial_quotients_periodic(self):
         assert list(islice(_quotient_stream(tau_from_a(7)), 6)) == [7, 1, 7, 1, 7, 1]
 
     @pytest.mark.parametrize("count", [0, -1, -5])
-    def test_no_count_is_rejected(self, count):
-        with pytest.raises(QFieldError, match="count must be positive"):
-            next(iter_convergents(tau_from_a(7), count))
+    def test_no_count_is_rejected(self, capsys, count):
+        assert main(["convergents", "--a", "7", "--steps", str(count)]) == 1
+        assert capsys.readouterr() == ("", "error: count must be positive\n")
 
     @pytest.mark.parametrize("a", [1, 3, 7, 13])
     def test_unimodularity_and_sandwich(self, a):
         x = tau_from_a(a)
-        cs = [c for _, c in iter_convergents(x, 12)]
+        cs = convergents(x, 12)
         for k in range(1, len(cs)):
-            eps = cs[k - 1].f * cs[k].g - cs[k].f * cs[k - 1].g
+            eps = cs[k - 1][0] * cs[k][1] - cs[k][0] * cs[k - 1][1]
             assert eps in (-1, 1)
-        signs = [(x * c.g - c.f).sign() for c in cs]
+        signs = [(x * g - f).sign() for f, g in cs]
         assert all(s != 0 for s in signs)
         assert all(signs[k] == -signs[k - 1] for k in range(1, len(signs)))
 
     def test_indices(self):
-        cs = [c for _, c in iter_convergents(tau_from_a(7), 5)]
-        assert [c.index for c in cs] == list(range(5))
-        assert all(isinstance(c, Convergent) for c in cs)
+        runs = list(islice(branch_runs(((1, 0), (0, 1)), tau_from_a(7)), 5))
+        assert [k for k, _, _ in runs] == list(range(5))
+        assert [run for _, run, _ in runs] == [7, 1, 7, 1, 7]

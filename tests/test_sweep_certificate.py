@@ -29,7 +29,7 @@ from valsweep.counterexample import (CertificationError, Falsified, InstanceConf
 from valsweep.qfield import tau_from_a
 from valsweep.quotient import is_prime
 from valsweep.toric import below_ring_regularity, det_int
-from valsweep.transform import TransformState, branch_steps, run_sequence
+from valsweep.transform import TransformState, branch_runs, branch_steps, run_sequence
 from valsweep.valuation import ValueElement
 
 SRC = Path(valsweep.__file__).resolve().parents[1]
@@ -203,38 +203,45 @@ def transform_oracle(a, steps):
                       sort_keys=True, indent=2) + "\n"
 
 
-# the doubled column breaks the first step
-STATE_1_FAILS = "error: certificate failed: state 1 is not an elementary successor of state 0\n"
+def doubling_run(run):
+    """A broken run: the shear, then column 1 doubled, which is not
+    unimodular and doubles |det|."""
+    k, a_k, ((a, b), (c, d)) = run
+    return k, a_k, ((2 * a, b), (2 * c, d))
+
+
+# the doubled column breaks the first run, states 1..7 of tau_from_a(7)
+RUN_0_FAILS = "error: certificate failed: run 0 is not one shear of the matrix before it\n"
 
 
 class TestTransformMutation:
-    """`transform` checks that each state is an elementary successor of the
-    one before, with the same check as the sweep, so every det is 1; a state
-    that is not one fails the certificate: exit 3, nothing on stdout."""
+    """`branch_steps` checks that each run of `transform`'s states is one
+    shear of the state before it, so every det is 1; a run that is not one
+    fails the certificate: exit 3, nothing on stdout."""
 
     def test_non_unimodular_step_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(transform, "branch_steps",
-                            lambda a, x: map(doubling_step, branch_steps(a, x)))
+        monkeypatch.setattr(transform, "branch_runs",
+                            lambda a, x: map(doubling_run, branch_runs(a, x)))
         assert main(["transform", "--a", "7", "--steps", "40"]) == EXIT_CERTIFICATE
-        assert capsys.readouterr() == ("", STATE_1_FAILS)
+        assert capsys.readouterr() == ("", RUN_0_FAILS)
 
     def test_non_unimodular_step_under_optimize(self):
         script = (
             "import sys\n"
             "from valsweep import transform\n"
             "from valsweep.cli import main\n"
-            "steps = transform.branch_steps\n"
+            "runs = transform.branch_runs\n"
             "def broken(matrix, x):\n"
-            "    for branch, ((a, b), (c, d)) in steps(matrix, x):\n"
-            "        yield branch, ((2 * a, b), (2 * c, d))\n"
-            "transform.branch_steps = broken\n"
+            "    for k, a_k, ((a, b), (c, d)) in runs(matrix, x):\n"
+            "        yield k, a_k, ((2 * a, b), (2 * c, d))\n"
+            "transform.branch_runs = broken\n"
             "print('debug', __debug__, file=sys.stderr)\n"
             "sys.exit(main(['transform', '--a', '7', '--steps', '40']))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            EXIT_CERTIFICATE, "", "debug False\n" + STATE_1_FAILS)
+            EXIT_CERTIFICATE, "", "debug False\n" + RUN_0_FAILS)
 
     def test_report_matches_the_det_int_oracle(self, capsys):
         assert main(["transform", "--a", "7", "--steps", "1000"]) == 0

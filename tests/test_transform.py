@@ -6,7 +6,7 @@ from oracles import convergent_parameters, value_steps
 from valsweep.errors import QFieldError
 from valsweep.qfield import _quotient_stream, tau_from_a
 from valsweep.toric import det_int
-from valsweep.transform import Branch, TransformState, branch_steps, run_sequence
+from valsweep.transform import Branch, TransformState, branch_runs, branch_steps, run_sequence
 from valsweep.valuation import ValuationError, ValueElement
 
 TAU7 = tau_from_a(7)
@@ -147,10 +147,14 @@ class TestStateValidation:
 
 
 def run_end(tau, k):
-    """A from `branch_steps` at I on tau at the end of run k, after the
-    partial quotients a_0, ..., a_k of tau."""
-    steps = sum(itertools.islice(_quotient_stream(tau), k + 1))
-    return list(itertools.islice(branch_steps(((1, 0), (0, 1)), tau), steps))[-1][1]
+    """A from `branch_runs` at I on tau at the end of run k, after the
+    partial quotients a_0, ..., a_k of tau; `branch_steps` reaches it at
+    step a_0 + ... + a_k."""
+    runs = list(itertools.islice(branch_runs(((1, 0), (0, 1)), tau), k + 1))
+    assert [j for j, _, _ in runs] == list(range(k + 1))
+    steps = sum(run for _, run, _ in runs)
+    assert list(itertools.islice(branch_steps(((1, 0), (0, 1)), tau), steps))[-1][1] == runs[-1][2]
+    return runs[-1][2]
 
 
 def assert_run_end_matches_oracle(tau, k):
@@ -165,7 +169,7 @@ def assert_run_end_matches_oracle(tau, k):
 
 class TestConvergentParameters:
     """The oracle `convergent_parameters` against the ends of the runs of
-    `branch_steps`."""
+    `branch_runs`."""
 
     def test_a7_p2(self):
         m = convergent_parameters(TAU7, 2)
