@@ -39,9 +39,10 @@ class UsageError(ValueError):
 
 # Matrix entries grow linearly in the step count, so time and stdout grow
 # about quadratically: `counterexample --q 11 --p 13` at the cap takes
-# about 7.5 s and 285 MB peak RSS end to end (os.wait4 on a 2-CPU x86-64
-# host, CPython 3.11) and prints 205 MB; the command takes about 0.3 s of
-# it, and nearly all the rest goes to converting the entries to decimal.
+# 6.4-6.9 s and 283 MB peak RSS end to end (os.wait4 on a 2-CPU x86-64
+# host, CPython 3.11.7, stdout to a file) and prints 205 MB; the command
+# takes 0.28-0.32 s of it (timing_ms), and nearly all the rest goes to
+# converting the entries to decimal.
 STEPS_MAX = 20_000
 
 
@@ -218,11 +219,11 @@ def _value_json(v) -> dict[str, int]:
 
 
 def cmd_tau(args) -> Report:
-    from .qfield import tau_from_a
+    from .qfield import _quotient_stream, tau_from_a
     tau = tau_from_a(args.a)
     res = {"tau": tau._asdict(),
            "satisfies": f"t^2 - {args.a}*t - {args.a} = 0",
-           "floor": tau.floor()}
+           "floor": next(_quotient_stream(tau))}
     return Report("tau", {"a": args.a}, res, "Verified")
 
 

@@ -122,12 +122,11 @@ def build(config: InstanceConfig) -> Instance:
         v_corr = (ct + m - co, dt + n - do)
         charts.append(ChartCorrections(chart, u_corr, v_corr))
     tau = tau_from_a(q - 4)
-    epsilon = tau - (q - 4)
-    if not (epsilon.sign() > 0 and (epsilon - 1).sign() < 0):
-        raise CertificationError("epsilon outside (0, 1)")
-
     val_u = ValueElement.make(0, 1, 1, tau)  # value tau = q - 4 + epsilon > 0
     val_v = ValueElement.make(1, 0, 1, tau)  # value 1; make refuses a rational tau
+    epsilon = ValueElement.make(4 - q, 1, 1, tau)
+    if not (epsilon.sign() > 0 and (val_v - epsilon).sign() > 0):
+        raise CertificationError("epsilon outside (0, 1)")
 
     branches = []
     for name, order, e in zip(("nu1", "nu2"), (q, p), (e1, e2)):
@@ -155,7 +154,7 @@ def build(config: InstanceConfig) -> Instance:
                                      f"{action.order}, expected {order} on {name}")
         branches.append(BranchData(name, order, a, (x1, y1), action, below_ring_regularity(a)))
 
-    return Instance(config, tau, epsilon, tuple(branches), charts)
+    return Instance(config, tau, epsilon.as_quadext(), tuple(branches), charts)
 
 
 class StepRecord(NamedTuple):
@@ -188,7 +187,7 @@ def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> Sw
     for branch in instance.branches:
         vx, vy = branch.chart_values  # certified positive by build
         walk = [branch.matrix, *(current for _, current in islice(
-            branch_steps(branch.matrix, vx.as_quadext() / vy.as_quadext()), steps))]
+            branch_steps(branch.matrix, vx.ratio(vy)), steps))]
         if corrupt_step is not None and branch.name == "nu1":
             walk[corrupt_step] = ((1, 0), (0, 1))
         walks.append(tuple(walk))

@@ -47,7 +47,7 @@ def sign_of(s: int, t: int, d: int) -> int:
 
 
 def _no_order(self, other):
-    raise TypeError(f"{type(self).__name__} has no order; compare by (x - y).sign()")
+    raise TypeError(f"{type(self).__name__} has no tuple order or tuple arithmetic; use sign()")
 
 
 class QuadExt(NamedTuple):
@@ -77,31 +77,12 @@ class QuadExt(NamedTuple):
         return QuadExt(s // g, t // g, r // g, d)
 
     def _coerce(self, other) -> "QuadExt":
-        """other as an element of this field: an int, or an element with the same d."""
-        if isinstance(other, int):
-            return QuadExt._reduce(other, 0, 1, self.d)
+        """other as an element of this field: an element with the same d."""
         if not isinstance(other, QuadExt):
             raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
         if other.d != self.d:
             raise QFieldError(f"mixed radicands {self.d} and {other.d}")
         return other
-
-    def __add__(self, other) -> "QuadExt":
-        o = self._coerce(other)
-        return QuadExt._reduce(self.s * o.r + o.s * self.r,
-                               self.t * o.r + o.t * self.r,
-                               self.r * o.r, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.s, -self.t, self.r, self.d)
-
-    def __sub__(self, other) -> "QuadExt":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "QuadExt":
-        return (-self) + other
 
     def __mul__(self, other) -> "QuadExt":
         o = self._coerce(other)
@@ -109,36 +90,12 @@ class QuadExt(NamedTuple):
                                self.s * o.t + self.t * o.s,
                                self.r * o.r, self.d)
 
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        # 1/((s+t*sqrt(d))/r) = r*(s-t*sqrt(d))/(s^2-t^2 d)
-        norm = self.s * self.s - self.t * self.t * self.d
-        if norm == 0 and self.s == 0 and self.t == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return QuadExt._reduce(self.r * self.s, -self.r * self.t, norm, self.d)
-
-    def __truediv__(self, other) -> "QuadExt":
-        o = self._coerce(other)
-        return self * o.inverse()
-
-    def is_zero(self) -> bool:
-        return self.s == 0 and self.t == 0
-
-    def is_rational(self) -> bool:
-        return self.t == 0
-
     def sign(self) -> int:
         """Exact sign (r > 0 does not affect it)."""
         return sign_of(self.s, self.t, self.d)
 
     __lt__ = __le__ = __gt__ = __ge__ = _no_order  # not the tuple order
-
-    def floor(self) -> int:
-        """Exact floor: s // r, or the first partial quotient when irrational."""
-        if self.t == 0:
-            return self.s // self.r
-        return next(_quotient_stream(self))
+    __add__ = __rmul__ = _no_order  # nor tuple concatenation and repetition
 
     def __repr__(self) -> str:
         return f"({self.s}+{self.t}*sqrt({self.d}))/{self.r}"
@@ -162,7 +119,9 @@ def tau_from_a(a: int) -> QuadExt:
     disc = a * a + 4 * a
     t, d = squarefree_decompose(disc)
     tau = QuadExt._reduce(a, t, 2, d)
-    if not (tau * tau - a * tau - a).is_zero():
+    # r^2 (tau^2 - a*tau - a) = s^2 + t^2 d - a*r*(s + r) + t*(2s - a*r)*sqrt(d)
+    s, t, r, _ = tau
+    if s * s + t * t * d != a * r * (s + r) or 2 * s != a * r:
         raise CertificationError(f"tau = {tau!r} does not satisfy t^2 = {a}*t + {a}")
     return tau
 

@@ -65,7 +65,7 @@ def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
         raise ValuationError("steps must be nonnegative")
     out = [initial]
     vx, vy = initial.param_values
-    for branch, a in islice(branch_steps(initial.a, vx.as_quadext() / vy.as_quadext()), steps):
+    for branch, a in islice(branch_steps(initial.a, vx.ratio(vy)), steps):
         if branch is Branch.DIVIDE_SECOND_INTO_FIRST:
             vx = vx - vy
         else:

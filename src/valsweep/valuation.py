@@ -30,7 +30,7 @@ class ValueElement(NamedTuple):
     def make(i: int, j: int, n: int, tau: QuadExt) -> "ValueElement":
         if n == 0:
             raise ValuationError("zero denominator")
-        if tau.is_rational():
+        if tau.t == 0:
             raise ValuationError("tau must be irrational")
         if n < 0:
             i, j, n = -i, -j, -n
@@ -41,6 +41,17 @@ class ValueElement(NamedTuple):
         t = self.tau
         return QuadExt._reduce(self.i * t.r + self.j * t.s, self.j * t.t,
                                self.n * t.r, t.d)
+
+    def ratio(self, other: "ValueElement") -> QuadExt:
+        """self / other for a nonzero other: as (a + b*sqrt(d))/(n*r) each, the
+        numerator times the conjugate of other's numerator, over its norm."""
+        self._check(other)
+        t = self.tau
+        a1, b1 = self.i * t.r + self.j * t.s, self.j * t.t
+        a2, b2 = other.i * t.r + other.j * t.s, other.j * t.t
+        return QuadExt._reduce(other.n * (a1 * a2 - b1 * b2 * t.d),
+                               other.n * (b1 * a2 - a1 * b2),
+                               self.n * (a2 * a2 - b2 * b2 * t.d), t.d)
 
     def sign(self) -> int:
         t = self.tau  # n > 0 and t.r > 0 leave the sign of the numerator

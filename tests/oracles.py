@@ -22,13 +22,13 @@ the route it checks, so tests compare the two:
   `counterexample.derive_diagonal_action`;
 - `scanned_ramification_minors`, which finds i_1 and j_{p-1} by scanning
   congruences, against the closed form of `quotient.ramification_minors`;
-- `floor_and_invert_quotients`, the partial quotients of a quadratic
-  irrational by exact floor and inversion in the field, against the
-  (P, Q) recurrence of `qfield`;
+- `bracketed_quotients`, the partial quotients of a quadratic irrational
+  that the continued fractions (by sympy) of two rationals bracketing it
+  share, against the (P, Q) recurrence of `qfield`;
 - `convergent_parameters`, the matrix of two consecutive convergents of
-  tau by the three-term recurrence on the floor-and-invert quotients,
-  against the matrix that `transform.branch_runs` reaches from the
-  identity at the end of each run;
+  tau by the three-term recurrence on the bracketed quotients, against
+  the matrix that `transform.branch_runs` reaches from the identity at
+  the end of each run;
 - `value_steps`, the transform sequence with each step decided by the
   exact sign of the difference of the two values, against
   `transform.run_sequence` and `transform.branch_steps`, which read the
@@ -36,6 +36,11 @@ the route it checks, so tests compare the two:
 - `series_value`, the value of a degree-ordered monomial stream cut off
   by a degree bound, against `MonomialValuation.value_of` on finite
   supports.
+
+`exact` gives a `QuadExt` or a `ValueElement` as a sympy number, so tests
+state field facts (tau^2 = a*tau + a, 0 < epsilon < 1, signs, ratios)
+without valsweep's arithmetic.  No oracle imports `valsweep.qfield`; they
+read the s, t, r and d fields of a `QuadExt` they are given.
 
 `matmul` checks the Smith and adjugate certificates without the
 production `toric._matmul`.  `cofactor_det` checks the closed-form 2x2
@@ -47,13 +52,12 @@ compared.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, takewhile
 from math import isqrt, prod
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from valsweep.counterexample import ConfigError
 from valsweep.errors import CertificationError, ValuationError
-from valsweep.qfield import QuadExt
 from valsweep.quotient import DiagonalAction, RamificationWitness
 from valsweep.toric import (SemigroupBasis, ToricError, det_int, dual_cone_2d, primitive,
                             smith_normal_form)
@@ -287,48 +291,60 @@ def scanned_ramification_minors(action: DiagonalAction) -> RamificationWitness:
     return RamificationWitness(p, (0, p - 1 + j_last), (2 * p - 1 - i_1, 0))
 
 
-def sign_corrected_floor(x: QuadExt) -> int:
-    """Exact floor of x, via an isqrt estimate corrected by sign tests."""
-    if x.t == 0:
-        return x.s // x.r
-    root = isqrt(x.t * x.t * x.d)  # |t|*sqrt(d) rounded down
-    approx = root if x.t > 0 else -(root + 1)
-    n = (x.s + approx) // x.r
-    while (x - (n + 1)).sign() >= 0:
-        n += 1
-    while (x - n).sign() < 0:
-        n -= 1
-    return n
+def exact(x):
+    """x as an exact sympy number: (s + t*sqrt(d))/r for a QuadExt, and
+    (i + j*tau)/n for a ValueElement."""
+    import sympy  # here, not at the top: subprocess tests import the test modules
+    if isinstance(x, ValueElement):
+        return (x.i + x.j * exact(x.tau)) / sympy.Integer(x.n)
+    return (x.s + x.t * sympy.sqrt(x.d)) / sympy.Integer(x.r)
 
 
-def floor_and_invert_quotients(x: QuadExt) -> Iterator[int]:
-    """The partial quotients of x by exact floor-and-invert, lazily."""
+def bracketed_quotients(x, count: int) -> list[int]:
+    """The first `count` partial quotients of an irrational QuadExt
+    x = (s + t*sqrt(d))/r, r > 0.  For M a power of 2 and R = isqrt(t^2 d M^2),
+    |t|*sqrt(d)*M lies strictly between R and R + 1, as d is no square, which
+    brackets x by two rationals.  A rational whose continued fraction goes on
+    past a_k lies in the open interval of the numbers whose expansions begin
+    a_0, ..., a_k, and so does all between two such: the quotients that the
+    expansions (by sympy, lazily) of both ends share and go on past begin
+    x's.  M is squared until there are `count` of them."""
+    import sympy
+    from sympy.ntheory.continued_fraction import continued_fraction_iterator
+    s, t, r, d = x
+    scale = 1 << 256
     while True:
-        a = sign_corrected_floor(x)
-        yield a
-        x = (x - a).inverse()
+        root = isqrt(t * t * d * scale * scale)
+        ends = (root, root + 1) if t > 0 else (-root - 1, -root)
+        low, high = (continued_fraction_iterator(sympy.Rational(s * scale + e, r * scale))
+                     for e in ends)
+        # count + 1 shared quotients: the first count go on past themselves
+        pairs = takewhile(lambda pair: pair[0] == pair[1], zip(low, high))
+        shared = [int(a) for a, _ in islice(pairs, count + 1)]
+        if len(shared) > count:
+            return shared[:count]
+        scale *= scale
 
 
-def convergent_parameters(tau: QuadExt, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def convergent_parameters(tau, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Parameter exponents from two consecutive convergents f_p/g_p of tau.
 
     Returns M = [[g_p, g_{p-1}], [f_p, f_{p-1}]], the matrix expressing
     (u, v) in the parameters (u_1, v_1) when u has value 1 and v has value
     tau.  Certifies det M = +-1 and that both new parameter values are
-    strictly positive, by exact sign tests.
+    strictly positive, by sympy's exact signs.
     """
     if p < 1:
         raise ValuationError("need p >= 1 so two consecutive convergents exist")
     f0, g0, f1, g1 = 0, 1, 1, 0  # (f, g) at k = -2 and at k = -1
-    for a in islice(floor_and_invert_quotients(tau), p + 1):
+    for a in bracketed_quotients(tau, p + 1):
         f0, g0, f1, g1 = f1, g1, a * f1 + f0, a * g1 + g0
     eps = f0 * g1 - f1 * g0
     if eps not in (-1, 1):
         raise CertificationError(f"consecutive convergents have determinant {eps}, not +-1")
     # values of u_1, v_1 obtained by inverting M against (value u, value v) = (1, tau)
-    u1 = (f0 - g0 * tau) * eps
-    v1 = (g1 * tau - f1) * eps
-    if u1.sign() <= 0 or v1.sign() <= 0:
+    t = exact(tau)
+    if not ((f0 - g0 * t) * eps).is_positive or not ((g1 * t - f1) * eps).is_positive:
         raise CertificationError("convergent parameters produced a nonpositive value")
     return ((g1, g0), (f1, f0))
 
@@ -378,5 +394,11 @@ def series_value(nu: MonomialValuation,
             best = val
     if best is None:
         raise ValuationError("empty stream")
-    # the least integer n > best/small, exactly; small > 0
-    return best, max(last_deg + 1, (best.as_quadext() / small.as_quadext()).floor() + 1)
+    # the least n > last_deg with best < n * small (small > 0): doubling, then bisection
+    low, high = last_deg, last_deg + 1
+    while not best < small.scale(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if best < small.scale(mid) else (mid, high)
+    return best, high

@@ -11,7 +11,7 @@ import random
 import time
 
 from oracles import (adjugate, brute_force_invariants, convergent_parameters,
-                     enumerated_hilbert_basis, is_invariant, matmul, semigroup_contains,
+                     enumerated_hilbert_basis, exact, is_invariant, matmul, semigroup_contains,
                      smith_adjugate, value_steps)
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import InstanceConfig, build, certify_conflict, singularity_sweep
@@ -65,8 +65,8 @@ def test_criterion_3_epsilon_window(capsys):
     for q in range(5, 51):
         if not is_prime(q):
             continue
-        eps = tau_from_a(q - 4) - (q - 4)
-        ok = ok and eps.sign() > 0 and (eps - 1).sign() < 0
+        eps = exact(tau_from_a(q - 4)) - (q - 4)
+        ok = ok and bool(0 < eps < 1)
     with capsys.disabled():
         report(3, ok, "epsilon in (0,1) exactly for every prime 5 <= q <= 50")
 

@@ -923,6 +923,15 @@ class TestPackage:
         assert proc.returncode == EXIT_FALSIFIED, proc.stderr
         assert json.loads(proc.stdout)["verdict"] == "Falsified"
 
+    def test_python_floor_has_the_digit_limit(self):
+        # `convergents` calls sys.get_int_max_str_digits(), which CPython has
+        # from 3.10.7 on, so the package and the README require that release
+        root = Path(__file__).resolve().parents[1]
+        pyproject = (root / "pyproject.toml").read_text()
+        assert re.findall(r'^requires-python = "(.*)"$', pyproject, re.M) == [">=3.10.7"]
+        assert "Requires Python 3.10.7+." in (root / "README.md").read_text()
+        assert callable(sys.get_int_max_str_digits)
+
     def test_error_classes_have_one_home(self):
         from valsweep import errors, quotient, transform, valuation
         assert qfield.QFieldError is errors.QFieldError

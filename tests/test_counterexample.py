@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import adjugate_diagonal_action
+from oracles import adjugate_diagonal_action, exact
 import valsweep
-from valsweep import counterexample, toric, transform
+from valsweep import counterexample, toric, transform, valuation
 from valsweep.cli import EXIT_CERTIFICATE, main
 from valsweep.counterexample import (CertificationError, ConfigError, Falsified,
                                      InstanceConfig, SweepReport, build, certify_conflict,
@@ -79,17 +79,14 @@ class TestBuild:
 
     def test_epsilon_in_unit_interval(self):
         inst = build(InstanceConfig(q=11, p=13))
-        assert inst.epsilon.sign() > 0
-        assert (inst.epsilon - 1).sign() < 0
+        assert 0 < exact(inst.epsilon) < 1
+        assert (exact(inst.epsilon) - (exact(inst.tau) - 7)).expand() == 0
 
     def test_epsilon_window_all_primes(self):
         for q in range(5, 51):
             if not is_prime(q):
                 continue
-            from valsweep.qfield import tau_from_a
-            tau = tau_from_a(q - 4)
-            eps = tau - (q - 4)
-            assert eps.sign() > 0 and (eps - 1).sign() < 0
+            assert 0 < exact(tau_from_a(q - 4)) - (q - 4) < 1
 
     def test_defining_relations_hold(self):
         # x1 + z = v and 2 z - v = y1 at value level, checked in build
@@ -405,7 +402,11 @@ class TestRecordsAreJudged:
 # through `mp` (a pytest.MonkeyPatch).
 
 def epsilon_past_one(mp):
-    mp.setattr(counterexample, "tau_from_a", lambda a: tau_from_a(a) + 1)
+    def tau_plus_one(a):
+        tau = tau_from_a(a)
+        return tau._replace(s=tau.s + tau.r)  # (s + r + t*sqrt(d))/r
+
+    mp.setattr(counterexample, "tau_from_a", tau_plus_one)
 
 
 def window_unchecked(mp):
@@ -471,6 +472,19 @@ def run_1_one_step_short(mp):
     mp.setattr(transform, "branch_runs", runs)
 
 
+def ratio_off_canonical(mp):
+    """`ValueElement.ratio` hands the sweep nu1's ratio with s, t and r
+    doubled: the same number, but not the canonical form that the rewrite
+    certificate of `_quotient_stream` reproduces."""
+    real = valuation.ValueElement.ratio
+
+    def doubled(self, other):
+        x = real(self, other)
+        return x._replace(s=2 * x.s, t=2 * x.t, r=2 * x.r)
+
+    mp.setattr(valuation.ValueElement, "ratio", doubled)
+
+
 def rows_swapped(matrix):
     """Singular with |det| the order, but not a successor of its predecessor."""
     return matrix[1], matrix[0]
@@ -524,6 +538,8 @@ CERTIFICATE_FAULTS = [
      "sweep record 36 is not nu2 step 10"),
     # `branch_steps` certifies each run before the sweep takes its steps
     (run_1_one_step_short, (11, 13, 3, 3), "run 1 is not one shear of the matrix before it"),
+    # `_quotient_stream` certifies its rewrite of the sweep's ratio
+    (ratio_off_canonical, (11, 13, 3, 3), "(-14+2*sqrt(77))/28 != (-392 + 56*sqrt(77))/784"),
 ]
 
 

@@ -267,7 +267,7 @@ class TestSteppedStatesValidate:
 def branch_ratio(branch):
     """x = v(first)/v(second) for the chart values of a branch."""
     vx, vy = branch.chart_values
-    return vx.as_quadext() / vy.as_quadext()
+    return vx.ratio(vy)
 
 
 class TestStepsAlongQuotientRuns:

@@ -6,10 +6,12 @@ from itertools import islice
 
 import pytest
 
+from oracles import exact
 from valsweep.counterexample import InstanceConfig, build
 from valsweep.qfield import _quotient_stream, squarefree_decompose, tau_from_a
 from valsweep.quotient import is_prime
 from valsweep.toric import smith_normal_form
+from valsweep.valuation import ValueElement
 
 
 def test_smith_invariants_match_sympy():
@@ -39,8 +41,8 @@ def test_partial_quotients_match_sympy():
 
 def test_branch_ratio_quotients_match_sympy():
     # the sweep steps along these quotients; q <= 19 keeps the test near 1 s
-    pytest.importorskip("sympy")
-    from sympy.ntheory.continued_fraction import continued_fraction_periodic
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.continued_fraction import continued_fraction
 
     pairs = [(q, p) for q in range(5, 20) if is_prime(q)
              for p in range(q + 1, 2 * q - 4) if is_prime(p)]
@@ -48,8 +50,10 @@ def test_branch_ratio_quotients_match_sympy():
     for q, p in pairs:
         for branch in build(InstanceConfig(q, p, p - q + 1, p - q + 1)).branches:
             vx, vy = branch.chart_values
-            x = vx.as_quadext() / vy.as_quadext()  # (s + t sqrt d) / r
-            terms = continued_fraction_periodic(x.s, x.r, x.d, x.t)
+            x = vx.ratio(vy)  # (s + t sqrt d) / r
+            ratio = sympy.radsimp(exact(vx) / exact(vy))
+            assert sympy.expand(exact(x) - ratio) == 0, (q, p, branch.name)
+            terms = continued_fraction(ratio)
             prefix, period = ((terms[:-1], terms[-1]) if isinstance(terms[-1], list)
                               else (terms, []))
             expected = (prefix + period * 300)[:300]
@@ -106,11 +110,15 @@ def test_nu1_closed_forms_hold_for_every_q():
     for prime in (n for n in range(5, 50) if is_prime(n)):
         (a0, b0), (c0, d0) = nu1_matrix(prime)
         assert InstanceConfig(prime, prime + 2).chart_exponents()[0] == (a0, b0, c0, d0)
-        x1, y1 = nu1_chart_values(prime, tau_from_a(prime - 4))
-        assert list(islice(_quotient_stream(x1 / y1), 41)) == [0] + [prime - 4, 1] * 20
+        tau = tau_from_a(prime - 4)
+        x1 = ValueElement.make(prime - 2, -1, prime, tau)
+        y1 = ValueElement.make(4 - prime, 2, prime, tau)
+        closed = nu1_chart_values(prime, exact(tau))
+        assert [sympy.expand(exact(v) - c) for v, c in zip((x1, y1), closed)] == [0, 0]
+        assert list(islice(_quotient_stream(x1.ratio(y1)), 41)) == [0] + [prime - 4, 1] * 20
         partners = [p for p in range(prime + 1, 2 * prime - 4) if is_prime(p)]
         if partners:  # build needs an admissible pair; q = 5 and 7 have none
             m = partners[0] - prime + 1
             nu1 = build(InstanceConfig(prime, partners[0], m, m)).branches[0]
             assert nu1.matrix == nu1_matrix(prime)
-            assert tuple(v.as_quadext() for v in nu1.chart_values) == (x1, y1)
+            assert nu1.chart_values == (x1, y1)

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import series_value
-from valsweep.qfield import tau_from_a
+from oracles import exact, series_value
+from valsweep.qfield import QuadExt, tau_from_a
 from valsweep.valuation import (MonomialValuation, NotASubgroupError,
                                 ValuationError, ValueElement, group_index)
 
@@ -36,7 +36,7 @@ class TestValueElementInputChecks:
 
     def test_rational_tau_rejected(self):
         with pytest.raises(ValuationError, match="^tau must be irrational$"):
-            ValueElement.make(0, 1, 1, TAU7 - TAU7 + 3)
+            ValueElement.make(0, 1, 1, QuadExt(3, 0, 1, 77))
 
     @pytest.mark.parametrize("combine", [lambda v: v + (0, 1, 1, TAU7),
                                          lambda v: v - (0, 1, 1, TAU7),
@@ -52,11 +52,11 @@ class TestValueElementInputChecks:
 
 
 class TestOrder:
-    """QuadExt has no order, and ValueElement has only <: either type, a
-    NamedTuple, would otherwise compare as a tuple (tau > 5 read False).
-    Each removed operator names its type and the way to compare."""
+    """QuadExt has no order and no +, and ValueElement has only <: either
+    type, a NamedTuple, would otherwise compare as a tuple (tau > 5 read
+    False) or concatenate.  Each removed operator names its type and sign()."""
 
-    ORDERLESS = {"QuadExt": (TAU7, TAU7 - 1, ("lt", "le", "gt", "ge")),
+    ORDERLESS = {"QuadExt": (TAU7, QuadExt(5, 1, 2, 77), ("lt", "le", "gt", "ge", "add")),
                  "ValueElement": (ve(0, 1, 1), ve(1, 0, 1), ("le", "gt", "ge"))}
 
     @pytest.mark.parametrize("kind, op", [(kind, op) for kind, (*_, ops) in ORDERLESS.items()
@@ -66,13 +66,17 @@ class TestOrder:
         for other in (y, 5):
             with pytest.raises(TypeError) as exc:
                 getattr(operator, op)(x, other)
-            assert str(exc.value) == f"{kind} has no order; compare by (x - y).sign()"
+            assert str(exc.value) == f"{kind} has no tuple order or tuple arithmetic; use sign()"
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), *[st.integers(-10 ** 6, 10 ** 6)] * 4, *[st.integers(1, 99)] * 2)
+    @example(6, 5, 5, 1, 1, 5, 1)  # (5 + 5 tau)/5 = 1 + tau, which mpmath may round below it
     def test_lt_matches_mpmath(self, a, i1, j1, i2, j2, n1, n2):
         tau = tau_from_a(a)
         x, y = ve(i1, j1, n1, tau), ve(i2, j2, n2, tau)
+        if i1 * n2 == i2 * n1 and j1 * n2 == j2 * n1:  # equal values, as tau is irrational
+            assert not x < y and not y < x
+            return
         with mpmath.workdps(60):
             mp_tau = (tau.s + tau.t * mpmath.sqrt(tau.d)) / tau.r
             assert (x < y) == ((i1 + j1 * mp_tau) / n1 < (i2 + j2 * mp_tau) / n2)
@@ -118,6 +122,16 @@ class TestValueElement:
                 x * other
             with pytest.raises(TypeError):
                 other * x
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), *[st.integers(-50, 50)] * 4, *[st.integers(1, 20)] * 2)
+    def test_ratio_matches_sympy(self, a, i1, j1, i2, j2, n1, n2):
+        assume((i2, j2) != (0, 0))
+        tau = tau_from_a(a)
+        x, y = ve(i1, j1, n1, tau), ve(i2, j2, n2, tau)
+        ratio = x.ratio(y)
+        assert QuadExt.make(*ratio) == ratio  # canonical
+        assert (exact(ratio) * exact(y) - exact(x)).expand() == 0
 
     def test_sign_matches_quadext(self):
         for i, j, n in itertools.product(range(-9, 10), range(-9, 10), (1, 2, 7)):
