@@ -32,9 +32,9 @@ print("determinants seen:", sorted({r.det for r in records}))
 print("\nlocal fundamental group orders:", orders)
 print("conflict certified:", orders["nu1"] != orders["nu2"])
 
-# the falsification channel: step 3 of nu1 replaced by the identity
+# the falsification channel: the judge records the identity at step 3 of nu1
 try:
-    certify_conflict(singularity_sweep(instance, corrupt_step=3))
+    certify_conflict(sweep, corrupt_step=3)
 except Falsified as exc:
     print("corrupted sweep falsified:", exc)
     print("regular records:", [(r.branch, r.step) for r in exc.records if r.regular])

@@ -3,14 +3,16 @@
 Each subcommand takes only its own flags, runs the computation and prints
 one report on stdout (JSON is the canonical form; text is a projection of
 the same payload).  Timing goes to stderr so identical invocations produce
-byte-identical stdout.  Exit codes: 0 success, 1 usage or config error, 2
-falsified (a certified sweep record holds a regular ring below), 3 a failed
-certificate, a sweep's |det| drift included (a defect in valsweep, not the input).
+byte-identical stdout.  Exit codes: 0 success, 1 usage or config error or a
+stdout that cannot take the report, 2 falsified (a certified sweep record holds
+a regular ring below), 3 a failed certificate, a sweep's |det| drift included
+(a defect in valsweep, not the input).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import time
@@ -214,10 +216,6 @@ def parse_matrix(text: str) -> list[list[int]]:
     return [entries[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _value_json(v) -> dict[str, int]:
-    return {"i": v.i, "j": v.j, "n": v.n}
-
-
 def cmd_tau(args) -> Report:
     from .qfield import _quotient_stream, tau_from_a
     tau = tau_from_a(args.a)
@@ -265,8 +263,9 @@ def cmd_value(args) -> Report:
     support = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
     tau = tau_from_a(args.a)
     val = MonomialValuation(ValueElement.make(0, 1, 1, tau), ValueElement.make(1, 0, 1, tau))
-    res_val = val.value_of(support)
-    res = {"support": Records(_PAIR, sorted(support)), "value": _value_json(res_val)}
+    value = val.value_of(support)
+    res = {"support": Records(_PAIR, sorted(support)),
+           "value": {"i": value.i, "j": value.j, "n": value.n}}
     return Report("value", {"a": args.a, "matrix": args.matrix}, res, "Verified")
 
 
@@ -358,7 +357,7 @@ def cmd_counterexample(args) -> Report:
     from . import counterexample as cx
     given = {k: getattr(args, k) for k in ("m", "n", "steps") if getattr(args, k) is not None}
     instance = cx.build(cx.InstanceConfig(args.q, args.p, **given))
-    sweep = cx.singularity_sweep(instance, args.corrupt_step)
+    sweep = cx.singularity_sweep(instance)
     inputs = instance.config._asdict()
     results: dict[str, Any] = {
         "tau": instance.tau._asdict(),
@@ -367,7 +366,7 @@ def cmd_counterexample(args) -> Report:
                     "v_correction": list(c.v_correction)} for c in instance.charts],
     }
     try:
-        records, orders = cx.certify_conflict(sweep)
+        records, orders = cx.certify_conflict(sweep, args.corrupt_step)
     except Falsified as exc:
         return Report("counterexample", inputs, {**results, "steps": _step_records(exc.records),
                                                  "falsification": str(exc)}, "Falsified")
@@ -447,12 +446,27 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**{**dict.fromkeys(_FLAGS), "format": "json", **values}, command=command)
 
 
+def _emit(texts: list[str], code: int, note: str = "") -> int:
+    """Write texts to stdout, then note to stderr, and return code; or return 1 if
+    stdout cannot take them, naming any error but a broken pipe, with fd 1 moved to
+    os.devnull so the final flush cannot fail again (the `signal` docs' SIGPIPE idiom)."""
+    try:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the report: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stderr.write(note)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
-            sys.stdout.write(_help())
-            return EXIT_OK
+            return _emit([_help()], EXIT_OK)
         steps = args.steps  # the step cap, before any work
         if steps is not None and steps > STEPS_MAX:
             raise ConfigError(f"steps <= {STEPS_MAX}", f"--steps {steps} exceeds the step cap")
@@ -472,12 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"error: certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    write = sys.stdout.write
-    for block in blocks:
-        write(block)
-    write("\n")
-    print(f"timing_ms: {elapsed_ms:.1f}", file=sys.stderr)
-    return EXIT_FALSIFIED if report.verdict == "Falsified" else EXIT_OK
+    blocks.append("\n")
+    return _emit(blocks, EXIT_FALSIFIED if report.verdict == "Falsified" else EXIT_OK,
+                 f"timing_ms: {elapsed_ms:.1f}\n")
 
 
 if __name__ == "__main__":

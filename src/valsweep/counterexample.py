@@ -168,30 +168,22 @@ class StepRecord(NamedTuple):
 
 class SweepReport(NamedTuple):
     """Each branch's walk of `instance`, its matrices at steps 0..config.steps,
-    nu1 then nu2, and nu1's corrupted step or None.  It states no verdict."""
+    nu1 then nu2.  It states no verdict."""
 
     instance: Instance
     walks: tuple[tuple[Matrix2, ...], ...]
-    corrupt_step: int | None
 
 
-def singularity_sweep(instance: Instance, corrupt_step: int | None = None) -> SweepReport:
+def singularity_sweep(instance: Instance) -> SweepReport:
     """The transform sweep's matrices at steps 0..config.steps of each branch;
-    it judges none.  `corrupt_step`, in 0..config.steps, puts the identity at
-    that step of nu1 so the falsification channel itself can be exercised."""
+    it judges none."""
     steps = instance.config.steps  # checked nonnegative by build
-    if corrupt_step is not None and not 0 <= corrupt_step <= steps:
-        raise ConfigError("0 <= corrupt-step <= steps", f"--corrupt-step {corrupt_step} "
-                          f"is outside the swept steps 0..{steps}")
     walks = []
     for branch in instance.branches:
         vx, vy = branch.chart_values  # certified positive by build
-        walk = [branch.matrix, *(current for _, current in islice(
-            branch_steps(branch.matrix, vx.ratio(vy)), steps))]
-        if corrupt_step is not None and branch.name == "nu1":
-            walk[corrupt_step] = ((1, 0), (0, 1))
-        walks.append(tuple(walk))
-    return SweepReport(instance, tuple(walks), corrupt_step)
+        walks.append((branch.matrix, *(current for _, current in islice(
+            branch_steps(branch.matrix, vx.ratio(vy)), steps))))
+    return SweepReport(instance, tuple(walks))
 
 
 def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
@@ -212,26 +204,30 @@ def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     return DiagonalAction(d, sign * form.v[0][1] % d, sign * form.v[1][1] % d)
 
 
-def certify_conflict(sweep: SweepReport) -> tuple[tuple[StepRecord, ...], dict[str, int]]:
+def certify_conflict(sweep: SweepReport, corrupt_step: int | None = None
+                     ) -> tuple[tuple[StepRecord, ...], dict[str, int]]:
     """The judged records of a finished sweep and the certified fundamental-group
     orders {"nu1": q, "nu2": p}.
 
     Each branch's pi1 order, by the Smith form (action) and by Hirzebruch-Jung
     (verdict: 1 if Regular, else |det|), must be its prime, and q != p: no single
     normal local ring lies below both.  The sweep must hold two walks of
-    config.steps + 1 matrices.  Step 0 that is the branch matrix carries the
-    verdict `build` took of it, and a later matrix that is prev or exactly prev*E,
-    with E = [[1,1],[0,1]] or [[1,0],[1,1]], carries the previous verdict: E has
+    config.steps + 1 matrices.  Step 0 must be the branch matrix, which carries
+    the verdict `build` took of it, and every later matrix must be exactly prev*E,
+    with E = [[1,1],[0,1]] or [[1,0],[1,1]], and carries the previous verdict: E has
     determinant 1, so det is unchanged; each row r goes to r*E with the same
     content, so the primitive determinant is unchanged; and the dual cone of the
     new rows is the image of the old one under the lattice automorphism E^-1, so
-    its Hilbert basis has the same size.  `below_ring_regularity` judges any other
-    matrix, which fails the certificate, as does one the layers refuse, unless it
-    is the sweep's corrupted step of nu1 or the next and, if Singular, has |det|
-    the order (as the check above pins for step 0).  After every record is
-    checked, the first Regular one raises `Falsified`, carrying the records."""
+    its Hilbert basis has the same size.  Any other matrix fails the certificate.
+    To probe the falsification channel, nu1's checked matrix at `corrupt_step`
+    (0..config.steps) is recorded as the identity, judged by `below_ring_regularity`.
+    After every record is checked, the first Regular one raises `Falsified`."""
     instance = sweep.instance
-    span = instance.config.steps + 1
+    steps = instance.config.steps
+    if corrupt_step is not None and not 0 <= corrupt_step <= steps:
+        raise ConfigError("0 <= corrupt-step <= steps", f"--corrupt-step {corrupt_step} "
+                          f"is outside the swept steps 0..{steps}")
+    span = steps + 1
     if len(sweep.walks) != 2 or any(len(walk) != span for walk in sweep.walks):
         raise CertificationError(f"sweep walks hold {[len(walk) for walk in sweep.walks]} "
                                  f"matrices, expected two walks of {span}")
@@ -245,25 +241,21 @@ def certify_conflict(sweep: SweepReport) -> tuple[tuple[StepRecord, ...], dict[s
         orders[branch.name] = smith
     if orders["nu1"] == orders["nu2"]:
         raise CertificationError("branch orders coincide; no obstruction")
-    corrupt = sweep.corrupt_step
-    for index, (branch, walk) in enumerate(zip(instance.branches, sweep.walks)):
-        name, prev, verdict = branch.name, branch.matrix, branch.verdict
-        declared = (corrupt, corrupt + 1) if corrupt is not None and name == "nu1" else ()
+    for branch, walk in zip(instance.branches, sweep.walks):
+        name, prev = branch.name, branch.matrix
+        probe = corrupt_step if name == "nu1" else None
         for step, matrix in enumerate(walk):
-            successor = _one_shear(prev, 0, 1, matrix) or _one_shear(prev, 1, 1, matrix)
-            if matrix != prev and (step == 0 or not successor):
-                wrong = f"sweep record {index * span + step} is not {name} step {step}"
-                try:
-                    verdict = below_ring_regularity(matrix)
-                except ValueError as exc:  # a layer's input error: the sweep's defect here
-                    raise CertificationError(f"{wrong}: {exc}") from None
-                if step not in declared or not verdict.regular and abs(verdict.det) != branch.order:
-                    raise CertificationError(wrong)
+            if not (matrix == prev if step == 0
+                    else _one_shear(prev, 0, 1, matrix) or _one_shear(prev, 1, 1, matrix)):
+                raise CertificationError(f"sweep record {len(records)} is not {name} step {step}")
+            verdict, prev = branch.verdict, matrix
+            if step == probe:
+                matrix = ((1, 0), (0, 1))
+                verdict = below_ring_regularity(matrix)
             regular, dim, det = verdict
             records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             if regular:
                 falsification = falsification or f"branch {name} step {step}: ring below is regular"
-            prev = matrix
     if falsification is not None:
         raise Falsified(falsification, tuple(records))
     return tuple(records), orders

@@ -46,6 +46,8 @@ class ValueElement(NamedTuple):
         """self / other for a nonzero other: as (a + b*sqrt(d))/(n*r) each, the
         numerator times the conjugate of other's numerator, over its norm."""
         self._check(other)
+        if other.i == other.j == 0:
+            raise ValuationError("division by a zero value")
         t = self.tau
         a1, b1 = self.i * t.r + self.j * t.s, self.j * t.t
         a2, b2 = other.i * t.r + other.j * t.s, other.j * t.t
@@ -135,13 +137,7 @@ class MonomialValuation:
 
     def value_of(self, support: Iterable[Monomial]) -> ValueElement:
         """min over the support; unique attainment is guaranteed."""
-        pairs = check_support(support)
-        best = None
-        for e_u, e_v in pairs:
-            val = self.monomial_value(e_u, e_v)
-            if best is None or val < best:
-                best = val
-        return best
+        return min(self.monomial_value(e_u, e_v) for e_u, e_v in check_support(support))
 
 
 def group_index(sub_gens: tuple[ValueElement, ValueElement],

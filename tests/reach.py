@@ -39,7 +39,8 @@ GUARD = "a guard on a public entry's arguments"
 BENCH = "a name that bench/ imports or wraps"
 JSON_CONTRACT = "the renderer's JSON contract (TestJsonWriter)"
 MAIN = "the __main__ entry, which TestPackage spawns"
-REASONS = (MESSAGE, GUARD, BENCH, JSON_CONTRACT, MAIN)
+STDOUT = "a failed write to stdout, which the in-process replay cannot produce"
+REASONS = (MESSAGE, GUARD, BENCH, JSON_CONTRACT, MAIN, STDOUT)
 
 # One entry per unrun statement, or per function that no argv calls.
 ALLOWED: dict[str, str] = {
@@ -62,6 +63,7 @@ ALLOWED: dict[str, str] = {
     'toric:below_ring_regularity: raise ToricError("expected a 2x2 matrix")': GUARD,
     'valuation:ValueElement.make: raise ValuationError("zero denominator")': GUARD,
     'valuation:ValueElement.make: raise ValuationError("tau must be irrational")': GUARD,
+    'valuation:ValueElement.ratio: raise ValuationError("division by a zero value")': GUARD,
     "valuation:ValueElement.make: i, j, n = -i, -j, -n": GUARD,
     "valuation:ValueElement._check: raise TypeError(": GUARD,
     "valuation:ValueElement._check: raise ValuationError(": GUARD,
@@ -81,6 +83,7 @@ ALLOWED: dict[str, str] = {
     "cli:Report.render.slot: raise TypeError(": JSON_CONTRACT,
     "cli:Report.render.slot: return []": JSON_CONTRACT,
     "cli:<module>: raise SystemExit(main())": MAIN,
+    "cli:_emit": STDOUT,
 }
 
 

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import io
 import json
 import os
@@ -996,6 +997,47 @@ class TestPackage:
             lines = [node.lineno for node in ast.walk(tree)
                      if isinstance(node, ast.Name) and node.id == "__debug__"]
             assert lines == [], f"{path.name}: __debug__ at lines {lines}"
+
+
+# Help, a small report that reaches stdout only at the flush, and a large one
+# written in blocks.
+UNWRITABLE = [["--help"], ["tau", "--a", "7"],
+              ["counterexample", "--q", "11", "--p", "13", "--steps", "1000"]]
+INTERPRETERS = pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+UNWRITABLE_ARGV = pytest.mark.parametrize("argv", UNWRITABLE, ids=lambda argv: argv[0])
+
+
+def spawn_into(stdout, flags, argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *flags, "-m", "valsweep.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          text=True, timeout=60)
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot take the report exits 1 without a traceback: a
+    broken pipe prints nothing, and any other write error one line.  Each
+    stderr is compared whole, so no `Traceback` or `Exception ignored` line
+    can pass, the interpreter's final flush included."""
+
+    @INTERPRETERS
+    @UNWRITABLE_ARGV
+    def test_reader_gone(self, argv, flags):
+        read, write = os.pipe()
+        os.close(read)  # before the child starts, so its first write fails
+        try:
+            proc = spawn_into(write, flags, argv)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @INTERPRETERS
+    @UNWRITABLE_ARGV
+    def test_device_full(self, argv, flags):
+        with open("/dev/full", "w") as full:
+            proc = spawn_into(full, flags, argv)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_USAGE, f"error: cannot write the report: {os.strerror(errno.ENOSPC)}\n")
 
 
 FLAGS = ["--q", "--p", "--m", "--n", "--steps", "--a", "--b", "--order", "--corrupt-step"]

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 import io
 import itertools
 import os
@@ -170,16 +171,17 @@ class TestSweep:
 
     def test_falsification_injection(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
-        report = singularity_sweep(inst, corrupt_step=3)
+        report = singularity_sweep(inst)
         with pytest.raises(Falsified) as exc:
-            certify_conflict(report)
+            certify_conflict(report, corrupt_step=3)
         assert str(exc.value) == "branch nu1 step 3: ring below is regular"
 
     @pytest.mark.parametrize("step", [-1, 6])
     def test_corrupt_step_outside_sweep_rejected(self, step):
         # the library keeps the range the CLI reports: steps 0..config.steps
         with pytest.raises(ConfigError) as exc:
-            singularity_sweep(build(InstanceConfig(q=11, p=13, steps=5)), corrupt_step=step)
+            certify_conflict(singularity_sweep(build(InstanceConfig(q=11, p=13, steps=5))),
+                             corrupt_step=step)
         assert (exc.value.constraint, str(exc.value)) == (
             "0 <= corrupt-step <= steps", f"--corrupt-step {step} is outside the swept steps 0..5")
 
@@ -215,9 +217,9 @@ class TestContradiction:
 
     def test_certify_conflict_rejects_falsified_sweep(self):
         inst = build(InstanceConfig(q=11, p=13, steps=5))
-        sweep = singularity_sweep(inst, corrupt_step=3)
+        sweep = singularity_sweep(inst)
         with pytest.raises(Falsified) as exc:
-            certify_conflict(sweep)
+            certify_conflict(sweep, corrupt_step=3)
         assert str(exc.value) == "branch nu1 step 3: ring below is regular"
 
     def test_certify_conflict_reads_build_and_calls_no_toric(self, monkeypatch):
@@ -248,7 +250,7 @@ class TestContradiction:
 
 # Sweeps whose walks are not their instance's: (the sweep's maker, the CertificationError's message)
 def no_records():
-    return SweepReport(build(InstanceConfig(17, 23, 7, 7, 0)), (), None)
+    return SweepReport(build(InstanceConfig(17, 23, 7, 7, 0)), ())
 
 
 def another_instances_records():
@@ -277,18 +279,20 @@ FOREIGN_SWEEPS = [(no_records, "sweep walks hold [] matrices, expected two walks
 
 class TestSweepCarriesItsInstance:
     def test_one_argument_and_no_defaults(self):
-        assert SweepReport._fields == ("instance", "walks", "corrupt_step")
+        # the witness holds only walks: the judge takes the probe step itself
+        assert SweepReport._fields == ("instance", "walks")
         assert SweepReport._field_defaults == {}
         with pytest.raises(TypeError):
             SweepReport(())
         inst = build(InstanceConfig(11, 13, 3, 3, 5))
         with pytest.raises(TypeError):
-            SweepReport(inst, singularity_sweep(inst).walks)
+            SweepReport(inst, singularity_sweep(inst).walks, 4)
         assert singularity_sweep(inst).instance is inst
-        assert singularity_sweep(inst).corrupt_step is None
-        assert singularity_sweep(inst, corrupt_step=4).corrupt_step == 4
         with pytest.raises(TypeError):
-            certify_conflict(inst, singularity_sweep(inst))
+            singularity_sweep(inst, 4)
+        assert list(inspect.signature(singularity_sweep).parameters) == ["instance"]
+        assert list(inspect.signature(certify_conflict).parameters) == ["sweep", "corrupt_step"]
+        assert inspect.signature(certify_conflict).parameters["corrupt_step"].default is None
 
     @pytest.mark.parametrize("foreign, message", FOREIGN_SWEEPS,
                              ids=[foreign.__name__ for foreign, _ in FOREIGN_SWEEPS])
@@ -330,19 +334,17 @@ def column_1_doubled(matrix):
 
 
 def regular_in_the_middle():
-    """(message, records) of a clean (11, 13) walk with the identity at nu1
-    step 3, declared as the corrupted step, and the records of the same run
-    with corrupt_step=3."""
-    inst = build(InstanceConfig(11, 13, 3, 3, 25))
-    nu1, nu2 = singularity_sweep(inst).walks
-    outcomes = []
-    for sweep in (SweepReport(inst, (replaced(nu1, 3, lambda a: IDENTITY), nu2), 3),
-                  singularity_sweep(inst, corrupt_step=3)):
-        try:
-            certify_conflict(sweep)
-        except Falsified as exc:
-            outcomes.append((str(exc), exc.records))
-    (message, records), (_, corrupted) = outcomes
+    """(message, records) of a clean (11, 13) sweep judged with corrupt_step=3,
+    and the records of the same sweep judged without it, with the identity's
+    Regular record put in at nu1 step 3."""
+    sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 25)))
+    clean, _ = certify_conflict(sweep)
+    try:
+        certify_conflict(sweep, corrupt_step=3)
+    except Falsified as exc:
+        message, records = str(exc), exc.records
+    corrupted = clean[:3] + (clean[3]._replace(matrix=IDENTITY, det=1, regular=True,
+                                               embedding_dim=2),) + clean[4:]
     return message, records, corrupted
 
 
@@ -372,28 +374,18 @@ class TestRecordsAreJudged:
                                "StepRecord(branch='nu1', step=3, matrix=((1, 0), (0, 1)), "
                                "det=1, regular=True, embedding_dim=2)\n")
 
-    def test_the_first_regular_record_is_the_falsification(self):
-        # only the corrupted step and the one after it may leave the walk, so
-        # the two Regular records are nu1 steps 24 and 25, the last two
-        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 25)), corrupt_step=24)
-        nu1, nu2 = sweep.walks
-        with pytest.raises(Falsified) as exc:
-            certify_conflict(sweep._replace(walks=(replaced(nu1, 25, lambda a: IDENTITY), nu2)))
-        assert str(exc.value) == "branch nu1 step 24: ring below is regular"
-        assert [(r.branch, r.step) for r in exc.value.records if r.regular] == [
-            ("nu1", 24), ("nu1", 25)]
-
     def test_record_after_the_falsification_is_still_checked(self):
-        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 25)), corrupt_step=3)
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 25)))
         nu1, nu2 = sweep.walks
         with pytest.raises(CertificationError) as exc:
-            certify_conflict(sweep._replace(walks=(nu1, replaced(nu2, 4, column_1_doubled))))
+            certify_conflict(sweep._replace(walks=(nu1, replaced(nu2, 4, column_1_doubled))),
+                             corrupt_step=3)
         assert str(exc.value) == "sweep record 30 is not nu2 step 4"
 
     def test_regular_step_zero_falls_through_to_the_falsification(self):
-        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 0)), corrupt_step=0)
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 0)))
         with pytest.raises(Falsified) as exc:
-            certify_conflict(sweep)
+            certify_conflict(sweep, corrupt_step=0)
         assert str(exc.value) == "branch nu1 step 0: ring below is regular"
 
 
@@ -450,8 +442,8 @@ def walk_forged(name, change):
     def fault(mp):
         real = counterexample.singularity_sweep
 
-        def forged(instance, corrupt_step=None):
-            sweep = real(instance, corrupt_step)
+        def forged(instance):
+            sweep = real(instance)
             return sweep._replace(walks=change(*sweep.walks))
 
         mp.setattr(counterexample, "singularity_sweep", forged)
@@ -519,17 +511,14 @@ CERTIFICATE_FAULTS = [
     (walk_forged("record_9_matrix_forged", lambda nu1, nu2: (
         replaced(nu1, 9, lambda a: ((a[0][0], a[0][1] + 1), a[1])), nu2)), (11, 13, 3, 3),
      "sweep record 9 is not nu1 step 9"),
-    (walk_forged("non_successor_off_the_order",
-                 lambda nu1, nu2: (nu1, replaced(nu2, 14, column_1_doubled))), (11, 13, 3, 3),
-     "sweep record 40 is not nu2 step 14"),
     (walk_forged("step_0_not_the_branch_matrix",
                  lambda nu1, nu2: (nu1, replaced(nu2, 0, rows_swapped))), (11, 13, 3, 3),
      "sweep record 26 is not nu2 step 0"),
-    # a judged matrix that the lattice layer refuses is the sweep's defect, not the input's
+    # a det-0 matrix is a non-successor like any other: the judge asks no layer about it
     (walk_forged("det_0_matrix_at_nu1_step_4",
                  lambda nu1, nu2: (replaced(nu1, 4, lambda a: ((2, 4), (1, 2))), nu2)),
-     (11, 13, 3, 3), "sweep record 4 is not nu1 step 4: matrix is singular"),
-    # only the declared corrupted step and the one after it may leave the walk
+     (11, 13, 3, 3), "sweep record 4 is not nu1 step 4"),
+    # a non-successor fails whatever its det
     (walk_forged("rows_swapped_at_nu2_step_14",
                  lambda nu1, nu2: (nu1, replaced(nu2, 14, rows_swapped))), (11, 13, 3, 3),
      "sweep record 40 is not nu2 step 14"),
@@ -543,22 +532,23 @@ CERTIFICATE_FAULTS = [
 ]
 
 
-def fault_outcome(fault, config):
+def fault_outcome(fault, config, corrupt_step=None):
     """The verdict with `fault` injected, in process and through `main`:
     (the library's exception type and message, exit code, stdout, stderr)."""
     q, p, m, n = config
     out, err = io.StringIO(), io.StringIO()
+    probe = [] if corrupt_step is None else ["--corrupt-step", str(corrupt_step)]
     with pytest.MonkeyPatch.context() as mp:
         fault(mp)
         try:
             certify_conflict(counterexample.singularity_sweep(
-                counterexample.build(InstanceConfig(q, p, m, n))))
+                counterexample.build(InstanceConfig(q, p, m, n))), corrupt_step)
             raised = None
         except Exception as exc:
             raised = (type(exc).__name__, str(exc))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["counterexample", "--q", str(q), "--p", str(p),
-                         "--m", str(m), "--n", str(n)])
+                         "--m", str(m), "--n", str(n), *probe])
     return raised, code, out.getvalue(), err.getvalue()
 
 
@@ -588,6 +578,67 @@ class TestVerdictCertificates:
         assert proc.stdout.splitlines() == [
             f"False CertificationError 3 '' error: certificate failed: {message}"
             for _, _, message in CERTIFICATE_FAULTS]
+
+
+# Walks that the judge excuses at no step, with or without the probe:
+# (fault, corrupt_step, the CertificationError's message).  Swapping the rows
+# commutes with the column operations, so the row-swapped walk follows
+# successors from its own step 0.
+STUCK_REPEATED_SWAPPED = [
+    (walk_forged("nu1_stuck_at_step_0", lambda nu1, nu2: (nu1[:1] * len(nu1), nu2)),
+     "sweep record 1 is not nu1 step 1"),
+    (walk_forged("nu1_step_5_repeated", lambda nu1, nu2: (nu1[:6] + nu1[5:-1], nu2)),
+     "sweep record 6 is not nu1 step 6"),
+    (walk_forged("nu1_rows_swapped", lambda nu1, nu2: (tuple(map(rows_swapped, nu1)), nu2)),
+     "sweep record 0 is not nu1 step 0"),
+]
+WITNESS_FAULTS = [(fault, corrupt_step, message) for fault, message in STUCK_REPEATED_SWAPPED
+                  for corrupt_step in (None, 0)] + [
+    # the probe's step and the one after it are checked like any other
+    (walk_forged("column_1_doubled_at_the_probe",
+                 lambda nu1, nu2: (replaced(nu1, 3, column_1_doubled), nu2)),
+     3, "sweep record 3 is not nu1 step 3"),
+    (walk_forged("rows_swapped_at_the_probe",
+                 lambda nu1, nu2: (replaced(nu1, 3, rows_swapped), nu2)),
+     3, "sweep record 3 is not nu1 step 3"),
+    (walk_forged("column_1_doubled_after_the_probe",
+                 lambda nu1, nu2: (replaced(nu1, 4, column_1_doubled), nu2)),
+     3, "sweep record 4 is not nu1 step 4"),
+    (walk_forged("identity_after_the_probe",
+                 lambda nu1, nu2: (replaced(nu1, 25, lambda a: IDENTITY), nu2)),
+     24, "sweep record 25 is not nu1 step 25"),
+]
+
+
+class TestNoMatrixIsExcused:
+    """The judge accepts a walk matrix only as the branch matrix at step 0 or
+    a one-step successor of the matrix before it, whatever `corrupt_step` is:
+    any other exits 3 with nothing on stdout."""
+
+    @pytest.mark.parametrize("fault, corrupt_step, message", WITNESS_FAULTS,
+                             ids=[f"{fault.__name__}-{corrupt_step}"
+                                  for fault, corrupt_step, _ in WITNESS_FAULTS])
+    def test_refused(self, fault, corrupt_step, message):
+        assert fault_outcome(fault, (11, 13, 3, 3), corrupt_step) == (
+            ("CertificationError", message), EXIT_CERTIFICATE, "",
+            f"error: certificate failed: {message}\n")
+
+    def test_refused_under_optimize(self):
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "from test_counterexample import WITNESS_FAULTS, fault_outcome\n"
+                  "for fault, corrupt_step, message in WITNESS_FAULTS:\n"
+                  "    raised, code, out, err = fault_outcome(fault, (11, 13, 3, 3), "
+                  "corrupt_step)\n"
+                  "    print(__debug__, raised[0], code, repr(out), err, end='')\n")
+        src = Path(valsweep.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"False CertificationError 3 '' error: certificate failed: {message}"
+            for _, _, message in WITNESS_FAULTS]
 
 
 class TestDerivedAction:

@@ -144,9 +144,9 @@ class TestCommandsAgainstOracle:
     def test_corrupt_step_falsified(self, step):
         payload = run_both_formats("counterexample", "--q", "11", "--p", "13", "--steps", "60",
                                    "--corrupt-step", str(step), expect=EXIT_FALSIFIED)
-        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 60)), corrupt_step=step)
+        sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 60)))
         with pytest.raises(Falsified) as exc:
-            certify_conflict(sweep)
+            certify_conflict(sweep, corrupt_step=step)
         assert payload["results"]["steps"] == [step_dict(r) for r in exc.value.records]
         assert payload["results"]["falsification"] == str(exc.value)
         assert payload["verdict"] == "Falsified"

@@ -33,6 +33,7 @@ from valsweep.transform import TransformState, branch_runs, branch_steps, run_se
 from valsweep.valuation import ValueElement
 
 SRC = Path(valsweep.__file__).resolve().parents[1]
+IDENTITY = ((1, 0), (0, 1))
 
 # every admissible prime pair with q <= 37, with m = n the least odd integer above p - q
 PAIRS = [(q, p) for q in range(5, 38) if is_prime(q)
@@ -66,10 +67,10 @@ class TestAgainstDirectOracle:
         assert_records_match_oracle(records)
 
     def test_corrupted_steps_keep_the_oracle(self):
-        inst = build(InstanceConfig(11, 13, 3, 3, 30))
+        report = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 30)))
         for step in (0, 1, 7, 29, 30):
             with pytest.raises(Falsified) as exc:
-                certify_conflict(singularity_sweep(inst, corrupt_step=step))
+                certify_conflict(report, corrupt_step=step)
             assert str(exc.value) == f"branch nu1 step {step}: ring below is regular"
             assert_records_match_oracle(exc.value.records)
 
@@ -79,14 +80,17 @@ class TestAgainstDirectOracle:
         monkeypatch.setattr(counterexample, "below_ring_regularity",
                             lambda a: calls.append(a) or real(a))
         inst = build(InstanceConfig(11, 13, 3, 3, 40))
-        # build judges step 0 of each branch; the sweep judges nothing, a
-        # corrupted one included
+        # build judges step 0 of each branch; the sweep judges nothing, and the
+        # judge only the identity that it records at corrupt_step
         assert calls == [b.matrix for b in inst.branches]
         assert [b.verdict for b in inst.branches] == [real(b.matrix) for b in inst.branches]
         calls.clear()
-        singularity_sweep(inst)
-        singularity_sweep(inst, corrupt_step=5)
+        report = singularity_sweep(inst)
+        certify_conflict(report)
         assert calls == []
+        with pytest.raises(Falsified):
+            certify_conflict(report, corrupt_step=5)
+        assert calls == [IDENTITY]
 
 
 # Each forgery multiplies det by k in {2, 3, -3} < the order, so the forged
@@ -123,15 +127,15 @@ class TestForgedRecords:
         real = counterexample.below_ring_regularity
         monkeypatch.setattr(counterexample, "below_ring_regularity",
                             lambda a: calls.append(a) or real(a))
-        # once per non-successor matrix, across sweep and certify together
+        # build judges each branch's step 0, and the judge nothing but the
+        # identity that it records at corrupt_step
         inst = build(InstanceConfig(11, 13, 3, 3, 40))
         certify_conflict(singularity_sweep(inst))
         assert calls == [b.matrix for b in inst.branches]
         calls.clear()
-        report = singularity_sweep(inst, corrupt_step=5)
         with pytest.raises(Falsified):
-            certify_conflict(report)
-        assert calls == [((1, 0), (0, 1)), report.walks[0][6]]
+            certify_conflict(singularity_sweep(inst), corrupt_step=5)
+        assert calls == [IDENTITY]
 
 
 def doubling_step(step):
@@ -142,7 +146,7 @@ def doubling_step(step):
 
 
 class TestMutation:
-    def test_non_unimodular_step_is_checked_directly(self, monkeypatch):
+    def test_non_unimodular_step_is_not_judged(self, monkeypatch):
         monkeypatch.setattr(counterexample, "branch_steps",
                             lambda a, x: map(doubling_step, branch_steps(a, x)))
         report = sweep(11, 13, 10, m=3)
@@ -153,9 +157,9 @@ class TestMutation:
         with pytest.raises(CertificationError) as exc:
             certify_conflict(report)
         assert str(exc.value) == "sweep record 1 is not nu1 step 1"
-        # the judge took the doubled matrix's verdict directly, and it is the oracle's
-        assert judged == [(report.walks[0][1], real(report.walks[0][1]))]
-        assert abs(judged[0][1].det) == 22
+        # the doubled matrix is no successor, and the judge asks no layer about it
+        assert judged == []
+        assert abs(det_int(report.walks[0][1])) == 22
 
     def test_non_unimodular_step_exits_3(self, monkeypatch, capsys):
         # a |det| drift is a defect in valsweep, not a falsification
@@ -183,9 +187,6 @@ class TestMutation:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False sweep record 1 is not nu1 step 1"
-
-
-IDENTITY = ((1, 0), (0, 1))
 
 
 def transform_oracle(a, steps):

@@ -1,14 +1,19 @@
 import itertools
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import valsweep
 from oracles import exact, series_value
 from valsweep.qfield import QuadExt, tau_from_a
 from valsweep.valuation import (MonomialValuation, NotASubgroupError,
@@ -49,6 +54,26 @@ class TestValueElementInputChecks:
     def test_non_integer_scale_rejected(self, scale):
         with pytest.raises(TypeError, match="^cannot scale a ValueElement by float$"):
             scale(ve(1, 1, 1))
+
+    @pytest.mark.parametrize("zero", [ve(0, 0, 3), ValueElement(0, 0, 5, TAU7)])
+    def test_division_by_a_zero_value_rejected(self, zero):
+        with pytest.raises(ValuationError, match="^division by a zero value$"):
+            ve(1, 1, 1).ratio(zero)
+
+    def test_division_by_a_zero_value_rejected_under_optimize(self):
+        script = ("from valsweep.qfield import tau_from_a\n"
+                  "from valsweep.valuation import ValuationError, ValueElement\n"
+                  "tau = tau_from_a(7)\n"
+                  "try:\n"
+                  "    ValueElement.make(1, 1, 1, tau).ratio(ValueElement.make(0, 0, 3, tau))\n"
+                  "except ValuationError as exc:\n"
+                  "    print(__debug__, exc)\n")
+        src = Path(valsweep.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "False division by a zero value\n", "")
 
 
 class TestOrder:
