@@ -41,9 +41,9 @@ class UsageError(ValueError):
 
 # Matrix entries grow linearly in the step count, so time and stdout grow
 # about quadratically: `counterexample --q 11 --p 13` at the cap takes
-# 6.4-6.9 s and 283 MB peak RSS end to end (os.wait4 on a 2-CPU x86-64
+# 5.3-5.6 s and 284 MB peak RSS end to end (os.wait4 on a 2-CPU x86-64
 # host, CPython 3.11.7, stdout to a file) and prints 205 MB; the command
-# takes 0.28-0.32 s of it (timing_ms), and nearly all the rest goes to
+# takes 0.15-0.16 s of it (timing_ms), and nearly all the rest goes to
 # converting the entries to decimal.
 STEPS_MAX = 20_000
 
@@ -219,15 +219,17 @@ def parse_matrix(text: str) -> list[list[int]]:
 def cmd_tau(args) -> Report:
     from .qfield import _quotient_stream, tau_from_a
     tau = tau_from_a(args.a)
-    res = {"tau": tau._asdict(),
-           "satisfies": f"t^2 - {args.a}*t - {args.a} = 0",
-           "floor": next(_quotient_stream(tau))}
+    floor = next(_quotient_stream(tau))
+    if floor != args.a:  # tau(tau - a) = a, certified, puts tau between a and a + 1
+        raise CertificationError(f"floor {floor} of tau is not {args.a}")
+    res = {"tau": tau._asdict(), "satisfies": f"t^2 - {args.a}*t - {args.a} = 0",
+           "floor": floor}
     return Report("tau", {"a": args.a}, res, "Verified")
 
 
 def cmd_convergents(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import _one_shear, branch_runs
+    from .transform import _along, _one_shear, branch_runs
     count = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     if count <= 0:
@@ -249,6 +251,9 @@ def cmd_convergents(args) -> Report:
             raise CertificationError(f"run {k} is not one shear of the matrix before it")
         rows.append((f, g))
         prev = matrix
+    past = ((f1 + f2, f2), (g1 + g2, g2)) if k % 2 == 0 else ((f1, f1 + f2), (g1, g1 + g2))
+    if not _along(past, tau):  # one step into the next run: a last run cut short fails too
+        raise CertificationError(f"run {k} leaves the valuation")
     res = {"tau": tau._asdict(), "convergents": Records(_PAIR, rows), "unimodular": True}
     return Report("convergents", {"a": args.a, "count": count}, res, "Verified")
 
@@ -275,16 +280,18 @@ _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": 1, "step_index": _INT}
 
 def cmd_transform(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import branch_steps
+    from .transform import _along, branch_steps
     steps = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     if steps < 0:
         raise ConfigError("steps >= 0", "steps must be nonnegative")
-    # u and v have values tau and 1, so `branch_steps` walks and certifies tau's runs
+    # u and v have values tau and 1, so `branch_steps` walks tau's quotients
     rows = [(1, 0, 0, 1, "null", 0)]
     for k, (branch, ((a, b), (c, d))) in enumerate(islice(branch_steps(((1, 0), (0, 1)), tau),
                                                           steps), 1):
-        rows.append((a, b, c, d, encode_basestring_ascii(branch.value), k))
+        rows.append((a, b, c, d, encode_basestring_ascii(branch), k))
+    if not _along((rows[-1][:2], rows[-1][2:4]), tau):
+        raise CertificationError(f"state {len(rows) - 1} leaves the valuation")
     return Report("transform", {"a": args.a, "steps": steps},
                   {"states": Records(_STATE, rows), "det_constant": True}, "Verified")
 

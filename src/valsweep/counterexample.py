@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import CertificationError, ConfigError, Falsified
 from .qfield import QuadExt, tau_from_a
 from .valuation import ValueElement, group_index
-from .transform import Matrix2, _one_shear, branch_steps
+from .transform import Matrix2, _along, _one_shear, branch_steps
 from .toric import RegularityVerdict, below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
@@ -218,7 +218,8 @@ def certify_conflict(sweep: SweepReport, corrupt_step: int | None = None
     determinant 1, so det is unchanged; each row r goes to r*E with the same
     content, so the primitive determinant is unchanged; and the dual cone of the
     new rows is the image of the old one under the lattice automorphism E^-1, so
-    its Hilbert basis has the same size.  Any other matrix fails the certificate.
+    its Hilbert basis has the same size.  Any other matrix fails the certificate, as does
+    a walk whose last matrix fails `_along` (a step keeps opposite-signed values opposite).
     To probe the falsification channel, nu1's checked matrix at `corrupt_step`
     (0..config.steps) is recorded as the identity, judged by `below_ring_regularity`.
     After every record is checked, the first Regular one raises `Falsified`."""
@@ -256,6 +257,9 @@ def certify_conflict(sweep: SweepReport, corrupt_step: int | None = None
             records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
             if regular:
                 falsification = falsification or f"branch {name} step {step}: ring below is regular"
+        if not _along(prev, instance.tau):
+            raise CertificationError(f"sweep record {len(records) - 1} leaves the valuation: "
+                                     f"{name} step {steps}")
     if falsification is not None:
         raise Falsified(falsification, tuple(records))
     return tuple(records), orders

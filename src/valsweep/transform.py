@@ -9,20 +9,11 @@ det(A) is constant along the sequence.
 
 from __future__ import annotations
 
-import enum
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .errors import CertificationError, ValuationError
-from .qfield import QuadExt, _quotient_stream
-
-
-class Branch(enum.Enum):
-    # second parameter has the larger value and is divided by the first
-    DIVIDE_FIRST_INTO_SECOND = "DivideFirstIntoSecond"
-    # first parameter has the larger value and is divided by the second
-    DIVIDE_SECOND_INTO_FIRST = "DivideSecondIntoFirst"
-
+from .errors import ValuationError
+from .qfield import QuadExt, _quotient_stream, sign_of
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -30,7 +21,7 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 class _TransformFields(NamedTuple):
     a: Matrix2
     param_values: tuple  # two ValueElements: the walks load no valuation
-    branch: Branch | None = None  # the step that produced this state
+    branch: str | None = None  # the step that produced this state
 
 
 class TransformState(_TransformFields):
@@ -66,7 +57,7 @@ def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
     out = [initial]
     vx, vy = initial.param_values
     for branch, a in islice(branch_steps(initial.a, vx.ratio(vy)), steps):
-        if branch is Branch.DIVIDE_SECOND_INTO_FIRST:
+        if branch == "DivideSecondIntoFirst":
             vx = vx - vy
         else:
             vy = vy - vx
@@ -74,11 +65,21 @@ def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
     return out
 
 
+def _along(matrix: Matrix2, tau: QuadExt) -> bool:
+    """Whether both current parameters, of values sign(det A) adj(A) (tau, 1) when u
+    and v have values tau and 1, are positive.  A step keeps values of opposite signs
+    opposite, so along a chain of shears this holds on a prefix and never after it."""
+    (a, b), (c, d) = matrix
+    s, t, r, dd = tau  # (s + t sqrt(dd))/r with r > 0
+    w = (a * d > b * c) - (a * d < b * c)  # sign(det A)
+    return w != 0 and sign_of(d * s - b * r, d * t, dd) == w == sign_of(a * r - c * s, -c * t, dd)
+
+
 def _one_shear(prev: Matrix2, k: int, times: int, matrix: Matrix2) -> bool:
     """Whether matrix is prev after `times` steps of run k: the kept column
     unchanged, and the written one (column 2 on even k, column 1 on odd k)
-    plus `times` times the kept one.  This restates `branch_runs` without
-    calling it, so a broken run cannot certify itself; a shear has det 1."""
+    plus `times` times the kept one.  It restates a run of `branch_runs` for
+    `convergents`, and a step for the sweep's judge; a shear has det 1."""
     (a, b), (c, d) = prev
     (a2, b2), (c2, d2) = matrix
     if k % 2:  # the columns swapped, so that column 2 is the written one
@@ -91,7 +92,8 @@ def branch_runs(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[int, int, Matrix2
     """(k, a_k, A after run k) for each run of the transform sequence from
     A = matrix, lazily, for parameter values of ratio x = v(first)/v(second) > 0.
     The steps run the subtractive Euclidean algorithm on the values, so run k
-    takes a_k steps, a_k the k-th partial quotient of x, and is one shear."""
+    takes a_k steps, a_k the k-th partial quotient of x: one shear, so that
+    `convergents` never expands a run, though one can be 10^6 steps long."""
     (a, b), (c, d) = matrix
     for k, run in enumerate(_quotient_stream(x)):
         if k % 2 == 0:  # a run of 1, the commonest, adds: 1 * a copies a long integer
@@ -101,18 +103,16 @@ def branch_runs(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[int, int, Matrix2
         yield k, run, ((a, b), (c, d))
 
 
-def branch_steps(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[Branch, Matrix2]]:
-    """(branch, next A) at each step of the transform sequence from A = matrix,
-    lazily: each run of `branch_runs`, once `_one_shear` has certified it, in
-    its steps, one elementary column operation each, the last one its end."""
-    for k, run, end in branch_runs(matrix, x):
-        if not _one_shear(matrix, k, run, end):
-            raise CertificationError(f"run {k} is not one shear of the matrix before it")
-        branch = Branch.DIVIDE_FIRST_INTO_SECOND if k % 2 else Branch.DIVIDE_SECOND_INTO_FIRST
-        for _ in range(run - 1):
-            (a, b), (c, d) = matrix
-            matrix = ((a + b, b), (c + d, d)) if k % 2 else ((a, a + b), (c, c + d))
-            yield branch, matrix
-        if run:
-            yield branch, end
-        matrix = end
+def branch_steps(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[str, Matrix2]]:
+    """(label, next A) at each step of the transform sequence from A = matrix, lazily,
+    for parameter values of ratio x > 0: run k takes a_k steps, and each adds the kept
+    column into the written one (column 2 on even k, column 1 on odd k)."""
+    (a, b), (c, d) = matrix
+    for k, run in enumerate(_quotient_stream(x)):
+        label = "DivideFirstIntoSecond" if k % 2 else "DivideSecondIntoFirst"
+        for _ in range(run):
+            if k % 2:
+                a, c = a + b, c + d
+            else:
+                b, d = b + a, d + c
+            yield label, ((a, b), (c, d))

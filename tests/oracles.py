@@ -33,6 +33,8 @@ the route it checks, so tests compare the two:
   exact sign of the difference of the two values, against
   `transform.run_sequence` and `transform.branch_steps`, which read the
   steps off the partial quotients of the value ratio;
+- `parameter_values`, sign(det A) adj(A) (tau, 1) by cofactors and sympy,
+  against `transform._along`, the sign test of the walks;
 - `series_value`, the value of a degree-ordered monomial stream cut off
   by a degree bound, against `MonomialValuation.value_of` on finite
   supports.
@@ -61,7 +63,6 @@ from valsweep.errors import CertificationError, ValuationError
 from valsweep.quotient import DiagonalAction, RamificationWitness
 from valsweep.toric import (SemigroupBasis, ToricError, det_int, dual_cone_2d, primitive,
                             smith_normal_form)
-from valsweep.transform import Branch
 from valsweep.valuation import MonomialValuation, ValueElement
 
 Vec2 = tuple[int, int]
@@ -300,6 +301,18 @@ def exact(x):
     return (x.s + x.t * sympy.sqrt(x.d)) / sympy.Integer(x.r)
 
 
+def parameter_values(matrix, tau) -> tuple:
+    """The values of the current parameters of exponent matrix A when u and v
+    have values tau and 1, up to the positive factor 1/|det A|, as exact sympy
+    numbers: sign(det A) adj(A) (tau, 1), with adj(A) and det A by cofactors.
+    Both are positive exactly on a walk along the valuation."""
+    import sympy
+    rows = [list(row) for row in matrix]
+    (p, q), (r, s) = adjugate(rows)
+    w, t = sympy.sign(cofactor_det(rows)), exact(tau)
+    return w * (p * t + q), w * (r * t + s)
+
+
 def bracketed_quotients(x, count: int) -> list[int]:
     """The first `count` partial quotients of an irrational QuadExt
     x = (s + t*sqrt(d))/r, r > 0.  For M a power of 2 and R = isqrt(t^2 d M^2),
@@ -357,8 +370,8 @@ def arithmetic_step(state):
     ((a, b), (c, d)), (vx, vy), _ = state
     diff = vx - vy
     if diff.sign() > 0:
-        return ((a, a + b), (c, c + d)), (diff, vy), Branch.DIVIDE_SECOND_INTO_FIRST
-    return ((a + b, b), (c + d, d)), (vx, vy - vx), Branch.DIVIDE_FIRST_INTO_SECOND
+        return ((a, a + b), (c, c + d)), (diff, vy), "DivideSecondIntoFirst"
+    return ((a + b, b), (c + d, d)), (vx, vy - vx), "DivideFirstIntoSecond"
 
 
 def value_steps(initial, n: int) -> list[tuple]:

@@ -29,6 +29,7 @@ from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
 from corpus import GROUPED_TOKEN, JUNK_FLAG, JUNK_TOKEN, LONG_TOKEN, OWN, VALID
 from test_report_templates import assert_renders_like_oracle
+from walk_faults import quotient_off, turned
 
 
 def run(capsys, *argv):
@@ -527,7 +528,22 @@ def convergent_columns(a, count):
 # (command, the run faulted, the CertificationError's message): runs of tau_from_a(7)
 # have lengths 7, 1, 7, 1, ..., so run 2 takes states 9..15 of 40
 RUN_CHECKS = [("convergents", 5, "run 5 is not one shear of the matrix before it"),
-              ("transform", 2, "run 2 is not one shear of the matrix before it")]
+              ("transform", 2, "state 40 leaves the valuation")]
+
+
+def run_fault(command, at, fault):
+    """(attribute of `transform`, replacement) that puts `fault` into run `at`
+    of `command`: into the run ends of `branch_runs` for `convergents`; for
+    `transform`, which steps the quotient stream one addition at a time, a
+    quotient one less or one more, or a run whose steps add into the other
+    column."""
+    if command == "convergents":
+        return "branch_runs", faulty_runs(transform.branch_runs, at, RUN_FAULTS[fault])
+    if fault == "shear_by_the_wrong_column":
+        quotients = list(islice(transform._quotient_stream(tau_from_a(7)), at + 1))
+        start = sum(quotients[:-1])
+        return "branch_steps", turned(transform.branch_steps, range(start, start + quotients[-1]))
+    return "_quotient_stream", quotient_off(at, -1 if fault == "run_one_step_short" else 1)
 
 
 class TestConvergentsCheck:
@@ -535,7 +551,9 @@ class TestConvergentsCheck:
     shear: the kept column unchanged, the written one plus a_k times the kept
     one.  So det A stays 1 and f_(k-1) g_k - f_k g_(k-1) = +-1.  A run that
     fails exits 3 with nothing on stdout; generation stops at the first
-    numerator past the digit limit."""
+    numerator past the digit limit.  `transform` steps the quotient stream
+    itself, so its faults go into the stream or the steps, and its walk
+    fails the sign test at its last state."""
 
     # (run, df, dg): the convergent that run writes, off by (df, dg)
     FAULTS = [(1, 1, 0), (2, 0, 1), (5, 7, 0), (9, 0, -1)]
@@ -585,8 +603,7 @@ class TestConvergentsCheck:
     @pytest.mark.parametrize("fault", RUN_FAULTS)
     @pytest.mark.parametrize("command, at, message", RUN_CHECKS, ids=[c for c, _, _ in RUN_CHECKS])
     def test_run_fault_exits_3(self, capsys, monkeypatch, command, at, message, fault):
-        real = transform.branch_runs
-        monkeypatch.setattr(transform, "branch_runs", faulty_runs(real, at, RUN_FAULTS[fault]))
+        monkeypatch.setattr(transform, *run_fault(command, at, fault))
         with pytest.raises(CertificationError) as exc:
             cli.COMMANDS[command](cli.parse_args([command, "--a", "7", "--steps", "40"]))
         assert str(exc.value) == message
@@ -596,14 +613,16 @@ class TestConvergentsCheck:
     def test_run_faults_under_optimize(self):
         script = ("import sys\n"
                   f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-                  "from test_cli import RUN_CHECKS, RUN_FAULTS, faulty_runs\n"
+                  "from test_cli import RUN_CHECKS, RUN_FAULTS, run_fault\n"
                   "from valsweep import transform\n"
                   "from valsweep.cli import main\n"
-                  "real = transform.branch_runs\n"
                   "for command, at, _ in RUN_CHECKS:\n"
-                  "    for fault in RUN_FAULTS.values():\n"
-                  "        transform.branch_runs = faulty_runs(real, at, fault)\n"
+                  "    for fault in RUN_FAULTS:\n"
+                  "        name, replacement = run_fault(command, at, fault)\n"
+                  "        real = getattr(transform, name)\n"
+                  "        setattr(transform, name, replacement)\n"
                   "        code = main([command, '--a', '7', '--steps', '40'])\n"
+                  "        setattr(transform, name, real)\n"
                   "        print(__debug__, code, file=sys.stderr)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -640,6 +659,70 @@ class TestConvergentsCheck:
     def test_count_must_be_positive(self, capsys, steps):
         code, out, err = run(capsys, "convergents", "--a", "7", "--steps", steps)
         assert (code, out, err) == (EXIT_USAGE, "", "error: count must be positive\n")
+
+
+# (module patched, its attribute, the fault, argv, the CertificationError's message):
+# a quotient one less or one more sends a walk off the valuation, and only the sign
+# test at the walk's last matrix sees it; runs of tau_from_a(7) are 7, 1, 7, 1, ...
+OFF_VALUATION = [
+    *[("transform", "_quotient_stream", (1, delta), argv, message) for delta in (-1, 1)
+      for argv, message in ((["transform", "--a", "7", "--steps", "40"],
+                             "state 40 leaves the valuation"),
+                            (["convergents", "--a", "7"], "run 9 leaves the valuation"))],
+    # a last run that stops short still has both values positive at its end, so
+    # `convergents` tests one step into the next run
+    ("transform", "_quotient_stream", (0, -1), ["convergents", "--a", "7", "--steps", "1"],
+     "run 0 leaves the valuation"),
+    ("transform", "_quotient_stream", (9, -1), ["convergents", "--a", "7"],
+     "run 9 leaves the valuation"),
+    # tau(tau - a) = a puts tau between a and a + 1, so its floor is a
+    ("qfield", "_quotient_stream", (0, 1), ["tau", "--a", "7"], "floor 8 of tau is not 7"),
+    ("qfield", "_quotient_stream", (0, -1), ["tau", "--a", "1"], "floor 0 of tau is not 1"),
+]
+
+
+def off_valuation_outcome(module, attr, fault, argv):
+    """The command's function and `main` with `fault` in the quotient stream:
+    (the function's exception type and message, exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(getattr(valsweep, module), attr, quotient_off(*fault))
+        try:
+            COMMANDS[argv[0]](cli.parse_args(argv))
+            raised = None
+        except Exception as exc:
+            raised = (type(exc).__name__, str(exc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return raised, code, out.getvalue(), err.getvalue()
+
+
+class TestOffTheValuation:
+    """`transform`, `convergents` and `tau` refuse a wrong partial quotient:
+    exit 3 with nothing on stdout, also under python -O."""
+
+    @pytest.mark.parametrize("module, attr, fault, argv, message", OFF_VALUATION,
+                             ids=[f"{argv[0]}-{fault}-{' '.join(argv[1:])}"
+                                  for _, _, fault, argv, _ in OFF_VALUATION])
+    def test_refused(self, module, attr, fault, argv, message):
+        assert off_valuation_outcome(module, attr, fault, argv) == (
+            ("CertificationError", message), EXIT_CERTIFICATE, "",
+            f"error: certificate failed: {message}\n")
+
+    def test_refused_under_optimize(self):
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "from test_cli import OFF_VALUATION, off_valuation_outcome\n"
+                  "for case in OFF_VALUATION:\n"
+                  "    raised, code, out, err = off_valuation_outcome(*case[:4])\n"
+                  "    print(__debug__, raised[0], code, repr(out), err, end='')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"False CertificationError 3 '' error: certificate failed: {message}"
+            for *_, message in OFF_VALUATION]
 
 
 class TestNegativeMatrixEntries:

@@ -24,6 +24,7 @@ from valsweep.counterexample import (CertificationError, ConfigError, Falsified,
 from valsweep.qfield import QuadExt, tau_from_a
 from valsweep.quotient import DiagonalAction, is_prime
 from valsweep.toric import det_int
+from walk_faults import quotient_off, turned
 
 
 class TestConfig:
@@ -453,28 +454,15 @@ def walk_forged(name, change):
 
 
 def run_1_one_step_short(mp):
-    """`branch_runs` under the sweep ends run 1 (a_1 = q - 4 steps, adding
-    column 2 into column 1) one step early."""
-    real = transform.branch_runs
-
-    def runs(matrix, x):
-        for k, run, ((a, b), (c, d)) in real(matrix, x):
-            yield k, run, ((a - b, b), (c - d, d)) if k == 1 else ((a, b), (c, d))
-
-    mp.setattr(transform, "branch_runs", runs)
+    """The quotient stream under the sweep ends run 1 (a_1 = q - 4 steps on
+    nu1, adding column 2 into column 1) one step early: each matrix is still
+    a successor of the one before, but the walk leaves the valuation."""
+    mp.setattr(transform, "_quotient_stream", quotient_off(1, -1))
 
 
-def ratio_off_canonical(mp):
-    """`ValueElement.ratio` hands the sweep nu1's ratio with s, t and r
-    doubled: the same number, but not the canonical form that the rewrite
-    certificate of `_quotient_stream` reproduces."""
-    real = valuation.ValueElement.ratio
-
-    def doubled(self, other):
-        x = real(self, other)
-        return x._replace(s=2 * x.s, t=2 * x.t, r=2 * x.r)
-
-    mp.setattr(valuation.ValueElement, "ratio", doubled)
+def doubled(x):
+    """x = (s + t sqrt(d))/r with s, t and r doubled: not canonical."""
+    return x._replace(s=2 * x.s, t=2 * x.t, r=2 * x.r)
 
 
 def rows_swapped(matrix):
@@ -525,10 +513,8 @@ CERTIFICATE_FAULTS = [
     (walk_forged("columns_swapped_at_nu2_step_10",
                  lambda nu1, nu2: (nu1, replaced(nu2, 10, columns_swapped))), (11, 13, 3, 3),
      "sweep record 36 is not nu2 step 10"),
-    # `branch_steps` certifies each run before the sweep takes its steps
-    (run_1_one_step_short, (11, 13, 3, 3), "run 1 is not one shear of the matrix before it"),
-    # `_quotient_stream` certifies its rewrite of the sweep's ratio
-    (ratio_off_canonical, (11, 13, 3, 3), "(-14+2*sqrt(77))/28 != (-392 + 56*sqrt(77))/784"),
+    # the judge's sign test at each walk's last matrix
+    (run_1_one_step_short, (11, 13, 3, 3), "sweep record 25 leaves the valuation: nu1 step 25"),
 ]
 
 
@@ -562,6 +548,23 @@ class TestVerdictCertificates:
         assert fault_outcome(fault, config) == (
             ("CertificationError", message), EXIT_CERTIFICATE, "",
             f"error: certificate failed: {message}\n")
+
+    def test_non_canonical_ratio_gives_the_same_report(self, capsys, monkeypatch):
+        # s, t and r doubled: the same number, so the same quotients, walks and bytes
+        argv = ["counterexample", "--q", "11", "--p", "13", "--steps", "200"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        for branch in build(InstanceConfig(11, 13, 3, 3)).branches:
+            vx, vy = branch.chart_values
+            x = vx.ratio(vy)
+            assert doubled(x) != x
+            assert list(itertools.islice(transform._quotient_stream(doubled(x)), 60)) == \
+                list(itertools.islice(transform._quotient_stream(x), 60))
+        real = valuation.ValueElement.ratio
+        monkeypatch.setattr(valuation.ValueElement, "ratio",
+                            lambda self, other: doubled(real(self, other)))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_faults_fail_under_optimize(self):
         script = ("import sys\n"
@@ -639,6 +642,78 @@ class TestNoMatrixIsExcused:
         assert proc.stdout.splitlines() == [
             f"False CertificationError 3 '' error: certificate failed: {message}"
             for _, _, message in WITNESS_FAULTS]
+
+
+def off_valuation(name, branch, change):
+    """A fault that sends one branch's walk of (11, 13) off the valuation by
+    `change`, which rewrites `transform` or `counterexample` on `mp`, given
+    the branch's step-0 matrix and value ratio."""
+    def fault(mp):
+        data = build(InstanceConfig(11, 13, 3, 3)).branches[branch]
+        vx, vy = data.chart_values
+        change(mp, data.matrix, vx.ratio(vy))
+
+    fault.__name__ = name
+    return fault
+
+
+def quotient_moved(mp, matrix, ratio, delta):
+    mp.setattr(transform, "_quotient_stream", quotient_off(1, delta, only=ratio))
+
+
+def wrong_turn(mp, matrix, ratio, step):
+    """The other column operation at `step` (0..24), and then a chain of
+    successors: no matrix is a non-successor, so the step check passes."""
+    real = counterexample.branch_steps
+    bad = turned(real, {step})
+    mp.setattr(counterexample, "branch_steps",
+               lambda start, x: (bad if start == matrix else real)(start, x))
+
+
+LEAVES = {0: "sweep record 25 leaves the valuation: nu1 step 25",
+          1: "sweep record 51 leaves the valuation: nu2 step 25"}
+# (fault, corrupt_step, the CertificationError's message): a quotient one less
+# (a_1 - 1) or one more at run 1, and a wrong turn at steps 0, 1, 5 and 24, on
+# each branch; the falsification probe excuses none of them
+OFF_VALUATION = [
+    (off_valuation(f"{name}_run_1_quotient_{'less' if delta < 0 else 'more'}", branch,
+                   functools.partial(quotient_moved, delta=delta)), None, LEAVES[branch])
+    for branch, name in enumerate(("nu1", "nu2")) for delta in (-1, 1)] + [
+    (off_valuation(f"{name}_wrong_turn_at_step_{step}", branch,
+                   functools.partial(wrong_turn, step=step)), corrupt_step, LEAVES[branch])
+    for branch, name in enumerate(("nu1", "nu2")) for step in (0, 1, 5, 24)
+    for corrupt_step in (None, 3)]
+
+
+class TestOffTheValuation:
+    """A walk that leaves the valuation while every matrix is a successor of
+    the one before fails the judge's sign test at its last matrix: exit 3 with
+    nothing on stdout, with or without the probe."""
+
+    @pytest.mark.parametrize("fault, corrupt_step, message", OFF_VALUATION,
+                             ids=[f"{fault.__name__}-{corrupt_step}"
+                                  for fault, corrupt_step, _ in OFF_VALUATION])
+    def test_refused(self, fault, corrupt_step, message):
+        assert fault_outcome(fault, (11, 13, 3, 3), corrupt_step) == (
+            ("CertificationError", message), EXIT_CERTIFICATE, "",
+            f"error: certificate failed: {message}\n")
+
+    def test_refused_under_optimize(self):
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "from test_counterexample import OFF_VALUATION, fault_outcome\n"
+                  "for fault, corrupt_step, message in OFF_VALUATION:\n"
+                  "    raised, code, out, err = fault_outcome(fault, (11, 13, 3, 3), "
+                  "corrupt_step)\n"
+                  "    print(__debug__, raised[0], code, repr(out), err, end='')\n")
+        src = Path(valsweep.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"False CertificationError 3 '' error: certificate failed: {message}"
+            for _, _, message in OFF_VALUATION]
 
 
 class TestDerivedAction:

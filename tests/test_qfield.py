@@ -1,8 +1,5 @@
 import ast
-import os
 import random
-import subprocess
-import sys
 from itertools import islice
 from math import isqrt
 from pathlib import Path
@@ -13,7 +10,6 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import valsweep
 from oracles import bracketed_quotients, exact
 from valsweep import qfield
 from valsweep.cli import main
@@ -25,7 +21,6 @@ from valsweep.transform import branch_runs
 mpmath.mp.dps = 60
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 77, 221]
-SRC = Path(valsweep.__file__).resolve().parents[1]
 NONZERO = st.integers(-10**6, 10**6).filter(bool)
 
 
@@ -230,35 +225,10 @@ class TestQuotientStream:
         with pytest.raises(QFieldError, match="irrational"):
             _quotient_stream(QuadExt.make(3, 0, 2, 5))
 
-    def test_non_canonical_input_fails_the_rewrite_certificate(self):
-        # s, t and r share the factor 2, so the rewrite (4 + 4*sqrt(5))/4
-        # reduces to (1 + sqrt(5))/1, which differs from the input
-        with pytest.raises(CertificationError, match=r"!= \(4 \+ 4\*sqrt\(5\)\)/4"):
-            _quotient_stream(QuadExt(2, 2, 2, 5))
-
-    # (P, Q, D) with Q = 0, and with Q = 5 not dividing D - P^2 = 76
-    CORRUPTED = [(1, 0, 77), (1, 5, 77)]
-
-    @pytest.mark.parametrize("p, q, dd", CORRUPTED)
-    def test_corrupted_state_raises(self, p, q, dd):
-        with pytest.raises(CertificationError, match="Q does not divide D - P"):
-            next(qfield._pq_quotients(p, q, dd))
-
-    def test_corrupted_state_raises_under_optimize(self):
-        script = ("from valsweep.errors import CertificationError\n"
-                  "from valsweep.qfield import _pq_quotients\n"
-                  f"for p, q, dd in {self.CORRUPTED}:\n"
-                  "    try:\n"
-                  "        next(_pq_quotients(p, q, dd))\n"
-                  "    except CertificationError as exc:\n"
-                  "        print(__debug__, exc)\n")
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              env=dict(os.environ, PYTHONPATH=str(SRC)),
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "False (P, Q, D) = (1, 0, 77): Q does not divide D - P^2",
-            "False (P, Q, D) = (1, 5, 77): Q does not divide D - P^2"]
+    def test_non_canonical_input_gives_the_same_quotients(self):
+        # s, t and r share the factor 2: (2 + 2*sqrt(5))/2 is (1 + sqrt(5))/1
+        assert list(islice(_quotient_stream(QuadExt(2, 2, 2, 5)), 40)) == \
+            list(islice(_quotient_stream(QuadExt(1, 1, 1, 5)), 40)) == [3] + [4] * 39
 
 
 def test_oracles_import_no_field_arithmetic():

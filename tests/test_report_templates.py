@@ -159,7 +159,7 @@ class TestCommandsAgainstOracle:
                                                     ValueElement.make(1, 0, 1, tau)))
         assert payload["results"]["states"] == [
             {"step_index": k, "A": [list(a[0]), list(a[1])], "det": det_int(a),
-             "branch": None if branch is None else branch.value}
+             "branch": branch}
             for k, (a, _, branch) in enumerate(value_steps(initial, steps))]
         assert payload["results"]["det_constant"] is True
 

@@ -1,12 +1,15 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import convergent_parameters, value_steps
+from oracles import convergent_parameters, parameter_values, value_steps
 from valsweep.errors import QFieldError
 from valsweep.qfield import _quotient_stream, tau_from_a
 from valsweep.toric import det_int
-from valsweep.transform import Branch, TransformState, branch_runs, branch_steps, run_sequence
+from valsweep.transform import TransformState, _along, branch_runs, branch_steps, run_sequence
 from valsweep.valuation import ValuationError, ValueElement
 
 TAU7 = tau_from_a(7)
@@ -38,15 +41,15 @@ class TestQuadraticStep:
     def test_identity_first_larger(self):
         state = run_sequence(identity_state(), 1)[-1]
         assert state.a == ((1, 1), (0, 1))
-        assert state.branch is Branch.DIVIDE_SECOND_INTO_FIRST
+        assert state.branch == "DivideSecondIntoFirst"
 
     def test_branch_flip_after_seven_steps(self):
         states = run_sequence(chart_state_q11(), 8)
         assert states[0].branch is None
         first = states[1].branch
-        assert all(state.branch is first for state in states[1:8])
+        assert all(state.branch == first for state in states[1:8])
         assert states[7].a == ((70, 9), (9, 1))
-        assert states[8].branch is not first
+        assert states[8].branch != first
 
     def test_values_stay_positive(self):
         for state in run_sequence(chart_state_q11(), 30)[1:]:
@@ -195,3 +198,46 @@ class TestConvergentParameters:
     def test_p_zero_rejected(self):
         with pytest.raises(ValuationError):
             convergent_parameters(TAU7, 0)
+
+
+def shear(matrix, first):
+    """matrix times [[1,0],[1,1]] (column 2 added into column 1) if first,
+    else times [[1,1],[0,1]] (column 1 into column 2)."""
+    (a, b), (c, d) = matrix
+    return ((a + b, b), (c + d, d)) if first else ((a, a + b), (c, c + d))
+
+
+tau_of = functools.lru_cache(maxsize=None)(tau_from_a)
+START = st.tuples(*[st.integers(0, 9)] * 4).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+
+
+class TestAlong:
+    """The sign test of the walks: both current parameters have positive value,
+    sign(det A) adj(A) (tau, 1) (`oracles.parameter_values`, by sympy).  A shear
+    keeps values of opposite signs opposite, so along any chain the test holds
+    on a prefix and never after it fails."""
+
+    @given(st.integers(1, 10**6), START, st.lists(st.booleans(), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_holds_on_a_prefix_and_agrees_with_the_oracle(self, a, entries, ops):
+        tau = tau_of(a)
+        chain = [(entries[:2], entries[2:])]
+        for first in ops:
+            chain.append(shear(chain[-1], first))
+        holds = [_along(matrix, tau) for matrix in chain]
+        cut = holds.index(False) if False in holds else len(holds)
+        assert holds == [True] * cut + [False] * (len(holds) - cut)
+        # sympy at both ends and on both sides of the cut
+        for k in {0, cut - 1, cut, len(chain) - 1} & set(range(len(chain))):
+            assert holds[k] == all(v.is_positive for v in parameter_values(chain[k], tau)), k
+
+    @pytest.mark.parametrize("a", [1, 7, 999979])
+    def test_the_walk_along_tau_holds_and_a_wrong_turn_fails(self, a):
+        tau = tau_from_a(a)
+        walk = [m for _, m in itertools.islice(branch_steps(((1, 0), (0, 1)), tau), 300)]
+        assert all(_along(matrix, tau) for matrix in walk)
+        for step in (0, 1, 5, 299):
+            prev = walk[step - 1] if step else ((1, 0), (0, 1))
+            wrong = shear(prev, walk[step][0][0] == prev[0][0])  # the other column
+            assert not _along(wrong, tau), step
+            assert not all(v.is_positive for v in parameter_values(wrong, tau)), step

@@ -1,0 +1,41 @@
+"""Faults that send a walk off the valuation while every matrix stays a
+one-step successor of the one before, so that only the readers' sign test
+(`transform._along`) can catch them.
+
+- `quotient_off` is `transform._quotient_stream` with one partial quotient
+  moved by one or more steps, for every ratio or for one;
+- `turned` is a `branch_steps` that takes the other column operation at the
+  given steps and otherwise the real walk's operation, from wherever it is:
+  a wrong turn, and then a chain of successors.
+"""
+
+from valsweep import transform
+
+SECOND = "DivideSecondIntoFirst"  # the label of a step that adds column 1 into column 2
+
+
+def quotient_off(at, delta, only=None):
+    """`transform._quotient_stream` with a_at + delta in place of a_at, for
+    every ratio, or only for the ratio `only`."""
+    real = transform._quotient_stream
+
+    def stream(x):
+        for k, a in enumerate(real(x)):
+            yield a + delta if k == at and only in (None, x) else a
+
+    return stream
+
+
+def turned(real, turns):
+    """`real` (a `branch_steps`) with the other column operation at each step
+    index in `turns` (0 for the step to state 1)."""
+    def steps(matrix, x):
+        (a, b), (c, d) = matrix
+        for i, (label, _) in enumerate(real(matrix, x)):
+            if (label == SECOND) != (i in turns):
+                b, d = b + a, d + c
+            else:
+                a, c = a + b, c + d
+            yield label, ((a, b), (c, d))
+
+    return steps
