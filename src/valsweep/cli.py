@@ -229,11 +229,11 @@ def cmd_tau(args) -> Report:
 
 def cmd_convergents(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import _along, _one_shear, branch_runs
+    from .transform import _along, _shear, branch_runs
     count = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     if count <= 0:
-        raise UsageError("count must be positive")
+        raise ConfigError("steps >= 1", "steps must be positive")
     # the numerators are the largest entries: generation stops at the first
     # one that no report could print
     limit = sys.get_int_max_str_digits()
@@ -247,12 +247,11 @@ def cmd_convergents(args) -> Report:
         f, g = (f1, g1) if k % 2 else (f2, g2)
         if f >= too_long:
             raise _digit_limit_error()
-        if not _one_shear(prev, k, run, matrix):
+        if matrix != _shear(prev, k, run):
             raise CertificationError(f"run {k} is not one shear of the matrix before it")
         rows.append((f, g))
         prev = matrix
-    past = ((f1 + f2, f2), (g1 + g2, g2)) if k % 2 == 0 else ((f1, f1 + f2), (g1, g1 + g2))
-    if not _along(past, tau):  # one step into the next run: a last run cut short fails too
+    if not _along(_shear(prev, k + 1), tau):  # a step into the next run: a short last run fails
         raise CertificationError(f"run {k} leaves the valuation")
     res = {"tau": tau._asdict(), "convergents": Records(_PAIR, rows), "unimodular": True}
     return Report("convergents", {"a": args.a, "count": count}, res, "Verified")
@@ -274,24 +273,28 @@ def cmd_value(args) -> Report:
     return Report("value", {"a": args.a, "matrix": args.matrix}, res, "Verified")
 
 
-# every state is the identity times shears, so its det is 1
+# `cmd_transform` checks every state to be `_shear` of the one before, so its det is 1
 _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": 1, "step_index": _INT}
 
 
 def cmd_transform(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import _along, branch_steps
+    from .transform import _along, _shear, branch_steps
     steps = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     if steps < 0:
         raise ConfigError("steps >= 0", "steps must be nonnegative")
     # u and v have values tau and 1, so `branch_steps` walks tau's quotients
-    rows = [(1, 0, 0, 1, "null", 0)]
-    for k, (branch, ((a, b), (c, d))) in enumerate(islice(branch_steps(((1, 0), (0, 1)), tau),
-                                                          steps), 1):
+    rows, prev = [(1, 0, 0, 1, "null", 0)], ((1, 0), (0, 1))
+    walk = list(islice(branch_steps(prev, tau), steps))
+    if not _along(walk[-1][1] if walk else prev, tau):  # tested first, to name a wrong turn
+        raise CertificationError(f"state {len(walk)} leaves the valuation")
+    for k, (branch, matrix) in enumerate(walk, 1):
+        odd = branch == "DivideFirstIntoSecond"  # the label names the step's parity
+        if not (odd or branch == "DivideSecondIntoFirst") or matrix != _shear(prev, odd):
+            raise CertificationError(f"state {k} is not one step of state {k - 1}")
+        (a, b), (c, d) = prev = matrix
         rows.append((a, b, c, d, encode_basestring_ascii(branch), k))
-    if not _along((rows[-1][:2], rows[-1][2:4]), tau):
-        raise CertificationError(f"state {len(rows) - 1} leaves the valuation")
     return Report("transform", {"a": args.a, "steps": steps},
                   {"states": Records(_STATE, rows), "det_constant": True}, "Verified")
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import CertificationError, ConfigError, Falsified
 from .qfield import QuadExt, tau_from_a
 from .valuation import ValueElement, group_index
-from .transform import Matrix2, _along, _one_shear, branch_steps
+from .transform import Matrix2, _along, _shear, branch_steps
 from .toric import RegularityVerdict, below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
@@ -212,14 +212,14 @@ def certify_conflict(sweep: SweepReport, corrupt_step: int | None = None
     Each branch's pi1 order, by the Smith form (action) and by Hirzebruch-Jung
     (verdict: 1 if Regular, else |det|), must be its prime, and q != p: no single
     normal local ring lies below both.  The sweep must hold two walks of
-    config.steps + 1 matrices.  Step 0 must be the branch matrix, which carries
-    the verdict `build` took of it, and every later matrix must be exactly prev*E,
-    with E = [[1,1],[0,1]] or [[1,0],[1,1]], and carries the previous verdict: E has
-    determinant 1, so det is unchanged; each row r goes to r*E with the same
-    content, so the primitive determinant is unchanged; and the dual cone of the
-    new rows is the image of the old one under the lattice automorphism E^-1, so
-    its Hilbert basis has the same size.  Any other matrix fails the certificate, as does
-    a walk whose last matrix fails `_along` (a step keeps opposite-signed values opposite).
+    config.steps + 1 matrices.  Step 0 must be the branch matrix, which carries the verdict
+    `build` took of it.  Every later matrix must be `_shear(prev, p)` = prev*E, p = 1 exactly
+    when column 1 changed (prev has det != 0, so no zero column), and carries the previous
+    verdict: E = [[1,1],[0,1]] or [[1,0],[1,1]] has determinant 1, so det is unchanged; each
+    row r goes to r*E with the same content, so the primitive determinant is unchanged; and
+    the dual cone of the new rows is the image of the old one under the lattice automorphism
+    E^-1, so its Hilbert basis has the same size.  Any other matrix fails the certificate, as
+    does a walk whose last matrix fails `_along` (a step keeps opposite-signed values opposite).
     To probe the falsification channel, nu1's checked matrix at `corrupt_step`
     (0..config.steps) is recorded as the identity, judged by `below_ring_regularity`.
     After every record is checked, the first Regular one raises `Falsified`."""
@@ -246,8 +246,8 @@ def certify_conflict(sweep: SweepReport, corrupt_step: int | None = None
         name, prev = branch.name, branch.matrix
         probe = corrupt_step if name == "nu1" else None
         for step, matrix in enumerate(walk):
-            if not (matrix == prev if step == 0
-                    else _one_shear(prev, 0, 1, matrix) or _one_shear(prev, 1, 1, matrix)):
+            odd = step and (matrix[0][0] != prev[0][0] or matrix[1][0] != prev[1][0])
+            if matrix != (_shear(prev, odd) if step else prev):
                 raise CertificationError(f"sweep record {len(records)} is not {name} step {step}")
             verdict, prev = branch.verdict, matrix
             if step == probe:

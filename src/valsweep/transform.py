@@ -75,25 +75,21 @@ def _along(matrix: Matrix2, tau: QuadExt) -> bool:
     return w != 0 and sign_of(d * s - b * r, d * t, dd) == w == sign_of(a * r - c * s, -c * t, dd)
 
 
-def _one_shear(prev: Matrix2, k: int, times: int, matrix: Matrix2) -> bool:
-    """Whether matrix is prev after `times` steps of run k: the kept column
-    unchanged, and the written one (column 2 on even k, column 1 on odd k)
-    plus `times` times the kept one.  It restates a run of `branch_runs` for
-    `convergents`, and a step for the sweep's judge; a shear has det 1."""
-    (a, b), (c, d) = prev
-    (a2, b2), (c2, d2) = matrix
-    if k % 2:  # the columns swapped, so that column 2 is the written one
-        a, b, c, d, a2, b2, c2, d2 = b, a, d, c, b2, a2, d2, c2
-    ta, tc = (a, c) if times == 1 else (times * a, times * c)  # as in `branch_runs`
-    return a2 == a and c2 == c and b2 == b + ta and d2 == d + tc
+def _shear(matrix: Matrix2, k: int, times: int = 1) -> Matrix2:
+    """matrix after `times` steps of run k: each adds the kept column into the written one
+    (column 2 on even k, 1 on odd k).  The walk readers' step rule; no producer calls it."""
+    (a, b), (c, d) = matrix
+    if k % 2:  # column 1 is written; a run of 1 adds, since 1 * a copies a long integer
+        return ((a + b, b), (c + d, d)) if times == 1 else ((a + times * b, b), (c + times * d, d))
+    return ((a, b + a), (c, d + c)) if times == 1 else ((a, b + times * a), (c, d + times * c))
 
 
 def branch_runs(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[int, int, Matrix2]]:
-    """(k, a_k, A after run k) for each run of the transform sequence from
-    A = matrix, lazily, for parameter values of ratio x = v(first)/v(second) > 0.
-    The steps run the subtractive Euclidean algorithm on the values, so run k
-    takes a_k steps, a_k the k-th partial quotient of x: one shear, so that
-    `convergents` never expands a run, though one can be 10^6 steps long."""
+    """(k, a_k, A after run k) for each run of the transform sequence from A = matrix,
+    lazily, for parameter values of ratio x = v(first)/v(second) > 0.  The steps run the
+    subtractive Euclidean algorithm on the values, so run k takes a_k steps, a_k the k-th
+    partial quotient of x: one shear `_shear(A, k, a_k)`, so that `convergents` never
+    expands a run, though one can be 10^6 steps long."""
     (a, b), (c, d) = matrix
     for k, run in enumerate(_quotient_stream(x)):
         if k % 2 == 0:  # a run of 1, the commonest, adds: 1 * a copies a long integer

@@ -29,7 +29,7 @@ from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
 from corpus import GROUPED_TOKEN, JUNK_FLAG, JUNK_TOKEN, LONG_TOKEN, OWN, VALID
 from test_report_templates import assert_renders_like_oracle
-from walk_faults import quotient_off, turned
+from walk_faults import quotient_off, state_forged, turned
 
 
 def run(capsys, *argv):
@@ -658,7 +658,8 @@ class TestConvergentsCheck:
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_count_must_be_positive(self, capsys, steps):
         code, out, err = run(capsys, "convergents", "--a", "7", "--steps", steps)
-        assert (code, out, err) == (EXIT_USAGE, "", "error: count must be positive\n")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: violated constraint [steps >= 1]: steps must be positive\n")
 
 
 # (module patched, its attribute, the fault, argv, the CertificationError's message):
@@ -723,6 +724,53 @@ class TestOffTheValuation:
         assert proc.stdout.splitlines() == [
             f"False CertificationError 3 '' error: certificate failed: {message}"
             for *_, message in OFF_VALUATION]
+
+
+# (forge, state K): `transform --a 7 --steps 40` with state K of `branch_steps`
+# rewritten by `walk_faults.STATE_FORGES[forge]`; runs of tau_from_a(7) are 7, 1,
+# 7, 1, ..., so state 8 is the one step of run 1 and state 40 the last
+STATE_FAULTS = [("column_1_doubled", 1), ("column_1_doubled", 5), ("column_1_doubled", 40),
+                ("other_label", 1), ("other_label", 8), ("repeated", 1), ("repeated", 8)]
+
+
+def state_fault_outcome(forge, at):
+    """`transform --a 7 --steps 40` through `main` with state `at` forged:
+    (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "branch_steps", state_forged(transform.branch_steps, at, forge))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["transform", "--a", "7", "--steps", "40"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestTransformCheck:
+    """`transform` checks each state it prints to be `transform._shear` of the
+    state before, by the parity that its label names, so that the label,
+    `"det": 1` and `"det_constant": true` are certified: a forged state exits
+    3 with nothing on stdout, also under python -O."""
+
+    @pytest.mark.parametrize("forge, at", STATE_FAULTS,
+                             ids=[f"{forge}-{at}" for forge, at in STATE_FAULTS])
+    def test_refused(self, forge, at):
+        assert state_fault_outcome(forge, at) == (
+            EXIT_CERTIFICATE, "",
+            f"error: certificate failed: state {at} is not one step of state {at - 1}\n")
+
+    def test_refused_under_optimize(self):
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                  "from test_cli import STATE_FAULTS, state_fault_outcome\n"
+                  "for forge, at in STATE_FAULTS:\n"
+                  "    code, out, err = state_fault_outcome(forge, at)\n"
+                  "    print(__debug__, code, repr(out), err, end='')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"False {EXIT_CERTIFICATE} '' error: certificate failed: "
+            f"state {at} is not one step of state {at - 1}" for _, at in STATE_FAULTS]
 
 
 class TestNegativeMatrixEntries:

@@ -272,7 +272,8 @@ class TestConvergents:
     @pytest.mark.parametrize("count", [0, -1, -5])
     def test_no_count_is_rejected(self, capsys, count):
         assert main(["convergents", "--a", "7", "--steps", str(count)]) == 1
-        assert capsys.readouterr() == ("", "error: count must be positive\n")
+        assert capsys.readouterr() == (
+            "", "error: violated constraint [steps >= 1]: steps must be positive\n")
 
     @pytest.mark.parametrize("a", [1, 3, 7, 13])
     def test_unimodularity_and_sandwich(self, a):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import convergent_parameters, parameter_values, value_steps
+from oracles import arithmetic_step, convergent_parameters, parameter_values, value_steps
 from valsweep.errors import QFieldError
 from valsweep.qfield import _quotient_stream, tau_from_a
 from valsweep.toric import det_int
-from valsweep.transform import TransformState, _along, branch_runs, branch_steps, run_sequence
+from valsweep.transform import (TransformState, _along, _shear, branch_runs, branch_steps,
+                                run_sequence)
 from valsweep.valuation import ValuationError, ValueElement
 
 TAU7 = tau_from_a(7)
@@ -241,3 +242,35 @@ class TestAlong:
             wrong = shear(prev, walk[step][0][0] == prev[0][0])  # the other column
             assert not _along(wrong, tau), step
             assert not all(v.is_positive for v in parameter_values(wrong, tau)), step
+
+
+MATRIX = st.tuples(*[st.tuples(st.integers(0, 9), st.integers(0, 9))] * 2)
+
+
+class TestShear:
+    """`_shear`, the readers' one statement of a step: `times` steps of run k
+    are `times` single steps, keep det, and a single step is the one that the
+    values decide (`oracles.arithmetic_step`) for a run of k's parity."""
+
+    @given(MATRIX, st.integers(0, 3), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_times_steps_are_single_steps(self, matrix, k, times):
+        single = matrix
+        for _ in range(times):
+            single = _shear(single, k)
+        assert _shear(matrix, k, times) == single
+
+    @given(MATRIX, st.integers(0, 3), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_keeps_det(self, matrix, k, times):
+        assert det_int(_shear(matrix, k, times)) == det_int(matrix)
+
+    @given(MATRIX, st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_one_step_is_the_value_decided_step(self, matrix, k):
+        # the first parameter's value tau > 1 is divided by the second's on an
+        # even run (column 2 written), and the other way on an odd one
+        values = (ve(0, 1, 1), ve(1, 0, 1)) if k % 2 == 0 else (ve(1, 0, 1), ve(0, 1, 1))
+        a, _, label = arithmetic_step((matrix, values, None))
+        assert (a, label) == (_shear(matrix, k), "DivideFirstIntoSecond" if k % 2
+                              else "DivideSecondIntoFirst")

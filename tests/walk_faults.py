@@ -1,17 +1,26 @@
-"""Faults that send a walk off the valuation while every matrix stays a
+"""Faults in a walk, for the readers' checks to catch.
+
+The first two send a walk off the valuation while every matrix stays a
 one-step successor of the one before, so that only the readers' sign test
-(`transform._along`) can catch them.
+(`transform._along`) can catch them:
 
 - `quotient_off` is `transform._quotient_stream` with one partial quotient
   moved by one or more steps, for every ratio or for one;
 - `turned` is a `branch_steps` that takes the other column operation at the
   given steps and otherwise the real walk's operation, from wherever it is:
   a wrong turn, and then a chain of successors.
+
+The third prints one state that is not a step of the one before, which only
+a reader's step check (against `transform._shear`) can catch:
+
+- `state_forged` is a `branch_steps` with one state rewritten by one of
+  `STATE_FORGES`, and the real walk after it.
 """
 
 from valsweep import transform
 
 SECOND = "DivideSecondIntoFirst"  # the label of a step that adds column 1 into column 2
+FIRST = "DivideFirstIntoSecond"  # the label of a step that adds column 2 into column 1
 
 
 def quotient_off(at, delta, only=None):
@@ -37,5 +46,26 @@ def turned(real, turns):
             else:
                 a, c = a + b, c + d
             yield label, ((a, b), (c, d))
+
+    return steps
+
+
+# (label, A, the A before it) -> the (label, A) printed in their place
+STATE_FORGES = {
+    "column_1_doubled": lambda label, a, prev: (label, ((2 * a[0][0], a[0][1]),
+                                                        (2 * a[1][0], a[1][1]))),
+    "other_label": lambda label, a, prev: (FIRST if label == SECOND else SECOND, a),
+    "repeated": lambda label, a, prev: (label, prev),
+}
+
+
+def state_forged(real, at, forge):
+    """`real` (a `branch_steps`) with state `at` (1 for the state after the first
+    step) printed as `STATE_FORGES[forge]` of it; the walk goes on from the real A."""
+    def steps(matrix, x):
+        prev = matrix
+        for k, (label, a) in enumerate(real(matrix, x), 1):
+            yield STATE_FORGES[forge](label, a, prev) if k == at else (label, a)
+            prev = a
 
     return steps
