@@ -16,9 +16,10 @@ import os
 import re
 import sys
 import time
-from itertools import islice
+from itertools import islice, tee
 from json.encoder import encode_basestring_ascii
 from math import inf, isqrt
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -229,7 +230,7 @@ def cmd_tau(args) -> Report:
 
 def cmd_convergents(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import _along, _shear, branch_runs
+    from .transform import _shear, branch_runs, check_walk
     count = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     if count <= 0:
@@ -251,8 +252,10 @@ def cmd_convergents(args) -> Report:
             raise CertificationError(f"run {k} is not one shear of the matrix before it")
         rows.append((f, g))
         prev = matrix
-    if not _along(_shear(prev, k + 1), tau):  # a step into the next run: a short last run fails
-        raise CertificationError(f"run {k} leaves the valuation")
+    try:  # one step into the next run, so that a last run cut short fails
+        list(check_walk(prev, [_shear(prev, k + 1)], tau))
+    except CertificationError:
+        raise CertificationError(f"run {k} leaves the valuation") from None
     res = {"tau": tau._asdict(), "convergents": Records(_PAIR, rows), "unimodular": True}
     return Report("convergents", {"a": args.a, "count": count}, res, "Verified")
 
@@ -273,28 +276,28 @@ def cmd_value(args) -> Report:
     return Report("value", {"a": args.a, "matrix": args.matrix}, res, "Verified")
 
 
-# `cmd_transform` checks every state to be `_shear` of the one before, so its det is 1
+# `cmd_transform` checks every state by `check_walk`, so its det is 1
 _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": 1, "step_index": _INT}
+# each label of `branch_steps`: the parity of its step, and the label as JSON
+_LABELS = {label: (p, encode_basestring_ascii(label))
+           for p, label in enumerate(("DivideSecondIntoFirst", "DivideFirstIntoSecond"))}
 
 
 def cmd_transform(args) -> Report:
     from .qfield import tau_from_a
-    from .transform import _along, _shear, branch_steps
+    from .transform import branch_steps, check_walk
     steps = 10 if args.steps is None else args.steps
     tau = tau_from_a(args.a)
     if steps < 0:
         raise ConfigError("steps >= 0", "steps must be nonnegative")
     # u and v have values tau and 1, so `branch_steps` walks tau's quotients
-    rows, prev = [(1, 0, 0, 1, "null", 0)], ((1, 0), (0, 1))
-    walk = list(islice(branch_steps(prev, tau), steps))
-    if not _along(walk[-1][1] if walk else prev, tau):  # tested first, to name a wrong turn
-        raise CertificationError(f"state {len(walk)} leaves the valuation")
-    for k, (branch, matrix) in enumerate(walk, 1):
-        odd = branch == "DivideFirstIntoSecond"  # the label names the step's parity
-        if not (odd or branch == "DivideSecondIntoFirst") or matrix != _shear(prev, odd):
-            raise CertificationError(f"state {k} is not one step of state {k - 1}")
-        (a, b), (c, d) = prev = matrix
-        rows.append((a, b, c, d, encode_basestring_ascii(branch), k))
+    rows, start = [(1, 0, 0, 1, "null", 0)], ((1, 0), (0, 1))
+    labels, walk = tee(islice(branch_steps(start, tau), steps))
+    for k, p, ((a, b), (c, d)) in check_walk(start, map(itemgetter(1), walk), tau):
+        parity, text = _LABELS.get(next(labels)[0], (None, None))
+        if parity != p:
+            raise CertificationError(f"matrix {k} is not one step of matrix {k - 1}")
+        rows.append((a, b, c, d, text, k))
     return Report("transform", {"a": args.a, "steps": steps},
                   {"states": Records(_STATE, rows), "det_constant": True}, "Verified")
 

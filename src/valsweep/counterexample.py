@@ -17,13 +17,13 @@ trip raises `CertificationError`, and a regular ring `Falsified`.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .errors import CertificationError, ConfigError, Falsified
 from .qfield import QuadExt, tau_from_a
 from .valuation import ValueElement, group_index
-from .transform import Matrix2, _along, _shear, branch_steps
+from .transform import Matrix2, branch_steps, check_walk
 from .toric import RegularityVerdict, below_ring_regularity, det_int, smith_normal_form
 from .quotient import ORDER_MAX, DiagonalAction, is_prime, pi1_order
 
@@ -213,16 +213,16 @@ def certify_conflict(sweep: SweepReport, corrupt_step: int | None = None
     (verdict: 1 if Regular, else |det|), must be its prime, and q != p: no single
     normal local ring lies below both.  The sweep must hold two walks of
     config.steps + 1 matrices.  Step 0 must be the branch matrix, which carries the verdict
-    `build` took of it.  Every later matrix must be `_shear(prev, p)` = prev*E, p = 1 exactly
-    when column 1 changed (prev has det != 0, so no zero column), and carries the previous
-    verdict: E = [[1,1],[0,1]] or [[1,0],[1,1]] has determinant 1, so det is unchanged; each
-    row r goes to r*E with the same content, so the primitive determinant is unchanged; and
-    the dual cone of the new rows is the image of the old one under the lattice automorphism
-    E^-1, so its Hilbert basis has the same size.  Any other matrix fails the certificate, as
-    does a walk whose last matrix fails `_along` (a step keeps opposite-signed values opposite).
-    To probe the falsification channel, nu1's checked matrix at `corrupt_step`
-    (0..config.steps) is recorded as the identity, judged by `below_ring_regularity`.
-    After every record is checked, the first Regular one raises `Falsified`."""
+    `build` took of it.  `transform.check_walk` accepts every later matrix only as prev*E
+    (`_shear`), and it carries the previous verdict: E = [[1,1],[0,1]] or [[1,0],[1,1]] has
+    determinant 1, so det is unchanged; each row r goes to r*E with the same content, so the
+    primitive determinant is unchanged; and the dual cone of the new rows is the image of the
+    old one under the lattice automorphism E^-1, so its Hilbert basis has the same size.  Any
+    other matrix fails the certificate, as does a walk that leaves the valuation.  A branch
+    verdict is Singular, since its order is the branch's prime, so only the probe of the
+    falsification channel can be Regular: after every record is checked, nu1's record at
+    `corrupt_step` (0..config.steps) becomes the identity, judged by `below_ring_regularity`,
+    and a Regular one raises `Falsified`."""
     instance = sweep.instance
     steps = instance.config.steps
     if corrupt_step is not None and not 0 <= corrupt_step <= steps:
@@ -232,7 +232,7 @@ def certify_conflict(sweep: SweepReport, corrupt_step: int | None = None
     if len(sweep.walks) != 2 or any(len(walk) != span for walk in sweep.walks):
         raise CertificationError(f"sweep walks hold {[len(walk) for walk in sweep.walks]} "
                                  f"matrices, expected two walks of {span}")
-    orders, records, falsification = {}, [], None
+    orders, records = {}, []
     for branch in instance.branches:
         smith = pi1_order(branch.action)
         hj = 1 if branch.verdict.regular else abs(branch.verdict.det)
@@ -242,24 +242,20 @@ def certify_conflict(sweep: SweepReport, corrupt_step: int | None = None
         orders[branch.name] = smith
     if orders["nu1"] == orders["nu2"]:
         raise CertificationError("branch orders coincide; no obstruction")
-    for branch, walk in zip(instance.branches, sweep.walks):
-        name, prev = branch.name, branch.matrix
-        probe = corrupt_step if name == "nu1" else None
-        for step, matrix in enumerate(walk):
-            odd = step and (matrix[0][0] != prev[0][0] or matrix[1][0] != prev[1][0])
-            if matrix != (_shear(prev, odd) if step else prev):
-                raise CertificationError(f"sweep record {len(records)} is not {name} step {step}")
-            verdict, prev = branch.verdict, matrix
-            if step == probe:
-                matrix = ((1, 0), (0, 1))
-                verdict = below_ring_regularity(matrix)
-            regular, dim, det = verdict
-            records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
-            if regular:
-                falsification = falsification or f"branch {name} step {step}: ring below is regular"
-        if not _along(prev, instance.tau):
-            raise CertificationError(f"sweep record {len(records) - 1} leaves the valuation: "
-                                     f"{name} step {steps}")
-    if falsification is not None:
-        raise Falsified(falsification, tuple(records))
+    for branch, (start, *walk) in zip(instance.branches, sweep.walks):
+        name, (regular, dim, det) = branch.name, branch.verdict  # Singular, of prime order
+        try:
+            if start != branch.matrix:
+                raise CertificationError("matrix 0 is not the branch matrix")
+            for step, _, matrix in chain([(0, 0, start)], check_walk(start, walk, instance.tau)):
+                records.append(tuple.__new__(StepRecord, (name, step, matrix, det, regular, dim)))
+        except CertificationError as exc:
+            raise CertificationError(f"{name} walk: {exc}") from None
+    if corrupt_step is not None:  # nu1's record there, once checked, becomes the probe
+        matrix = ((1, 0), (0, 1))
+        regular, dim, det = below_ring_regularity(matrix)
+        records[corrupt_step] = StepRecord("nu1", corrupt_step, matrix, det, regular, dim)
+        if regular:
+            raise Falsified(f"branch nu1 step {corrupt_step}: ring below is regular",
+                            tuple(records))
     return tuple(records), orders

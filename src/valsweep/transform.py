@@ -10,9 +10,9 @@ det(A) is constant along the sequence.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ValuationError
+from .errors import CertificationError, ValuationError
 from .qfield import QuadExt, _quotient_stream, sign_of
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -82,6 +82,22 @@ def _shear(matrix: Matrix2, k: int, times: int = 1) -> Matrix2:
     if k % 2:  # column 1 is written; a run of 1 adds, since 1 * a copies a long integer
         return ((a + b, b), (c + d, d)) if times == 1 else ((a + times * b, b), (c + times * d, d))
     return ((a, b + a), (c, d + c)) if times == 1 else ((a, b + times * a), (c, d + times * c))
+
+
+def check_walk(start: Matrix2, walk: Iterable[Matrix2], tau: QuadExt
+               ) -> Iterator[tuple[int, bool, Matrix2]]:
+    """(k, p, matrix k) for each matrix of `walk`, matrix 0 being `start` (det != 0), once it
+    is `_shear(matrix k-1, p)`, p = 1 exactly when column 1 changed; then `_along` of the last.
+    The first matrix that fails either raises `CertificationError` naming its index k."""
+    k, prev = 0, start
+    for k, matrix in enumerate(walk, 1):
+        p = matrix[0][0] != prev[0][0] or matrix[1][0] != prev[1][0]
+        if matrix != _shear(prev, p):
+            raise CertificationError(f"matrix {k} is not one step of matrix {k - 1}")
+        yield k, p, matrix
+        prev = matrix
+    if not _along(prev, tau):
+        raise CertificationError(f"matrix {k} leaves the valuation")
 
 
 def branch_runs(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[int, int, Matrix2]]:

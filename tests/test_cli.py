@@ -29,7 +29,7 @@ from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
 from corpus import GROUPED_TOKEN, JUNK_FLAG, JUNK_TOKEN, LONG_TOKEN, OWN, VALID
 from test_report_templates import assert_renders_like_oracle
-from walk_faults import quotient_off, state_forged, turned
+from walk_faults import STATE_FORGES, quotient_off, runs_forged, state_forged, turned
 
 
 def run(capsys, *argv):
@@ -525,10 +525,18 @@ def convergent_columns(a, count):
             for k, _, m in islice(transform.branch_runs(IDENTITY, tau_from_a(a)), count)]
 
 
-# (command, the run faulted, the CertificationError's message): runs of tau_from_a(7)
-# have lengths 7, 1, 7, 1, ..., so run 2 takes states 9..15 of 40
-RUN_CHECKS = [("convergents", 5, "run 5 is not one shear of the matrix before it"),
-              ("transform", 2, "state 40 leaves the valuation")]
+# The faults put into one run: those of a run's end, and the forges of one state, which
+# go into the run's end for `convergents` and into the run's first state for `transform`
+WALK_FAULTS = [*RUN_FAULTS, *STATE_FORGES]
+# (command, the run faulted, the CertificationError's message for each fault): runs of
+# tau_from_a(7) have lengths 7, 1, 7, 1, ..., so run 2 takes states 9..15 of 40; a run
+# written into the wrong column keeps its labels, so `transform` refuses its first state
+RUN_CHECKS = [("convergents", 5, dict.fromkeys(WALK_FAULTS,
+                                               "run 5 is not one shear of the matrix before it")),
+              ("transform", 2, {"run_one_step_short": "matrix 40 leaves the valuation",
+                                "run_one_step_long": "matrix 40 leaves the valuation",
+                                **dict.fromkeys(["shear_by_the_wrong_column", *STATE_FORGES],
+                                                "matrix 9 is not one step of matrix 8")})]
 
 
 def run_fault(command, at, fault):
@@ -536,12 +544,17 @@ def run_fault(command, at, fault):
     of `command`: into the run ends of `branch_runs` for `convergents`; for
     `transform`, which steps the quotient stream one addition at a time, a
     quotient one less or one more, or a run whose steps add into the other
-    column."""
+    column.  A forge of `STATE_FORGES` rewrites the run's end for `convergents`
+    and the run's first state for `transform`."""
+    quotients = list(islice(transform._quotient_stream(tau_from_a(7)), at + 1))
+    start = sum(quotients[:-1])
     if command == "convergents":
+        if fault in STATE_FORGES:
+            return "branch_runs", runs_forged(transform.branch_runs, at, fault)
         return "branch_runs", faulty_runs(transform.branch_runs, at, RUN_FAULTS[fault])
+    if fault in STATE_FORGES:
+        return "branch_steps", state_forged(transform.branch_steps, start + 1, fault)
     if fault == "shear_by_the_wrong_column":
-        quotients = list(islice(transform._quotient_stream(tau_from_a(7)), at + 1))
-        start = sum(quotients[:-1])
         return "branch_steps", turned(transform.branch_steps, range(start, start + quotients[-1]))
     return "_quotient_stream", quotient_off(at, -1 if fault == "run_one_step_short" else 1)
 
@@ -552,8 +565,9 @@ class TestConvergentsCheck:
     one.  So det A stays 1 and f_(k-1) g_k - f_k g_(k-1) = +-1.  A run that
     fails exits 3 with nothing on stdout; generation stops at the first
     numerator past the digit limit.  `transform` steps the quotient stream
-    itself, so its faults go into the stream or the steps, and its walk
-    fails the sign test at its last state."""
+    itself, so its faults go into the stream or the steps: a wrong quotient
+    fails the sign test at its last state, and a step into the other column
+    fails its label check."""
 
     # (run, df, dg): the convergent that run writes, off by (df, dg)
     FAULTS = [(1, 1, 0), (2, 0, 1), (5, 7, 0), (9, 0, -1)]
@@ -600,9 +614,10 @@ class TestConvergentsCheck:
             EXIT_CERTIFICATE, "", "debug False\nerror: certificate failed: "
                                   "run 5 is not one shear of the matrix before it\n")
 
-    @pytest.mark.parametrize("fault", RUN_FAULTS)
-    @pytest.mark.parametrize("command, at, message", RUN_CHECKS, ids=[c for c, _, _ in RUN_CHECKS])
-    def test_run_fault_exits_3(self, capsys, monkeypatch, command, at, message, fault):
+    @pytest.mark.parametrize("fault", WALK_FAULTS)
+    @pytest.mark.parametrize("command, at, messages", RUN_CHECKS, ids=[c for c, _, _ in RUN_CHECKS])
+    def test_run_fault_exits_3(self, capsys, monkeypatch, command, at, messages, fault):
+        message = messages[fault]
         monkeypatch.setattr(transform, *run_fault(command, at, fault))
         with pytest.raises(CertificationError) as exc:
             cli.COMMANDS[command](cli.parse_args([command, "--a", "7", "--steps", "40"]))
@@ -613,11 +628,11 @@ class TestConvergentsCheck:
     def test_run_faults_under_optimize(self):
         script = ("import sys\n"
                   f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-                  "from test_cli import RUN_CHECKS, RUN_FAULTS, run_fault\n"
+                  "from test_cli import RUN_CHECKS, WALK_FAULTS, run_fault\n"
                   "from valsweep import transform\n"
                   "from valsweep.cli import main\n"
                   "for command, at, _ in RUN_CHECKS:\n"
-                  "    for fault in RUN_FAULTS:\n"
+                  "    for fault in WALK_FAULTS:\n"
                   "        name, replacement = run_fault(command, at, fault)\n"
                   "        real = getattr(transform, name)\n"
                   "        setattr(transform, name, replacement)\n"
@@ -628,8 +643,8 @@ class TestConvergentsCheck:
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "")
-        expected = [f"error: certificate failed: {message}\nFalse {EXIT_CERTIFICATE}"
-                    for _, _, message in RUN_CHECKS for _ in RUN_FAULTS]
+        expected = [f"error: certificate failed: {messages[fault]}\nFalse {EXIT_CERTIFICATE}"
+                    for _, _, messages in RUN_CHECKS for fault in WALK_FAULTS]
         assert proc.stderr == "".join(line + "\n" for line in expected)
 
     def test_stops_at_the_first_numerator_past_the_limit(self, capsys):
@@ -668,7 +683,7 @@ class TestConvergentsCheck:
 OFF_VALUATION = [
     *[("transform", "_quotient_stream", (1, delta), argv, message) for delta in (-1, 1)
       for argv, message in ((["transform", "--a", "7", "--steps", "40"],
-                             "state 40 leaves the valuation"),
+                             "matrix 40 leaves the valuation"),
                             (["convergents", "--a", "7"], "run 9 leaves the valuation"))],
     # a last run that stops short still has both values positive at its end, so
     # `convergents` tests one step into the next run
@@ -730,7 +745,8 @@ class TestOffTheValuation:
 # rewritten by `walk_faults.STATE_FORGES[forge]`; runs of tau_from_a(7) are 7, 1,
 # 7, 1, ..., so state 8 is the one step of run 1 and state 40 the last
 STATE_FAULTS = [("column_1_doubled", 1), ("column_1_doubled", 5), ("column_1_doubled", 40),
-                ("other_label", 1), ("other_label", 8), ("repeated", 1), ("repeated", 8)]
+                ("other_label", 1), ("other_label", 8), ("other_label", 40),
+                ("repeated", 1), ("repeated", 8), ("repeated", 40)]
 
 
 def state_fault_outcome(forge, at):
@@ -755,7 +771,7 @@ class TestTransformCheck:
     def test_refused(self, forge, at):
         assert state_fault_outcome(forge, at) == (
             EXIT_CERTIFICATE, "",
-            f"error: certificate failed: state {at} is not one step of state {at - 1}\n")
+            f"error: certificate failed: matrix {at} is not one step of matrix {at - 1}\n")
 
     def test_refused_under_optimize(self):
         script = ("import sys\n"
@@ -770,7 +786,7 @@ class TestTransformCheck:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             f"False {EXIT_CERTIFICATE} '' error: certificate failed: "
-            f"state {at} is not one step of state {at - 1}" for _, at in STATE_FAULTS]
+            f"matrix {at} is not one step of matrix {at - 1}" for _, at in STATE_FAULTS]
 
 
 class TestNegativeMatrixEntries:

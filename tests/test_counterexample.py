@@ -24,7 +24,7 @@ from valsweep.counterexample import (CertificationError, ConfigError, Falsified,
 from valsweep.qfield import QuadExt, tau_from_a
 from valsweep.quotient import DiagonalAction, is_prime
 from valsweep.toric import det_int
-from walk_faults import quotient_off, turned
+from walk_faults import STATE_FORGES, quotient_off, steps_forged, turned
 
 
 class TestConfig:
@@ -273,9 +273,9 @@ def nu1_starts_one_step_late():
 
 
 FOREIGN_SWEEPS = [(no_records, "sweep walks hold [] matrices, expected two walks of 1"),
-                  (another_instances_records, "sweep record 0 is not nu1 step 0"),
-                  (nu2_shifted_by_one_step, "sweep record 6 is not nu2 step 0"),
-                  (nu1_starts_one_step_late, "sweep record 0 is not nu1 step 0")]
+                  (another_instances_records, "nu1 walk: matrix 0 is not the branch matrix"),
+                  (nu2_shifted_by_one_step, "nu2 walk: matrix 0 is not the branch matrix"),
+                  (nu1_starts_one_step_late, "nu1 walk: matrix 0 is not the branch matrix")]
 
 
 class TestSweepCarriesItsInstance:
@@ -381,7 +381,7 @@ class TestRecordsAreJudged:
         with pytest.raises(CertificationError) as exc:
             certify_conflict(sweep._replace(walks=(nu1, replaced(nu2, 4, column_1_doubled))),
                              corrupt_step=3)
-        assert str(exc.value) == "sweep record 30 is not nu2 step 4"
+        assert str(exc.value) == "nu2 walk: matrix 4 is not one step of matrix 3"
 
     def test_regular_step_zero_falls_through_to_the_falsification(self):
         sweep = singularity_sweep(build(InstanceConfig(11, 13, 3, 3, 0)))
@@ -498,23 +498,23 @@ CERTIFICATE_FAULTS = [
      "sweep walks hold [26, 26, 26] matrices, expected two walks of 26"),
     (walk_forged("record_9_matrix_forged", lambda nu1, nu2: (
         replaced(nu1, 9, lambda a: ((a[0][0], a[0][1] + 1), a[1])), nu2)), (11, 13, 3, 3),
-     "sweep record 9 is not nu1 step 9"),
+     "nu1 walk: matrix 9 is not one step of matrix 8"),
     (walk_forged("step_0_not_the_branch_matrix",
                  lambda nu1, nu2: (nu1, replaced(nu2, 0, rows_swapped))), (11, 13, 3, 3),
-     "sweep record 26 is not nu2 step 0"),
+     "nu2 walk: matrix 0 is not the branch matrix"),
     # a det-0 matrix is a non-successor like any other: the judge asks no layer about it
     (walk_forged("det_0_matrix_at_nu1_step_4",
                  lambda nu1, nu2: (replaced(nu1, 4, lambda a: ((2, 4), (1, 2))), nu2)),
-     (11, 13, 3, 3), "sweep record 4 is not nu1 step 4"),
+     (11, 13, 3, 3), "nu1 walk: matrix 4 is not one step of matrix 3"),
     # a non-successor fails whatever its det
     (walk_forged("rows_swapped_at_nu2_step_14",
                  lambda nu1, nu2: (nu1, replaced(nu2, 14, rows_swapped))), (11, 13, 3, 3),
-     "sweep record 40 is not nu2 step 14"),
+     "nu2 walk: matrix 14 is not one step of matrix 13"),
     (walk_forged("columns_swapped_at_nu2_step_10",
                  lambda nu1, nu2: (nu1, replaced(nu2, 10, columns_swapped))), (11, 13, 3, 3),
-     "sweep record 36 is not nu2 step 10"),
+     "nu2 walk: matrix 10 is not one step of matrix 9"),
     # the judge's sign test at each walk's last matrix
-    (run_1_one_step_short, (11, 13, 3, 3), "sweep record 25 leaves the valuation: nu1 step 25"),
+    (run_1_one_step_short, (11, 13, 3, 3), "nu1 walk: matrix 25 leaves the valuation"),
 ]
 
 
@@ -589,28 +589,51 @@ class TestVerdictCertificates:
 # successors from its own step 0.
 STUCK_REPEATED_SWAPPED = [
     (walk_forged("nu1_stuck_at_step_0", lambda nu1, nu2: (nu1[:1] * len(nu1), nu2)),
-     "sweep record 1 is not nu1 step 1"),
+     "nu1 walk: matrix 1 is not one step of matrix 0"),
     (walk_forged("nu1_step_5_repeated", lambda nu1, nu2: (nu1[:6] + nu1[5:-1], nu2)),
-     "sweep record 6 is not nu1 step 6"),
+     "nu1 walk: matrix 6 is not one step of matrix 5"),
     (walk_forged("nu1_rows_swapped", lambda nu1, nu2: (tuple(map(rows_swapped, nu1)), nu2)),
-     "sweep record 0 is not nu1 step 0"),
+     "nu1 walk: matrix 0 is not the branch matrix"),
 ]
 WITNESS_FAULTS = [(fault, corrupt_step, message) for fault, message in STUCK_REPEATED_SWAPPED
                   for corrupt_step in (None, 0)] + [
     # the probe's step and the one after it are checked like any other
     (walk_forged("column_1_doubled_at_the_probe",
                  lambda nu1, nu2: (replaced(nu1, 3, column_1_doubled), nu2)),
-     3, "sweep record 3 is not nu1 step 3"),
+     3, "nu1 walk: matrix 3 is not one step of matrix 2"),
     (walk_forged("rows_swapped_at_the_probe",
                  lambda nu1, nu2: (replaced(nu1, 3, rows_swapped), nu2)),
-     3, "sweep record 3 is not nu1 step 3"),
+     3, "nu1 walk: matrix 3 is not one step of matrix 2"),
     (walk_forged("column_1_doubled_after_the_probe",
                  lambda nu1, nu2: (replaced(nu1, 4, column_1_doubled), nu2)),
-     3, "sweep record 4 is not nu1 step 4"),
+     3, "nu1 walk: matrix 4 is not one step of matrix 3"),
     (walk_forged("identity_after_the_probe",
                  lambda nu1, nu2: (replaced(nu1, 25, lambda a: IDENTITY), nu2)),
-     24, "sweep record 25 is not nu1 step 25"),
+     24, "nu1 walk: matrix 25 is not one step of matrix 24"),
 ]
+
+
+def step_forged(forge, at):
+    """A fault that forges step `at` of each branch's sweep by
+    `walk_faults.STATE_FORGES[forge]`, on its matrix alone."""
+    def fault(mp):
+        mp.setattr(counterexample, "branch_steps",
+                   steps_forged(counterexample.branch_steps, at, forge))
+
+    fault.__name__ = f"{forge}_at_step_{at}"
+    return fault
+
+
+# The forges of one state, at nu1's steps 1, 8 (run 2, of one step) and 25 (the last),
+# with and without the probe there.  A walk states each step by its matrix alone, so the
+# matrix of the other label is a step itself: the walk is refused at the next matrix, or
+# at the last by the sign test, as a wrong turn.
+WITNESS_FAULTS += [
+    (step_forged(forge, at), corrupt_step,
+     f"nu1 walk: matrix {at} leaves the valuation" if forge == "other_label" and at == 25
+     else f"nu1 walk: matrix {at + 1} is not one step of matrix {at}" if forge == "other_label"
+     else f"nu1 walk: matrix {at} is not one step of matrix {at - 1}")
+    for forge in STATE_FORGES for at in (1, 8, 25) for corrupt_step in (None, at)]
 
 
 class TestNoMatrixIsExcused:
@@ -670,8 +693,8 @@ def wrong_turn(mp, matrix, ratio, step):
                lambda start, x: (bad if start == matrix else real)(start, x))
 
 
-LEAVES = {0: "sweep record 25 leaves the valuation: nu1 step 25",
-          1: "sweep record 51 leaves the valuation: nu2 step 25"}
+LEAVES = {0: "nu1 walk: matrix 25 leaves the valuation",
+          1: "nu2 walk: matrix 25 leaves the valuation"}
 # (fault, corrupt_step, the CertificationError's message): a quotient one less
 # (a_1 - 1) or one more at run 1, and a wrong turn at steps 0, 1, 5 and 24, on
 # each branch; the falsification probe excuses none of them

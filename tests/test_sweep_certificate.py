@@ -119,8 +119,9 @@ class TestForgedRecords:
                          *walks[branch][step + 1:])
         with pytest.raises(CertificationError) as exc:
             certify_conflict(report._replace(walks=tuple(walks)))
-        at, name = branch * (steps + 1) + step, ("nu1", "nu2")[branch]
-        assert str(exc.value) == f"sweep record {at} is not {name} step {step}"
+        name = ("nu1", "nu2")[branch]
+        assert str(exc.value) == (f"{name} walk: matrix {step} is not one step of matrix {step - 1}"
+                                  if step else f"{name} walk: matrix 0 is not the branch matrix")
 
     def test_certificate_calls_the_direct_check_only_off_successors(self, monkeypatch):
         calls = []
@@ -156,7 +157,7 @@ class TestMutation:
                             lambda a: judged.append((a, real(a))) or judged[-1][1])
         with pytest.raises(CertificationError) as exc:
             certify_conflict(report)
-        assert str(exc.value) == "sweep record 1 is not nu1 step 1"
+        assert str(exc.value) == "nu1 walk: matrix 1 is not one step of matrix 0"
         # the doubled matrix is no successor, and the judge asks no layer about it
         assert judged == []
         assert abs(det_int(report.walks[0][1])) == 22
@@ -167,7 +168,8 @@ class TestMutation:
                             lambda a, x: map(doubling_step, branch_steps(a, x)))
         code = main(["counterexample", "--q", "11", "--p", "13", "--steps", "10"])
         assert (code, capsys.readouterr()) == (
-            EXIT_CERTIFICATE, ("", "error: certificate failed: sweep record 1 is not nu1 step 1\n"))
+            EXIT_CERTIFICATE,
+            ("", "error: certificate failed: nu1 walk: matrix 1 is not one step of matrix 0\n"))
 
     def test_non_unimodular_step_under_optimize(self):
         script = (
@@ -186,7 +188,7 @@ class TestMutation:
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False sweep record 1 is not nu1 step 1"
+        assert proc.stdout.strip() == "False nu1 walk: matrix 1 is not one step of matrix 0"
 
 
 def transform_oracle(a, steps):

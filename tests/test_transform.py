@@ -1,17 +1,21 @@
+import ast
 import functools
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valsweep
 from oracles import arithmetic_step, convergent_parameters, parameter_values, value_steps
-from valsweep.errors import QFieldError
+from valsweep.errors import CertificationError, QFieldError
 from valsweep.qfield import _quotient_stream, tau_from_a
 from valsweep.toric import det_int
 from valsweep.transform import (TransformState, _along, _shear, branch_runs, branch_steps,
-                                run_sequence)
+                                check_walk, run_sequence)
 from valsweep.valuation import ValuationError, ValueElement
+from walk_faults import turned
 
 TAU7 = tau_from_a(7)
 
@@ -274,3 +278,103 @@ class TestShear:
         a, _, label = arithmetic_step((matrix, values, None))
         assert (a, label) == (_shear(matrix, k), "DivideFirstIntoSecond" if k % 2
                               else "DivideSecondIntoFirst")
+
+
+def walked(start, walk, tau):
+    """What `check_walk` yields before it stops, and its refusal (None if none)."""
+    out = []
+    try:
+        for step in check_walk(start, walk, tau):
+            out.append(step)
+    except CertificationError as exc:
+        return out, str(exc)
+    return out, None
+
+
+NONSINGULAR = st.tuples(*[st.integers(-9, 9)] * 4).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+# a matrix of a chain rewritten: (kind, the rewrite of A given the matrix before it)
+REFUSALS = {"entry_plus_1": lambda a, prev, i: _bumped(a, i, 1),
+            "entry_minus_1": lambda a, prev, i: _bumped(a, i, -1),
+            "repeated": lambda a, prev, i: prev,
+            "rows_swapped": lambda a, prev, i: (a[1], a[0])}
+
+
+def _bumped(a, i, delta):
+    flat = [*a[0], *a[1]]
+    flat[i] += delta
+    return tuple(flat[:2]), tuple(flat[2:])
+
+
+class TestCheckWalk:
+    """`check_walk`, the one check of a walk: from a start of det != 0, it
+    yields exactly a chain of shears (`shear`, restated here), refuses the
+    first matrix that is none, naming its index, and after the last matrix
+    tests the sign (`oracles.parameter_values`, by sympy)."""
+
+    @given(st.integers(1, 9), NONSINGULAR, st.lists(st.booleans(), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_a_chain_of_shears_is_yielded_whole(self, a, entries, ops):
+        tau, chain = tau_of(a), [(entries[:2], entries[2:])]
+        for first in ops:
+            chain.append(shear(chain[-1], first))
+        out, refusal = walked(chain[0], chain[1:], tau)
+        assert out == [(k, first, chain[k]) for k, first in enumerate(ops, 1)]
+        along = all(v.is_positive for v in parameter_values(chain[-1], tau))
+        assert refusal == (None if along else f"matrix {len(ops)} leaves the valuation")
+
+    @given(st.integers(1, 9), NONSINGULAR, st.lists(st.booleans(), min_size=1, max_size=40),
+           st.sampled_from(sorted(REFUSALS)), st.integers(0, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_rewritten_matrix_is_refused_at_its_index(self, a, entries, ops, kind, entry, data):
+        chain = [(entries[:2], entries[2:])]
+        for first in ops:
+            chain.append(shear(chain[-1], first))
+        at = data.draw(st.integers(1, len(ops)), label="at")
+        chain[at] = REFUSALS[kind](chain[at], chain[at - 1], entry)
+        out, refusal = walked(chain[0], chain[1:], tau_of(a))
+        assert out == [(k, first, chain[k]) for k, first in enumerate(ops[:at - 1], 1)]
+        assert refusal == f"matrix {at} is not one step of matrix {at - 1}"
+
+    @given(st.integers(1, 10**6), st.integers(1, 60), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_wrong_turn_fails_only_the_sign_test(self, a, steps, data):
+        tau, start = tau_of(a), ((1, 0), (0, 1))
+        turn = data.draw(st.integers(0, steps - 1), label="turn")
+        walk = [m for _, m in itertools.islice(turned(branch_steps, {turn})(start, tau), steps)]
+        out, refusal = walked(start, walk, tau)
+        assert [m for _, _, m in out] == walk
+        assert refusal == f"matrix {steps} leaves the valuation"
+        assert walked(start, walk[:turn], tau) == (out[:turn], None)
+
+
+SRC = Path(valsweep.__file__).parent
+
+
+def walk_rule_uses() -> set[tuple[str, str, str]]:
+    """(module, function, name) for each use of `_along` or `_shear` in src/,
+    the function being the qualified name of the innermost def around it."""
+    found = set()
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."), module)
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in ("_along", "_shear"):
+                found.add((module, scope or "<module>", name))
+            visit(child, scope, module)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "", path.stem)
+    return found
+
+
+def test_only_check_walk_applies_the_walk_rules():
+    # `convergents` keeps its own check of each run, a shear of a_k steps, and
+    # its step into the next run; every sign test and every other step check of
+    # a walk is `check_walk`'s, so a new reader cannot state its own
+    assert walk_rule_uses() == {("transform", "check_walk", "_along"),
+                                ("transform", "check_walk", "_shear"),
+                                ("cli", "cmd_convergents", "_shear")}

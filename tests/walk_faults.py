@@ -14,7 +14,10 @@ The third prints one state that is not a step of the one before, which only
 a reader's step check (against `transform._shear`) can catch:
 
 - `state_forged` is a `branch_steps` with one state rewritten by one of
-  `STATE_FORGES`, and the real walk after it.
+  `STATE_FORGES`, and the real walk after it;
+- `steps_forged` and `runs_forged` apply the same forges to a walk that
+  states each step by its matrix alone (the sweep's walks, and the run ends
+  of `convergents`), through `forged_matrix`.
 """
 
 from valsweep import transform
@@ -69,3 +72,40 @@ def state_forged(real, at, forge):
             prev = a
 
     return steps
+
+
+def forged_matrix(forge, p, times, a, prev):
+    """The matrix of `STATE_FORGES[forge]` for a step or run from prev to a that
+    adds `times` times into column 1 (p true) or column 2 (p false), in a walk
+    that has no labels: `other_label` becomes the matrix that the other label
+    names, the other column written instead."""
+    if forge != "other_label":
+        return STATE_FORGES[forge](None, a, prev)[1]
+    (w, x), (y, z) = prev
+    if p:
+        return (w, x + times * w), (y, z + times * y)
+    return (w + times * x, x), (y + times * z, z)
+
+
+def steps_forged(real, at, forge):
+    """`real` (a `branch_steps`) with the matrix of state `at` forged by
+    `forged_matrix`; the walk goes on from the real A."""
+    def steps(matrix, x):
+        prev = matrix
+        for k, (label, a) in enumerate(real(matrix, x), 1):
+            yield label, (forged_matrix(forge, label == FIRST, 1, a, prev) if k == at else a)
+            prev = a
+
+    return steps
+
+
+def runs_forged(real, at, forge):
+    """`real` (a `branch_runs`) with the end of run `at` forged by
+    `forged_matrix`; the walk goes on from the real end."""
+    def runs(matrix, x):
+        prev = matrix
+        for k, run, end in real(matrix, x):
+            yield k, run, (forged_matrix(forge, k % 2, run, end, prev) if k == at else end)
+            prev = end
+
+    return runs
