@@ -16,10 +16,9 @@ import os
 import re
 import sys
 import time
-from itertools import islice, tee
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import inf, isqrt
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -278,9 +277,8 @@ def cmd_value(args) -> Report:
 
 # `cmd_transform` checks every state by `check_walk`, so its det is 1
 _STATE = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": 1, "step_index": _INT}
-# each label of `branch_steps`: the parity of its step, and the label as JSON
-_LABELS = {label: (p, encode_basestring_ascii(label))
-           for p, label in enumerate(("DivideSecondIntoFirst", "DivideFirstIntoSecond"))}
+# a state's name, as JSON, by the parity of the step that `check_walk` certified
+_LABELS = ('"DivideSecondIntoFirst"', '"DivideFirstIntoSecond"')
 
 
 def cmd_transform(args) -> Report:
@@ -292,12 +290,8 @@ def cmd_transform(args) -> Report:
         raise ConfigError("steps >= 0", "steps must be nonnegative")
     # u and v have values tau and 1, so `branch_steps` walks tau's quotients
     rows, start = [(1, 0, 0, 1, "null", 0)], ((1, 0), (0, 1))
-    labels, walk = tee(islice(branch_steps(start, tau), steps))
-    for k, p, ((a, b), (c, d)) in check_walk(start, map(itemgetter(1), walk), tau):
-        parity, text = _LABELS.get(next(labels)[0], (None, None))
-        if parity != p:
-            raise CertificationError(f"matrix {k} is not one step of matrix {k - 1}")
-        rows.append((a, b, c, d, text, k))
+    for k, p, ((a, b), (c, d)) in check_walk(start, islice(branch_steps(start, tau), steps), tau):
+        rows.append((a, b, c, d, _LABELS[p], k))
     return Report("transform", {"a": args.a, "steps": steps},
                   {"states": Records(_STATE, rows), "det_constant": True}, "Verified")
 
@@ -328,14 +322,18 @@ def cmd_hilbert(args) -> Report:
     return Report("hilbert", {"matrix": args.matrix}, res, "Verified")
 
 
+# what the reports call a ring below, by its `regular` flag
+_REGULARITY = ("Singular", "Regular")
+
+
 def cmd_regularity(args) -> Report:
     from .toric import below_ring_regularity
     a = parse_matrix(args.matrix)
     if len(a) != 2:
         raise UsageError("--matrix: regularity expects a 2x2 matrix")
     verdict = below_ring_regularity(a)
-    res = {"regularity": verdict.label, "embedding_dim": verdict.embedding_dim,
-           "det": verdict.det}
+    res = {"regularity": _REGULARITY[verdict.regular],
+           "embedding_dim": verdict.embedding_dim, "det": verdict.det}
     return Report("regularity", {"matrix": args.matrix}, res, "Verified")
 
 
@@ -361,8 +359,9 @@ _STEP = {"A": [_PAIR, _PAIR], "branch": _TEXT, "det": _INT, "embedding_dim": _IN
 
 def _step_records(records: Sequence[tuple]) -> Records:
     """The judged `counterexample.StepRecord`s as one record list."""
+    regularity = [encode_basestring_ascii(text) for text in _REGULARITY]
     return Records(_STEP, [(a, b, c, d, encode_basestring_ascii(branch), det, dim,
-                            '"Regular"' if regular else '"Singular"', step)
+                            regularity[regular], step)
                            for branch, step, ((a, b), (c, d)), det, regular, dim in records])
 
 

@@ -181,8 +181,7 @@ def singularity_sweep(instance: Instance) -> SweepReport:
     walks = []
     for branch in instance.branches:
         vx, vy = branch.chart_values  # certified positive by build
-        walks.append((branch.matrix, *(current for _, current in islice(
-            branch_steps(branch.matrix, vx.ratio(vy)), steps))))
+        walks.append((branch.matrix, *islice(branch_steps(branch.matrix, vx.ratio(vy)), steps)))
     return SweepReport(instance, tuple(walks))
 
 

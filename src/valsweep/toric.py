@@ -284,10 +284,6 @@ class RegularityVerdict(NamedTuple):
     embedding_dim: int
     det: int
 
-    @property
-    def label(self) -> str:
-        return "Regular" if self.regular else "Singular"
-
 
 def below_ring_regularity(a) -> RegularityVerdict:
     """Regularity of the ring attached to the dual cone of A's rows.

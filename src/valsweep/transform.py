@@ -21,7 +21,6 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 class _TransformFields(NamedTuple):
     a: Matrix2
     param_values: tuple  # two ValueElements: the walks load no valuation
-    branch: str | None = None  # the step that produced this state
 
 
 class TransformState(_TransformFields):
@@ -36,7 +35,7 @@ class TransformState(_TransformFields):
 
     __slots__ = ()
 
-    def __new__(cls, a, param_values, branch=None) -> "TransformState":
+    def __new__(cls, a, param_values) -> "TransformState":
         from .valuation import _check_parameter_values
         vx, vy = param_values
         _check_parameter_values(vx, vy)
@@ -45,23 +44,21 @@ class TransformState(_TransformFields):
                 raise ValuationError("exponent matrix must be nonnegative")
             if row == (0, 0):
                 raise ValuationError("exponent matrix has a zero row")
-        return super().__new__(cls, a, param_values, branch)
+        return super().__new__(cls, a, param_values)
 
 
 def run_sequence(initial: TransformState, steps: int) -> list[TransformState]:
-    """The transform sequence [initial, after 1 step, ...]: the branches and
-    matrices of `branch_steps` on the ratio of the values, and the divided
-    parameter's value less the other's at each step."""
+    """The transform sequence [initial, after 1 step, ...]: the matrices of
+    `branch_steps` on the ratio of the values, and at each step the larger
+    value less the smaller, by the sign of their difference."""
     if steps < 0:
         raise ValuationError("steps must be nonnegative")
     out = [initial]
     vx, vy = initial.param_values
-    for branch, a in islice(branch_steps(initial.a, vx.ratio(vy)), steps):
-        if branch == "DivideSecondIntoFirst":
-            vx = vx - vy
-        else:
-            vy = vy - vx
-        out.append(tuple.__new__(TransformState, (a, (vx, vy), branch)))
+    for a in islice(branch_steps(initial.a, vx.ratio(vy)), steps):
+        diff = vx - vy
+        vx, vy = (diff, vy) if diff.sign() > 0 else (vx, vy - vx)
+        out.append(tuple.__new__(TransformState, (a, (vx, vy))))
     return out
 
 
@@ -115,16 +112,15 @@ def branch_runs(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[int, int, Matrix2
         yield k, run, ((a, b), (c, d))
 
 
-def branch_steps(matrix: Matrix2, x: QuadExt) -> Iterator[tuple[str, Matrix2]]:
-    """(label, next A) at each step of the transform sequence from A = matrix, lazily,
+def branch_steps(matrix: Matrix2, x: QuadExt) -> Iterator[Matrix2]:
+    """The next A at each step of the transform sequence from A = matrix, lazily,
     for parameter values of ratio x > 0: run k takes a_k steps, and each adds the kept
     column into the written one (column 2 on even k, column 1 on odd k)."""
     (a, b), (c, d) = matrix
     for k, run in enumerate(_quotient_stream(x)):
-        label = "DivideFirstIntoSecond" if k % 2 else "DivideSecondIntoFirst"
         for _ in range(run):
             if k % 2:
                 a, c = a + b, c + d
             else:
                 b, d = b + a, d + c
-            yield label, ((a, b), (c, d))
+            yield (a, b), (c, d)

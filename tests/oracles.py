@@ -32,7 +32,8 @@ the route it checks, so tests compare the two:
 - `value_steps`, the transform sequence with each step decided by the
   exact sign of the difference of the two values, against
   `transform.run_sequence` and `transform.branch_steps`, which read the
-  steps off the partial quotients of the value ratio;
+  steps off the partial quotients of the value ratio; `step_labels` names
+  its states as the `transform` report does, by the value that dropped;
 - `parameter_values`, sign(det A) adj(A) (tau, 1) by cofactors and sympy,
   against `transform._along`, the sign test of the walks;
 - `series_value`, the value of a degree-ordered monomial stream cut off
@@ -366,12 +367,12 @@ def arithmetic_step(state):
     """One quadratic transform decided on the values, through ValueElement
     arithmetic: the parameter of larger value is divided by the other, so
     its value drops by the other's and the other's column of A is added
-    into its column.  state is (A, (vx, vy), branch); so is the result."""
-    ((a, b), (c, d)), (vx, vy), _ = state
+    into its column.  state is (A, (vx, vy)); so is the result."""
+    ((a, b), (c, d)), (vx, vy) = state
     diff = vx - vy
     if diff.sign() > 0:
-        return ((a, a + b), (c, c + d)), (diff, vy), "DivideSecondIntoFirst"
-    return ((a + b, b), (c + d, d)), (vx, vy - vx), "DivideFirstIntoSecond"
+        return ((a, a + b), (c, c + d)), (diff, vy)
+    return ((a + b, b), (c + d, d)), (vx, vy - vx)
 
 
 def value_steps(initial, n: int) -> list[tuple]:
@@ -380,6 +381,14 @@ def value_steps(initial, n: int) -> list[tuple]:
     for _ in range(n):
         out.append(arithmetic_step(out[-1]))
     return out
+
+
+def step_labels(states: list[tuple]) -> list[str | None]:
+    """The name a report gives each of `value_steps`' states, read off the values:
+    None for the first, then "DivideSecondIntoFirst" where the first parameter's
+    value dropped and "DivideFirstIntoSecond" where the second's did."""
+    return [None] + ["DivideSecondIntoFirst" if after[1][0] != before[1][0]
+                     else "DivideFirstIntoSecond" for before, after in zip(states, states[1:])]
 
 
 def series_value(nu: MonomialValuation,

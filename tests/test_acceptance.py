@@ -12,7 +12,7 @@ import time
 
 from oracles import (adjugate, brute_force_invariants, convergent_parameters,
                      enumerated_hilbert_basis, exact, is_invariant, matmul, semigroup_contains,
-                     smith_adjugate, value_steps)
+                     smith_adjugate, step_labels, value_steps)
 from valsweep.cli import EXIT_FALSIFIED, main
 from valsweep.counterexample import InstanceConfig, build, certify_conflict, singularity_sweep
 from valsweep.qfield import _quotient_stream, tau_from_a
@@ -170,14 +170,16 @@ def test_criterion_8_continued_fraction_crosscheck(capsys):
                               ValueElement.make(1, 0, 1, tau)))
     run_ends = list(itertools.accumulate(itertools.islice(_quotient_stream(tau), 11)))
     walk = list(itertools.islice(branch_steps(initial.a, tau), run_ends[-1]))
-    tags = [branch for branch, _ in walk[:40]]
-    ok = tags == [branch for _, _, branch in value_steps(initial, 40)[1:]]
+    # each step's label, read off the column of A that it wrote
+    tags = ["DivideFirstIntoSecond" if a[0][0] != prev[0][0] or a[1][0] != prev[1][0]
+            else "DivideSecondIntoFirst" for prev, a in zip([initial.a, *walk], walk[:40])]
+    ok = tags == step_labels(value_steps(initial, 40))[1:]
     runs = [len(list(run)) for _, run in itertools.groupby(tags)]
     quotients = list(itertools.islice(_quotient_stream(tau), len(runs)))
     ok = ok and runs[:-1] == quotients[:len(runs) - 1] and runs[-1] <= quotients[len(runs) - 1]
     # at the end of run k the columns of A are the convergents k and k - 1
     for k in range(1, 11):
-        matrix = walk[run_ends[k] - 1][1]
+        matrix = walk[run_ends[k] - 1]
         (g1, g0), (f1, f0) = convergent_parameters(tau, k)
         ok = ok and {(matrix[0][0], matrix[1][0]), (matrix[0][1], matrix[1][1])} == \
             {(f1, g1), (f0, g0)}

@@ -29,7 +29,7 @@ from valsweep.toric import CHAIN_MAX, SNF_N_MAX
 
 from corpus import GROUPED_TOKEN, JUNK_FLAG, JUNK_TOKEN, LONG_TOKEN, OWN, VALID
 from test_report_templates import assert_renders_like_oracle
-from walk_faults import STATE_FORGES, quotient_off, runs_forged, state_forged, turned
+from walk_faults import STATE_FORGES, quotient_off, runs_forged, steps_forged, turned
 
 
 def run(capsys, *argv):
@@ -529,14 +529,17 @@ def convergent_columns(a, count):
 # go into the run's end for `convergents` and into the run's first state for `transform`
 WALK_FAULTS = [*RUN_FAULTS, *STATE_FORGES]
 # (command, the run faulted, the CertificationError's message for each fault): runs of
-# tau_from_a(7) have lengths 7, 1, 7, 1, ..., so run 2 takes states 9..15 of 40; a run
-# written into the wrong column keeps its labels, so `transform` refuses its first state
+# tau_from_a(7) have lengths 7, 1, 7, 1, ..., so run 2 takes states 9..15 of 40.  A run
+# written into the wrong column is a chain of steps, which the sign test at state 40
+# refuses; so is state 9 of the other label, and state 10 is no step of it
 RUN_CHECKS = [("convergents", 5, dict.fromkeys(WALK_FAULTS,
                                                "run 5 is not one shear of the matrix before it")),
-              ("transform", 2, {"run_one_step_short": "matrix 40 leaves the valuation",
-                                "run_one_step_long": "matrix 40 leaves the valuation",
-                                **dict.fromkeys(["shear_by_the_wrong_column", *STATE_FORGES],
-                                                "matrix 9 is not one step of matrix 8")})]
+              ("transform", 2, {**dict.fromkeys(["run_one_step_short", "run_one_step_long",
+                                                 "shear_by_the_wrong_column"],
+                                                "matrix 40 leaves the valuation"),
+                                "column_1_doubled": "matrix 9 is not one step of matrix 8",
+                                "other_label": "matrix 10 is not one step of matrix 9",
+                                "repeated": "matrix 9 is not one step of matrix 8"})]
 
 
 def run_fault(command, at, fault):
@@ -553,7 +556,7 @@ def run_fault(command, at, fault):
             return "branch_runs", runs_forged(transform.branch_runs, at, fault)
         return "branch_runs", faulty_runs(transform.branch_runs, at, RUN_FAULTS[fault])
     if fault in STATE_FORGES:
-        return "branch_steps", state_forged(transform.branch_steps, start + 1, fault)
+        return "branch_steps", steps_forged(transform.branch_steps, start + 1, fault)
     if fault == "shear_by_the_wrong_column":
         return "branch_steps", turned(transform.branch_steps, range(start, start + quotients[-1]))
     return "_quotient_stream", quotient_off(at, -1 if fault == "run_one_step_short" else 1)
@@ -566,8 +569,8 @@ class TestConvergentsCheck:
     fails exits 3 with nothing on stdout; generation stops at the first
     numerator past the digit limit.  `transform` steps the quotient stream
     itself, so its faults go into the stream or the steps: a wrong quotient
-    fails the sign test at its last state, and a step into the other column
-    fails its label check."""
+    or a run into the other column fails the sign test at its last state, and
+    a forged state fails the step check at that state or the next."""
 
     # (run, df, dg): the convergent that run writes, off by (df, dg)
     FAULTS = [(1, 1, 0), (2, 0, 1), (5, 7, 0), (9, 0, -1)]
@@ -741,12 +744,17 @@ class TestOffTheValuation:
             for *_, message in OFF_VALUATION]
 
 
-# (forge, state K): `transform --a 7 --steps 40` with state K of `branch_steps`
-# rewritten by `walk_faults.STATE_FORGES[forge]`; runs of tau_from_a(7) are 7, 1,
-# 7, 1, ..., so state 8 is the one step of run 1 and state 40 the last
-STATE_FAULTS = [("column_1_doubled", 1), ("column_1_doubled", 5), ("column_1_doubled", 40),
-                ("other_label", 1), ("other_label", 8), ("other_label", 40),
-                ("repeated", 1), ("repeated", 8), ("repeated", 40)]
+# (forge, state K, the CertificationError's message): `transform --a 7 --steps 40`
+# with the matrix of state K of `branch_steps` forged by `walk_faults.forged_matrix`;
+# runs of tau_from_a(7) are 7, 1, 7, 1, ..., so state 8 is the one step of run 1 and
+# state 40 the last.  The matrix of the other label is a step itself, a wrong turn:
+# the next state is no step of it, and at the last state the sign test refuses it.
+STATE_FAULTS = [
+    (forge, at, "matrix 40 leaves the valuation" if forge == "other_label" and at == 40
+     else f"matrix {at + 1} is not one step of matrix {at}" if forge == "other_label"
+     else f"matrix {at} is not one step of matrix {at - 1}")
+    for forge, ats in (("column_1_doubled", (1, 5, 40)), ("other_label", (1, 8, 40)),
+                       ("repeated", (1, 8, 40))) for at in ats]
 
 
 def state_fault_outcome(forge, at):
@@ -754,7 +762,7 @@ def state_fault_outcome(forge, at):
     (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transform, "branch_steps", state_forged(transform.branch_steps, at, forge))
+        mp.setattr(transform, "branch_steps", steps_forged(transform.branch_steps, at, forge))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["transform", "--a", "7", "--steps", "40"])
     return code, out.getvalue(), err.getvalue()
@@ -762,22 +770,21 @@ def state_fault_outcome(forge, at):
 
 class TestTransformCheck:
     """`transform` checks each state it prints to be `transform._shear` of the
-    state before, by the parity that its label names, so that the label,
-    `"det": 1` and `"det_constant": true` are certified: a forged state exits
-    3 with nothing on stdout, also under python -O."""
+    state before, and names it by the parity of that step, so that its
+    `"branch"`, `"det": 1` and `"det_constant": true` are certified: a forged
+    state exits 3 with nothing on stdout, also under python -O."""
 
-    @pytest.mark.parametrize("forge, at", STATE_FAULTS,
-                             ids=[f"{forge}-{at}" for forge, at in STATE_FAULTS])
-    def test_refused(self, forge, at):
+    @pytest.mark.parametrize("forge, at, message", STATE_FAULTS,
+                             ids=[f"{forge}-{at}" for forge, at, _ in STATE_FAULTS])
+    def test_refused(self, forge, at, message):
         assert state_fault_outcome(forge, at) == (
-            EXIT_CERTIFICATE, "",
-            f"error: certificate failed: matrix {at} is not one step of matrix {at - 1}\n")
+            EXIT_CERTIFICATE, "", f"error: certificate failed: {message}\n")
 
     def test_refused_under_optimize(self):
         script = ("import sys\n"
                   f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
                   "from test_cli import STATE_FAULTS, state_fault_outcome\n"
-                  "for forge, at in STATE_FAULTS:\n"
+                  "for forge, at, _ in STATE_FAULTS:\n"
                   "    code, out, err = state_fault_outcome(forge, at)\n"
                   "    print(__debug__, code, repr(out), err, end='')\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -785,8 +792,8 @@ class TestTransformCheck:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            f"False {EXIT_CERTIFICATE} '' error: certificate failed: "
-            f"matrix {at} is not one step of matrix {at - 1}" for _, at in STATE_FAULTS]
+            f"False {EXIT_CERTIFICATE} '' error: certificate failed: {message}"
+            for _, _, message in STATE_FAULTS]
 
 
 class TestNegativeMatrixEntries:

@@ -614,8 +614,8 @@ WITNESS_FAULTS = [(fault, corrupt_step, message) for fault, message in STUCK_REP
 
 
 def step_forged(forge, at):
-    """A fault that forges step `at` of each branch's sweep by
-    `walk_faults.STATE_FORGES[forge]`, on its matrix alone."""
+    """A fault that forges the matrix of step `at` of each branch's sweep by
+    `walk_faults.forged_matrix`."""
     def fault(mp):
         mp.setattr(counterexample, "branch_steps",
                    steps_forged(counterexample.branch_steps, at, forge))

@@ -16,7 +16,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import value_steps
+from oracles import step_labels, value_steps
 from valsweep import cli
 from valsweep.cli import (EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, STEPS_MAX, Records, Report,
                           _step_records, main)
@@ -157,10 +157,11 @@ class TestCommandsAgainstOracle:
         tau = tau_from_a(a)
         initial = TransformState(((1, 0), (0, 1)), (ValueElement.make(0, 1, 1, tau),
                                                     ValueElement.make(1, 0, 1, tau)))
+        states = value_steps(initial, steps)
         assert payload["results"]["states"] == [
             {"step_index": k, "A": [list(a[0]), list(a[1])], "det": det_int(a),
-             "branch": branch}
-            for k, (a, _, branch) in enumerate(value_steps(initial, steps))]
+             "branch": label}
+            for k, ((a, _), label) in enumerate(zip(states, step_labels(states)))]
         assert payload["results"]["det_constant"] is True
 
     @pytest.mark.parametrize("argv", [

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valsweep
-from oracles import value_steps
+from oracles import step_labels, value_steps
 from valsweep import counterexample, qfield, transform, valuation
 from valsweep.cli import EXIT_CERTIFICATE, main
 from valsweep.counterexample import (CertificationError, Falsified, InstanceConfig, build,
@@ -142,8 +142,8 @@ class TestForgedRecords:
 def doubling_step(step):
     """A broken step: the elementary column operation, then column 1 doubled,
     which is not unimodular and doubles |det|."""
-    branch, ((a, b), (c, d)) = step
-    return branch, ((2 * a, b), (2 * c, d))
+    (a, b), (c, d) = step
+    return (2 * a, b), (2 * c, d)
 
 
 class TestMutation:
@@ -176,8 +176,8 @@ class TestMutation:
             "from valsweep import counterexample as cx\n"
             "from valsweep.transform import branch_steps\n"
             "def broken(matrix, x):\n"
-            "    for branch, ((a, b), (c, d)) in branch_steps(matrix, x):\n"
-            "        yield branch, ((2 * a, b), (2 * c, d))\n"
+            "    for (a, b), (c, d) in branch_steps(matrix, x):\n"
+            "        yield (2 * a, b), (2 * c, d)\n"
             "cx.branch_steps = broken\n"
             "inst = cx.build(cx.InstanceConfig(11, 13, 3, 3, 10))\n"
             "try:\n"
@@ -193,12 +193,15 @@ class TestMutation:
 
 def transform_oracle(a, steps):
     """The JSON report of `transform --a a --steps steps`, with det_int of
-    every matrix: the direct route that the successor check replaces."""
-    states = [{"A": [[1, 0], [0, 1]], "branch": None, "det": 1, "step_index": 0}]
-    step_pairs = itertools.islice(branch_steps(IDENTITY, tau_from_a(a)), steps)
-    for k, (branch, m) in enumerate(step_pairs, 1):
-        states.append({"A": [list(m[0]), list(m[1])], "branch": branch,
-                       "det": det_int(m), "step_index": k})
+    every matrix, the direct route that the successor check replaces, and each
+    state named by the value that its step lowered (`oracles.step_labels`)."""
+    tau = tau_from_a(a)
+    initial = TransformState(IDENTITY, (ValueElement.make(0, 1, 1, tau),
+                                        ValueElement.make(1, 0, 1, tau)))
+    labels = step_labels(value_steps(initial, steps))
+    walk = [IDENTITY, *itertools.islice(branch_steps(IDENTITY, tau), steps)]
+    states = [{"A": [list(m[0]), list(m[1])], "branch": label, "det": det_int(m),
+               "step_index": k} for k, (m, label) in enumerate(zip(walk, labels))]
     return json.dumps({"command": "transform", "inputs": {"a": a, "steps": steps},
                        "results": {"det_constant": all(state["det"] == 1 for state in states),
                                    "states": states},
@@ -261,7 +264,7 @@ class TestStepsAlongQuotientRuns:
         production = list(itertools.islice(branch_steps(branch.matrix, branch_ratio(branch)),
                                            steps))
         reference = value_steps(TransformState(branch.matrix, branch.chart_values), steps)
-        assert production == [(tag, a) for a, _, tag in reference[1:]], branch.name
+        assert production == [a for a, _ in reference[1:]], branch.name
 
     def test_every_pair_with_q_at_most_100(self):
         pairs = [(q, p) for q in range(5, 101) if is_prime(q)
@@ -279,7 +282,7 @@ class TestStepsAlongQuotientRuns:
         # the sweep's walks follow the same steps
         for branch, walk in zip(inst.branches, singularity_sweep(inst).walks):
             steps = branch_steps(branch.matrix, branch_ratio(branch))
-            expected = [branch.matrix] + [a for _, a in itertools.islice(steps, 2000)]
+            expected = [branch.matrix, *itertools.islice(steps, 2000)]
             assert list(walk) == expected
 
     def test_no_field_arithmetic_per_step(self, monkeypatch, capsys):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valsweep
-from oracles import arithmetic_step, convergent_parameters, parameter_values, value_steps
+from oracles import (arithmetic_step, convergent_parameters, parameter_values, step_labels,
+                     value_steps)
 from valsweep.errors import CertificationError, QFieldError
 from valsweep.qfield import _quotient_stream, tau_from_a
 from valsweep.toric import det_int
@@ -44,17 +45,20 @@ class TestQuadraticStep:
         assert state.param_values[1].sign() > 0
 
     def test_identity_first_larger(self):
+        # tau > 1, so the first value drops by the second's: tau - 1
         state = run_sequence(identity_state(), 1)[-1]
         assert state.a == ((1, 1), (0, 1))
-        assert state.branch == "DivideSecondIntoFirst"
+        assert state.param_values == (ve(-1, 1, 1), ve(1, 0, 1))
 
     def test_branch_flip_after_seven_steps(self):
         states = run_sequence(chart_state_q11(), 8)
-        assert states[0].branch is None
-        first = states[1].branch
-        assert all(state.branch == first for state in states[1:8])
+        # the value each step lowers: the first seven lower one, the eighth the other
+        lowered = [[after.param_values[i] != before.param_values[i] for i in (0, 1)]
+                   for before, after in zip(states, states[1:])]
+        assert lowered[0] in ([True, False], [False, True])
+        assert lowered[:7] == [lowered[0]] * 7
         assert states[7].a == ((70, 9), (9, 1))
-        assert states[8].branch != first
+        assert lowered[7] == lowered[0][::-1]
 
     def test_values_stay_positive(self):
         for state in run_sequence(chart_state_q11(), 30)[1:]:
@@ -71,6 +75,9 @@ class TestStepOracle:
         identity_state(tau_from_a(999979)),
         TransformState(((9, 11), (2, 1)), (ve(11, -1, 13), ve(-9, 2, 13))),
         TransformState(((1, 0), (0, 1)), (ve(3, 1, 6), ve(2, 0, 4))),
+        # column 2 is zero and the ratio below 1: the first step adds column 2 into
+        # column 1 and leaves A as it was, so only the values tell which one it took
+        TransformState(((1, 0), (1, 0)), (ve(0, 1, 9), ve(1, 0, 1))),
     ])
     def test_matches_value_arithmetic(self, initial):
         states = run_sequence(initial, 400)
@@ -84,8 +91,7 @@ class TestStepOracle:
 
     def test_equal_values_raise_qfield_error(self):
         # rational independence excluded by hand: the value ratio is rational
-        state = tuple.__new__(TransformState, (((1, 0), (0, 1)),
-                                               (ve(1, 1, 2), ve(2, 2, 4)), None))
+        state = tuple.__new__(TransformState, (((1, 0), (0, 1)), (ve(1, 1, 2), ve(2, 2, 4))))
         with pytest.raises(QFieldError, match="continued fractions require an irrational input"):
             run_sequence(state, 1)
 
@@ -126,8 +132,11 @@ class TestRunSequence:
                 assert row != (0, 0)
 
     def test_branch_tags_encode_partial_quotients(self):
-        tags = [branch for branch, _ in itertools.islice(branch_steps(((1, 0), (0, 1)), TAU7), 40)]
-        assert tags == [branch for _, _, branch in value_steps(identity_state(), 40)[1:]]
+        walk = [((1, 0), (0, 1)), *itertools.islice(branch_steps(((1, 0), (0, 1)), TAU7), 40)]
+        # the column each step wrote, against the value that the oracle's step lowered
+        tags = [a[0][0] != prev[0][0] or a[1][0] != prev[1][0] for prev, a in zip(walk, walk[1:])]
+        assert tags == [label == "DivideFirstIntoSecond"
+                        for label in step_labels(value_steps(identity_state(), 40))[1:]]
         runs = [len(list(run)) for _, run in itertools.groupby(tags)]
         expected = list(itertools.islice(_quotient_stream(TAU7), len(runs)))
         # the last run may be cut off mid-quotient by the step budget
@@ -161,7 +170,7 @@ def run_end(tau, k):
     runs = list(itertools.islice(branch_runs(((1, 0), (0, 1)), tau), k + 1))
     assert [j for j, _, _ in runs] == list(range(k + 1))
     steps = sum(run for _, run, _ in runs)
-    assert list(itertools.islice(branch_steps(((1, 0), (0, 1)), tau), steps))[-1][1] == runs[-1][2]
+    assert list(itertools.islice(branch_steps(((1, 0), (0, 1)), tau), steps))[-1] == runs[-1][2]
     return runs[-1][2]
 
 
@@ -239,7 +248,7 @@ class TestAlong:
     @pytest.mark.parametrize("a", [1, 7, 999979])
     def test_the_walk_along_tau_holds_and_a_wrong_turn_fails(self, a):
         tau = tau_from_a(a)
-        walk = [m for _, m in itertools.islice(branch_steps(((1, 0), (0, 1)), tau), 300)]
+        walk = list(itertools.islice(branch_steps(((1, 0), (0, 1)), tau), 300))
         assert all(_along(matrix, tau) for matrix in walk)
         for step in (0, 1, 5, 299):
             prev = walk[step - 1] if step else ((1, 0), (0, 1))
@@ -275,9 +284,8 @@ class TestShear:
         # the first parameter's value tau > 1 is divided by the second's on an
         # even run (column 2 written), and the other way on an odd one
         values = (ve(0, 1, 1), ve(1, 0, 1)) if k % 2 == 0 else (ve(1, 0, 1), ve(0, 1, 1))
-        a, _, label = arithmetic_step((matrix, values, None))
-        assert (a, label) == (_shear(matrix, k), "DivideFirstIntoSecond" if k % 2
-                              else "DivideSecondIntoFirst")
+        a, _ = arithmetic_step((matrix, values))
+        assert a == _shear(matrix, k)
 
 
 def walked(start, walk, tau):
@@ -340,7 +348,7 @@ class TestCheckWalk:
     def test_a_wrong_turn_fails_only_the_sign_test(self, a, steps, data):
         tau, start = tau_of(a), ((1, 0), (0, 1))
         turn = data.draw(st.integers(0, steps - 1), label="turn")
-        walk = [m for _, m in itertools.islice(turned(branch_steps, {turn})(start, tau), steps)]
+        walk = list(itertools.islice(turned(branch_steps, {turn})(start, tau), steps))
         out, refusal = walked(start, walk, tau)
         assert [m for _, _, m in out] == walk
         assert refusal == f"matrix {steps} leaves the valuation"
@@ -378,3 +386,16 @@ def test_only_check_walk_applies_the_walk_rules():
     assert walk_rule_uses() == {("transform", "check_walk", "_along"),
                                 ("transform", "check_walk", "_shear"),
                                 ("cli", "cmd_convergents", "_shear")}
+
+
+REPORT_NAMES = {"DivideSecondIntoFirst", "DivideFirstIntoSecond", "Regular", "Singular"}
+
+
+def test_only_the_cli_names_what_the_report_prints():
+    # a walk is its matrices and a verdict its flag: the names that a report prints
+    # for a step and a ring below, bare or as JSON, are string constants of cli.py alone
+    named = {(path.stem, node.value.strip('"')) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.strip('"') in REPORT_NAMES}
+    assert named == {("cli", name) for name in REPORT_NAMES}
