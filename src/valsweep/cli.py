@@ -374,8 +374,7 @@ def cmd_counterexample(args) -> Report:
     results: dict[str, Any] = {
         "tau": instance.tau._asdict(),
         "epsilon": instance.epsilon._asdict(),
-        "charts": [{"chart": c.chart, "u_correction": list(c.u_correction),
-                    "v_correction": list(c.v_correction)} for c in instance.charts],
+        "charts": [c._asdict() for c in instance.charts],
     }
     try:
         records, orders = cx.certify_conflict(sweep, args.corrupt_step)

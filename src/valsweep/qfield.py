@@ -90,9 +90,9 @@ class QuadExt(NamedTuple):
                                self.s * o.t + self.t * o.s,
                                self.r * o.r, self.d)
 
-    def sign(self) -> int:
-        """Exact sign (r > 0 does not affect it)."""
-        return sign_of(self.s, self.t, self.d)
+    def sign(self, i: int = 0, j: int = 1) -> int:
+        """Exact sign of i + j*self, of self by default (r > 0 does not affect it)."""
+        return sign_of(i * self.r + j * self.s, j * self.t, self.d)
 
     __lt__ = __le__ = __gt__ = __ge__ = _no_order  # not the tuple order
     __add__ = __rmul__ = _no_order  # nor tuple concatenation and repetition

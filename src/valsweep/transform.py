@@ -13,7 +13,7 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CertificationError, ValuationError
-from .qfield import QuadExt, _quotient_stream, sign_of
+from .qfield import QuadExt, _quotient_stream
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -27,8 +27,8 @@ class TransformState(_TransformFields):
     """A validated transform state.
 
     The constructor checks outside input in full: both values over the
-    same tau, positive, rationally independent, and A nonnegative with no
-    zero row.
+    same tau, positive, rationally independent, and A nonnegative and
+    nonsingular.
     `run_sequence` builds the successors unchecked: each step subtracts the
     smaller value from the larger, and it is unimodular on A and the values.
     """
@@ -39,11 +39,11 @@ class TransformState(_TransformFields):
         from .valuation import _check_parameter_values
         vx, vy = param_values
         _check_parameter_values(vx, vy)
-        for row in a:
-            if row[0] < 0 or row[1] < 0:
-                raise ValuationError("exponent matrix must be nonnegative")
-            if row == (0, 0):
-                raise ValuationError("exponent matrix has a zero row")
+        (a11, a12), (a21, a22) = a
+        if min(a11, a12, a21, a22) < 0:
+            raise ValuationError("exponent matrix must be nonnegative")
+        if a11 * a22 == a12 * a21:
+            raise ValuationError("exponent matrix is singular")
         return super().__new__(cls, a, param_values)
 
 
@@ -67,9 +67,8 @@ def _along(matrix: Matrix2, tau: QuadExt) -> bool:
     and v have values tau and 1, are positive.  A step keeps values of opposite signs
     opposite, so along a chain of shears this holds on a prefix and never after it."""
     (a, b), (c, d) = matrix
-    s, t, r, dd = tau  # (s + t sqrt(dd))/r with r > 0
     w = (a * d > b * c) - (a * d < b * c)  # sign(det A)
-    return w != 0 and sign_of(d * s - b * r, d * t, dd) == w == sign_of(a * r - c * s, -c * t, dd)
+    return w != 0 and tau.sign(-b, d) == w == tau.sign(a, -c)
 
 
 def _shear(matrix: Matrix2, k: int, times: int = 1) -> Matrix2:

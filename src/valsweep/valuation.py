@@ -11,7 +11,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import ValuationError
-from .qfield import QuadExt, _no_order, sign_of
+from .qfield import QuadExt, _no_order
 
 
 class NotASubgroupError(ValuationError):
@@ -56,8 +56,7 @@ class ValueElement(NamedTuple):
                                self.n * (a2 * a2 - b2 * b2 * t.d), t.d)
 
     def sign(self) -> int:
-        t = self.tau  # n > 0 and t.r > 0 leave the sign of the numerator
-        return sign_of(self.i * t.r + self.j * t.s, self.j * t.t, t.d)
+        return self.tau.sign(self.i, self.j)  # n > 0 leaves the sign of i + j*tau
 
     def _check(self, other: "ValueElement") -> None:
         if not isinstance(other, ValueElement):

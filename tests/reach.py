@@ -77,7 +77,6 @@ ALLOWED: dict[str, str] = {
     "qfield:QuadExt.make": BENCH,
     "qfield:QuadExt._coerce": BENCH,
     "qfield:QuadExt.__mul__": BENCH,
-    "qfield:QuadExt.sign": BENCH,
     "transform:TransformState.__new__": BENCH,
     "transform:run_sequence": BENCH,
     "cli:Report.render.slot: raise TypeError(": JSON_CONTRACT,

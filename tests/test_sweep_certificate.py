@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import valsweep
 from oracles import step_labels, value_steps
-from valsweep import counterexample, qfield, transform, valuation
+from valsweep import counterexample, qfield
 from valsweep.cli import EXIT_CERTIFICATE, main
 from valsweep.counterexample import (CertificationError, Falsified, InstanceConfig, build,
                                      certify_conflict, singularity_sweep)
@@ -287,20 +287,15 @@ class TestStepsAlongQuotientRuns:
 
     def test_no_field_arithmetic_per_step(self, monkeypatch, capsys):
         inst = build(InstanceConfig(11, 13, 3, 3, 1000))
-
-        def refuse(*args):
-            raise RuntimeError("field arithmetic on the verdict path")
-
-        for module in (qfield, valuation):
-            monkeypatch.setattr(module, "sign_of", refuse)
-        # the sign test takes two signs at each walk's last matrix, and no more
+        # every sign in Q(tau) is `qfield.sign_of`'s, through `QuadExt.sign`; the sign
+        # test takes two signs at each walk's last matrix, and no more
         signs = []
-        real = transform.sign_of
-        monkeypatch.setattr(transform, "sign_of", lambda *args: signs.append(args) or real(*args))
+        real = qfield.sign_of
+        monkeypatch.setattr(qfield, "sign_of", lambda *args: signs.append(args) or real(*args))
         assert certify_conflict(singularity_sweep(inst))[1] == {"nu1": 11, "nu2": 13}
         assert len(signs) == 4
         assert main(["transform", "--a", "7", "--steps", "1000"]) == 0
         assert len(signs) == 6
-        for patched in (inst.tau.sign, inst.branches[0].chart_values[0].sign):
-            with pytest.raises(RuntimeError):
-                patched()
+        # the count sees the sign of a field element and of a value alike
+        assert inst.tau.sign() == inst.branches[0].chart_values[0].sign() == 1
+        assert len(signs) == 8

@@ -1,14 +1,16 @@
-"""Differential tests against sympy, an implementation that shares no code
-with valsweep: Smith invariants, continued fractions and squarefree parts."""
+"""Differential tests against sympy and mpmath, implementations that share no
+code with valsweep: Smith invariants, continued fractions, squarefree parts and
+signs in Q(tau)."""
 
 import random
 from itertools import islice
+from math import isqrt
 
 import pytest
 
 from oracles import exact
 from valsweep.counterexample import InstanceConfig, build
-from valsweep.qfield import _quotient_stream, squarefree_decompose, tau_from_a
+from valsweep.qfield import QuadExt, _quotient_stream, squarefree_decompose, tau_from_a
 from valsweep.quotient import is_prime
 from valsweep.toric import smith_normal_form
 from valsweep.valuation import ValueElement
@@ -70,6 +72,35 @@ def test_squarefree_decompose_matches_factorint():
             d *= prime ** (exp % 2)
         assert squarefree_decompose(n) == (t, d), n
 
+
+
+def test_sign_matches_mpmath():
+    # `QuadExt.sign(i, j)`, the sign of i + j*x, is every sign the verdict path takes;
+    # with |i|, |j| < 10^40, |i + j*x| is at least about 10^-40 even at a convergent
+    # p_k/q_k of x, so mpmath at 200 digits decides each sign with digits to spare
+    mpmath = pytest.importorskip("mpmath")
+    fields = [tau_from_a(a) for a in (1, 7, 193, 10 ** 6)]
+    for d in (77, 999999999989):  # the radicands of bench/series.py, and its two elements
+        fields += [QuadExt.make(isqrt(d) + 1, -1, 3, d), QuadExt.make(2, 5, 7, d)]
+    bound = 10 ** 40
+    rng = random.Random(38)
+    with mpmath.workdps(200):
+        for x in fields:
+            s, t, r, d = x
+            value = (s + t * mpmath.sqrt(d)) / r
+            draws = [rng.randrange(1 - bound, bound) for _ in range(300)]
+            pairs = [(0, 0), *zip(draws[::3], draws[1::3]), *((0, j) for j in draws[2::6]),
+                     *((i, 0) for i in draws[5::6])]
+            p, q, p_prev, q_prev = 1, 0, 0, 1  # the convergents p_k/q_k from k = -1
+            for quotient in _quotient_stream(x):
+                p, q, p_prev, q_prev = quotient * p + p_prev, quotient * q + q_prev, p, q
+                if max(abs(p), q) >= bound:
+                    break
+                pairs += [(-p, q), (p, -q), (1 - p, q)]
+            for i, j in pairs:
+                expected = i + j * value
+                assert i == j == 0 or abs(expected) > mpmath.mpf(10) ** -100, (x, i, j)
+                assert x.sign(i, j) == mpmath.sign(expected), (x, i, j)
 
 
 # nu1 depends on q alone: tau is the positive root of t^2 = (q-4) t + (q-4)

@@ -76,8 +76,9 @@ class TestStepOracle:
         TransformState(((9, 11), (2, 1)), (ve(11, -1, 13), ve(-9, 2, 13))),
         TransformState(((1, 0), (0, 1)), (ve(3, 1, 6), ve(2, 0, 4))),
         # column 2 is zero and the ratio below 1: the first step adds column 2 into
-        # column 1 and leaves A as it was, so only the values tell which one it took
-        TransformState(((1, 0), (1, 0)), (ve(0, 1, 9), ve(1, 0, 1))),
+        # column 1 and leaves A as it was, so only the values tell which one it took;
+        # A is singular, which the constructor refuses
+        tuple.__new__(TransformState, (((1, 0), (1, 0)), (ve(0, 1, 9), ve(1, 0, 1)))),
     ])
     def test_matches_value_arithmetic(self, initial):
         states = run_sequence(initial, 400)
@@ -87,7 +88,8 @@ class TestStepOracle:
                 # the canonical form of ValueElement.make
                 assert type(v) is ValueElement and v.n > 0
                 assert ValueElement.make(v.i, v.j, v.n, v.tau) == v
-            assert TransformState(*state) == state
+            if det_int(state.a):
+                assert TransformState(*state) == state
 
     def test_equal_values_raise_qfield_error(self):
         # rational independence excluded by hand: the value ratio is rational
@@ -157,6 +159,10 @@ class TestStateValidation:
     def test_zero_row_rejected(self):
         with pytest.raises(ValuationError):
             TransformState(((0, 0), (0, 1)), (ve(0, 1, 1), ve(1, 0, 1)))
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(ValuationError, match="^exponent matrix is singular$"):
+            TransformState(((1, 0), (1, 0)), (ve(0, 1, 9), ve(1, 0, 1)))
 
     def test_dependent_values_rejected(self):
         with pytest.raises(ValuationError):
@@ -358,9 +364,10 @@ class TestCheckWalk:
 SRC = Path(valsweep.__file__).parent
 
 
-def walk_rule_uses() -> set[tuple[str, str, str]]:
-    """(module, function, name) for each use of `_along` or `_shear` in src/,
-    the function being the qualified name of the innermost def around it."""
+def walk_rule_uses(names=("_along", "_shear")) -> set[tuple[str, str, str]]:
+    """(module, function, name) for each use of one of `names`, by default `_along`
+    and `_shear`, in src/, the function being the qualified name of the innermost
+    def around it."""
     found = set()
 
     def visit(node, scope, module):
@@ -370,7 +377,7 @@ def walk_rule_uses() -> set[tuple[str, str, str]]:
                 continue
             name = (child.id if isinstance(child, ast.Name)
                     else child.attr if isinstance(child, ast.Attribute) else None)
-            if name in ("_along", "_shear"):
+            if name in names:
                 found.add((module, scope or "<module>", name))
             visit(child, scope, module)
 
@@ -386,6 +393,16 @@ def test_only_check_walk_applies_the_walk_rules():
     assert walk_rule_uses() == {("transform", "check_walk", "_along"),
                                 ("transform", "check_walk", "_shear"),
                                 ("cli", "cmd_convergents", "_shear")}
+
+
+def test_only_quadext_sign_signs_a_field_element():
+    # `ValueElement.sign` and the walk's direction test `_along` both ask `QuadExt.sign`
+    # for the sign of i + j*tau, so no other function unpacks tau for a sign
+    assert walk_rule_uses(("sign_of",)) == {("qfield", "QuadExt.sign", "sign_of")}
+    importers = {path.stem for path in SRC.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.ImportFrom) and "sign_of" in {a.name for a in node.names}}
+    assert importers == set()
 
 
 REPORT_NAMES = {"DivideSecondIntoFirst", "DivideFirstIntoSecond", "Regular", "Singular"}
