@@ -187,18 +187,15 @@ def singularity_sweep(instance: Instance) -> SweepReport:
 
 def derive_diagonal_action(matrix: Matrix2) -> DiagonalAction:
     """The cyclic action on the chart parameters induced by the lattice
-    quotient Z^2 / A Z^2 (prime order only).  The certified Smith form
+    quotient Z^2 / A Z^2 of a 2x2 A (prime order only).  The certified Smith form
     U A V = diag(1, d) holds the quotient's generator U^-1 e_2, and
     adj(A) U^-1 e_2 = sign(det A) V e_2: the weights are sign(det A) times
     column 2 of V, mod d."""
-    if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
-        raise ConfigError("2x2 matrix", f"a two-variable action needs a 2x2 exponent "
-                                        f"matrix, got row lengths {[len(r) for r in matrix]}")
     det = det_int(matrix)
     form = smith_normal_form(matrix)
     invariants = form.quotient_invariants()
-    if det == 0 or invariants != [abs(det)]:
-        raise ConfigError("cyclic quotient", f"quotient invariants {invariants} not cyclic")
+    if det == 0 or invariants != [abs(det)]:  # the premise of the weight formula
+        raise CertificationError(f"quotient invariants {invariants} not cyclic")
     d, sign = abs(det), (1 if det > 0 else -1)
     return DiagonalAction(d, sign * form.v[0][1] % d, sign * form.v[1][1] % d)
 

@@ -15,8 +15,6 @@ from .errors import CertificationError, QFieldError
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = t*t*d with d squarefree.  Returns (t, d).  Requires n > 0."""
-    if n <= 0:
-        raise QFieldError("positive integer required")
     t, d = 1, 1
     f = 2
     m = n

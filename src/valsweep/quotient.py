@@ -59,8 +59,6 @@ class DiagonalAction(_ActionFields):
     def weight_map(self) -> dict[int, int]:
         """i -> j_i with b*j_i = a*i mod p and 0 < j_i < p, for a, b != 0."""
         p, a, b = self.order, self.a, self.b
-        if a == 0 or b == 0:
-            raise QuotientError("weight map needs both weights nonzero")
         b_inv = pow(b, -1, p)
         return {i: (a * i * b_inv) % p or p for i in range(1, p)}
 
@@ -100,15 +98,14 @@ class RamificationWitness(NamedTuple):
 
 
 def ramification_minors(action: DiagonalAction) -> RamificationWitness:
-    """Witness minors certifying the branch locus is the closed point.
+    """Witness minors certifying the branch locus is the closed point, for
+    both weights nonzero.
 
     Both witnesses are nonzero pure powers (the coefficient p is a unit in
     any allowed characteristic), so the radical of the minor ideal is
     (x, y) and the quotient map is unramified away from it.
     """
     p, a, b = action.order, action.a, action.b
-    if a == 0 or b == 0:
-        raise QuotientError("ramification witnesses need both weights nonzero")
     # j_i = a*i/b mod p, so j_{p-1} = -a/b and j_i = 1 at i = b/a
     return RamificationWitness(coefficient=p,
                                y_witness=(0, p - 1 + (-a * pow(b, -1, p) % p)),

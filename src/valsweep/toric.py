@@ -17,16 +17,6 @@ from .errors import CertificationError, ToricError
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def as_int_matrix(a) -> Matrix:
-    try:
-        m = tuple(tuple(row) for row in a)
-    except TypeError:
-        raise ToricError("expected a square matrix given as a sequence of rows") from None
-    if not m or any(len(row) != len(m) for row in m):
-        raise ToricError(f"expected a square matrix, got row lengths {[len(r) for r in m]}")
-    return m
-
-
 def _minor(m: Matrix, i: int, j: int) -> Matrix:
     """m without row i and column j."""
     return tuple(row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i)
@@ -36,19 +26,14 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-def det_int(a) -> int:
-    """Exact determinant by cofactor expansion (small n only)."""
-    return _det(as_int_matrix(a))
-
-
-def _det(m: Matrix) -> int:
-    """det_int of an already validated matrix: the minors are not checked again."""
+def det_int(m: Matrix) -> int:
+    """Exact determinant of a nonempty square matrix by cofactor expansion (small n only)."""
     if len(m) == 2:
         (a, b), (c, d) = m
         return a * d - b * c
     if len(m) == 1:
         return m[0][0]
-    return sum((-1) ** k * m[0][k] * _det(_minor(m, 0, k)) for k in range(len(m)))
+    return sum((-1) ** k * m[0][k] * det_int(_minor(m, 0, k)) for k in range(len(m)))
 
 
 class SmithForm(NamedTuple):
@@ -117,14 +102,14 @@ def _smith_reduce(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 SNF_N_MAX = 6
 
 
-def smith_normal_form(a) -> SmithForm:
+def smith_normal_form(a: Matrix) -> SmithForm:
     """Smith normal form with its certificate: U A V = D for unimodular U
-    and V, and D diagonal with each entry dividing the next.
+    and V, and D diagonal with each entry dividing the next.  The rows of
+    the nonempty square A are taken as given.
 
     n is capped at SNF_N_MAX: the unimodularity check takes cofactor
     determinants, whose cost grows as n!.
     """
-    a = as_int_matrix(a)
     if len(a) > SNF_N_MAX:
         raise ToricError(f"n <= {SNF_N_MAX} required (cofactor determinants), "
                          f"got a {len(a)}x{len(a)} matrix")
@@ -132,7 +117,7 @@ def smith_normal_form(a) -> SmithForm:
     n = len(a)
     if _matmul(_matmul(u, a), v) != d or any(d[i][j] for i in range(n) for j in range(n) if i != j):
         raise CertificationError(f"Smith certificate fails: U A V != D = {d}")
-    if abs(_det(u)) != 1 or abs(_det(v)) != 1:
+    if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
         raise CertificationError("Smith certificate fails: U or V is not unimodular")
     form = SmithForm(u, d, v)
     diag = form.diagonal()
@@ -156,11 +141,9 @@ def dual_cone_2d(rows: tuple[Vec2, Vec2]) -> tuple[Vec2, Vec2]:
     """Primitive ray generators of {m : <m, row_i> >= 0 for both rows}.
 
     Each returned ray pairs to zero against one row and strictly
-    positively against the other.
+    positively against the other.  The rows must be independent.
     """
     r1, r2 = rows
-    if r1[0] * r2[1] - r1[1] * r2[0] == 0:
-        raise ToricError("rows are linearly dependent")
 
     def perp_ray(ortho_to: Vec2, positive_on: Vec2) -> Vec2:
         cand = primitive((-ortho_to[1], ortho_to[0]))
@@ -293,10 +276,7 @@ def below_ring_regularity(a) -> RegularityVerdict:
     counted off the segments of the chain between the dual rays in
     O(log |det|), with no cap.  The two criteria must agree (r = 2 iff regular).
     """
-    try:
-        (a11, a12), (a21, a22) = a
-    except (TypeError, ValueError):
-        raise ToricError("expected a 2x2 matrix") from None
+    (a11, a12), (a21, a22) = a
     d = a11 * a22 - a12 * a21
     if d == 0:
         raise ToricError("matrix is singular")

@@ -59,7 +59,6 @@ from itertools import islice, takewhile
 from math import isqrt, prod
 from typing import Iterable
 
-from valsweep.counterexample import ConfigError
 from valsweep.errors import CertificationError, ValuationError
 from valsweep.quotient import DiagonalAction, RamificationWitness
 from valsweep.toric import (SemigroupBasis, ToricError, det_int, dual_cone_2d, primitive,
@@ -276,7 +275,7 @@ def adjugate_diagonal_action(matrix) -> DiagonalAction:
     form = smith_normal_form(matrix)
     invariants = form.quotient_invariants()
     if d == 0 or invariants != [d]:
-        raise ConfigError("cyclic quotient", f"quotient invariants {invariants} not cyclic")
+        raise CertificationError(f"quotient invariants {invariants} not cyclic")
     (u11, u12), (u21, u22) = form.u
     u_det = u11 * u22 - u12 * u21
     g1, g2 = -u12 * u_det, u11 * u_det

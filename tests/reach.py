@@ -36,11 +36,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # The reasons an unrun statement may stay in src; each entry gives one.
 MESSAGE = "a certificate's fallback or message"
 GUARD = "a guard on a public entry's arguments"
+PREMISE = "a premise that a certificate relies on, checked where the value is made"
 BENCH = "a name that bench/ imports or wraps"
 JSON_CONTRACT = "the renderer's JSON contract (TestJsonWriter)"
 MAIN = "the __main__ entry, which TestPackage spawns"
 STDOUT = "a failed write to stdout, which the in-process replay cannot produce"
-REASONS = (MESSAGE, GUARD, BENCH, JSON_CONTRACT, MAIN, STDOUT)
+REASONS = (MESSAGE, GUARD, PREMISE, BENCH, JSON_CONTRACT, MAIN, STDOUT)
 
 # One entry per unrun statement, or per function that no argv calls.
 ALLOWED: dict[str, str] = {
@@ -48,32 +49,12 @@ ALLOWED: dict[str, str] = {
     "cli:main: return EXIT_CERTIFICATE": MESSAGE,
     "qfield:QuadExt.__repr__": MESSAGE,
     "valuation:ValueElement.__repr__": MESSAGE,
-    'counterexample:derive_diagonal_action: raise ConfigError("2x2 matrix"': GUARD,
-    'counterexample:derive_diagonal_action: raise ConfigError("cyclic quotient"': GUARD,
-    "qfield:squarefree_decompose: raise QFieldError(": GUARD,
     "qfield:_no_order: raise TypeError(": GUARD,
-    "qfield:QuadExt._coerce: raise TypeError(": GUARD,
-    "qfield:QuadExt._coerce: raise QFieldError(": GUARD,
-    "qfield:_quotient_stream: raise QFieldError(": GUARD,
-    "quotient:DiagonalAction.weight_map: raise QuotientError(": GUARD,
-    "quotient:ramification_minors: raise QuotientError(": GUARD,
-    'toric:as_int_matrix: raise ToricError("expected a square matrix given': GUARD,
-    'toric:as_int_matrix: raise ToricError(f"expected a square matrix, got': GUARD,
-    "toric:dual_cone_2d: raise ToricError(": GUARD,
-    'toric:below_ring_regularity: raise ToricError("expected a 2x2 matrix")': GUARD,
-    'valuation:ValueElement.make: raise ValuationError("zero denominator")': GUARD,
-    'valuation:ValueElement.make: raise ValuationError("tau must be irrational")': GUARD,
-    'valuation:ValueElement.ratio: raise ValuationError("division by a zero value")': GUARD,
-    "valuation:ValueElement.make: i, j, n = -i, -j, -n": GUARD,
-    "valuation:ValueElement._check: raise TypeError(": GUARD,
-    "valuation:ValueElement._check: raise ValuationError(": GUARD,
-    "valuation:ValueElement.scale: raise TypeError(": GUARD,
-    'valuation:check_support: raise ValuationError("empty support")': GUARD,
+    'valuation:_check_parameter_values: raise ValuationError("mismatched ambient tau")': GUARD,
     'valuation:_check_parameter_values: raise ValuationError("parameter values must': GUARD,
     'valuation:_check_parameter_values: raise ValuationError("parameter values are': GUARD,
-    'valuation:group_index: raise ValuationError("supergroup': GUARD,
-    "valuation:group_index: raise NotASubgroupError(": GUARD,
-    'valuation:group_index: raise ValuationError("subgroup': GUARD,
+    "qfield:_quotient_stream: raise QFieldError(": PREMISE,
+    'valuation:ValueElement.make: raise ValuationError("tau must be irrational")': PREMISE,
     "qfield:QuadExt.make": BENCH,
     "qfield:QuadExt._coerce": BENCH,
     "qfield:QuadExt.__mul__": BENCH,

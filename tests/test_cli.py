@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import errno
+import importlib
 import io
 import json
 import os
@@ -1097,8 +1098,18 @@ class TestPackage:
         assert counterexample.ConfigError is errors.ConfigError
         assert counterexample.CertificationError is errors.CertificationError
         assert counterexample.Falsified is cli.Falsified is errors.Falsified
-        assert issubclass(valuation.NotASubgroupError, errors.ValuationError)
         assert errors.ConfigError("steps >= 0", "message").constraint == "steps >= 0"
+
+    def test_only_errors_defines_exception_classes(self):
+        # the layers bind their errors back from errors.py; the CLI keeps its own usage error
+        defined = {(module.__name__, name)
+                   for module in (importlib.import_module(f"valsweep.{path.stem}")
+                                  for path in sorted((SRC / "valsweep").glob("*.py"))
+                                  if path.stem not in ("__init__", "errors"))
+                   for name, obj in vars(module).items()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__}
+        assert defined == {("valsweep.cli", "UsageError")}
 
     def test_no_assert_statements(self):
         # python -O strips assert statements, so no certificate may be one;

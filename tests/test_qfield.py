@@ -43,10 +43,6 @@ class TestSquarefree:
         assert squarefree_decompose(12) == (2, 3)
         assert squarefree_decompose(49) == (7, 1)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(QFieldError):
-            squarefree_decompose(0)
-
 
 class TestTau:
     @pytest.mark.parametrize("a,expected", [

@@ -49,6 +49,21 @@ def test_corpus_runs_every_statement_not_allowed(corpus_replay):
     assert reach.check(seen) == []
 
 
+def test_only_public_entries_and_premises_keep_a_guard():
+    # an internal function trusts the shapes its callers pass: a guard stays only on a
+    # public constructor's arguments or on a premise that a certificate relies on
+    by_reason = {reason: {entry for entry, r in reach.ALLOWED.items() if r == reason}
+                 for reason in (reach.GUARD, reach.PREMISE)}
+    assert by_reason[reach.GUARD] == {
+        "qfield:_no_order: raise TypeError(",
+        'valuation:_check_parameter_values: raise ValuationError("mismatched ambient tau")',
+        'valuation:_check_parameter_values: raise ValuationError("parameter values must',
+        'valuation:_check_parameter_values: raise ValuationError("parameter values are'}
+    assert by_reason[reach.PREMISE] == {
+        "qfield:_quotient_stream: raise QFieldError(",
+        'valuation:ValueElement.make: raise ValuationError("tau must be irrational")'}
+
+
 def test_problems_name_unallowed_statements_and_stale_entries():
     missed = [("synthetic.py", st) for st in reach.statements("synthetic", SYNTHETIC)
               if st.line in (19, 28, 33)]

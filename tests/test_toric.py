@@ -63,19 +63,6 @@ class TestDeterminant:
     def test_matches_cofactor_oracle(self, a):
         assert det_int(a) == cofactor_det(a)
 
-    def test_validates_once(self, monkeypatch):
-        # the minors of a validated matrix are expanded without re-validation
-        calls = []
-        real = toric.as_int_matrix
-        monkeypatch.setattr(toric, "as_int_matrix", lambda a: calls.append(a) or real(a))
-        assert det_int(eye(5, 2)) == 32
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("a", [[], [[1, 2]], [[1, 2], [3]], 5])
-    def test_rejects_non_square(self, a):
-        with pytest.raises(ToricError):
-            det_int(a)
-
 
 class TestSmithNormalForm:
     def test_q11_matrix(self):
@@ -105,11 +92,6 @@ class TestSmithNormalForm:
         for m in (form.u, form.d, form.v):
             assert type(m) is tuple
             assert all(type(row) is tuple and all(type(x) is int for x in row) for row in m)
-
-    @pytest.mark.parametrize("a", [[[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [], [1, 2, 3, 4]])
-    def test_non_square_rejected(self, a):
-        with pytest.raises(ToricError):
-            smith_normal_form(a)
 
     def test_size_cap(self):
         assert toric.SNF_N_MAX == 6
@@ -151,10 +133,6 @@ class TestDualCone:
         for ray in rays:
             for row in ((16, 9), (3, 1)):
                 assert ray[0] * row[0] + ray[1] * row[1] >= 0
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(ToricError):
-            dual_cone_2d(((2, 4), (1, 2)))
 
 
 class TestHilbertBasis:
@@ -418,12 +396,6 @@ class TestRegularity:
     def test_singular_matrix_rejected(self):
         with pytest.raises(ToricError):
             below_ring_regularity([[1, 2], [2, 4]])
-
-    @pytest.mark.parametrize("a", [[[1, 2, 3], [4, 5, 6], [7, 8, 10]], [[1, 2], [3]], [1, 2],
-                                   None])
-    def test_not_2x2_rejected(self, a):
-        with pytest.raises(ToricError, match="expected a 2x2 matrix"):
-            below_ring_regularity(a)
 
     def test_criteria_agree_small_sample(self):
         rng = random.Random(5)

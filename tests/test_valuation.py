@@ -1,23 +1,20 @@
+import ast
+import inspect
 import itertools
 import math
 import operator
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import valsweep
 from oracles import exact, series_value
+from valsweep.errors import CertificationError
 from valsweep.qfield import QuadExt, tau_from_a
-from valsweep.valuation import (MonomialValuation, NotASubgroupError,
-                                ValuationError, ValueElement, group_index)
+from valsweep.valuation import MonomialValuation, ValuationError, ValueElement, group_index
 
 TAU7 = tau_from_a(7)
 
@@ -35,45 +32,9 @@ def nu_bar():
 class TestValueElementInputChecks:
     """Each input check fires through the entry it guards, with its message."""
 
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValuationError, match="^zero denominator$"):
-            ValueElement.make(1, 1, 0, TAU7)
-
     def test_rational_tau_rejected(self):
         with pytest.raises(ValuationError, match="^tau must be irrational$"):
             ValueElement.make(0, 1, 1, QuadExt(3, 0, 1, 77))
-
-    @pytest.mark.parametrize("combine", [lambda v: v + (0, 1, 1, TAU7),
-                                         lambda v: v - (0, 1, 1, TAU7),
-                                         lambda v: group_index((v, v), (v, (1, 0, 1, TAU7)))])
-    def test_combining_with_a_non_element_rejected(self, combine):
-        with pytest.raises(TypeError, match="^expected a ValueElement$"):
-            combine(ve(1, 1, 1))
-
-    @pytest.mark.parametrize("scale", [lambda v: v.scale(1.5), lambda v: 2.0 * v])
-    def test_non_integer_scale_rejected(self, scale):
-        with pytest.raises(TypeError, match="^cannot scale a ValueElement by float$"):
-            scale(ve(1, 1, 1))
-
-    @pytest.mark.parametrize("zero", [ve(0, 0, 3), ValueElement(0, 0, 5, TAU7)])
-    def test_division_by_a_zero_value_rejected(self, zero):
-        with pytest.raises(ValuationError, match="^division by a zero value$"):
-            ve(1, 1, 1).ratio(zero)
-
-    def test_division_by_a_zero_value_rejected_under_optimize(self):
-        script = ("from valsweep.qfield import tau_from_a\n"
-                  "from valsweep.valuation import ValuationError, ValueElement\n"
-                  "tau = tau_from_a(7)\n"
-                  "try:\n"
-                  "    ValueElement.make(1, 1, 1, tau).ratio(ValueElement.make(0, 0, 3, tau))\n"
-                  "except ValuationError as exc:\n"
-                  "    print(__debug__, exc)\n")
-        src = Path(valsweep.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              env=dict(os.environ, PYTHONPATH=str(src)),
-                              capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "False division by a zero value\n", "")
 
 
 class TestOrder:
@@ -125,10 +86,6 @@ class TestValueElement:
         assert ve(1, 1, 2).scale(4) == ve(2, 2, 1)
         assert ve(1, 2, 3) - ve(1, 2, 3) == ve(0, 0, 1)
 
-    def test_mixed_tau_rejected(self):
-        with pytest.raises(ValuationError):
-            ve(1, 0, 1) + ve(1, 0, 1, tau_from_a(1))
-
     def test_operations_give_value_elements(self):
         # ValueElement is a tuple: + and - must not concatenate
         x, y = ve(1, 2, 3), ve(0, 1, 1)
@@ -158,6 +115,17 @@ class TestValueElement:
         assert QuadExt.make(*ratio) == ratio  # canonical
         assert (exact(ratio) * exact(y) - exact(x)).expand() == 0
 
+    def test_no_method_compares_tau(self):
+        # every operand carries the one tau that `build` or a checked constructor
+        # gave it, so no operation pays to compare two
+        compared = [ast.unparse(node)
+                    for node in ast.walk(ast.parse(inspect.getsource(ValueElement)))
+                    if isinstance(node, ast.Compare)
+                    and any(isinstance(x, ast.Attribute) and x.attr == "tau"
+                            or isinstance(x, ast.Name) and x.id == "tau"
+                            for x in (node.left, *node.comparators))]
+        assert compared == []
+
     def test_sign_matches_quadext(self):
         for i, j, n in itertools.product(range(-9, 10), range(-9, 10), (1, 2, 7)):
             x = ve(i, j, n)
@@ -169,7 +137,7 @@ class TestMakeValuation:
         assert nu_bar.value_of([(1, 0)]) == ve(0, 1, 1)
 
     def test_rationally_dependent_rejected(self):
-        with pytest.raises(ValuationError):
+        with pytest.raises(ValuationError, match="^parameter values are rationally dependent$"):
             MonomialValuation(ve(2, 0, 1), ve(1, 0, 1))
 
     def test_chart_values_accepted(self):
@@ -177,11 +145,11 @@ class TestMakeValuation:
         assert v.value_of([(1, 0)]).sign() > 0
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValuationError):
+        with pytest.raises(ValuationError, match="^parameter values must be positive$"):
             MonomialValuation(ve(-1, 0, 1), ve(1, 0, 1))
 
     def test_mismatched_tau_rejected(self):
-        with pytest.raises(ValuationError, match="mismatched ambient tau"):
+        with pytest.raises(ValuationError, match="^mismatched ambient tau$"):
             MonomialValuation(ve(0, 1, 1), ve(1, 0, 1, tau_from_a(3)))
 
 
@@ -195,10 +163,6 @@ class TestValueOf:
     def test_exact_tie_break(self, nu_bar):
         # min(tau+2, 3 tau) = tau+2 since tau > 1
         assert nu_bar.value_of([(1, 2), (3, 0)]) == ve(2, 1, 1)
-
-    def test_empty_rejected(self, nu_bar):
-        with pytest.raises(ValuationError):
-            nu_bar.value_of([])
 
     def test_duplicate_rejected(self, nu_bar):
         with pytest.raises(ValuationError):
@@ -292,12 +256,6 @@ class TestSeriesValue:
 
 
 class TestGroupIndex:
-    def test_dependent_supergroup_rejected(self):
-        gens = (ve(0, 1, 1), ve(1, 0, 1))
-        with pytest.raises(ValuationError,
-                           match="^supergroup generators are rationally dependent$"):
-            group_index(gens, (ve(1, 2, 3), ve(2, 4, 5)))
-
     def test_index_eleven(self):
         sub = (ve(0, 1, 1), ve(1, 0, 1))
         sup = (ve(9, -1, 11), ve(-7, 2, 11))
@@ -316,7 +274,8 @@ class TestGroupIndex:
     def test_non_containment_detected(self):
         sub = (ve(1, 0, 2), ve(0, 1, 1))  # 1/2 is not in Z + Z tau
         sup = (ve(1, 0, 1), ve(0, 1, 1))
-        with pytest.raises(NotASubgroupError):
+        with pytest.raises(CertificationError, match=r"^\(1\+0\*tau\)/2 is not an integer "
+                                                     r"combination of the supergroup generators$"):
             group_index(sub, sup)
 
     def test_matches_rational_solution(self):
@@ -345,14 +304,10 @@ class TestGroupIndex:
             index = abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2])
             if any(c.denominator != 1 for c in coeffs):
                 outcomes.add("not a subgroup")
-                with pytest.raises(NotASubgroupError):
-                    group_index(tuple(sub), sup)
-            elif index == 0:
-                outcomes.add("dependent")
-                with pytest.raises(ValuationError, match="subgroup generators"):
+                with pytest.raises(CertificationError, match="not an integer combination"):
                     group_index(tuple(sub), sup)
             else:
-                outcomes.add("index")
+                outcomes.add("dependent" if index == 0 else "index")
                 assert group_index(tuple(sub), sup) == index
         assert outcomes == {"not a subgroup", "dependent", "index"}
 
